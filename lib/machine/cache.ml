@@ -4,50 +4,64 @@
 type level = {
   sets : int;
   ways : int;
-  line_bytes : int;
-  tags : int array array;  (** [set].[way] = tag, -1 empty *)
-  lru : int array array;  (** higher = more recently used *)
+  line_shift : int;  (** log2 line bytes *)
+  set_shift : int;  (** log2 sets *)
+  tags : int array;  (** [set * ways + way] = tag, -1 empty *)
+  lru : int array;  (** same index; higher = more recently used *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
 }
+
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  let k = go 0 in
+  if 1 lsl k <> n then invalid_arg "Cache: sizes must be powers of two";
+  k
 
 let make_level ~size_bytes ~ways ~line_bytes =
   let sets = max 1 (size_bytes / (ways * line_bytes)) in
   {
     sets;
     ways;
-    line_bytes;
-    tags = Array.init sets (fun _ -> Array.make ways (-1));
-    lru = Array.init sets (fun _ -> Array.make ways 0);
+    line_shift = log2 line_bytes;
+    set_shift = log2 sets;
+    tags = Array.make (sets * ways) (-1);
+    lru = Array.make (sets * ways) 0;
     tick = 0;
     hits = 0;
     misses = 0;
   }
 
-(* true = hit *)
+(* true = hit.  Addresses are non-negative, so shifts and masks are the
+   line/set/tag divisions. *)
 let access_level l addr =
-  let line = addr / l.line_bytes in
-  let set = line mod l.sets in
-  let tag = line / l.sets in
+  let line = addr lsr l.line_shift in
+  let set = line land (l.sets - 1) in
+  let tag = line lsr l.set_shift in
   l.tick <- l.tick + 1;
-  let tags = l.tags.(set) and lru = l.lru.(set) in
-  let rec find w = if w >= l.ways then None else if tags.(w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w ->
-      lru.(w) <- l.tick;
-      l.hits <- l.hits + 1;
-      true
-  | None ->
-      l.misses <- l.misses + 1;
-      (* evict LRU way *)
-      let victim = ref 0 in
-      for w = 1 to l.ways - 1 do
-        if lru.(w) < lru.(!victim) then victim := w
-      done;
-      tags.(!victim) <- tag;
-      lru.(!victim) <- l.tick;
-      false
+  let base = set * l.ways in
+  let tags = l.tags and lru = l.lru in
+  let w = ref 0 in
+  while !w < l.ways && tags.(base + !w) <> tag do
+    incr w
+  done;
+  if !w < l.ways then begin
+    lru.(base + !w) <- l.tick;
+    l.hits <- l.hits + 1;
+    true
+  end
+  else begin
+    l.misses <- l.misses + 1;
+    (* evict LRU way *)
+    let victim = ref base in
+    for k = base + 1 to base + l.ways - 1 do
+      if lru.(k) < lru.(!victim) then victim := k
+    done;
+    tags.(!victim) <- tag;
+    lru.(!victim) <- l.tick;
+    false
+  end
 
 type t = {
   l1 : level;

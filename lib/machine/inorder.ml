@@ -11,38 +11,41 @@
 type t = {
   md : Backend.Machdesc.t;
   cache : Cache.t;
-  reg_ready : (int, int) Hashtbl.t;
+  code : Exec.code;
+  ready : int array;  (** globalized register -> cycle its value is ready *)
+  lat : int array;  (** pc -> result latency *)
+  is_mem : bool array;  (** pc -> load or store (goes through the cache) *)
   mutable last_issue : int;
   mutable cycles : int;
-  mutable insns : int;
 }
 
-let make ?(md = Backend.Machdesc.r4600) () =
+let make ?(md = Backend.Machdesc.r4600) (code : Exec.code) =
   {
     md;
     cache = Cache.r4600 ();
-    reg_ready = Hashtbl.create 1024;
+    code;
+    ready = Array.make code.Exec.global_regs 0;
+    lat = Array.map (Backend.Machdesc.latency md) code.Exec.src;
+    is_mem =
+      Array.map (fun i -> Backend.Rtl.is_load i || Backend.Rtl.is_store i) code.Exec.src;
     last_issue = 0;
     cycles = 0;
-    insns = 0;
   }
 
-let ready t r = Option.value ~default:0 (Hashtbl.find_opt t.reg_ready r)
-
 let step (t : t) (d : Exec.dyn) =
-  t.insns <- t.insns + 1;
-  let i = d.Exec.d_insn in
-  let src_ready = List.fold_left (fun acc r -> max acc (ready t r)) 0 d.Exec.d_srcs in
-  let issue = max (t.last_issue + 1) src_ready in
-  let lat = Backend.Machdesc.latency t.md i in
+  let pc = d.Exec.d_pc in
+  let code = t.code and ready = t.ready in
+  let src_ready = ref 0 in
+  for k = code.Exec.srcs_start.(pc) to code.Exec.srcs_start.(pc + 1) - 1 do
+    let r = ready.(code.Exec.srcs.(k)) in
+    if r > !src_ready then src_ready := r
+  done;
+  let issue = if t.last_issue + 1 >= !src_ready then t.last_issue + 1 else !src_ready in
   let lat =
-    if Backend.Rtl.is_load i || Backend.Rtl.is_store i then
-      lat + Cache.access t.cache d.Exec.d_addr
-    else lat
+    if t.is_mem.(pc) then t.lat.(pc) + Cache.access t.cache d.Exec.d_addr else t.lat.(pc)
   in
-  (match d.Exec.d_dst with
-  | Some r -> Hashtbl.replace t.reg_ready r (issue + lat)
-  | None -> ());
+  let dst = code.Exec.dst.(pc) in
+  if dst >= 0 then ready.(dst) <- issue + lat;
   (* taken control transfers flush the fetch stage: one bubble *)
   t.last_issue <- (if d.Exec.d_taken then issue + 1 else issue);
   (* a store that caught a misspeculated load stalls the pipeline for
@@ -54,4 +57,4 @@ let step (t : t) (d : Exec.dyn) =
 
 let cycles t = t.cycles
 
-let hook t : Exec.dyn -> unit = step t
+let hook t : Exec.dyn -> unit = fun d -> step t d

@@ -1,9 +1,10 @@
 (** Out-of-order superscalar model (MIPS R10000).
 
     A window-based approximation of a 4-issue core: instructions
-    dispatch in order (4 per cycle) into a reorder buffer of 32 entries,
-    issue out of order when their operands are ready and a function unit
-    is free, and retire in order (4 per cycle).
+    dispatch in order ([issue_width] per cycle) into a reorder buffer of
+    [Machdesc.window] entries, issue out of order when their operands
+    are ready and a function unit is free, and retire in order
+    ([issue_width] per cycle).
 
     The load/store queue implements the rule the paper singles out as
     the reason the R10000 profits more from HLI scheduling: {e a load is
@@ -13,79 +14,134 @@
     younger load pays for it; the HLI schedule hoists loads above
     stores, making their issue independent. *)
 
-type entry = {
-  mutable complete : int;  (** cycle the result is available *)
-  mutable retire : int;
-  is_store : bool;
-  is_load : bool;
-  addr_known : int;  (** cycle the effective address is resolved *)
-  addr : int;
-}
+(* function units, as ranges of [units]: 2 integer ALUs, 2 FP units,
+   1 memory port *)
+let alu = 0
+
+let fpu = 1
+
+let mem = 2
+
+let unit_lo = [| 0; 2; 4 |]
+
+let unit_hi = [| 2; 4; 5 |]
 
 type t = {
   md : Backend.Machdesc.t;
   cache : Cache.t;
-  reg_ready : (int, int) Hashtbl.t;
-  rob : entry array;  (** circular, indexed by seq mod window *)
+  code : Exec.code;
+  window : int;
+  ready : int array;  (** globalized register -> cycle its value is ready *)
+  lat : int array;  (** pc -> result latency *)
+  kind : int array;  (** pc -> function unit kind *)
+  is_load : bool array;
+  is_store : bool array;
+  rob_retire : int array;  (** ROB slot -> retire cycle of its occupant *)
+  mutable slot : int;  (** ROB slot of the next instruction: [seq mod window] *)
   mutable seq : int;  (** instructions dispatched so far *)
+  (* in-flight stores, oldest first: a ring of [window] entries *)
+  st_seq : int array;
+  st_complete : int array;
+  st_retire : int array;
+  st_addr : int array;
+  mutable st_head : int;
+  mutable st_count : int;
   mutable dispatch_cycle : int;
   mutable dispatch_in_cycle : int;
   mutable last_retire : int;
   mutable retired_in_cycle : int;
-  (* function-unit next-free times: int ALUs, FP units, memory port *)
-  alu_free : int array;
-  fpu_free : int array;
-  mem_free : int array;
+  units : int array;  (** next-free cycle per function unit *)
   mutable cycles : int;
-  mutable insns : int;
   mutable lsq_stall_cycles : int;  (** diagnostic: issue delay due to LSQ *)
 }
 
-let window = 32
-
-let make ?(md = Backend.Machdesc.r10000) () =
+let make ?(md = Backend.Machdesc.r10000) (code : Exec.code) =
+  let window = max 1 md.Backend.Machdesc.window in
+  let src = code.Exec.src in
   {
     md;
     cache = Cache.r10000 ();
-    reg_ready = Hashtbl.create 1024;
-    rob =
-      Array.init window (fun _ ->
-          { complete = 0; retire = 0; is_store = false; is_load = false; addr_known = 0; addr = 0 });
+    code;
+    window;
+    ready = Array.make code.Exec.global_regs 0;
+    lat = Array.map (Backend.Machdesc.latency md) src;
+    kind =
+      Array.map
+        (fun (i : Backend.Rtl.insn) ->
+          match i.Backend.Rtl.desc with
+          | Backend.Rtl.Falu _ | Backend.Rtl.Cvt_i2f _ | Backend.Rtl.Cvt_f2i _ -> fpu
+          | Backend.Rtl.Load _ | Backend.Rtl.Store _ -> mem
+          | _ -> alu)
+        src;
+    is_load = Array.map Backend.Rtl.is_load src;
+    is_store = Array.map Backend.Rtl.is_store src;
+    rob_retire = Array.make window 0;
+    slot = 0;
     seq = 0;
+    st_seq = Array.make window 0;
+    st_complete = Array.make window 0;
+    st_retire = Array.make window 0;
+    st_addr = Array.make window 0;
+    st_head = 0;
+    st_count = 0;
     dispatch_cycle = 0;
     dispatch_in_cycle = 0;
     last_retire = 0;
     retired_in_cycle = 0;
-    alu_free = Array.make 2 0;
-    fpu_free = Array.make 2 0;
-    mem_free = Array.make 1 0;
+    units = Array.make 5 0;
     cycles = 0;
-    insns = 0;
     lsq_stall_cycles = 0;
   }
 
-let ready t r = Option.value ~default:0 (Hashtbl.find_opt t.reg_ready r)
+let[@inline] imax (a : int) b = if a >= b then a else b
 
-(* earliest free slot among k identical units; claims it *)
-let claim_unit units at =
-  let best = ref 0 in
-  Array.iteri (fun i free -> if free < units.(!best) then best := i else ignore free) units;
-  let start = max at units.(!best) in
-  (start, !best)
+(* Forget stores no instruction from [seq] on can see: a load scans the
+   [window - 1] instructions before it, never instruction 0. *)
+let expire t seq =
+  let lo = imax 1 (seq - t.window + 1) in
+  while t.st_count > 0 && t.st_seq.(t.st_head) < lo do
+    t.st_head <- (if t.st_head + 1 = t.window then 0 else t.st_head + 1);
+    t.st_count <- t.st_count - 1
+  done
 
-let unit_kind (i : Backend.Rtl.insn) =
-  match i.Backend.Rtl.desc with
-  | Backend.Rtl.Falu _ | Backend.Rtl.Cvt_i2f _ | Backend.Rtl.Cvt_f2i _ -> `Fpu
-  | Backend.Rtl.Load _ | Backend.Rtl.Store _ -> `Mem
-  | _ -> `Alu
+(* LSQ rule: loads wait until all earlier in-flight stores have known
+   addresses; if an earlier store writes the same word, wait for its
+   completion (forwarding takes one extra cycle).  Stores still in
+   flight (not yet retired) gate the load: the R10000 does not issue a
+   load past a store whose independence is not yet established, so the
+   load waits until the earlier store has executed (or forwarded,
+   same-word case).  The wait is a max over those stores, so visiting
+   the store ring instead of every older ROB slot gives the same cycle. *)
+let lsq_wait t addr operand_ready =
+  expire t t.seq;
+  let w = ref 0 and j = ref t.st_head in
+  for _ = 1 to t.st_count do
+    let k = !j in
+    if t.st_retire.(k) > operand_ready then begin
+      let c = t.st_complete.(k) in
+      let c = if t.st_addr.(k) land lnot 7 = addr land lnot 7 then c + 1 else c in
+      if c > !w then w := c
+    end;
+    j := if k + 1 = t.window then 0 else k + 1
+  done;
+  !w
+
+let push_store t ~complete ~retire addr =
+  expire t (t.seq + 1);
+  let k = (t.st_head + t.st_count) mod t.window in
+  t.st_seq.(k) <- t.seq;
+  t.st_complete.(k) <- complete;
+  t.st_retire.(k) <- retire;
+  t.st_addr.(k) <- addr;
+  t.st_count <- t.st_count + 1
 
 let step (t : t) (d : Exec.dyn) =
-  t.insns <- t.insns + 1;
-  let i = d.Exec.d_insn in
-  let slot = t.seq mod window in
-  (* in-order dispatch: 4 per cycle, and the ROB slot must have retired *)
-  let oldest_retire = if t.seq >= window then t.rob.(slot).retire else 0 in
-  if t.dispatch_in_cycle >= t.md.Backend.Machdesc.issue_width then begin
+  let pc = d.Exec.d_pc in
+  let md = t.md in
+  let width = md.Backend.Machdesc.issue_width in
+  (* in-order dispatch: [width] per cycle, and the ROB slot must have retired *)
+  let oldest_retire = if t.seq >= t.window then t.rob_retire.(t.slot) else 0 in
+  if t.dispatch_in_cycle >= width then begin
     t.dispatch_cycle <- t.dispatch_cycle + 1;
     t.dispatch_in_cycle <- 0
   end;
@@ -96,58 +152,41 @@ let step (t : t) (d : Exec.dyn) =
   let dispatch = t.dispatch_cycle in
   t.dispatch_in_cycle <- t.dispatch_in_cycle + 1;
   (* operands *)
-  let src_ready = List.fold_left (fun acc r -> max acc (ready t r)) 0 d.Exec.d_srcs in
-  let operand_ready = max dispatch src_ready in
-  (* LSQ rule: loads wait until all earlier in-flight stores have known
-     addresses; if an earlier store writes the same word, wait for its
-     completion (forwarding takes one extra cycle). *)
+  let code = t.code and ready = t.ready in
+  let src_ready = ref 0 in
+  for k = code.Exec.srcs_start.(pc) to code.Exec.srcs_start.(pc + 1) - 1 do
+    let r = ready.(code.Exec.srcs.(k)) in
+    if r > !src_ready then src_ready := r
+  done;
+  let operand_ready = imax dispatch !src_ready in
   let lsq_ready =
-    if (not (Backend.Rtl.is_load i)) || not t.md.Backend.Machdesc.lsq_blocking then 0
-    else begin
-      let upto = min t.seq window in
-      let w = ref 0 in
-      for k = 1 to upto - 1 do
-        let e = t.rob.((t.seq - k) mod window) in
-        (* stores still in flight (not yet retired) gate the load: the
-           R10000 does not issue a load past a store whose independence
-           is not yet established, so the load waits until the earlier
-           store has executed (or forwarded, same-word case) *)
-        if e.is_store && e.retire > operand_ready then begin
-          if e.complete > !w then w := e.complete;
-          if e.addr land lnot 7 = d.Exec.d_addr land lnot 7 && e.complete + 1 > !w
-          then w := e.complete + 1
-        end
-      done;
-      !w
-    end
+    if t.is_load.(pc) && md.Backend.Machdesc.lsq_blocking then
+      lsq_wait t d.Exec.d_addr operand_ready
+    else 0
   in
   if lsq_ready > operand_ready then
     t.lsq_stall_cycles <- t.lsq_stall_cycles + (lsq_ready - operand_ready);
-  let can_issue = max operand_ready lsq_ready in
-  let units =
-    match unit_kind i with
-    | `Alu -> t.alu_free
-    | `Fpu -> t.fpu_free
-    | `Mem -> t.mem_free
-  in
-  let issue, u = claim_unit units can_issue in
-  units.(u) <- issue + 1;
-  let lat = Backend.Machdesc.latency t.md i in
+  let can_issue = imax operand_ready lsq_ready in
+  (* earliest free unit of the kind (the first, on ties) *)
+  let kind = t.kind.(pc) and units = t.units in
+  let best = ref unit_lo.(kind) in
+  for u = unit_lo.(kind) + 1 to unit_hi.(kind) - 1 do
+    if units.(u) < units.(!best) then best := u
+  done;
+  let issue = imax can_issue units.(!best) in
+  units.(!best) <- issue + 1;
   let lat =
-    if Backend.Rtl.is_load i || Backend.Rtl.is_store i then
-      lat + Cache.access t.cache d.Exec.d_addr
-    else lat
+    if kind = mem then t.lat.(pc) + Cache.access t.cache d.Exec.d_addr else t.lat.(pc)
   in
   let complete = issue + lat in
-  (match d.Exec.d_dst with
-  | Some r -> Hashtbl.replace t.reg_ready r complete
-  | None -> ());
+  let dst = code.Exec.dst.(pc) in
+  if dst >= 0 then ready.(dst) <- complete;
   (* in-order retirement, issue_width per cycle *)
-  let retire = max complete t.last_retire in
+  let retire = imax complete t.last_retire in
   let retire =
     if retire = t.last_retire then begin
       t.retired_in_cycle <- t.retired_in_cycle + 1;
-      if t.retired_in_cycle >= t.md.Backend.Machdesc.issue_width then begin
+      if t.retired_in_cycle >= width then begin
         t.retired_in_cycle <- 0;
         retire + 1
       end
@@ -163,22 +202,16 @@ let step (t : t) (d : Exec.dyn) =
      issue queue: dispatch restarts after the recovery window *)
   if d.Exec.d_misspec > 0 then begin
     t.dispatch_cycle <-
-      max t.dispatch_cycle
-        (complete + (d.Exec.d_misspec * t.md.Backend.Machdesc.misspec_penalty));
+      imax t.dispatch_cycle
+        (complete + (d.Exec.d_misspec * md.Backend.Machdesc.misspec_penalty));
     t.dispatch_in_cycle <- 0
   end;
-  t.rob.(slot) <-
-    {
-      complete;
-      retire;
-      is_store = Backend.Rtl.is_store i;
-      is_load = Backend.Rtl.is_load i;
-      addr_known = operand_ready;
-      addr = d.Exec.d_addr;
-    };
+  t.rob_retire.(t.slot) <- retire;
+  if t.is_store.(pc) then push_store t ~complete ~retire d.Exec.d_addr;
   t.seq <- t.seq + 1;
+  t.slot <- (if t.slot + 1 = t.window then 0 else t.slot + 1);
   if retire > t.cycles then t.cycles <- retire
 
 let cycles t = t.cycles
 
-let hook t : Exec.dyn -> unit = step t
+let hook t : Exec.dyn -> unit = fun d -> step t d

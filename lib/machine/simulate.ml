@@ -24,10 +24,11 @@ let machine_name = function R4600 -> "R4600" | R10000 -> "R10000"
     single knobs such as LSQ load blocking. *)
 let run ?(fuel = 400_000_000) ?md (machine : machine)
     (prog : Backend.Rtl.program) : report =
+  let code = Exec.decode prog in
   match machine with
   | R4600 ->
-      let m = Inorder.make ?md () in
-      let res = Exec.run ~fuel ~hook:(Inorder.hook m) prog in
+      let m = Inorder.make ?md code in
+      let res = Exec.run_code ~fuel ~hook:(Inorder.hook m) code in
       let h, mi = Cache.l1_stats m.Inorder.cache in
       {
         machine;
@@ -41,8 +42,8 @@ let run ?(fuel = 400_000_000) ?md (machine : machine)
         misspeculations = res.Exec.misspec;
       }
   | R10000 ->
-      let m = Ooo.make ?md () in
-      let res = Exec.run ~fuel ~hook:(Ooo.hook m) prog in
+      let m = Ooo.make ?md code in
+      let res = Exec.run_code ~fuel ~hook:(Ooo.hook m) code in
       let h, mi = Cache.l1_stats m.Ooo.cache in
       {
         machine;

@@ -382,6 +382,196 @@ let speculation_tests =
           [ Machine.Simulate.R4600; Machine.Simulate.R10000 ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Behaviour the pre-decoder could silently change                     *)
+(* ------------------------------------------------------------------ *)
+
+let lower src = Backend.Lower.lower_program (Srclang.Typecheck.program_of_string src)
+
+(* main: r0 <- [flag]; bnez r0 -> L1; ret 7.  L1 calls a name that is
+   neither a function nor a builtin. *)
+let unknown_callee_rtl ~flag =
+  let open Backend in
+  let insn uid desc = { Rtl.uid; desc; line = 0; item = None; spec = false } in
+  let b0 =
+    [
+      insn 0 (Rtl.Li (0, Rtl.Imm flag));
+      insn 1 (Rtl.Br_nez (0, 1));
+      insn 2 (Rtl.Ret (Some (Rtl.Imm 7)));
+    ]
+  in
+  let b1 = [ insn 3 (Rtl.Call ("no_such_routine", [], None)); insn 4 (Rtl.Ret None) ] in
+  {
+    Rtl.fns =
+      [
+        {
+          Rtl.fname = "main";
+          params = [];
+          ret_class = Some Rtl.Rint;
+          blocks =
+            [|
+              { Rtl.bid = 0; insns = b0; succs = [ 1 ]; preds = [] };
+              { Rtl.bid = 1; insns = b1; succs = []; preds = [ 0 ] };
+            |];
+          entry = 0;
+          frame_size = 0;
+          argout_size = 0;
+          vreg_count = 1;
+          vreg_class = [| Rtl.Rint |];
+          loops = [];
+        };
+      ];
+    globals = [];
+  }
+
+let raises_runtime_error name src =
+  Alcotest.test_case name `Quick (fun () ->
+      match run_src src with
+      | exception Machine.Exec.Runtime_error _ -> ()
+      | _ -> Alcotest.fail "no Runtime_error")
+
+(* fib plus a recursive walk with a frame array and a pointer argument:
+   every activation reuses the same globalized register ids *)
+let recursion_src =
+  {|
+int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }
+int walk(int n, int *acc)
+{
+  int a[4];
+  a[n % 4] = n;
+  *acc = *acc + a[n % 4];
+  if (n == 0) { return 0; }
+  return walk(n - 1, acc) + a[n % 4];
+}
+int main()
+{
+  int acc;
+  acc = 0;
+  print_int(fib(12));
+  print_int(walk(40, &acc));
+  print_int(acc);
+  return 0;
+}
+|}
+
+(* writes a global array and deep stack frames with non-zero data *)
+let dirty_src =
+  {|
+int g[4096];
+int smash(int n)
+{
+  int a[64];
+  int i;
+  for (i = 0; i < 64; i++) { a[i] = n + i + 1; }
+  if (n == 0) { return a[0]; }
+  return smash(n - 1) + a[63];
+}
+int main()
+{
+  int i;
+  for (i = 0; i < 4096; i++) { g[i] = i + 7; }
+  print_int(smash(50));
+  return 0;
+}
+|}
+
+(* reads the same global and stack bytes without writing them first:
+   a clean image reads zeros *)
+let probe_src =
+  {|
+int g[4096];
+int peek(int n)
+{
+  int a[64];
+  int i;
+  int s;
+  s = 0;
+  for (i = 0; i < 64; i++) { s = s + a[i]; }
+  if (n == 0) { return s; }
+  return peek(n - 1) + s;
+}
+int main()
+{
+  int i;
+  int s;
+  s = 0;
+  for (i = 0; i < 4096; i++) { s = s + g[i]; }
+  print_int(s);
+  print_int(peek(50));
+  return 0;
+}
+|}
+
+let probe () = String.trim (Machine.Exec.run (lower probe_src)).Machine.Exec.output
+
+let decoder_tests =
+  [
+    Alcotest.test_case "unknown builtin raises only when reached" `Quick (fun () ->
+        let r = Machine.Exec.run (unknown_callee_rtl ~flag:0) in
+        Alcotest.(check int) "never-run call is harmless" 7 r.Machine.Exec.ret;
+        match Machine.Exec.run (unknown_callee_rtl ~flag:1) with
+        | exception Machine.Exec.Runtime_error msg ->
+            Alcotest.(check string)
+              "message" "unknown builtin"
+              (String.sub msg 0 (min (String.length msg) 15))
+        | _ -> Alcotest.fail "reached call did not raise");
+    raises_runtime_error "load below memory raises"
+      "int a[4]; int main() { int *p; p = a - 100000000; print_int(*p); return 0; }";
+    raises_runtime_error "store beyond memory raises"
+      "int a[4]; int main() { a[10000000] = 1; return 0; }";
+    raises_runtime_error "modulo by zero raises"
+      "int main() { int z; z = 0; return 1 % z; }";
+    raises_runtime_error "stack overflow raises"
+      "int f(int n) { return f(n + 1) + 1; } int main() { print_int(f(0)); return 0; }";
+    Alcotest.test_case "recursion keeps its cycle counts" `Quick (fun () ->
+        List.iter
+          (fun (m, dyn, cycles, hits, misses) ->
+            let r = Machine.Simulate.run m (lower recursion_src) in
+            let name = Machine.Simulate.machine_name m in
+            Alcotest.(check string) (name ^ " output") "144\n820\n820"
+              (String.trim r.Machine.Simulate.output);
+            Alcotest.(check int) (name ^ " dyn insns") dyn r.Machine.Simulate.dyn_insns;
+            Alcotest.(check int) (name ^ " cycles") cycles r.Machine.Simulate.cycles;
+            Alcotest.(check (pair int int))
+              (name ^ " L1 hits/misses") (hits, misses)
+              (r.Machine.Simulate.l1_hits, r.Machine.Simulate.l1_misses))
+          [
+            (Machine.Simulate.R4600, 4227, 9864, 164, 42);
+            (Machine.Simulate.R10000, 4227, 6700, 164, 42);
+          ]);
+    Alcotest.test_case "a reused memory image starts clean" `Quick (fun () ->
+        (* a fresh domain has never run anything: the reference *)
+        let fresh = Domain.join (Domain.spawn probe) in
+        Alcotest.(check string) "fresh image reads zeros" "0\n0" fresh;
+        ignore (Machine.Exec.run (lower dirty_src));
+        Alcotest.(check string) "after a dirty run" fresh (probe ()));
+    Alcotest.test_case "pooled variants on reused images" `Slow (fun () ->
+        let w = Option.get (Workloads.Registry.find "023.eqntott") in
+        let c =
+          Harness.Pipeline.compile
+            ~config:{ Harness.Pipeline.default_config with hli_cache = None }
+            w.Workloads.Workload.source
+        in
+        let sequential = (Harness.Pipeline.measure c).Harness.Pipeline.reports in
+        let pool = Pool.create ~jobs:4 in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            let pooled () =
+              (Harness.Pipeline.measure ~pool c).Harness.Pipeline.reports
+            in
+            let on_pool f = Pool.map pool (fun _ -> f ()) [ 1; 2; 3; 4 ] in
+            let first = pooled () in
+            (* whichever domains ran these now hold dirty images *)
+            ignore (on_pool (fun () -> Machine.Exec.run (lower dirty_src)));
+            let second = pooled () in
+            Alcotest.(check bool) "first pooled = sequential" true (first = sequential);
+            Alcotest.(check bool) "second pooled = sequential" true (second = sequential);
+            List.iter
+              (Alcotest.(check string) "probe on a worker" "0\n0")
+              (on_pool probe)));
+  ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -390,4 +580,5 @@ let () =
       ("timing", timing_tests);
       ("fuel", fuel_tests);
       ("speculation", speculation_tests);
+      ("decoder", decoder_tests);
     ]
