@@ -44,51 +44,37 @@ let add_stats a b =
   a.spec_edges_dropped <- a.spec_edges_dropped + b.spec_edges_dropped;
   a.spec_checks <- a.spec_checks + b.spec_checks
 
-type edge = { e_src : int; e_dst : int; e_lat : int }
-(** indices into the block's instruction array *)
-
 type graph = {
   insns : insn array;
   preds : (int * int) list array;  (** (pred index, latency) per node *)
   succs : (int * int) list array;
 }
 
-(* Memory-vs-memory dependence decision, with counting.
-   [combine_gcc = false] is the "hli-only" ablation: the final decision
-   trusts the HLI answer alone instead of Figure 5's [gcc && hli]; the
-   counter stream is unchanged so Table 2 stays comparable. *)
-let mem_pair_dependent ~mode ?(combine_gcc = true) ~(hli : Hli_import.t option)
+(* Memory-vs-memory dependence decision for a pair with at least one
+   store, with counting: every such pair is one Table 2 query.  The HLI
+   is asked whenever it is present, under [Gcc_only] too, so Table 2's
+   HLI column is measured on the same query stream; it drives the
+   decision only under [With_hli].  [combine_gcc = false] is the
+   "hli-only" ablation: the final decision trusts the HLI answer alone
+   instead of Figure 5's [gcc && hli]; the counter stream is unchanged
+   so Table 2 stays comparable. *)
+let mem_pair_dependent ~mode ~combine_gcc ~(hli : Hli_import.t option)
     ~stats (a : insn) (b : insn) : bool =
   match (mem_of_insn a, mem_of_insn b) with
-  | Some ma, Some mb ->
-      let counted = is_store a || is_store b in
+  | Some ma, Some mb -> (
       let gcc_value = Gcc_alias.true_dependence ma mb in
-      if counted then begin
-        stats.total <- stats.total + 1;
-        if gcc_value then stats.gcc_yes <- stats.gcc_yes + 1
-      end;
-      (match (mode, hli) with
-      | Gcc_only, _ | _, None ->
-          if counted then begin
-            (* still record what the HLI would have said, so Table 2's
-               HLI column is measured on the same query stream *)
-            match hli with
-            | Some h ->
-                let hli_value = not (Hli_import.proves_independent h a b) in
-                if hli_value then stats.hli_yes <- stats.hli_yes + 1;
-                if gcc_value && hli_value then
-                  stats.combined_yes <- stats.combined_yes + 1
-            | None -> ()
-          end;
-          gcc_value
-      | With_hli, Some h ->
+      stats.total <- stats.total + 1;
+      if gcc_value then stats.gcc_yes <- stats.gcc_yes + 1;
+      match hli with
+      | None -> gcc_value
+      | Some h -> (
           let hli_value = not (Hli_import.proves_independent h a b) in
-          if counted then begin
-            if hli_value then stats.hli_yes <- stats.hli_yes + 1;
-            if gcc_value && hli_value then
-              stats.combined_yes <- stats.combined_yes + 1
-          end;
-          if combine_gcc then gcc_value && hli_value else hli_value)
+          if hli_value then stats.hli_yes <- stats.hli_yes + 1;
+          if gcc_value && hli_value then
+            stats.combined_yes <- stats.combined_yes + 1;
+          match mode with
+          | Gcc_only -> gcc_value
+          | With_hli -> if combine_gcc then gcc_value && hli_value else hli_value))
   | _ -> false
 
 (* Call-vs-memory decision (not counted in Table 2's query stream, which
@@ -128,6 +114,19 @@ let speculatable ~(hli : Hli_import.t option) ~thresh (a : insn) (b : insn) :
            | Hli_core.Query.Equiv_unknown), _ ->
              false)
 
+(* What an instruction can depend on, beyond registers: only branches,
+   calls and memory references take part in the pairwise pass. *)
+type kind = K_plain | K_load | K_store | K_call | K_branch
+
+let kind_of (i : insn) =
+  match i.desc with
+  | Load _ -> K_load
+  | Store _ -> K_store
+  | Call _ -> K_call
+  | Br_eqz _ | Br_nez _ | Jmp _ | Ret _ -> K_branch
+  | Li _ | Alu _ | Falu _ | La _ | Laf _ | Cvt_i2f _ | Cvt_f2i _ | Getarg _ ->
+      K_plain
+
 (** Build the DDG of one block.  [stats] accumulates query counts across
     blocks.
 
@@ -139,15 +138,36 @@ let speculatable ~(hli : Hli_import.t option) ~thresh (a : insn) (b : insn) :
     the load's register consumers gain an edge from the store, and the
     load itself is flagged {!Rtl.insn.spec} so the interpreter re-loads
     (and the timing models charge [Machdesc.misspec_penalty]) when the
-    addresses actually collide at run time. *)
+    addresses actually collide at run time.
+
+    Each instruction is classified and its latency computed once;
+    register dependences live in arrays indexed by register; and the
+    pairwise pass visits, for each [j], only the earlier [k] whose kinds
+    can make the pair dependent, in ascending [k].  The (j, k) order of
+    the GCC and HLI queries is therefore that of the full triangle. *)
 let build ~mode ?(combine_gcc = true) ?speculate
     ~(hli : Hli_import.t option) ~(md : Machdesc.t) ~stats
     (block_insns : insn list) : graph =
   let insns = Array.of_list block_insns in
   let n = Array.length insns in
-  (* speculation marks are per-schedule: never inherit them from a
-     previous variant's build over the same RTL *)
-  Array.iter (fun i -> i.spec <- false) insns;
+  let kind = Array.make n K_plain and lat = Array.make n 0 in
+  let uses = Array.make n [] and defs = Array.make n (-1) in
+  let nregs = ref 0 in
+  for j = 0 to n - 1 do
+    let i = insns.(j) in
+    (* speculation marks are per-schedule: never inherit them from a
+       previous variant's build over the same RTL *)
+    i.spec <- false;
+    kind.(j) <- kind_of i;
+    lat.(j) <- Machdesc.latency md i;
+    uses.(j) <- Rtl.uses i;
+    nregs := List.fold_left (fun top r -> Int.max top (r + 1)) !nregs uses.(j);
+    match def i with
+    | Some r ->
+        defs.(j) <- r;
+        nregs := Int.max !nregs (r + 1)
+    | None -> ()
+  done;
   let preds = Array.make n [] and succs = Array.make n [] in
   let add_edge src dst lat =
     if src <> dst then begin
@@ -155,81 +175,97 @@ let build ~mode ?(combine_gcc = true) ?speculate
       succs.(src) <- (dst, lat) :: succs.(src)
     end
   in
-  (* register dependences *)
-  let last_def : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let uses_since_def : (int, int list) Hashtbl.t = Hashtbl.create 32 in
+  (* register dependences: the last definition of each register, and
+     its uses since *)
+  let last_def = Array.make !nregs (-1) in
+  let uses_since_def = Array.make !nregs [] in
+  let rec read j = function
+    | [] -> ()
+    | r :: rest ->
+        let dj = last_def.(r) in
+        if dj >= 0 then add_edge dj j lat.(dj) (* RAW *);
+        uses_since_def.(r) <- j :: uses_since_def.(r);
+        read j rest
+  in
+  let rec war j = function
+    | [] -> ()
+    | uj :: rest ->
+        add_edge uj j 0;
+        war j rest
+  in
   for j = 0 to n - 1 do
-    let i = insns.(j) in
-    List.iter
-      (fun r ->
-        (match Hashtbl.find_opt last_def r with
-        | Some dj -> add_edge dj j (Machdesc.latency md insns.(dj))
-        | None -> ());
-        let prev = Option.value ~default:[] (Hashtbl.find_opt uses_since_def r) in
-        Hashtbl.replace uses_since_def r (j :: prev))
-      (uses i);
-    match def i with
-    | Some r ->
-        (match Hashtbl.find_opt last_def r with
-        | Some dj -> add_edge dj j 1 (* WAW *)
-        | None -> ());
-        List.iter
-          (fun uj -> add_edge uj j 0 (* WAR *))
-          (Option.value ~default:[] (Hashtbl.find_opt uses_since_def r));
-        Hashtbl.replace last_def r j;
-        Hashtbl.replace uses_since_def r []
-    | None -> ()
+    read j uses.(j);
+    let r = defs.(j) in
+    if r >= 0 then begin
+      if last_def.(r) >= 0 then add_edge last_def.(r) j 1 (* WAW *);
+      war j uses_since_def.(r);
+      last_def.(r) <- j;
+      uses_since_def.(r) <- []
+    end
   done;
   (* memory, call and control dependences *)
-  for j = 0 to n - 1 do
-    let b = insns.(j) in
-    for k = 0 to j - 1 do
-      let a = insns.(k) in
-      let dependent =
-        if is_branch a || is_branch b then true
-        else if is_call a && is_call b then true
-        else if is_call a && Option.is_some (mem_of_insn b) then
-          call_mem_dependent ~mode ~hli a b
-        else if is_call b && Option.is_some (mem_of_insn a) then
-          call_mem_dependent ~mode ~hli b a
-        else if
-          Option.is_some (mem_of_insn a)
-          && Option.is_some (mem_of_insn b)
-          && (is_store a || is_store b)
-        then mem_pair_dependent ~mode ~combine_gcc ~hli ~stats a b
-        else false
-      in
-      let speculated =
-        dependent
-        && (match (speculate, mode) with
-           | Some thresh, With_hli -> speculatable ~hli ~thresh a b
-           | _ -> false)
-      in
-      if speculated then begin
-        stats.spec_edges_dropped <- stats.spec_edges_dropped + 1;
-        if not b.spec then begin
-          b.spec <- true;
-          stats.spec_checks <- stats.spec_checks + 1
-        end;
-        (* the check at the load's original position: its register
-           consumers wait for the store it hoisted above (register
-           edges are all built by the first loop, so succs.(j) is
-           exactly the consumer set here) *)
-        List.iter (fun (c, _) -> add_edge k c 1) succs.(j)
-      end
-      else if dependent then
-        let lat =
-          if is_store a && is_load b then Machdesc.latency md a
-          else if is_store a || is_store b then 1
-          else if is_call a || is_call b then 1
-          else 1
-        in
-        add_edge k j lat
+  let pair k j =
+    let a = insns.(k) and b = insns.(j) in
+    let dependent =
+      match (kind.(k), kind.(j)) with
+      | K_branch, _ | _, K_branch | K_call, K_call -> true
+      | K_call, (K_load | K_store) -> call_mem_dependent ~mode ~hli a b
+      | (K_load | K_store), K_call -> call_mem_dependent ~mode ~hli b a
+      | K_store, (K_load | K_store) | K_load, K_store ->
+          mem_pair_dependent ~mode ~combine_gcc ~hli ~stats a b
+      | K_plain, _ | _, K_plain | K_load, K_load -> false
+    in
+    let speculated =
+      dependent
+      && (match (speculate, mode) with
+         | Some thresh, With_hli -> speculatable ~hli ~thresh a b
+         | _ -> false)
+    in
+    if speculated then begin
+      stats.spec_edges_dropped <- stats.spec_edges_dropped + 1;
+      if not b.spec then begin
+        b.spec <- true;
+        stats.spec_checks <- stats.spec_checks + 1
+      end;
+      (* the check at the load's original position: its register
+         consumers wait for the store it hoisted above (register edges
+         are all built by the first loop, so succs.(j) is exactly the
+         consumer set here) *)
+      List.iter (fun (c, _) -> add_edge k c 1) succs.(j)
+    end
+    else if dependent then
+      (* a load waits for the store's latency, everything else 1 *)
+      add_edge k j (match (kind.(k), kind.(j)) with K_store, K_load -> lat.(k) | _ -> 1)
+  in
+  (* The earlier instructions each kind can depend on, in block order:
+     a plain instruction only on [branches]; a load on [no_loads]
+     (branches, calls, stores); a store or call on [nonplain]; a branch
+     on everything before it. *)
+  let branches = Array.make n 0 and no_loads = Array.make n 0
+  and nonplain = Array.make n 0 in
+  let nb = ref 0 and nn = ref 0 and np = ref 0 in
+  let visit buf len j =
+    for t = 0 to len - 1 do
+      pair buf.(t) j
     done
+  in
+  let push buf len j =
+    buf.(!len) <- j;
+    incr len
+  in
+  for j = 0 to n - 1 do
+    (match kind.(j) with
+    | K_branch ->
+        for k = 0 to j - 1 do
+          pair k j
+        done
+    | K_plain -> visit branches !nb j
+    | K_load -> visit no_loads !nn j
+    | K_store | K_call -> visit nonplain !np j);
+    match kind.(j) with
+    | K_plain -> ()
+    | K_load -> push nonplain np j
+    | K_store | K_call -> push no_loads nn j; push nonplain np j
+    | K_branch -> push branches nb j; push no_loads nn j; push nonplain np j
   done;
   { insns; preds; succs }
-
-(** Count memory-dependence edges that the final decision inserted
-    (diagnostic; Table 2 uses the query counters instead). *)
-let edge_count g =
-  Array.fold_left (fun acc l -> acc + List.length l) 0 g.succs

@@ -9,81 +9,105 @@
 
 open Rtl
 
-(* critical-path priority: longest latency path from node to any sink *)
+(* critical-path priority: longest latency path from node to any sink.
+   DDG edges always run forward in block order, so one backward sweep
+   sets every successor's priority before its predecessors'. *)
 let priorities (g : Ddg.graph) (md : Machdesc.t) : int array =
   let n = Array.length g.Ddg.insns in
-  let prio = Array.make n (-1) in
-  let rec compute j =
-    if prio.(j) >= 0 then prio.(j)
-    else begin
-      let own = Machdesc.latency md g.Ddg.insns.(j) in
-      let best =
-        List.fold_left
-          (fun acc (succ, lat) -> max acc (lat + compute succ))
-          0 g.Ddg.succs.(j)
-      in
-      prio.(j) <- own + best;
-      prio.(j)
-    end
+  let prio = Array.make n 0 in
+  let rec longest acc = function
+    | [] -> acc
+    | (succ, lat) :: rest -> longest (Int.max acc (lat + prio.(succ))) rest
   in
-  for j = 0 to n - 1 do
-    ignore (compute j)
+  for j = n - 1 downto 0 do
+    prio.(j) <- Machdesc.latency md g.Ddg.insns.(j) + longest 0 g.Ddg.succs.(j)
   done;
   prio
 
-(** Schedule one block's instructions, returning them in the new order. *)
+(* Binary min-heap of ints. *)
+type heap = { keys : int array; mutable size : int }
+
+let heap n = { keys = Array.make (Int.max n 1) 0; size = 0 }
+
+let push q x =
+  let k = q.keys in
+  let i = ref q.size in
+  q.size <- q.size + 1;
+  while !i > 0 && x < k.((!i - 1) / 2) do
+    k.(!i) <- k.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  k.(!i) <- x
+
+let pop q =
+  let k = q.keys in
+  let top = k.(0) in
+  q.size <- q.size - 1;
+  let x = k.(q.size) and n = q.size in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < n && k.(l + 1) < k.(l) then l + 1 else l in
+    if c < n && k.(c) < x then begin
+      k.(!i) <- k.(c);
+      i := c
+    end
+    else sifting := false
+  done;
+  k.(!i) <- x;
+  top
+
+(** Schedule one block's instructions, returning them in the new order.
+
+    Cycle by cycle, the ready nodes issue highest priority first (block
+    order breaks ties), at most [issue_width] per cycle.  A node whose
+    last predecessor issues waits in [pending], ordered by its earliest
+    cycle; [pending] is drained into [ready] only at the start of a
+    cycle, so a node released in cycle [c] issues no sooner than [c + 1]
+    even over a 0-latency edge.  Ready nodes stay in [ready] until they
+    issue, and cycles with nothing ready are skipped.  Both heaps hold
+    node [j] as one int key, [major * n + j]: the earliest cycle in
+    [pending], the priority rank [top - prio.(j)] in [ready]. *)
 let schedule_block ~(md : Machdesc.t) (g : Ddg.graph) : insn list =
   let n = Array.length g.Ddg.insns in
-  if n = 0 then []
-  else begin
-    let prio = priorities g md in
-    let unscheduled_preds = Array.make n 0 in
-    Array.iteri
-      (fun j preds -> unscheduled_preds.(j) <- List.length preds)
-      g.Ddg.preds;
-    (* earliest cycle each node may issue, updated as preds schedule *)
-    let earliest = Array.make n 0 in
-    let scheduled = Array.make n false in
-    let order = ref [] in
-    let cycle = ref 0 in
-    let remaining = ref n in
-    while !remaining > 0 do
-      (* ready nodes at the current cycle *)
-      let ready =
-        List.filter
-          (fun j ->
-            (not scheduled.(j))
-            && unscheduled_preds.(j) = 0
-            && earliest.(j) <= !cycle)
-          (List.init n Fun.id)
-      in
-      let ready =
-        List.sort
-          (fun a b ->
-            match compare prio.(b) prio.(a) with
-            | 0 -> compare a b (* stable: original order breaks ties *)
-            | c -> c)
-          ready
-      in
-      let issued = ref 0 in
-      List.iter
-        (fun j ->
-          if !issued < md.Machdesc.issue_width then begin
-            scheduled.(j) <- true;
-            incr issued;
-            decr remaining;
-            order := j :: !order;
-            List.iter
-              (fun (succ, lat) ->
-                unscheduled_preds.(succ) <- unscheduled_preds.(succ) - 1;
-                earliest.(succ) <- max earliest.(succ) (!cycle + lat))
-              g.Ddg.succs.(j)
-          end)
-        ready;
-      incr cycle
+  let prio = priorities g md in
+  let top = Array.fold_left Int.max 0 prio in
+  let unscheduled_preds = Array.map List.length g.Ddg.preds in
+  (* earliest cycle each node may issue, updated as preds schedule *)
+  let earliest = Array.make n 0 in
+  let ready = heap n and pending = heap n in
+  let ready_key j = ((top - prio.(j)) * n) + j in
+  for j = 0 to n - 1 do
+    if unscheduled_preds.(j) = 0 then push ready (ready_key j)
+  done;
+  let order = ref [] in
+  let cycle = ref 0 in
+  let remaining = ref n in
+  let rec release = function
+    | [] -> ()
+    | (succ, lat) :: rest ->
+        unscheduled_preds.(succ) <- unscheduled_preds.(succ) - 1;
+        earliest.(succ) <- Int.max earliest.(succ) (!cycle + lat);
+        if unscheduled_preds.(succ) = 0 then
+          push pending ((earliest.(succ) * n) + succ);
+        release rest
+  in
+  while !remaining > 0 do
+    if ready.size = 0 then cycle := Int.max !cycle (pending.keys.(0) / n);
+    while pending.size > 0 && pending.keys.(0) / n <= !cycle do
+      push ready (ready_key (pop pending mod n))
     done;
-    List.rev_map (fun j -> g.Ddg.insns.(j)) !order
-  end
+    let issued = ref 0 in
+    while !issued < md.Machdesc.issue_width && ready.size > 0 do
+      let j = pop ready mod n in
+      incr issued;
+      decr remaining;
+      order := j :: !order;
+      release g.Ddg.succs.(j)
+    done;
+    incr cycle
+  done;
+  List.rev_map (fun j -> g.Ddg.insns.(j)) !order
 
 (** Schedule every block of a function in place, building DDGs in the
     given mode and accumulating query statistics. *)

@@ -204,6 +204,159 @@ let ddg_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* List scheduler against its per-cycle-sort oracle                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The scheduler as it was before the ready heap: priorities by memoized
+   recursion, then every cycle snapshot the ready set, sort it by
+   priority (block order breaking ties) and issue the first
+   [issue_width]. *)
+let reference_schedule ~(md : Machdesc.t) (g : Ddg.graph) =
+  let n = Array.length g.Ddg.insns in
+  let prio = Array.make n (-1) in
+  let rec compute j =
+    if prio.(j) < 0 then
+      prio.(j) <-
+        Machdesc.latency md g.Ddg.insns.(j)
+        + List.fold_left
+            (fun acc (succ, lat) -> max acc (lat + compute succ))
+            0 g.Ddg.succs.(j);
+    prio.(j)
+  in
+  for j = 0 to n - 1 do
+    ignore (compute j)
+  done;
+  let unscheduled_preds = Array.map List.length g.Ddg.preds in
+  let earliest = Array.make n 0 and scheduled = Array.make n false in
+  let order = ref [] and cycle = ref 0 and remaining = ref n in
+  while !remaining > 0 do
+    let ready =
+      List.filter
+        (fun j ->
+          (not scheduled.(j)) && unscheduled_preds.(j) = 0
+          && earliest.(j) <= !cycle)
+        (List.init n Fun.id)
+      |> List.stable_sort (fun a b -> compare prio.(b) prio.(a))
+    in
+    List.iteri
+      (fun rank j ->
+        if rank < md.Machdesc.issue_width then begin
+          scheduled.(j) <- true;
+          decr remaining;
+          order := j :: !order;
+          List.iter
+            (fun (succ, lat) ->
+              unscheduled_preds.(succ) <- unscheduled_preds.(succ) - 1;
+              earliest.(succ) <- max earliest.(succ) (!cycle + lat))
+            g.Ddg.succs.(j)
+        end)
+      ready;
+    incr cycle
+  done;
+  List.rev !order
+
+(* node kinds, chosen for their spread of own latencies *)
+let node_descs =
+  [|
+    Rtl.Li (0, Rtl.Imm 0);
+    Rtl.Alu (Rtl.Mul, 0, Rtl.Imm 0, Rtl.Imm 0);
+    Rtl.Alu (Rtl.Div, 0, Rtl.Imm 0, Rtl.Imm 0);
+    Rtl.Falu (Rtl.Fadd, 0, Rtl.Imm 0, Rtl.Imm 0);
+    Rtl.Falu (Rtl.Fdiv, 0, Rtl.Imm 0, Rtl.Imm 0);
+    Rtl.Load (0, mem ());
+  |]
+
+(* [kinds] indexes [node_descs]; edges are (src, dst, latency) with
+   src < dst *)
+let graph_of kinds edges : Ddg.graph =
+  let n = List.length kinds in
+  let preds = Array.make n [] and succs = Array.make n [] in
+  List.iter
+    (fun (src, dst, lat) ->
+      preds.(dst) <- (src, lat) :: preds.(dst);
+      succs.(src) <- (dst, lat) :: succs.(src))
+    edges;
+  let insns =
+    Array.of_list
+      (List.mapi
+         (fun uid k ->
+           { Rtl.uid; desc = node_descs.(k); line = 0; item = None; spec = false })
+         kinds)
+  in
+  { Ddg.insns; preds; succs }
+
+let issue_order md g =
+  List.map (fun (i : Rtl.insn) -> i.Rtl.uid) (Sched.schedule_block ~md g)
+
+(* Random block DAGs: up to 64 nodes, latencies 0..36 weighted toward
+   0-latency (WAR-like) and short edges, some edges doubled with the
+   same or a 0 latency (a pair can carry a register and a memory
+   edge). *)
+let gen_dag =
+  QCheck.Gen.(
+    int_range 1 64 >>= fun n ->
+    let lat = frequency [ (3, return 0); (4, int_range 1 4); (2, int_range 5 36) ] in
+    let edge =
+      map
+        (fun (a, b, l, dup) ->
+          let src = min a b and dst = max a b in
+          match dup with
+          | 0 -> [ (src, dst, l); (src, dst, l) ]
+          | 1 -> [ (src, dst, l); (src, dst, 0) ]
+          | _ -> [ (src, dst, l) ])
+        (quad (int_bound (n - 1)) (int_bound (n - 1)) lat (int_bound 5))
+    in
+    pair
+      (list_repeat n (int_bound (Array.length node_descs - 1)))
+      (map
+         (fun es -> List.filter (fun (s, d, _) -> s <> d) (List.concat es))
+         (list_size (int_bound (3 * n)) edge)))
+
+let print_dag (kinds, edges) =
+  Printf.sprintf "kinds [%s]\nedges [%s]"
+    (String.concat ";" (List.map string_of_int kinds))
+    (String.concat ";"
+       (List.map (fun (s, d, l) -> Printf.sprintf "%d->%d/%d" s d l) edges))
+
+let sched_tests =
+  let r4600 = Machdesc.r4600 and r10000 = Machdesc.r10000 in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"heap scheduler = per-cycle sort (widths 1 and 4)"
+         (QCheck.make ~print:print_dag gen_dag)
+         (fun (kinds, edges) ->
+           let g = graph_of kinds edges in
+           List.for_all
+             (fun md -> issue_order md g = reference_schedule ~md g)
+             [ r4600; r10000 ]));
+    Alcotest.test_case "0-latency release waits for the next cycle" `Quick
+      (fun () ->
+        (* 0 (prio 36) releases 1 (Div, prio 35) over a 0-latency edge
+           in cycle 0; 2 (Li, prio 1) was already ready, so it takes the
+           second slot of cycle 0 and 1 follows in cycle 1 *)
+        let g = graph_of [ 0; 2; 0 ] [ (0, 1, 0) ] in
+        Alcotest.(check (list int)) "order" [ 0; 2; 1 ] (issue_order r10000 g);
+        Alcotest.(check (list int)) "oracle" (reference_schedule ~md:r10000 g)
+          (issue_order r10000 g));
+    Alcotest.test_case "equal priorities keep block order" `Quick (fun () ->
+        let g = graph_of [ 0; 0; 0; 0; 0; 0; 2 ] [] in
+        List.iter
+          (fun md ->
+            Alcotest.(check (list int))
+              md.Machdesc.name [ 6; 0; 1; 2; 3; 4; 5 ] (issue_order md g))
+          [ r4600; r10000 ]);
+    Alcotest.test_case "a 36-cycle latency gap is skipped in order" `Quick
+      (fun () ->
+        (* 0 -> 1 is eligible at cycle 36, 2 -> 3 at cycle 31: the empty
+           cycles in between are skipped, 3 first *)
+        let g = graph_of [ 0; 0; 0; 0 ] [ (0, 1, 36); (2, 3, 30) ] in
+        Alcotest.(check (list int)) "order" [ 0; 2; 3; 1 ] (issue_order r4600 g);
+        Alcotest.(check (list int)) "oracle" (reference_schedule ~md:r4600 g)
+          (issue_order r4600 g));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Speculative scheduling (--speculate)                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -303,6 +456,7 @@ let () =
       ("gcc-alias", gcc_alias_tests);
       ("mapping-contract", mapping_tests);
       ("ddg", ddg_tests);
+      ("sched", sched_tests);
       ("speculation", speculation_tests);
       ("loops", loop_meta_tests);
     ]

@@ -46,26 +46,8 @@ let lines ?pool (ab : V.ablation) prog =
         r.R.misspeculations)
     m.P.reports
 
-let read_golden () =
-  let ic = open_in_bin golden_file in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  String.split_on_char '\n' text
-  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-
-let expected golden (ab : V.ablation) prog =
-  List.filter
-    (fun l ->
-      match String.split_on_char ' ' l with
-      | c :: p :: _ -> c = ab.V.ab_name && p = prog
-      | _ -> false)
-    golden
-
 let cases ~full =
-  let golden = read_golden () in
+  let golden = Golden.read golden_file in
   List.concat_map
     (fun (ab, progs) ->
       List.filter_map
@@ -77,7 +59,9 @@ let cases ~full =
                  `Slow
                  (fun () ->
                    Alcotest.(check (list string))
-                     "cycle-exact" (expected golden ab prog) (lines ab prog)))
+                     "cycle-exact"
+                     (Golden.rows golden ~config:ab.V.ab_name ~prog)
+                     (lines ab prog)))
           else None)
         progs)
     groups
