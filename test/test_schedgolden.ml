@@ -6,8 +6,10 @@
    cover all 14 workloads under the paper configuration, with the
    cse,licm,unroll=4 optional passes and under the hli-only ablation,
    plus the two workloads that carry speculable edges at
-   [--speculate 1000].  Nothing is simulated, so every row runs under
-   runtest.
+   [--speculate 1000].  The cse,licm,unroll=4 group runs a second time
+   with its HLI served over the wire (an hlid on its own domain,
+   pipeline 8), and each of those rows must equal the local line.
+   Nothing is simulated, so every row runs under runtest.
 
      test_schedgolden.exe           check every row
      test_schedgolden.exe --write   print a fresh golden on stdout *)
@@ -47,6 +49,9 @@ let groups =
       [ "034.mdljdp2"; "077.mdljsp2" ] );
   ]
 
+(* the group also compiled against an hlid *)
+let wire_group = "cse,licm,unroll=4"
+
 let rtl_md5 (p : Backend.Rtl.program) =
   List.map (Fmt.str "%a@." Backend.Rtl.pp_fn) p.Backend.Rtl.fns
   |> String.concat "" |> Digest.string |> Digest.to_hex
@@ -64,18 +69,46 @@ let lines name config prog =
         st.D.spec_edges_dropped st.D.spec_checks)
     c.P.variants
 
-let cases () =
+(* An hlid on its own domain for the wire rows, shut down after [f]. *)
+let with_server f =
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hli-schedgolden-%d.sock" (Unix.getpid ()))
+  in
+  let srv =
+    Hli_server.Server.create
+      {
+        (Hli_server.Server.default_config ~socket_path:socket) with
+        jobs = 1;
+        idle_timeout = 0.005;
+      }
+  in
+  let d = Domain.spawn (fun () -> Hli_server.Server.run srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      Hli_server.Server.initiate_shutdown srv;
+      Domain.join d;
+      try Sys.remove socket with Sys_error _ -> ())
+    (fun () -> f socket)
+
+let cases ~socket =
   let golden = Golden.read golden_file in
+  let case label name config prog =
+    Alcotest.test_case (label ^ " " ^ prog) `Quick (fun () ->
+        Alcotest.(check (list string))
+          "schedule"
+          (Golden.rows golden ~config:name ~prog)
+          (lines name config prog))
+  in
   List.concat_map
     (fun (name, config, progs) ->
-      List.map
-        (fun prog ->
-          Alcotest.test_case (name ^ " " ^ prog) `Quick (fun () ->
-              Alcotest.(check (list string))
-                "schedule"
-                (Golden.rows golden ~config:name ~prog)
-                (lines name config prog)))
-        progs)
+      List.map (case name name config) progs
+      @
+      if name <> wire_group then []
+      else
+        let remote = { config with P.remote = Some socket; pipeline = 8 } in
+        List.map (case ("remote " ^ name) name remote) progs)
     groups
 
 let () =
@@ -86,4 +119,6 @@ let () =
         (fun (name, config, progs) ->
           List.iter (fun p -> List.iter print_endline (lines name config p)) progs)
         groups
-  | _ -> Alcotest.run "schedgolden" [ ("rows", cases ()) ]
+  | _ ->
+      with_server (fun socket ->
+          Alcotest.run ~and_exit:false "schedgolden" [ ("rows", cases ~socket) ])
