@@ -4,6 +4,7 @@
 # Runs two small workloads through bench/main.exe both sequentially
 # (-j 1) and on a 4-domain pool, then checks that
 #   1. the Table 1/2 output is byte-identical between the two runs,
+#      with and without --passes cse,licm,unroll=4,
 #   2. the --stats-json telemetry dump is well-formed JSON
 #      (validated with the harness's own structural checker, since the
 #      container has no external JSON tooling),
@@ -43,12 +44,27 @@ if ! cmp -s "$tmp/seq.out" "$tmp/par.out"; then
   exit 1
 fi
 
+# the same under the optional passes, whose back-end prefix (lower
+# through unroll) runs once per alias mode on a pool domain and is
+# shared by both machines' schedules
+PASSES="cse,licm,unroll=4"
+"$exe" tables --workloads "$WORKLOADS" -j 1 --passes "$PASSES" \
+  > "$tmp/seq-passes.out" 2>/dev/null
+"$exe" tables --workloads "$WORKLOADS" -j 4 --passes "$PASSES" \
+  > "$tmp/par-passes.out" 2>/dev/null
+
+if ! cmp -s "$tmp/seq-passes.out" "$tmp/par-passes.out"; then
+  echo "smoke: FAIL — parallel --passes $PASSES tables differ from -j 1" >&2
+  diff "$tmp/seq-passes.out" "$tmp/par-passes.out" >&2 || true
+  exit 1
+fi
+
 "$exe" --validate-json "$tmp/seq.json" > /dev/null \
   || { echo "smoke: FAIL — malformed sequential --stats-json" >&2; exit 1; }
 "$exe" --validate-json "$tmp/par.json" > /dev/null \
   || { echo "smoke: FAIL — malformed parallel --stats-json" >&2; exit 1; }
 
-echo "smoke: OK (parallel == sequential, telemetry JSON valid)"
+echo "smoke: OK (parallel == sequential, also under --passes $PASSES; telemetry JSON valid)"
 
 # every workload's HLI2 file must decode and pass the structural
 # validator (the same checks hlic --lint-hli runs)

@@ -57,6 +57,9 @@ type state = {
   mutable next_vn : int;
   reg_vn : (reg, int) Hashtbl.t;
   table : (ekey, entry) Hashtbl.t;
+  held : (reg, ekey list) Hashtbl.t;
+      (** holder -> keys of the entries it was given; a key whose entry
+          has since been replaced or removed is stale and skipped *)
   stats : stats;
   hli : Hli_import.t option;
   maintain : Hli_import.maint option;
@@ -76,11 +79,23 @@ let vkey_of_operand st = function
   | Fimm f -> Kfimm f
   | Reg r -> Kval (vn_of_reg st r)
 
+let add_entry st key e =
+  Hashtbl.replace st.table key e;
+  Hashtbl.replace st.held e.holder
+    (key :: Option.value ~default:[] (Hashtbl.find_opt st.held e.holder))
+
 (* a def kills any table entry held in that register *)
 let kill_holder st r =
-  Hashtbl.iter
-    (fun k e -> if e.holder = r then Hashtbl.remove st.table k)
-    (Hashtbl.copy st.table)
+  match Hashtbl.find_opt st.held r with
+  | None -> ()
+  | Some keys ->
+      Hashtbl.remove st.held r;
+      List.iter
+        (fun k ->
+          match Hashtbl.find_opt st.table k with
+          | Some e when e.holder = r -> Hashtbl.remove st.table k
+          | _ -> ())
+        keys
 
 let set_reg_vn st r vn =
   kill_holder st r;
@@ -92,10 +107,14 @@ let fresh_vn st r =
   set_reg_vn st r v;
   v
 
+(* Stores and calls filter the table in place, visiting entries in
+   [Hashtbl.iter] order, so the HLI query sequence is the order of the
+   table itself.  A dropped entry's key stays in [held] as stale. *)
+
 (* remove load entries whose memory may be clobbered by this store *)
 let invalidate_store st (m : mem) (storer : insn) =
-  Hashtbl.iter
-    (fun k e ->
+  Hashtbl.filter_map_inplace
+    (fun _ e ->
       match e.lmem with
       | Some lm ->
           let gcc = Gcc_alias.memrefs_conflict_p lm m in
@@ -105,36 +124,33 @@ let invalidate_store st (m : mem) (storer : insn) =
                 Hli_import.item_proves_independent h li si
             | _ -> false
           in
-          if gcc && not hli_independent then Hashtbl.remove st.table k
-      | None -> ())
-    (Hashtbl.copy st.table)
+          if gcc && not hli_independent then None else Some e
+      | None -> Some e)
+    st.table
 
 (* Figure 4: purge only what the call may MOD (when HLI is available) *)
 let invalidate_call st (call : insn) =
-  Hashtbl.iter
-    (fun k e ->
-      match e.lmem with
-      | Some lm -> (
-          ignore lm;
-          match st.hli with
-          | None ->
-              st.stats.call_purges <- st.stats.call_purges + 1;
-              Hashtbl.remove st.table k
-          | Some h -> (
-              match (e.litem, call.item) with
-              | Some li, Some ci -> (
-                  match Hli_import.item_call_acc h ~call:ci ~mem:li with
-                  | Hli_core.Query.Call_none | Hli_core.Query.Call_ref ->
-                      st.stats.call_survivals <- st.stats.call_survivals + 1
-                  | Hli_core.Query.Call_mod | Hli_core.Query.Call_refmod
-                  | Hli_core.Query.Call_unknown ->
-                      st.stats.call_purges <- st.stats.call_purges + 1;
-                      Hashtbl.remove st.table k)
-              | _ ->
-                  st.stats.call_purges <- st.stats.call_purges + 1;
-                  Hashtbl.remove st.table k))
-      | None -> ())
-    (Hashtbl.copy st.table)
+  let purge () =
+    st.stats.call_purges <- st.stats.call_purges + 1;
+    None
+  in
+  Hashtbl.filter_map_inplace
+    (fun _ e ->
+      match (e.lmem, st.hli) with
+      | None, _ -> Some e
+      | Some _, None -> purge ()
+      | Some _, Some h -> (
+          match (e.litem, call.item) with
+          | Some li, Some ci -> (
+              match Hli_import.item_call_acc h ~call:ci ~mem:li with
+              | Hli_core.Query.Call_none | Hli_core.Query.Call_ref ->
+                  st.stats.call_survivals <- st.stats.call_survivals + 1;
+                  Some e
+              | Hli_core.Query.Call_mod | Hli_core.Query.Call_refmod
+              | Hli_core.Query.Call_unknown ->
+                  purge ())
+          | _ -> purge ()))
+    st.table
 
 let mem_key st (m : mem) =
   (* loads from the same structured address share a key *)
@@ -152,6 +168,7 @@ let mem_key st (m : mem) =
 
 let process_block (st : state) (insns : insn list) : insn list =
   Hashtbl.reset st.table;
+  Hashtbl.reset st.held;
   (* register numbering persists across blocks conservatively: a fresh
      table per block keeps this pass local, as in GCC's -O2 CSE within
      extended blocks *)
@@ -172,7 +189,7 @@ let process_block (st : state) (insns : insn list) : insn list =
               emit i
           | None ->
               let vn = fresh_vn st d in
-              Hashtbl.replace st.table key { holder = d; vn; lmem = None; litem = None };
+              add_entry st key { holder = d; vn; lmem = None; litem = None };
               emit i)
       | Falu (op, d, a, b) -> (
           let key = Efalu (op, vkey_of_operand st a, vkey_of_operand st b) in
@@ -186,7 +203,7 @@ let process_block (st : state) (insns : insn list) : insn list =
               emit i
           | None ->
               let vn = fresh_vn st d in
-              Hashtbl.replace st.table key { holder = d; vn; lmem = None; litem = None };
+              add_entry st key { holder = d; vn; lmem = None; litem = None };
               emit i)
       | La (d, s) -> (
           let key = Ela s.Srclang.Symbol.id in
@@ -197,7 +214,7 @@ let process_block (st : state) (insns : insn list) : insn list =
               emit { i with desc = Li (d, Reg e.holder) }
           | _ ->
               let vn = fresh_vn st d in
-              Hashtbl.replace st.table key { holder = d; vn; lmem = None; litem = None };
+              add_entry st key { holder = d; vn; lmem = None; litem = None };
               emit i)
       | Laf (d, off) -> (
           let key = Elaf off in
@@ -208,7 +225,7 @@ let process_block (st : state) (insns : insn list) : insn list =
               emit { i with desc = Li (d, Reg e.holder) }
           | _ ->
               let vn = fresh_vn st d in
-              Hashtbl.replace st.table key { holder = d; vn; lmem = None; litem = None };
+              add_entry st key { holder = d; vn; lmem = None; litem = None };
               emit i)
       | Cvt_i2f (d, s0) -> (
           let key = Ecvt_i2f (Kval (vn_of_reg st s0)) in
@@ -219,7 +236,7 @@ let process_block (st : state) (insns : insn list) : insn list =
               emit { i with desc = Li (d, Reg e.holder) }
           | _ ->
               let vn = fresh_vn st d in
-              Hashtbl.replace st.table key { holder = d; vn; lmem = None; litem = None };
+              add_entry st key { holder = d; vn; lmem = None; litem = None };
               emit i)
       | Cvt_f2i (d, s0) -> (
           let key = Ecvt_f2i (Kval (vn_of_reg st s0)) in
@@ -230,7 +247,7 @@ let process_block (st : state) (insns : insn list) : insn list =
               emit { i with desc = Li (d, Reg e.holder) }
           | _ ->
               let vn = fresh_vn st d in
-              Hashtbl.replace st.table key { holder = d; vn; lmem = None; litem = None };
+              add_entry st key { holder = d; vn; lmem = None; litem = None };
               emit i)
       | Li (d, op) ->
           (match op with
@@ -250,8 +267,7 @@ let process_block (st : state) (insns : insn list) : insn list =
               emit { i with desc = Li (d, Reg e.holder); item = None }
           | _ ->
               let vn = fresh_vn st d in
-              Hashtbl.replace st.table key
-                { holder = d; vn; lmem = Some m; litem = i.item };
+              add_entry st key { holder = d; vn; lmem = Some m; litem = i.item };
               emit i)
       | Store (m, _) ->
           invalidate_store st m i;
@@ -277,6 +293,7 @@ let run_fn ?hli ?maintain (fn : fn) : stats =
       next_vn = 0;
       reg_vn = Hashtbl.create 64;
       table = Hashtbl.create 64;
+      held = Hashtbl.create 64;
       stats;
       hli;
       maintain;

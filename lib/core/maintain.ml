@@ -5,18 +5,26 @@
     keep the HLI tables consistent with such changes so later passes can
     still query it.  All functions work on a mutable {!t} wrapping one
     program-unit entry; {!commit} returns the updated immutable entry and
-    a fresh query index. *)
+    its query index.  A session keeps the index of its current entry
+    and builds a new one only after an edit, so a session that edits
+    nothing commits the index it started with. *)
 
 open Tables
 
 type t = {
   mutable entry : hli_entry;
+  (* the query index of [entry]; [None] from an edit until something
+     needs it again *)
+  mutable index : Query.index option;
   (* query indexes whose memo caches must be dropped whenever a
      transaction edits the entry; registered with {!watch} *)
   mutable watchers : Query.index list;
 }
 
-let start entry = { entry; watchers = [] }
+(** A session on [entry].  [index], when given, must be an index of
+    [entry] (the unit's current one); it is reused until the first
+    edit. *)
+let start ?index entry = { entry; index; watchers = [] }
 
 (** Register [idx] so its memoized query answers are invalidated after
     every maintenance transaction on [m].  Importers watch the index
@@ -24,9 +32,20 @@ let start entry = { entry; watchers = [] }
     a cached answer that predates an HLI edit. *)
 let watch m idx = m.watchers <- idx :: m.watchers
 
-let invalidate_watchers m = List.iter Query.invalidate m.watchers
+(* after every edit: the index no longer describes the entry *)
+let edited m =
+  m.index <- None;
+  List.iter Query.invalidate m.watchers
 
-let commit m = (m.entry, Query.build m.entry)
+let index m =
+  match m.index with
+  | Some idx -> idx
+  | None ->
+      let idx = Query.build m.entry in
+      m.index <- Some idx;
+      idx
+
+let commit m = (m.entry, index m)
 
 let next_free_id m =
   let from_items =
@@ -130,7 +149,7 @@ let delete_item m item =
         drop_empties ()
   in
   drop_empties ();
-  invalidate_watchers m
+  edited m
 
 (* ------------------------------------------------------------------ *)
 (* Generating and inheriting items                                     *)
@@ -153,7 +172,7 @@ let insert_in_line_table lt ~line ~item ~acc =
     item id.  This is the generate+inherit primitive used by unrolling
     and rematerialization. *)
 let gen_item m ~like ~line =
-  let idx = Query.build m.entry in
+  let idx = index m in
   let acc = Option.value ~default:Acc_load (Query.access_type idx like) in
   let id = next_free_id m in
   update_line_table m (fun lt -> insert_in_line_table lt ~line ~item:id ~acc);
@@ -173,14 +192,14 @@ let gen_item m ~like ~line =
                   r.eq_classes;
             })
   | None -> ());
-  invalidate_watchers m;
+  edited m;
   id
 
 (** Make [item] a member of the class that represents it in [target_rid]
     instead of its current (inner) class — the loop-invariant-removal
     move: the reference now executes in the outer region. *)
 let move_item_outward m ~item ~target_rid =
-  let idx = Query.build m.entry in
+  let idx = index m in
   match
     (Hashtbl.find_opt idx.Query.direct_class item, Query.class_at idx ~rid:target_rid item)
   with
@@ -216,7 +235,7 @@ let move_item_outward m ~item ~target_rid =
                   r.eq_classes;
             }
           else r);
-      invalidate_watchers m;
+      edited m;
       true
   | _ -> false
 
@@ -248,7 +267,7 @@ let unroll m ~rid ~factor =
         Diagnostics.error ~code:"E0702" ~phase:(Diagnostics.Opt "unroll")
           "unroll: no region %d in unit %s" rid entry.unit_name
   in
-  let idx = Query.build entry in
+  let idx = index m in
   (* items directly in classes of this region (not via subclasses) *)
   let direct_items =
     List.concat_map
@@ -399,5 +418,5 @@ let unroll m ~rid ~factor =
           lcdds = List.rev !new_lcdds;
           aliases = widened_aliases;
         });
-  invalidate_watchers m;
+  edited m;
   { copies; new_classes }

@@ -107,35 +107,63 @@ type remote = { remote_unit : string -> remote_unit option }
 
 (** Execution context threaded through every pass.  [spanf] is the
     telemetry hook — the harness supplies [Telemetry.span], so the
-    driver layer never depends on the harness. *)
+    driver layer never depends on the harness.
+
+    The variant is split in two because the back end is: everything
+    before [ddg_schedule] depends on the alias mode only and runs once
+    per mode, then [ddg_schedule] (and [simulate]) run once per
+    machine.  A context without a machine is the shared prefix's, so a
+    prefix pass that starts reading the machine fails ({!the_machine})
+    instead of having its result silently shared by both machines. *)
 type ctx = {
   span : spanf;
-  variant : Variant.t option;
-      (** [None] while running the variant-independent front end *)
+  alias : Backend.Ddg.mode option;
+      (** [None] while running the alias-independent front end *)
+  machine : Variant.machine option;
+      (** [None] in the front end and in the machine-independent
+          back-end prefix *)
   ablation : Variant.ablation;
   fuel : int;  (** simulation fuel budget *)
   remote : remote option;
-      (** when set, With_hli variants import/query/maintain HLI over a
-          hlid session instead of in-process indexes *)
+      (** when set, the [With_hli] prefix imports/queries/maintains HLI
+          over a hlid session instead of in-process indexes, and both
+          machines schedule against the same session *)
 }
 
 and spanf = { spanf : 'a. string -> (unit -> 'a) -> 'a }
 
 let no_span = { spanf = (fun _ f -> f ()) }
 
-let ctx ?(spanf = no_span) ?variant ?(ablation = Variant.baseline)
+(** [?variant] sets both halves; [?alias] alone makes a back-end
+    prefix context. *)
+let ctx ?(spanf = no_span) ?variant ?alias ?(ablation = Variant.baseline)
     ?(fuel = 400_000_000) ?remote () =
-  { span = spanf; variant; ablation; fuel; remote }
+  let alias =
+    match variant with Some v -> Some v.Variant.alias | None -> alias
+  in
+  let machine = Option.map (fun v -> v.Variant.machine) variant in
+  { span = spanf; alias; machine; ablation; fuel; remote }
 
-(** The variant of a backend-pipeline context; raises a driver
-    diagnostic if a variant-dependent pass runs in a front-end context
-    (an internal pipeline-assembly bug, not a user error). *)
-let the_variant c =
-  match c.variant with
-  | Some v -> v
-  | None ->
-      Diagnostics.error ~code:"E1010" ~phase:Diagnostics.Driver
-        "variant-dependent pass run without a variant context"
+(** The same context on machine [m]: a prefix context's per-machine
+    continuation. *)
+let on_machine c m = { c with machine = Some m }
+
+let no_context what =
+  Diagnostics.error ~code:"E1010" ~phase:Diagnostics.Driver
+    "%s-dependent pass run without %s context" what what
+
+(** The alias mode of a back-end context; raises a driver diagnostic in
+    a front-end context (an internal pipeline-assembly bug, not a user
+    error). *)
+let the_alias c =
+  match c.alias with Some a -> a | None -> no_context "alias"
+
+(** The machine of a per-machine context; raises the same diagnostic
+    in the front end and in the shared back-end prefix. *)
+let the_machine c =
+  match c.machine with Some m -> m | None -> no_context "machine"
+
+let the_variant c = { Variant.alias = the_alias c; machine = the_machine c }
 
 type t =
   | P : {

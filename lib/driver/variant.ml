@@ -32,7 +32,6 @@ let alias_name = function
 type t = { alias : Backend.Ddg.mode; machine : machine }
 
 let name v = alias_name v.alias ^ "/" ^ machine_name v.machine
-let use_hli v = v.alias = Backend.Ddg.With_hli
 
 (** All variants, machine-major: gcc/r4600, hli/r4600, gcc/r10000,
     hli/r10000 — the canonical order every matrix consumer (pipeline,

@@ -2,12 +2,23 @@
     from the registered passes of {!Driver.Pass_manager}.
 
     [compile] mirrors Figure 3 of the paper: the front-end pipeline
-    (parse/typecheck → analysis → TBLCONST → serialize) runs once, then
-    the back-end pipeline (lower → [hli_import] → optional passes →
-    DDG scheduling) runs once per variant of {!Driver.Variant.matrix}.
-    Every variant lowers a fresh copy so schedules never contaminate
-    each other; with a {!Pool} the variants build concurrently.  Each
-    pass is automatically wrapped in its derived telemetry span.
+    (parse/typecheck → analysis → TBLCONST → serialize) runs once; the
+    machine-independent back-end prefix (lower → [hli_import] →
+    optional passes) runs once per alias mode; and [ddg_schedule] runs
+    once per machine over its mode's prefix, giving every variant of
+    {!Driver.Variant.matrix}.  With a {!Pool} the two alias modes build
+    concurrently; each mode's schedules run in turn on the domain that
+    built its prefix.  Each pass is automatically wrapped in its
+    derived telemetry span.
+
+    Sharing the prefix is sound because nothing in it can tell the
+    machines apart: its context carries the alias mode but no machine
+    (a prefix pass asking for one fails with E1010), so both machines
+    would have computed the same RTL, HLI entries and indexes.  The
+    scheduler is the one pass that writes RTL, and it rewrites a
+    private copy; the HLI it reads is final once the prefix ends (its
+    queries only fill the memo, or, with [remote], hit the one session
+    both machines share).
 
     Errors are {!Diagnostics.Diagnostic} values throughout — the table
     harness turns them into annotated partial rows, [bin/hlic] renders
@@ -94,7 +105,7 @@ let config_of_passes ?(ablation = Driver.Variant.baseline) passes =
    The optional-pass spec ([--passes]) is deliberately NOT part of the
    key: every selectable pass is a back-end pass (structural front-end
    passes are rejected by [parse_specs]), runs strictly after the
-   cached front-end output is produced, and mutates only per-variant
+   cached front-end output is produced, and mutates only per-alias-mode
    copies of the entries — so two configurations differing only in
    [--passes] share cache entries by construction.  [test_hli.ml]
    holds a regression test pinning this. *)
@@ -348,61 +359,70 @@ let frontend ?(config = default_config) ?src_file ?tm (src : string) :
         in
         { Driver.Pass.h_prog = prog; h_entries = entries; h_bytes }
 
+(* One hlid session for the duration of [f]: a plain client for one
+   socket, the client-library router over a comma-separated fleet
+   ([--remote sock1,sock2,...]).  [wire] is the HLI container the
+   session opens. *)
+let with_session config socket wire f =
+  match Remote.socket_list socket with
+  | [] | [ _ ] ->
+      let cl =
+        Hli_server.Client.connect ~pipeline:config.pipeline ~shm:config.shm
+          socket
+      in
+      Fun.protect
+        ~finally:(fun () -> Hli_server.Client.close cl)
+        (fun () ->
+          f
+            (Remote.hooks_of_client cl
+               (Hli_server.Client.open_hli_bytes cl wire)))
+  | socks ->
+      let rt =
+        Hli_server.Router.connect ~pipeline:config.pipeline ~shm:config.shm
+          socks
+      in
+      Fun.protect
+        ~finally:(fun () -> Hli_server.Router.close rt)
+        (fun () ->
+          f
+            (Remote.hooks_of_router rt
+               (Hli_server.Router.open_hli_bytes rt wire)))
+
 let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
     compiled =
   let spanf = spanf ?tm () in
   let h = frontend ~config ?src_file ?tm src in
   let hli = { Hli_core.Tables.entries = h.Driver.Pass.h_entries } in
-  (* remote mode ships the locally produced container inline, so the
-     server answers over exactly the bytes Table 1 measures.  Serialized
-     up front rather than under [lazy]: every remote variant reads it
-     from its own pool domain, and concurrently forcing one lazy from
-     two domains raises [CamlinternalLazy.Undefined]. *)
-  let hli_wire =
-    match config.remote with
-    | Some _ -> Hli_core.Serialize.to_bytes hli
-    | None -> ""
+  (* one alias mode: its prefix, then each machine's schedule in turn
+     on this domain, sharing the prefix's memoized indexes or session *)
+  let backend alias =
+    let run ?remote () =
+      let ctx =
+        Driver.Pass.ctx ~spanf ~alias ~ablation:config.ablation ?remote ()
+      in
+      let m = Driver.Pass_manager.run_prefix ctx config.specs h in
+      List.map
+        (fun machine ->
+          ( { Driver.Variant.alias; machine },
+            Driver.Pass_manager.run_schedule
+              (Driver.Pass.on_machine ctx machine)
+              m ))
+        Driver.Variant.machines
+    in
+    match (config.remote, alias) with
+    | Some socket, Backend.Ddg.With_hli ->
+        (* the session opens the locally produced container, so the
+           server answers over exactly the bytes Table 1 measures *)
+        with_session config socket (Hli_core.Serialize.to_bytes hli)
+          (fun remote -> run ~remote ())
+    | _ -> run ()
   in
-  let mk v =
-    match config.remote with
-    | Some socket when Driver.Variant.use_hli v -> (
-        let run_with remote =
-          let ctx =
-            Driver.Pass.ctx ~spanf ~variant:v ~ablation:config.ablation
-              ~remote ()
-          in
-          (v, Driver.Pass_manager.run_backend ctx config.specs h)
-        in
-        match Remote.socket_list socket with
-        | [] | [ _ ] ->
-            let cl =
-              Hli_server.Client.connect ~pipeline:config.pipeline
-                ~shm:config.shm socket
-            in
-            Fun.protect
-              ~finally:(fun () -> Hli_server.Client.close cl)
-              (fun () ->
-                let opened = Hli_server.Client.open_hli_bytes cl hli_wire in
-                run_with (Remote.hooks_of_client cl opened))
-        | socks ->
-            (* --remote sock1,sock2,...: a sharded fleet behind the
-               client-library router *)
-            let rt =
-              Hli_server.Router.connect ~pipeline:config.pipeline
-                ~shm:config.shm socks
-            in
-            Fun.protect
-              ~finally:(fun () -> Hli_server.Router.close rt)
-              (fun () ->
-                let opened = Hli_server.Router.open_hli_bytes rt hli_wire in
-                run_with (Remote.hooks_of_router rt opened)))
-    | _ ->
-        let ctx =
-          Driver.Pass.ctx ~spanf ~variant:v ~ablation:config.ablation ()
-        in
-        (v, Driver.Pass_manager.run_backend ctx config.specs h)
+  let scheduled =
+    List.concat (Pool.map_opt pool backend Driver.Variant.aliases)
   in
-  let variants = Pool.map_opt pool mk Driver.Variant.matrix in
+  let variants =
+    List.map (fun v -> (v, List.assoc v scheduled)) Driver.Variant.matrix
+  in
   let stats_s =
     match List.assoc_opt Driver.Variant.stats_variant variants with
     | Some s -> s

@@ -388,8 +388,8 @@ let open_file t (c : conn) ~hash (f : T.hli_file) : P.response =
   let opened =
     List.map
       (fun (e : T.hli_entry) ->
-        let mt = M.start e in
         let idx = Q.build e in
+        let mt = M.start ~index:idx e in
         M.watch mt idx;
         let pub =
           match dir with

@@ -1,6 +1,6 @@
 (* Tests for the back end: GCC-style alias rules, the lowering/ITEMGEN
-   order contract on every workload, DDG query accounting, and schedule
-   validity. *)
+   order contract on every workload, DDG query accounting, schedule
+   validity, and CSE against its copy-and-scan oracle. *)
 
 open Backend
 
@@ -450,6 +450,389 @@ let loop_meta_tests =
           prog.Srclang.Tast.funcs);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* CSE against the copy-and-scan implementation                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The value table before it was indexed by holder: every register
+   definition copies the whole table and scans it for entries held in
+   that register, and stores and calls scan a copy too.  Kept as the
+   oracle for Cse, with its repeated match arms folded into [reuse] and
+   [fresh_entry] and its stats type shared. *)
+module Old_cse = struct
+  open Rtl
+
+  type vkey = Kimm of int | Kfimm of float | Kval of int
+
+  type ekey =
+    | Ealu of alu_op * vkey * vkey
+    | Efalu of falu_op * vkey * vkey
+    | Ela of int
+    | Elaf of int
+    | Ecvt_i2f of vkey
+    | Ecvt_f2i of vkey
+    | Eload of {
+        kbase : vkey;
+        kidx : vkey;
+        koff : int;
+        kscale : int;
+        ksize : int;
+        kcls : rclass;
+      }
+
+  type entry = { holder : reg; vn : int; lmem : mem option; litem : int option }
+
+  type state = {
+    mutable next_vn : int;
+    reg_vn : (reg, int) Hashtbl.t;
+    table : (ekey, entry) Hashtbl.t;
+    stats : Cse.stats;
+    hli : Hli_import.t option;
+    maintain : Hli_import.maint option;
+  }
+
+  let vn_of_reg st r =
+    match Hashtbl.find_opt st.reg_vn r with
+    | Some v -> v
+    | None ->
+        let v = st.next_vn in
+        st.next_vn <- v + 1;
+        Hashtbl.replace st.reg_vn r v;
+        v
+
+  let vkey_of_operand st = function
+    | Imm n -> Kimm n
+    | Fimm f -> Kfimm f
+    | Reg r -> Kval (vn_of_reg st r)
+
+  let kill_holder st r =
+    Hashtbl.iter
+      (fun k e -> if e.holder = r then Hashtbl.remove st.table k)
+      (Hashtbl.copy st.table)
+
+  let set_reg_vn st r vn =
+    kill_holder st r;
+    Hashtbl.replace st.reg_vn r vn
+
+  let fresh_vn st r =
+    let v = st.next_vn in
+    st.next_vn <- v + 1;
+    set_reg_vn st r v;
+    v
+
+  let invalidate_store st (m : mem) (storer : insn) =
+    Hashtbl.iter
+      (fun k e ->
+        match e.lmem with
+        | Some lm ->
+            let gcc = Gcc_alias.memrefs_conflict_p lm m in
+            let hli_independent =
+              match (st.hli, e.litem, storer.item) with
+              | Some h, Some li, Some si ->
+                  Hli_import.item_proves_independent h li si
+              | _ -> false
+            in
+            if gcc && not hli_independent then Hashtbl.remove st.table k
+        | None -> ())
+      (Hashtbl.copy st.table)
+
+  let invalidate_call st (call : insn) =
+    Hashtbl.iter
+      (fun k e ->
+        match e.lmem with
+        | Some _ -> (
+            match st.hli with
+            | None ->
+                st.stats.Cse.call_purges <- st.stats.Cse.call_purges + 1;
+                Hashtbl.remove st.table k
+            | Some h -> (
+                match (e.litem, call.item) with
+                | Some li, Some ci -> (
+                    match Hli_import.item_call_acc h ~call:ci ~mem:li with
+                    | Hli_core.Query.Call_none | Hli_core.Query.Call_ref ->
+                        st.stats.Cse.call_survivals <-
+                          st.stats.Cse.call_survivals + 1
+                    | Hli_core.Query.Call_mod | Hli_core.Query.Call_refmod
+                    | Hli_core.Query.Call_unknown ->
+                        st.stats.Cse.call_purges <- st.stats.Cse.call_purges + 1;
+                        Hashtbl.remove st.table k)
+                | _ ->
+                    st.stats.Cse.call_purges <- st.stats.Cse.call_purges + 1;
+                    Hashtbl.remove st.table k))
+        | None -> ())
+      (Hashtbl.copy st.table)
+
+  let mem_key st (m : mem) =
+    let kbase =
+      match m.mbase with
+      | Bsym s -> Kimm (1000000 + s.Srclang.Symbol.id)
+      | Breg r -> Kval (vn_of_reg st r)
+      | Bframe -> Kimm 2000001
+      | Bargout -> Kimm 2000002
+      | Bargin -> Kimm 2000003
+    in
+    let kidx = match m.mindex with Some r -> Kval (vn_of_reg st r) | None -> Kimm 0 in
+    Eload
+      { kbase; kidx; koff = m.moffset; kscale = m.mscale; ksize = m.msize; kcls = m.mclass }
+
+  let process_block (st : state) (insns : insn list) : insn list =
+    Hashtbl.reset st.table;
+    let out = ref [] in
+    let emit i = out := i :: !out in
+    let fresh_entry key d =
+      let vn = fresh_vn st d in
+      Hashtbl.replace st.table key { holder = d; vn; lmem = None; litem = None }
+    in
+    let reuse (i : insn) d e =
+      st.stats.Cse.alu_eliminated <- st.stats.Cse.alu_eliminated + 1;
+      set_reg_vn st d e.vn;
+      emit { i with desc = Li (d, Reg e.holder) }
+    in
+    List.iter
+      (fun (i : insn) ->
+        match i.desc with
+        | Alu (op, d, a, b) -> (
+            let key = Ealu (op, vkey_of_operand st a, vkey_of_operand st b) in
+            match Hashtbl.find_opt st.table key with
+            | Some e when e.holder <> d -> reuse i d e
+            | Some e ->
+                set_reg_vn st d e.vn;
+                emit i
+            | None ->
+                fresh_entry key d;
+                emit i)
+        | Falu (op, d, a, b) -> (
+            let key = Efalu (op, vkey_of_operand st a, vkey_of_operand st b) in
+            match Hashtbl.find_opt st.table key with
+            | Some e when e.holder <> d -> reuse i d e
+            | Some e ->
+                set_reg_vn st d e.vn;
+                emit i
+            | None ->
+                fresh_entry key d;
+                emit i)
+        | La (d, s) -> (
+            let key = Ela s.Srclang.Symbol.id in
+            match Hashtbl.find_opt st.table key with
+            | Some e when e.holder <> d -> reuse i d e
+            | _ ->
+                fresh_entry key d;
+                emit i)
+        | Laf (d, off) -> (
+            let key = Elaf off in
+            match Hashtbl.find_opt st.table key with
+            | Some e when e.holder <> d -> reuse i d e
+            | _ ->
+                fresh_entry key d;
+                emit i)
+        | Cvt_i2f (d, s0) -> (
+            let key = Ecvt_i2f (Kval (vn_of_reg st s0)) in
+            match Hashtbl.find_opt st.table key with
+            | Some e when e.holder <> d -> reuse i d e
+            | _ ->
+                fresh_entry key d;
+                emit i)
+        | Cvt_f2i (d, s0) -> (
+            let key = Ecvt_f2i (Kval (vn_of_reg st s0)) in
+            match Hashtbl.find_opt st.table key with
+            | Some e when e.holder <> d -> reuse i d e
+            | _ ->
+                fresh_entry key d;
+                emit i)
+        | Li (d, op) ->
+            (match op with
+            | Reg s0 -> set_reg_vn st d (vn_of_reg st s0)
+            | Imm _ | Fimm _ -> ignore (fresh_vn st d));
+            emit i
+        | Load (d, m) -> (
+            let key = mem_key st m in
+            match Hashtbl.find_opt st.table key with
+            | Some e when e.lmem <> None && e.holder <> d ->
+                st.stats.Cse.loads_eliminated <- st.stats.Cse.loads_eliminated + 1;
+                set_reg_vn st d e.vn;
+                (match (st.maintain, i.item) with
+                | Some mt, Some it -> mt.Hli_import.mn_delete_item it
+                | _ -> ());
+                emit { i with desc = Li (d, Reg e.holder); item = None }
+            | _ ->
+                let vn = fresh_vn st d in
+                Hashtbl.replace st.table key
+                  { holder = d; vn; lmem = Some m; litem = i.item };
+                emit i)
+        | Store (m, _) ->
+            invalidate_store st m i;
+            emit i
+        | Call _ ->
+            invalidate_call st i;
+            (match def i with Some d -> ignore (fresh_vn st d) | None -> ());
+            emit i
+        | Getarg (d, _) ->
+            ignore (fresh_vn st d);
+            emit i
+        | Br_eqz _ | Br_nez _ | Jmp _ | Ret _ -> emit i)
+      insns;
+    List.rev !out
+
+  let run_fn ?hli ?maintain (fn : fn) : Cse.stats =
+    let stats = Cse.fresh_stats () in
+    let st =
+      { next_vn = 0; reg_vn = Hashtbl.create 64; table = Hashtbl.create 64;
+        stats; hli; maintain }
+    in
+    Array.iter (fun b -> b.insns <- process_block st b.insns) fn.blocks;
+    stats
+end
+
+let cse_syms = [| gsym "x"; gsym "y" |]
+
+(* Random straight-line blocks over six registers, so destinations are
+   redefined while they still hold table entries; memory goes through
+   two globals, the frame and pointer registers, with and without an
+   index; calls may define a register.  Most memory references and
+   calls carry an HLI item. *)
+let gen_cse_block =
+  QCheck.Gen.(
+    let reg = int_bound 5 in
+    let opnd = frequency [ (4, map (fun r -> Rtl.Reg r) reg); (1, map (fun n -> Rtl.Imm n) (int_bound 3)) ] in
+    let item = frequency [ (4, map Option.some (int_range 1 12)); (1, return None) ] in
+    let mem =
+      map
+        (fun (b, off, idx, size) ->
+          {
+            Rtl.mbase =
+              (match b with
+              | 0 | 1 -> Rtl.Bsym cse_syms.(b)
+              | 2 -> Rtl.Bframe
+              | n -> Rtl.Breg (n - 3));
+            moffset = 4 * off;
+            mindex = (if idx < 3 then Some idx else None);
+            mscale = 4;
+            msize = size;
+            mclass = Rtl.Rint;
+          })
+        (quad (int_bound 5) (int_bound 2) (int_bound 5) (oneofl [ 4; 8 ]))
+    in
+    let desc_item =
+      frequency
+        [
+          (4, map3 (fun op d (a, b) -> (Rtl.Alu (op, d, a, b), None))
+                (oneofl [ Rtl.Add; Rtl.Sub; Rtl.Mul ]) reg (pair opnd opnd));
+          (1, map3 (fun d a b -> (Rtl.Falu (Rtl.Fadd, d, a, b), None)) reg opnd opnd);
+          (1, map2 (fun d s -> (Rtl.La (d, cse_syms.(s)), None)) reg (int_bound 1));
+          (1, map2 (fun d off -> (Rtl.Laf (d, 4 * off), None)) reg (int_bound 2));
+          (1, map2 (fun d s -> (Rtl.Cvt_i2f (d, s), None)) reg reg);
+          (1, map2 (fun d s -> (Rtl.Cvt_f2i (d, s), None)) reg reg);
+          (2, map2 (fun d op -> (Rtl.Li (d, op), None)) reg opnd);
+          (6, map3 (fun d m it -> (Rtl.Load (d, m), it)) reg mem item);
+          (4, map3 (fun m v it -> (Rtl.Store (m, v), it)) mem opnd item);
+          (2, map3 (fun args d it -> (Rtl.Call ("f", args, d), it))
+                (list_size (int_bound 2) opnd) (opt reg) item);
+          (1, map2 (fun d k -> (Rtl.Getarg (d, k), None)) reg (int_bound 1));
+        ]
+    in
+    list_size (int_range 1 40) desc_item)
+
+(* one function of 1-3 blocks (value numbers carry across blocks, the
+   table does not) and a seed for the HLI answers *)
+let gen_cse_case =
+  QCheck.Gen.(pair (list_size (int_range 1 3) gen_cse_block) (int_bound 1000))
+
+let cse_fn blocks =
+  let uid = ref 0 in
+  let block bid descs =
+    {
+      Rtl.bid;
+      insns =
+        List.map
+          (fun (desc, item) ->
+            incr uid;
+            { Rtl.uid = !uid; desc; line = 1; item; spec = false })
+          descs;
+      succs = [];
+      preds = [];
+    }
+  in
+  {
+    Rtl.fname = "cse";
+    params = [];
+    ret_class = None;
+    blocks = Array.of_list (List.mapi block blocks);
+    entry = 0;
+    frame_size = 16;
+    argout_size = 0;
+    vreg_count = 6;
+    vreg_class = Array.make 6 Rtl.Rint;
+    loops = [];
+  }
+
+(* A Remote query source (and maintenance hooks) whose answers are a
+   hash of the seed and the items, logging every call in order. *)
+let logging_hli seed =
+  let log = ref [] in
+  let pick n xs = List.nth xs (Hashtbl.hash (seed, n) mod List.length xs) in
+  let source =
+    {
+      Hli_import.qs_equiv_acc =
+        (fun a b ->
+          log := Printf.sprintf "equiv %d %d" a b :: !log;
+          pick (0, a, b)
+            Hli_core.Query.[ Equiv_none; Equiv_alias; Equiv_unknown ]);
+      qs_equiv_prob = (fun _ _ -> Alcotest.fail "CSE asked for a probability");
+      qs_call_acc =
+        (fun ~call ~mem ->
+          log := Printf.sprintf "call %d %d" call mem :: !log;
+          pick (1, call, mem)
+            Hli_core.Query.[ Call_none; Call_ref; Call_mod; Call_refmod; Call_unknown ]);
+      qs_region_of_item = (fun _ -> Alcotest.fail "CSE asked for a region");
+    }
+  in
+  let maint =
+    {
+      Hli_import.mn_delete_item = (fun it -> log := Printf.sprintf "delete %d" it :: !log);
+      mn_gen_item = (fun ~like:_ ~line:_ -> Alcotest.fail "CSE generated an item");
+      mn_move_item_outward = (fun ~item:_ ~target_rid:_ -> Alcotest.fail "CSE moved an item");
+      mn_unroll = (fun ~rid:_ ~factor:_ -> Alcotest.fail "CSE unrolled");
+      mn_hoist_target = (fun _ -> Alcotest.fail "CSE asked for a hoist target");
+    }
+  in
+  let hli =
+    { Hli_import.source = Remote source; mapped = 0; unmapped_insns = 0;
+      mismatched_lines = []; dup_items = [] }
+  in
+  (hli, maint, log)
+
+let print_cse_case (blocks, seed) =
+  let fn = cse_fn blocks in
+  Printf.sprintf "seed %d\n%s" seed (Fmt.str "%a" Rtl.pp_fn fn)
+
+(* output insns, stats and the query/maintenance log of one run *)
+let cse_run run (blocks, seed) ~with_hli =
+  let fn = cse_fn blocks in
+  let stats, log =
+    if with_hli then
+      let hli, maint, log = logging_hli seed in
+      let s = run ?hli:(Some hli) ?maintain:(Some maint) fn in
+      (s, List.rev !log)
+    else (run ?hli:None ?maintain:None fn, [])
+  in
+  (Fmt.str "%a" Rtl.pp_fn fn, stats, log)
+
+let cse_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000
+         ~name:"indexed CSE = copy-and-scan CSE (insns, stats, query log)"
+         (QCheck.make ~print:print_cse_case gen_cse_case)
+         (fun case ->
+           List.for_all
+             (fun with_hli ->
+               cse_run (fun ?hli ?maintain fn -> Cse.run_fn ?hli ?maintain fn)
+                 case ~with_hli
+               = cse_run (fun ?hli ?maintain fn -> Old_cse.run_fn ?hli ?maintain fn)
+                   case ~with_hli)
+             [ false; true ]));
+  ]
+
 let () =
   Alcotest.run "backend"
     [
@@ -457,6 +840,7 @@ let () =
       ("mapping-contract", mapping_tests);
       ("ddg", ddg_tests);
       ("sched", sched_tests);
+      ("cse", cse_tests);
       ("speculation", speculation_tests);
       ("loops", loop_meta_tests);
     ]
