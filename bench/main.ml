@@ -69,7 +69,7 @@
                           stage (default: HLI_CACHE env; unset disables
                           caching; also the serbench cache directory)
      --stats              print the per-stage telemetry table
-     --stats-json PATH    write the hli-telemetry-v7 JSON dump ("-" for
+     --stats-json PATH    write the hli-telemetry-v8 JSON dump ("-" for
                           stdout)
      --remote SOCKET      hlid socket: With_hli variants import, query
                           and maintain HLI over the wire (tables stay
@@ -129,7 +129,7 @@ type cfg = {
 let usage () =
   prerr_endline
     "usage: main.exe \
-     [tables|micro|querybench|serbench|servbench|fleetbench|remote-probe|emit-hli|editstorm|specbench|all] \
+     [tables|micro|querybench|serbench|servbench|remote-probe|emit-hli|editstorm|specbench|all] \
      [-j N] [--fuel N] [--workloads a,b,c] [--passes SPEC] [--ablation NAME] \
      [--speculate THRESH] [--list-passes] [--stats] [--stats-json PATH] \
      [--validate-json PATH] [--hli-cache DIR] [--out PATH] [--remote SOCKET] \
@@ -207,8 +207,7 @@ let parse_args () =
   let rec loop = function
     | [] -> ()
     | ( "tables" | "micro" | "all" | "querybench" | "serbench" | "servbench"
-      | "servbench-child" | "fleetbench" | "fleetbench-server" | "remote-probe"
-      | "emit-hli" | "editstorm"
+      | "servbench-child" | "remote-probe" | "emit-hli" | "editstorm"
       | "specbench" ) as m
       :: rest ->
         cfg := { !cfg with mode = m };
@@ -405,20 +404,10 @@ let reproduce_tables cfg pool =
     match (cfg.stats_json, cfg.remote) with
     | Some _, Some sock -> (
         try
-          match Harness.Remote.socket_list sock with
-          | _ :: _ :: _ as socks ->
-              (* fleet run: the dump carries the router's aggregate
-                 ({"router":...,"backends":[...]}) instead of a single
-                 server object *)
-              let rt = Hli_server.Router.connect socks in
-              Fun.protect
-                ~finally:(fun () -> Hli_server.Router.close rt)
-                (fun () -> Some (Hli_server.Router.stats_json rt))
-          | _ ->
-              let cl = Hli_server.Client.connect sock in
-              Fun.protect
-                ~finally:(fun () -> Hli_server.Client.close cl)
-                (fun () -> Some (Hli_server.Client.server_stats cl))
+          let cl = Hli_server.Client.connect sock in
+          Fun.protect
+            ~finally:(fun () -> Hli_server.Client.close cl)
+            (fun () -> Some (Hli_server.Client.server_stats cl))
         with Diagnostics.Diagnostic _ -> None)
     | _ -> None
   in
@@ -1668,51 +1657,8 @@ let sb_percentile sorted p =
    setup cost milliseconds, which would otherwise dominate a
    multi-client wall at these rates.  Returns the frame latencies and
    the timestamp of the last collected reply. *)
-(* Fleet flavor of [sb_client]: the same stream through a router
-   session over every listed socket ([--remote sock1,sock2,...]).  No
-   shm — the router owns the shard connections, and the fleet rows
-   measure the routed wire path. *)
-let sb_client_fleet ~pipeline ~barrier socks bytes batches =
-  let rt = Hli_server.Router.connect ~pipeline socks in
-  Fun.protect
-    ~finally:(fun () -> Hli_server.Router.close rt)
-    (fun () ->
-      ignore (Hli_server.Router.open_hli_bytes rt bytes);
-      barrier ();
-      let now = Harness.Telemetry.now_ns in
-      let lats =
-        if pipeline <= 1 then
-          Array.of_list
-            (List.map
-               (fun batch ->
-                 let t0 = now () in
-                 ignore (Hli_server.Router.query_batch rt batch);
-                 Int64.to_float (Int64.sub (now ()) t0))
-               batches)
-        else begin
-          let lats = ref [] in
-          List.iter
-            (fun window ->
-              let k = List.length window in
-              let t0 = now () in
-              ignore (Hli_server.Router.query_batches rt window);
-              let per =
-                Int64.to_float (Int64.sub (now ()) t0) /. float_of_int k
-              in
-              for _ = 1 to k do
-                lats := per :: !lats
-              done)
-            (sb_batches pipeline batches);
-          Array.of_list !lats
-        end
-      in
-      (lats, now ()))
-
 let sb_client ?(pipeline = 1) ?(shm = false) ?(barrier = fun () -> ()) socket
     bytes batches =
-  match Harness.Remote.socket_list socket with
-  | _ :: _ :: _ as socks -> sb_client_fleet ~pipeline ~barrier socks bytes batches
-  | _ ->
   let cl = Hli_server.Client.connect ~pipeline ~shm socket in
   Fun.protect
     ~finally:(fun () -> Hli_server.Client.close cl)
@@ -1839,33 +1785,6 @@ let sb_child cfg =
   Printf.printf "END %Ld\n" t_end;
   Array.iter (fun l -> Printf.printf "%.1f " l) lats;
   print_newline ();
-  exit 0
-
-(* fleetbench-server: one real hlid instance for the fleetbench
-   matrix.  In-process backends would all share the bench runtime, so
-   every instance participates in every other's stop-the-world pauses
-   and the fleet rows measure GC barrier scaling, not sharding; real
-   fleet shards are separate processes, so are these.  Listens on the
-   path the parent passed as --remote, prints READY once bound, and
-   drains on SIGTERM. *)
-let sb_server cfg =
-  let socket =
-    match cfg.remote with
-    | Some s -> s
-    | None ->
-        prerr_endline "fleetbench-server: --remote SOCKET is required";
-        exit 2
-  in
-  let srv =
-    Hli_server.Server.create
-      { (Hli_server.Server.default_config ~socket_path:socket) with
-        jobs = Pool.default_jobs () }
-  in
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle (fun _ -> Hli_server.Server.initiate_shutdown srv));
-  print_string "READY\n";
-  flush Stdlib.stdout;
-  Hli_server.Server.run srv;
   exit 0
 
 (* [clients] concurrent sessions against [socket]: spawn one child
@@ -2164,133 +2083,6 @@ let servbench cfg =
     with Diagnostics.Diagnostic _ -> ()
   end
 
-(* fleetbench: the servbench stream against a sharded hlid fleet.
-   Each matrix row boots [instances] server processes (fleetbench-server
-   re-execs of this binary) on private sockets — instances = 1 is the
-   plain single-daemon wire path, and for larger fleets every client
-   child connects through the client-library router over the
-   comma-joined socket list, so its units shard by consistent hash and
-   its trains split per shard.  Client counts are the same across fleet
-   sizes, so a fleet row and the single-instance wire row at equal
-   total clients are directly comparable.  Artifact:
-   BENCH_fleetbench.json (hli-fleetbench-v1); bench/fleetbench.sh
-   gates fleet-vs-single throughput and runs the chaos (SIGKILL a
-   shard mid-tables) byte-identity check. *)
-let fleetbench cfg =
-  let names, _entries, bytes, queries = sb_setup cfg in
-  let nq = List.length queries in
-  let boot n =
-    let prog = Sys.executable_name in
-    let servers =
-      List.init n (fun i ->
-          let path =
-            Filename.concat
-              (Filename.get_temp_dir_name ())
-              (Printf.sprintf "hli-fleetbench-%d-%d.sock" (Unix.getpid ()) i)
-          in
-          register_cleanup path;
-          let out_r, oo = Unix.pipe () in
-          let pid =
-            Unix.create_process prog
-              [| prog; "fleetbench-server"; "--remote"; path |]
-              Unix.stdin oo Unix.stderr
-          in
-          Unix.close oo;
-          let ic = Unix.in_channel_of_descr out_r in
-          (match input_line ic with
-          | "READY" -> ()
-          | _ | (exception End_of_file) ->
-              Printf.eprintf "fleetbench: server %d did not come up\n" i;
-              exit 1);
-          (path, pid, ic))
-    in
-    let stop () =
-      List.iter
-        (fun (path, pid, ic) ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid);
-          close_in_noerr ic;
-          unregister_cleanup path)
-        servers
-    in
-    (String.concat "," (List.map (fun (p, _, _) -> p) servers), stop)
-  in
-  Printf.printf "== fleetbench: hlid fleet (%s) ==\n" (String.concat ", " names);
-  Printf.printf "%d queries per client session\n" nq;
-  Printf.printf "%9s %8s %6s %9s %12s %12s %12s\n" "instances" "clients"
-    "batch" "pipeline" "q/s" "p50 (us)" "p99 (us)";
-  let rows = ref [] in
-  List.iter
-    (fun instances ->
-      let socket, stop = boot instances in
-      Fun.protect ~finally:stop @@ fun () ->
-      List.iter
-        (fun pipeline ->
-          List.iter
-            (fun batch ->
-              let repeat =
-                sb_calibrate ~pipeline ~shm:false ~batch socket bytes queries
-              in
-              List.iter
-                (fun clients ->
-                  let lats, wall_ns =
-                    sb_run ~clients ~pipeline ~batch ~shm:false ~repeat ~names
-                      socket
-                  in
-                  Array.sort compare lats;
-                  let qps =
-                    if wall_ns <= 0.0 then 0.0
-                    else
-                      float_of_int (clients * nq * repeat) /. (wall_ns /. 1e9)
-                  in
-                  let p50 = sb_percentile lats 0.50 /. 1e3
-                  and p99 = sb_percentile lats 0.99 /. 1e3 in
-                  rows :=
-                    (instances, clients, batch, pipeline, qps, p50, p99)
-                    :: !rows;
-                  Printf.printf "%9d %8d %6d %9d %12.0f %12.1f %12.1f\n"
-                    instances clients batch pipeline qps p50 p99)
-                [ 1; 2; 4 ])
-            [ 64 ])
-        [ 1; 8 ])
-    [ 1; 3 ];
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"hli-fleetbench-v1\",\"workloads\":[%s],\
-        \"queries_per_session\":%d,\"rows\":["
-       (String.concat ","
-          (List.map
-             (fun n -> "\"" ^ Harness.Telemetry.json_escape n ^ "\"")
-             names))
-       nq);
-  List.iteri
-    (fun i (instances, clients, batch, pipeline, qps, p50, p99) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"instances\":%d,\"clients\":%d,\"batch\":%d,\"pipeline\":%d,\
-            \"qps\":%.0f,\"p50_us\":%.1f,\"p99_us\":%.1f}"
-           instances clients batch pipeline qps p50 p99))
-    (List.rev !rows);
-  Buffer.add_string b "]}";
-  let json = Buffer.contents b in
-  (match Harness.Telemetry.validate_json json with
-  | Ok () -> ()
-  | Error (msg, pos) ->
-      Printf.eprintf "fleetbench: generated malformed JSON at byte %d: %s\n"
-        pos msg;
-      exit 1);
-  let out = Option.value ~default:"BENCH_fleetbench.json" cfg.out in
-  let oc =
-    try open_out_bin out
-    with Sys_error msg ->
-      Printf.eprintf "--out: %s\n" msg;
-      exit 1
-  in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  Printf.eprintf "wrote %s\n" out
-
 (* remote-probe: loop batched queries against --remote SOCKET until a
    protocol fault surfaces, then exit through the diagnostic path.
    servbench.sh kills the server mid-probe and asserts that the client
@@ -2454,8 +2246,6 @@ let () =
       if cfg.mode = "serbench" then serbench cfg pool;
       if cfg.mode = "servbench" then servbench cfg;
       if cfg.mode = "servbench-child" then sb_child cfg;
-      if cfg.mode = "fleetbench-server" then sb_server cfg;
-      if cfg.mode = "fleetbench" then fleetbench cfg;
       if cfg.mode = "remote-probe" then remote_probe cfg;
       if cfg.mode = "emit-hli" then emit_hli cfg;
       if cfg.mode = "editstorm" then editstorm cfg;

@@ -4,11 +4,12 @@
 #   1. runs a workload subset through bench tables plain and with
 #      --speculate 0: threshold 0 can never drop an edge, so the two
 #      runs must be byte-identical (speculation off is free);
-#   2. starts a single hlid and a three-shard fleet and re-runs the
-#      tables with --speculate 1000 in-process, over the wire and
-#      against the fleet — Q_prob service must be invisible in the
-#      output on every path, and the remote telemetry dump must carry
-#      the v8 equiv_prob counter and the speculation object;
+#   2. starts one hlid (with --stats-json) and re-runs the tables
+#      with --speculate 1000 in-process and over the wire — Q_prob
+#      service must be invisible in the output, and the remote
+#      telemetry dump must carry the v8 equiv_prob counter and the
+#      speculation object; the hlid is then stopped with SIGTERM and
+#      its own telemetry dump must pass --validate-json;
 #   3. validates the committed BENCH_speculate.json sweep artifact:
 #      schema, per-workload sweep keys, all workloads present, at
 #      least one dropped edge at the top threshold, and a
@@ -30,10 +31,9 @@ artifact="$3"
 
 tmp="${TMPDIR:-/tmp}/hli-specbench-$$"
 mkdir -p "$tmp"
+hlid_pid=""
 cleanup() {
-  for i in 0 1 2; do
-    [ -f "$tmp/shard$i.pid" ] && kill -9 "$(cat "$tmp/shard$i.pid")" 2>/dev/null || true
-  done
+  [ -n "$hlid_pid" ] && kill -9 "$hlid_pid" 2>/dev/null || true
   rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -57,42 +57,38 @@ fi
 echo "specbench: OK (--speculate 0 is byte-identical to speculation off)"
 
 # 2: the probabilistic wire path must be invisible in the tables
-start_shard() { # $1 = index; records the pid in $tmp/shard$1.pid
-  "$hlid" --socket "$tmp/shard$1.sock" -j 2 2>>"$tmp/shard$1.log" &
-  echo $! > "$tmp/shard$1.pid"
-}
-wait_socket() { # $1 = path
-  i=0
-  while [ ! -S "$1" ] && [ $i -lt 50 ]; do
-    sleep 0.1
-    i=$((i + 1))
-  done
-  [ -S "$1" ] || { echo "specbench: FAIL — $1 did not come up" >&2; exit 1; }
-}
-for i in 0 1 2; do start_shard $i; done
-for i in 0 1 2; do wait_socket "$tmp/shard$i.sock"; done
-fleet="$tmp/shard0.sock,$tmp/shard1.sock,$tmp/shard2.sock"
+sock="$tmp/hlid.sock"
+"$hlid" --socket "$sock" -j 2 --stats-json "$tmp/hlid.json" \
+  2>>"$tmp/hlid.log" &
+hlid_pid=$!
+i=0
+while [ ! -S "$sock" ] && [ $i -lt 50 ]; do
+  sleep 0.1
+  i=$((i + 1))
+done
+[ -S "$sock" ] || { echo "specbench: FAIL — $sock did not come up" >&2; exit 1; }
 
 "$exe" tables --workloads "$WORKLOADS" --fuel $FUEL -j 2 --speculate 1000 \
   > "$tmp/spec-local.out" 2>/dev/null
 "$exe" tables --workloads "$WORKLOADS" --fuel $FUEL -j 2 --speculate 1000 \
-  --remote "$tmp/shard0.sock" --stats-json "$tmp/spec-remote.json" \
+  --remote "$sock" --stats-json "$tmp/spec-remote.json" \
   > "$tmp/spec-remote.out" 2>/dev/null
-"$exe" tables --workloads "$WORKLOADS" --fuel $FUEL -j 2 --speculate 1000 \
-  --remote "$fleet" \
-  > "$tmp/spec-fleet.out" 2>/dev/null
 "$exe" tables --workloads "$WORKLOADS" --fuel $FUEL -j 2 --speculate 0 \
-  --remote "$tmp/shard0.sock" \
+  --remote "$sock" \
   > "$tmp/spec0-remote.out" 2>/dev/null
+
+# SIGTERM drains the sessions and flushes hlid's own telemetry dump,
+# which must carry the harness's schema tag
+kill -TERM "$hlid_pid"
+wait "$hlid_pid" || { echo "specbench: FAIL — hlid did not exit cleanly" >&2; exit 1; }
+hlid_pid=""
+"$exe" --validate-json "$tmp/hlid.json" > /dev/null \
+  || { echo "specbench: FAIL — hlid --stats-json dump rejected by --validate-json" >&2
+       exit 1; }
 
 if ! cmp -s "$tmp/spec-local.out" "$tmp/spec-remote.out"; then
   echo "specbench: FAIL — speculative remote tables differ from the in-process run" >&2
   diff "$tmp/spec-local.out" "$tmp/spec-remote.out" >&2 || true
-  exit 1
-fi
-if ! cmp -s "$tmp/spec-local.out" "$tmp/spec-fleet.out"; then
-  echo "specbench: FAIL — speculative fleet tables differ from the in-process run" >&2
-  diff "$tmp/spec-local.out" "$tmp/spec-fleet.out" >&2 || true
   exit 1
 fi
 if ! cmp -s "$tmp/plain.out" "$tmp/spec0-remote.out"; then
@@ -115,7 +111,7 @@ dropped=$(grep -o '"speculation":{"edges_dropped":[0-9]*' "$tmp/spec-remote.json
 [ "${dropped:-0}" -gt 0 ] \
   || { echo "specbench: FAIL — no edges dropped at threshold 1.0 on the remote path" >&2
        exit 1; }
-echo "specbench: OK (speculative tables byte-identical: local, wire and fleet; $probed Q_prob answers, $dropped edges dropped)"
+echo "specbench: OK (speculative tables byte-identical: local and wire; $probed Q_prob answers, $dropped edges dropped; hlid dump valid)"
 
 # 3: the committed sweep artifact is well-formed and within the
 # misspeculation budget at the default threshold

@@ -302,15 +302,11 @@ let remote_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "remote" ] ~docv:"SOCKETS"
+    & info [ "remote" ] ~docv:"SOCKET"
         ~doc:
-          "hlid Unix-domain socket; With_hli variants import, query and \
-           maintain HLI over the wire instead of in-process (tables stay \
-           byte-identical).  A comma-separated list is a sharded fleet: \
-           units hash across the listed hlid instances behind the \
-           client-library router, with epoch-propagated Refresh barriers \
-           and failover retry (or point a single $(docv) at a \
-           $(b,hlid --router) process)")
+          "hlid Unix-domain socket; the With_hli variants open one session \
+           on it and import, query and maintain HLI over the wire instead \
+           of in-process (tables stay byte-identical)")
 
 let pipeline_arg =
   Arg.(

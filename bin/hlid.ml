@@ -14,42 +14,7 @@
 
 open Cmdliner
 
-(* Keep in sync with Harness.Telemetry.schema_version; hlid links only
-   the server stack, not the harness, so the string is repeated here
-   (test_telemetry pins the constant). *)
-let schema_version = "hli-telemetry-v7"
-
-(* --router: proxy mode.  Listen on --socket, shard every session's
-   units across the backend fleet by consistent hash of unit name,
-   with epoch-propagated Refresh barriers and bounded-retry failover
-   (lib/server/router.ml; DESIGN.md §9). *)
-let run_router socket backends timeout max_frame =
-  let stop = Atomic.make false in
-  let shutdown _ = Atomic.set stop true in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown);
-  Fmt.epr "hlid: routing %s across %d shards (%s)@." socket
-    (List.length backends)
-    (String.concat ", " backends);
-  match
-    Hli_server.Router.serve ~timeout ~max_frame ~backends ~socket_path:socket
-      ~stop ()
-  with
-  | () -> 0
-  | exception Diagnostics.Diagnostic d ->
-      Fmt.epr "%a@." Diagnostics.pp d;
-      Diagnostics.exit_code d
-
-let run_hlid socket router jobs max_frame timeout shm_dir store_cap stats
-    stats_json =
-  match router with
-  | Some backends ->
-      run_router socket
-        (String.split_on_char ',' backends
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> ""))
-        timeout max_frame
-  | None ->
+let run_hlid socket jobs max_frame timeout shm_dir store_cap stats stats_json =
   let cfg =
     {
       (Hli_server.Server.default_config ~socket_path:socket) with
@@ -79,8 +44,8 @@ let run_hlid socket router jobs max_frame timeout shm_dir store_cap stats
       | None -> ()
       | Some path ->
           let payload =
-            Printf.sprintf "{\"schema\":\"%s\",\"server\":%s}" schema_version
-              json
+            Printf.sprintf "{\"schema\":\"%s\",\"server\":%s}"
+              Harness.Telemetry.schema_version json
           in
           if path = "-" then print_endline payload
           else begin
@@ -98,20 +63,6 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH"
         ~doc:"Unix-domain socket path to listen on (stale files are removed)")
-
-let router_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "router" ] ~docv:"SOCK1,SOCK2,..."
-        ~doc:
-          "run as a fleet router instead of a daemon: listen on \
-           $(b,--socket) and shard each session's HLI units across the \
-           listed backend hlid sockets by consistent hash of unit name, \
-           splitting batched query trains per shard and merging replies \
-           positionally; Refresh barriers drain every shard (epoch \
-           propagation) and a backend dying mid-session is re-handshaken \
-           and retried, never answered wrongly")
 
 let jobs_arg =
   Arg.(
@@ -159,7 +110,7 @@ let store_cap_arg =
     & info [ "store-cap" ] ~docv:"BYTES"
         ~doc:
           "byte bound on the cross-session entry store backing delta \
-           uploads (protocol v3): a session re-opening after an edit \
+           uploads (Open_delta): a session re-opening after an edit \
            ships only the entries the store lacks; oldest entries are \
            evicted past $(docv) (default 256 MiB)")
 
@@ -174,16 +125,17 @@ let stats_json_arg =
     & opt (some string) None
     & info [ "stats-json" ] ~docv:"PATH"
         ~doc:
-          "write the hli-telemetry-v7 server telemetry to $(docv) at \
-           shutdown (\"-\" for stdout)")
+          (Printf.sprintf
+             "write the %s server telemetry to $(docv) at shutdown (\"-\" \
+              for stdout)"
+             Harness.Telemetry.schema_version))
 
 let cmd =
   let doc = "persistent HLI query service over a Unix-domain socket" in
   Cmd.v
     (Cmd.info "hlid" ~doc)
     Term.(
-      const run_hlid $ socket_arg $ router_arg $ jobs_arg $ max_frame_arg
-      $ timeout_arg $ shm_dir_arg $ store_cap_arg $ stats_flag
-      $ stats_json_arg)
+      const run_hlid $ socket_arg $ jobs_arg $ max_frame_arg $ timeout_arg
+      $ shm_dir_arg $ store_cap_arg $ stats_flag $ stats_json_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -41,8 +41,6 @@
     - [E1110] connection closed / server shutting down
     - [E1111] protocol version mismatch
     - [E1112] socket setup failure
-    - [E1113] frame known but not offered at the negotiated version
-      (e.g. [Q_prob] on a v4 session)
 
     [E1012] (driver block) flags a malformed [HLI_JOBS] value whose
     silent fallback used to hide typos (see [Pool.default_jobs]). *)

@@ -39,12 +39,9 @@ type config = {
           used entries (by mtime) are trimmed on write; [None] means
           unbounded *)
   remote : string option;
-      (** hlid socket path; when set, every [With_hli] variant opens
-          its own server session and imports/queries/maintains HLI
-          over the wire instead of in-process.  A comma-separated list
-          ([--remote sock1,sock2,...]) is a sharded fleet: units hash
-          across the listed hlid instances behind the client-library
-          router (DESIGN.md §9) *)
+      (** hlid socket path; when set, the [With_hli] alias mode opens
+          one server session per compile and imports/queries/maintains
+          HLI over the wire instead of in-process *)
   pipeline : int;
       (** remote-session frame window ([--pipeline]); 1 = strict
           request/reply, >1 lets the client keep that many frames in
@@ -359,34 +356,16 @@ let frontend ?(config = default_config) ?src_file ?tm (src : string) :
         in
         { Driver.Pass.h_prog = prog; h_entries = entries; h_bytes }
 
-(* One hlid session for the duration of [f]: a plain client for one
-   socket, the client-library router over a comma-separated fleet
-   ([--remote sock1,sock2,...]).  [wire] is the HLI container the
-   session opens. *)
+(* One hlid session for the duration of [f].  [wire] is the HLI
+   container the session opens. *)
 let with_session config socket wire f =
-  match Remote.socket_list socket with
-  | [] | [ _ ] ->
-      let cl =
-        Hli_server.Client.connect ~pipeline:config.pipeline ~shm:config.shm
-          socket
-      in
-      Fun.protect
-        ~finally:(fun () -> Hli_server.Client.close cl)
-        (fun () ->
-          f
-            (Remote.hooks_of_client cl
-               (Hli_server.Client.open_hli_bytes cl wire)))
-  | socks ->
-      let rt =
-        Hli_server.Router.connect ~pipeline:config.pipeline ~shm:config.shm
-          socks
-      in
-      Fun.protect
-        ~finally:(fun () -> Hli_server.Router.close rt)
-        (fun () ->
-          f
-            (Remote.hooks_of_router rt
-               (Hli_server.Router.open_hli_bytes rt wire)))
+  let cl =
+    Hli_server.Client.connect ~pipeline:config.pipeline ~shm:config.shm socket
+  in
+  Fun.protect
+    ~finally:(fun () -> Hli_server.Client.close cl)
+    (fun () ->
+      f (Remote.hooks_of_client cl (Hli_server.Client.open_hli_bytes cl wire)))
 
 let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
     compiled =

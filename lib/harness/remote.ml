@@ -6,7 +6,6 @@
     and the server library stay independent of each other. *)
 
 module C = Hli_server.Client
-module R = Hli_server.Router
 
 (** Build pass-context hooks over an open client session.  [opened] is
     the unit list returned by the session's [open_hli_bytes]/[open_path]
@@ -46,51 +45,3 @@ let hooks_of_client (cl : C.t) (opened : (string * int list) list) :
           }
   in
   { Driver.Pass.remote_unit }
-
-(** Same bridge over a fleet session ([--remote sock1,sock2,...]):
-    every hook routes through the router, which shards by unit name,
-    propagates Refresh barriers as epochs, and fails over dead shards
-    with replayed state — the pass pipeline cannot tell a fleet from
-    one daemon. *)
-let hooks_of_router (rt : R.t) (opened : (string * int list) list) :
-    Driver.Pass.remote =
-  let remote_unit u =
-    match List.assoc_opt u opened with
-    | None -> None
-    | Some dups ->
-        Some
-          {
-            Driver.Pass.ru_source =
-              {
-                Backend.Hli_import.qs_equiv_acc =
-                  (fun a b -> R.equiv_acc rt ~u a b);
-                qs_equiv_prob = (fun a b -> R.equiv_prob rt ~u a b);
-                qs_call_acc = (fun ~call ~mem -> R.call_acc rt ~u ~call ~mem);
-                qs_region_of_item = (fun item -> R.region_of_item rt ~u item);
-              };
-            ru_maint =
-              {
-                Backend.Hli_import.mn_delete_item =
-                  (fun item -> R.notify_delete rt ~u item);
-                mn_gen_item =
-                  (fun ~like ~line -> R.notify_gen rt ~u ~like ~line);
-                mn_move_item_outward =
-                  (fun ~item ~target_rid ->
-                    R.notify_move rt ~u ~item ~target_rid);
-                mn_unroll =
-                  (fun ~rid ~factor -> R.notify_unroll rt ~u ~rid ~factor);
-                mn_hoist_target = (fun item -> R.hoist_target rt ~u item);
-              };
-            ru_refresh = (fun () -> R.refresh rt ~u);
-            ru_line_table = (fun () -> R.line_table rt u);
-            ru_dups = dups;
-          }
-  in
-  { Driver.Pass.remote_unit }
-
-(** Split a [--remote] argument: one socket is a plain hlid (or
-    process-mode router) session, a comma-separated list is a fleet
-    driven by the client-library router. *)
-let socket_list s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")

@@ -54,18 +54,9 @@ type t = {
   rd : P.reader;
   max_frame : int;
   timeout : float;
-  mutable version : int;
-      (** the session's negotiated protocol version — min(client,
-          server) from the Hello exchange.  Below 5 the v5 frames
-          (Q_prob) are not offered; calling {!equiv_prob} then raises
-          E1113 locally instead of tripping the server's fault path *)
   pipeline : int;  (** max in-flight frames; 1 = strict request/reply *)
   shm : bool;  (** shared-memory fast path requested *)
   mutable shm_dir : string option;  (** advertised by the server's Hello *)
-  mutable shards : string list;
-      (** the fleet's shard map from the server's Hello: socket paths
-          of the hlid instances units are sharded across, in ring
-          order; [] for a standalone daemon *)
   mutable shm_hash : string;  (** digest of the opened HLI2; "" = unknown *)
   shm_units : (string, shm_unit) Hashtbl.t;
   mutable shm_last_u : string;
@@ -167,7 +158,6 @@ let collect_one cl : P.answer list option =
       | E_results _, _ -> net_raise "E1105" "out-of-sequence reply to Batch")
 
 let in_flight cl = Queue.length cl.expect
-let shard_map cl = cl.shards
 
 (* drain every outstanding expectation (deferred acks and any
    leftover results); every reply-bearing operation starts here so
@@ -197,11 +187,9 @@ let connect ?(timeout = P.default_timeout) ?(max_frame = P.default_max_frame)
       rd = P.reader fd;
       max_frame;
       timeout;
-      version = P.protocol_version;
       pipeline;
       shm;
       shm_dir = None;
-      shards = [];
       shm_hash = "";
       shm_units = Hashtbl.create 8;
       shm_last_u = Bytes.unsafe_to_string (Bytes.create 0);
@@ -217,12 +205,7 @@ let connect ?(timeout = P.default_timeout) ?(max_frame = P.default_max_frame)
     }
   in
   (match rpc cl (P.Hello { version = P.protocol_version }) with
-  | P.R_hello { version; shm_dir; shards }
-    when version <= P.protocol_version && version >= P.min_protocol_version ->
-      (* downgrade negotiation: an older server answers with its own
-         version and the session runs at that level (no v5 frames) *)
-      cl.version <- version;
-      cl.shards <- shards;
+  | P.R_hello { version; shm_dir } when version = P.protocol_version ->
       if shm then cl.shm_dir <- shm_dir
   | P.R_hello { version; _ } ->
       net_raise "E1111" "protocol version mismatch: client %d, server %d"
@@ -429,59 +412,6 @@ let query_batches cl (batches : P.query list list) : P.answer list list =
     collect ()
   done;
   Array.to_list results
-
-(* Split train: put the whole train on the wire now, hand back a
-   closure that blocks for the replies.  The fleet router drives every
-   shard from one thread; sending all sub-trains before collecting any
-   lets the backend processes compute concurrently.  The send path
-   still drains replies that become readable between bursts, so
-   neither side can block on a full pipe. *)
-let query_batches_send cl (batches : P.query list list) :
-    unit -> P.answer list list =
-  drain cl;
-  let n = List.length batches in
-  let results = Array.make n [] in
-  let next = ref 0 in
-  let collect () =
-    (match collect_one cl with
-    | Some l -> results.(!next) <- l
-    | None -> net_raise "E1105" "out-of-sequence reply (ack for a Batch)");
-    incr next
-  in
-  let buf = Buffer.create 4096 in
-  let pending_exp = ref [] in
-  let flush_send () =
-    if Buffer.length buf > 0 then begin
-      while in_flight cl > 0 && P.readable cl.rd do
-        collect ()
-      done;
-      (match
-         P.write_all ~deadline:(P.now () +. cl.timeout) cl.fd
-           (Buffer.contents buf)
-       with
-      | () -> ()
-      | exception S.Corrupt c ->
-          raise (Diagnostics.Diagnostic (P.diagnostic_of_fault c)));
-      List.iter (fun e -> Queue.add e cl.expect) (List.rev !pending_exp);
-      pending_exp := [];
-      Buffer.clear buf
-    end
-  in
-  let group = max cl.pipeline 8 in
-  let k = ref 0 in
-  List.iter
-    (fun qs ->
-      P.encode_request_into buf (P.Batch qs);
-      pending_exp := E_results (List.length qs) :: !pending_exp;
-      incr k;
-      if !k mod group = 0 then flush_send ())
-    batches;
-  flush_send ();
-  fun () ->
-    while !next < n do
-      collect ()
-    done;
-    Array.to_list results
 
 let query_batch cl (qs : P.query list) : P.answer list =
   match query_batches cl [ qs ] with [ l ] -> l | _ -> assert false
@@ -700,16 +630,10 @@ let region_of_item cl ~u item =
       | P.A_region_of r -> r
       | _ -> net_raise "E1105" "answer kind mismatch (region_of)")
 
-let version cl = cl.version
-
 let equiv_prob cl ~u a b =
   (* probability queries stay on the wire in shm mode too: HLIX
      segments don't carry alias probability sections (yet), so the
      mapped image can't answer with a confidence *)
-  if cl.version < 5 then
-    net_raise "E1113"
-      "Q_prob not offered at negotiated protocol version %d (needs 5)"
-      cl.version;
   memoized cl.memo_prob (u, a, b) @@ fun () ->
   match rpc cl (P.Q_prob { u; pairs = [ (a, b) ] }) with
   | P.R_prob [ r ] -> r

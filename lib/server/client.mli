@@ -32,16 +32,10 @@ val connect :
     protocol, transparently falling back to the wire when the
     generation is odd or moved mid-read, the segment is missing or
     corrupt, or the unit has uncommitted maintenance (DESIGN.md §8).
-    Raises E1112 if the socket is unreachable, E1111 on a protocol
-    version mismatch, [Invalid_argument] if [pipeline < 1].
-
-    The handshake negotiates down: a server at an older (>= v4)
-    version is accepted and the session runs at that version; see
-    {!version} and {!equiv_prob}. *)
-
-val version : t -> int
-(** The session's negotiated protocol version (min of client and
-    server). *)
+    Raises E1112 if the socket is unreachable, E1111 if the server
+    answers the Hello at any version other than
+    {!Protocol.protocol_version}, [Invalid_argument] if
+    [pipeline < 1]. *)
 
 val close : t -> unit
 (** Drain in-flight replies, best-effort [Close] round-trip, then
@@ -53,11 +47,6 @@ val flush : t -> unit
 
 val pending : t -> int
 (** In-flight frames awaiting replies (0 unless pipelining). *)
-
-val shard_map : t -> string list
-(** The fleet's shard map from the server's Hello (v4): socket paths
-    of the hlid instances HLI units are sharded across, in ring
-    order.  [] when the peer is a standalone daemon. *)
 
 val open_hli_bytes : t -> string -> (string * int list) list
 (** Open an HLI2 container on the session, shipping as little as
@@ -92,16 +81,6 @@ val query_batches : t -> Protocol.query list list -> Protocol.answer list list
     Equivalent to mapping {!query_batch} but overlapping the wire
     round-trips. *)
 
-val query_batches_send :
-  t -> Protocol.query list list -> unit -> Protocol.answer list list
-(** {!query_batches} split in two: the call puts the whole train on
-    the wire (draining replies that become readable between bursts)
-    and returns a closure that blocks for the answers.  Lets one
-    thread keep several servers busy at once — the fleet router sends
-    every shard's sub-train before collecting from any shard.  No
-    other operation may run on this session between the send and the
-    collect. *)
-
 val equiv_acc : t -> u:string -> int -> int -> Hli_core.Query.equiv_result
 val alias : t -> u:string -> rid:int -> int -> int -> bool
 
@@ -120,12 +99,10 @@ val hoist_target : t -> u:string -> int -> int option
 
 val equiv_prob :
   t -> u:string -> int -> int -> Hli_core.Query.equiv_result * int
-(** Confidence-weighted equiv (v5): the engine's [get_equiv_prob] —
-    the equiv answer plus a per-mille confidence from the HLI3
-    probability sections.  Memoized like {!equiv_acc}; always answered
-    on the wire (HLIX segments don't carry alias probabilities).
-    Raises E1113 without touching the wire when the session was
-    negotiated below v5. *)
+(** Confidence-weighted equiv: the engine's [get_equiv_prob] — the
+    equiv answer plus a per-mille confidence from the HLI3 probability
+    sections.  Memoized like {!equiv_acc}; always answered on the wire
+    (HLIX segments don't carry alias probabilities). *)
 
 (** {2 Shared-memory fast path} *)
 

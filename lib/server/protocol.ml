@@ -18,7 +18,6 @@
     - E1109 timeout                  - E1110 connection closed
     - E1111 protocol version mismatch
     - E1112 socket setup failure
-    - E1113 frame known but not offered at the negotiated version
 
     The exchange is one response frame per request frame, answered
     {e strictly in request order} — which is what makes pipelining
@@ -32,30 +31,11 @@ module S = Hli_core.Serialize
 module T = Hli_core.Tables
 module Q = Hli_core.Query
 
-(* v2: R_hello advertises the session's shm segment directory and the
-   Shm_list/R_shm_list frame pair enumerates published HLIX segments
-   (the co-located shared-memory fast path).  v3: delta uploads — an
-   Open_delta frame references per-function entries by content hash
-   against the server's cross-session entry store, R_delta_need lists
-   the hashes the server lacks, and Delta_fill ships exactly those
-   payloads; a session re-opening an edited program uploads only the
-   entries that changed.  v4: R_hello carries the serving fleet's shard
-   map — the socket paths of the hlid instances units are sharded
-   across (empty for a standalone daemon) — so a client that lands on
-   a router can discover the backends.  v5: probabilistic queries —
-   the Q_prob/R_prob frame pair carries confidence-weighted equiv
-   answers ((result, per-mille) pairs from HLI3 probability sections).
-   v5 also introduces {e downgrade} negotiation: the server accepts
-   any client version >= 4 and replies with min(client, server), so a
-   v4 client keeps working unchanged (it simply is not offered
-   Q_prob; sending one anyway on a v4 session is a protocol fault,
-   E1113, distinct from an unknown tag).  Peers older than v4 are
-   rejected with E1111 as before — the version is checked first on
-   both ends. *)
-let protocol_version = 5
-
-(** Oldest peer version the v5 negotiation still serves. *)
-let min_protocol_version = 4
+(* Every peer builds from this tree, so there is one version and no
+   negotiation: a Hello at any other version is answered E1111.  Bump
+   it whenever a frame's layout changes (v6: R_hello carries only the
+   version and the shm directory). *)
+let protocol_version = 6
 
 (** Bound on a frame's payload length, checked {e before} the payload
     is read or allocated. *)
@@ -118,21 +98,12 @@ type request =
           listed order; only valid while its [Open_delta] is pending *)
   | Q_prob of { u : string; pairs : (int * int) list }
       (** confidence-weighted equiv: per item pair, the engine's
-          [get_equiv_prob] answer — (result, per-mille confidence).
-          v5 only; on a session negotiated at v4 this frame is a
-          protocol fault (E1113) *)
+          [get_equiv_prob] answer — (result, per-mille confidence) *)
 
 type response =
-  | R_hello of {
-      version : int;
-      shm_dir : string option;
-      shards : string list;
-    }
+  | R_hello of { version : int; shm_dir : string option }
       (** [shm_dir]: the per-session directory where the server
-          publishes HLIX segments, when the shm fast path is enabled.
-          [shards]: the fleet's shard map — socket paths of the hlid
-          instances HLI units are sharded across, in ring order; empty
-          when the peer is a standalone daemon (v4) *)
+          publishes HLIX segments, when the shm fast path is enabled *)
   | R_opened of (string * int list) list
       (** per opened unit: name and duplicate item ids *)
   | R_results of answer list
@@ -150,7 +121,7 @@ type response =
           server's store lacks; empty never occurs — a fully known
           delta open is answered with {!R_opened} directly *)
   | R_prob of (Q.equiv_result * int) list
-      (** positional answers to a {!Q_prob}'s pairs (v5) *)
+      (** positional answers to a {!Q_prob}'s pairs *)
   | R_error of { e_code : string; e_msg : string }
 
 (* ------------------------------------------------------------------ *)
@@ -338,10 +309,9 @@ let request_to_string (r : request) : string =
 let response_payload (r : response) : string =
   let buf = Buffer.create 64 in
   (match r with
-  | R_hello { version; shm_dir; shards } ->
+  | R_hello { version; shm_dir } ->
       S.put_varint buf version;
-      S.put_opt buf S.put_string shm_dir;
-      S.put_list buf S.put_string shards
+      S.put_opt buf S.put_string shm_dir
   | R_opened units ->
       S.put_list buf
         (fun b (name, dups) ->
@@ -541,8 +511,7 @@ let decode_response_payload tag cur : response =
   | 0x81 ->
       let version = S.get_varint cur in
       let shm_dir = S.get_opt cur S.get_string in
-      let shards = S.get_list cur S.get_string in
-      R_hello { version; shm_dir; shards }
+      R_hello { version; shm_dir }
   | 0x82 ->
       R_opened
         (S.get_list cur (fun cur ->
@@ -701,7 +670,7 @@ let response_of_string ?max_frame s : response =
 (* Socket I/O                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type 'a recv = Got of 'a | Idle | Closed
+type 'a recv = Got of 'a | Closed
 
 (* Deadline clock for every wire timeout: CLOCK_MONOTONIC, in seconds.
    Wall time (gettimeofday) steps under NTP, which would fire or starve
@@ -799,14 +768,13 @@ let rd_refill rd =
   | exception Unix.Unix_error (e, _, _) ->
       err "E1110" "read failed: %s" (Unix.error_message e)
 
-(* Receive one frame through [rd].  [idle_timeout], when given, bounds
-   only the wait for the {e first} byte of a frame and expiry yields
-   [Idle].  Once a frame has started (including pushed-back bytes from
-   a previous read), [timeout] bounds the whole frame and expiry raises
-   E1109.  EOF before the first byte is [Closed]; EOF mid-frame is
-   E1102. *)
+(* Receive one frame through [rd].  [timeout] bounds the wait for the
+   frame; once a frame has started (including pushed-back bytes from a
+   previous read) the budget restarts for the rest of it.  Expiry
+   raises E1109.  EOF before the first byte is [Closed]; EOF mid-frame
+   is E1102. *)
 let recv_with ~kind ~known decode ?(max_frame = default_max_frame)
-    ?idle_timeout ?(timeout = default_timeout) rd : 'a recv =
+    ?(timeout = default_timeout) rd : 'a recv =
   let try_parse () =
     match
       parse_frame ~max_frame ~kind ~known rd.rd_buf ~ofs:rd.rd_ofs
@@ -826,17 +794,10 @@ let recv_with ~kind ~known decode ?(max_frame = default_max_frame)
   | Some v -> Got v
   | None ->
       let started () = reader_buffered rd > 0 in
-      let budget =
-        if started () then timeout
-        else match idle_timeout with Some t -> t | None -> timeout
-      in
       let rec go deadline =
         if not (wait_readable rd.rd_fd deadline) then
           if started () then err "E1109" "timed out mid-frame reading a %s" kind
-          else
-            match idle_timeout with
-            | Some _ -> Idle
-            | None -> err "E1109" "timed out waiting for a %s frame" kind
+          else err "E1109" "timed out waiting for a %s frame" kind
         else begin
           let was_started = started () in
           match rd_refill rd with
@@ -849,19 +810,19 @@ let recv_with ~kind ~known decode ?(max_frame = default_max_frame)
               match try_parse () with
               | Some v -> Got v
               | None ->
-                  (* the first byte of a frame switches the budget from
-                     the idle wait to the per-frame [timeout] *)
+                  (* the first byte of a frame restarts the budget for
+                     the rest of the frame *)
                   let deadline =
                     if was_started then deadline else now () +. timeout
                   in
                   go deadline)
         end
       in
-      go (now () +. budget)
+      go (now () +. timeout)
 
-let recv_request ?max_frame ?idle_timeout ?timeout rd : request recv =
+let recv_request ?max_frame ?timeout rd : request recv =
   recv_with ~kind:"request" ~known:is_request_tag decode_request_at ?max_frame
-    ?idle_timeout ?timeout rd
+    ?timeout rd
 
 (** Clients have no idle state: EOF means the server went away
     (E1110), and a quiet line past [timeout] is E1109. *)
@@ -872,7 +833,6 @@ let recv_response ?max_frame ?timeout rd : response =
   with
   | Got r -> r
   | Closed -> err "E1110" "connection closed by server"
-  | Idle -> assert false (* no idle_timeout passed *)
 
 (* Write the whole frame, surviving partial writes, EINTR, and
    EAGAIN/0-byte writes on non-blocking fds: no progress means wait

@@ -10,13 +10,9 @@
     payload, E1109 timeout, E1110 connection closed. *)
 
 val protocol_version : int
-
-val min_protocol_version : int
-(** Oldest peer version the negotiation still serves: a client at
-    [min_protocol_version] or newer is answered with
-    [min(client, protocol_version)]; anything older is rejected with
-    E1111.  Frames a downgraded session was never offered (e.g.
-    [Q_prob] on a v4 session) are faulted with E1113. *)
+(** The one wire version.  Every peer builds from this tree, so there
+    is no negotiation: a [Hello] at any other version is answered
+    with E1111. *)
 
 val default_max_frame : int
 (** Default payload size bound (16 MiB), enforced before allocation. *)
@@ -71,20 +67,12 @@ type request =
           order; only valid while its [Open_delta] is pending *)
   | Q_prob of { u : string; pairs : (int * int) list }
       (** confidence-weighted equiv: per item pair, the engine's
-          [get_equiv_prob] answer.  v5 only — on a session negotiated
-          at v4 this frame is a protocol fault (E1113) *)
+          [get_equiv_prob] answer *)
 
 type response =
-  | R_hello of {
-      version : int;
-      shm_dir : string option;
-      shards : string list;
-    }
+  | R_hello of { version : int; shm_dir : string option }
       (** [shm_dir]: the per-session directory where the server
-          publishes HLIX segments, when the shm fast path is enabled.
-          [shards]: the fleet's shard map (v4) — socket paths of the
-          hlid instances units are sharded across, in ring order;
-          empty for a standalone daemon *)
+          publishes HLIX segments, when the shm fast path is enabled *)
   | R_opened of (string * int list) list
       (** per opened unit: name and duplicate item ids *)
   | R_results of answer list
@@ -102,7 +90,7 @@ type response =
           server's store lacks *)
   | R_prob of (Hli_core.Query.equiv_result * int) list
       (** positional answers to a [Q_prob]'s pairs: result and
-          per-mille confidence (v5) *)
+          per-mille confidence *)
   | R_error of { e_code : string; e_msg : string }
 
 (** {2 Pure frame codec} — used directly by the fuzz harness. *)
@@ -186,19 +174,14 @@ val readable : reader -> bool
 (** [true] iff a receive can make progress without blocking: surplus
     bytes are buffered, or the fd is readable right now. *)
 
-(** [Idle]: the optional [idle_timeout] expired before any byte of a
-    frame arrived.  [Closed]: EOF before any byte. *)
-type 'a recv = Got of 'a | Idle | Closed
+(** [Closed]: EOF before any byte of a frame. *)
+type 'a recv = Got of 'a | Closed
 
-val recv_request :
-  ?max_frame:int ->
-  ?idle_timeout:float ->
-  ?timeout:float ->
-  reader ->
-  request recv
-(** Blocking read of one request frame.  Once a frame has started,
-    [timeout] bounds the rest of it (expiry raises E1109, recomputed —
-    not restarted — across EINTR); EOF mid-frame raises E1102. *)
+val recv_request : ?max_frame:int -> ?timeout:float -> reader -> request recv
+(** Blocking read of one request frame.  [timeout] bounds the wait
+    for the frame and, once it has started, the rest of it (expiry
+    raises E1109, recomputed — not restarted — across EINTR); EOF
+    mid-frame raises E1102. *)
 
 val recv_response : ?max_frame:int -> ?timeout:float -> reader -> response
 (** Blocking read of one response frame.  EOF raises E1110; a quiet

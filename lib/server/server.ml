@@ -176,11 +176,6 @@ type conn = {
   mutable c_frame_since : float;
       (** when the first byte of the current partial frame arrived;
           0.0 = no partial frame pending *)
-  mutable c_version : int;
-      (** the session's negotiated protocol version — min(client,
-          server), set by the Hello handler.  Frames a downgraded
-          session was never offered (Q_prob below v5) are faulted
-          with E1113.  Worker-only. *)
   c_units : (string, unit_state) Hashtbl.t;  (** worker-only *)
   mutable c_delta : ((string * string) array * int list) option;
       (** pending [Open_delta] (the (name, hash) refs and the missing
@@ -459,29 +454,21 @@ let handle t (c : conn) (req : P.request) : P.response * bool =
   (match req with P.Delta_fill _ -> () | _ -> c.c_delta <- None);
   match req with
   | P.Hello { version } ->
-      if version < P.min_protocol_version then
+      (* one version, no negotiation: a peer built from another tree
+         is turned away before it can send a frame we might misread *)
+      if version <> P.protocol_version then
         ( P.R_error
             {
               e_code = "E1111";
               e_msg =
-                Printf.sprintf
-                  "protocol version mismatch: client %d, server %d (oldest \
-                   served: %d)"
-                  version P.protocol_version P.min_protocol_version;
+                Printf.sprintf "protocol version mismatch: client %d, server %d"
+                  version P.protocol_version;
             },
           false )
-      else begin
-        (* downgrade negotiation: serve the older of the two versions;
-           a v4 client simply is not offered the v5 frames *)
-        c.c_version <- min version P.protocol_version;
+      else
         ( P.R_hello
-            {
-              version = c.c_version;
-              shm_dir = session_shm_dir t c;
-              shards = [];
-            },
+            { version = P.protocol_version; shm_dir = session_shm_dir t c },
           true )
-      end
   | P.Open_hli bytes -> (open_container_bytes t c bytes, true)
   | P.Open_delta refs ->
       if Hashtbl.length units > 0 then
@@ -644,10 +631,6 @@ let handle t (c : conn) (req : P.request) : P.response * bool =
       in
       (P.R_shm_list segs, true)
   | P.Q_prob { u; pairs } ->
-      if c.c_version < 5 then
-        reply_error "E1113"
-          "Q_prob not offered at negotiated protocol version %d (needs 5)"
-          c.c_version;
       let us = find_unit units u in
       let answers =
         List.map (fun (a, b) -> Q.get_equiv_prob us.us_idx a b) pairs
@@ -977,7 +960,6 @@ let accept_loop t =
             c_ofs = 0;
             c_len = 0;
             c_frame_since = 0.0;
-            c_version = P.protocol_version;
             c_units = Hashtbl.create 8;
             c_delta = None;
             c_lock = Mutex.create ();

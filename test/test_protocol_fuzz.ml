@@ -123,22 +123,11 @@ let exemplar_requests : (string * P.request) list =
 
 let exemplar_responses : (string * P.response) list =
   [
-    ( "r_hello",
-      P.R_hello { version = P.protocol_version; shm_dir = None; shards = [] } );
+    ("r_hello", P.R_hello { version = P.protocol_version; shm_dir = None });
     ( "r_hello_shm",
       P.R_hello
-        {
-          version = P.protocol_version;
-          shm_dir = Some "/tmp/hlid-shm/sess-1";
-          shards = [];
-        } );
-    ( "r_hello_fleet",
-      P.R_hello
-        {
-          version = P.protocol_version;
-          shm_dir = None;
-          shards = [ "/tmp/hlid-0.sock"; "/tmp/hlid-1.sock"; "/tmp/hlid-2.sock" ];
-        } );
+        { version = P.protocol_version; shm_dir = Some "/tmp/hlid-shm/sess-1" }
+    );
     ("r_opened", P.R_opened [ ("u", [ 1; 2 ]); ("v", []) ]);
     ( "r_results",
       P.R_results
