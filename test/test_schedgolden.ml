@@ -6,9 +6,10 @@
    cover all 14 workloads under the paper configuration, with the
    cse,licm,unroll=4 optional passes and under the hli-only ablation,
    plus the two workloads that carry speculable edges at
-   [--speculate 1000].  The cse,licm,unroll=4 group runs a second time
-   with its HLI served over the wire (an hlid on its own domain,
-   pipeline 8), and each of those rows must equal the local line.
+   [--speculate 1000].  The cse,licm,unroll=4 and speculate=1000 groups
+   run a second time with their HLI served over the wire (an hlid on
+   its own domain, pipeline 8; speculation sends Q_prob frames), and
+   each of those rows must equal the local line.
    Nothing is simulated, so every row runs under runtest.
 
      test_schedgolden.exe           check every row
@@ -49,8 +50,8 @@ let groups =
       [ "034.mdljdp2"; "077.mdljsp2" ] );
   ]
 
-(* the group also compiled against an hlid *)
-let wire_group = "cse,licm,unroll=4"
+(* the groups also compiled against an hlid *)
+let wire_groups = [ "cse,licm,unroll=4"; "speculate=1000" ]
 
 let rtl_md5 (p : Backend.Rtl.program) =
   List.map (Fmt.str "%a@." Backend.Rtl.pp_fn) p.Backend.Rtl.fns
@@ -105,7 +106,7 @@ let cases ~socket =
     (fun (name, config, progs) ->
       List.map (case name name config) progs
       @
-      if name <> wire_group then []
+      if not (List.mem name wire_groups) then []
       else
         let remote = { config with P.remote = Some socket; pipeline = 8 } in
         List.map (case ("remote " ^ name) name remote) progs)
