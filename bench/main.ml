@@ -2183,7 +2183,8 @@ int main()
              let rtl = Backend.Lower.lower_program prog in
              ignore
                (Backend.Sched.schedule_program ~mode:Backend.Ddg.Gcc_only
-                  ~hli_of_fn:(fun _ -> None) ~md:Backend.Machdesc.r10000 rtl)));
+                  ~hli_of_fn:(fun _ -> None) ~mds:[ Backend.Machdesc.r10000 ]
+                  rtl)));
       Test.make ~name:"machine:r4600-sim-small"
         (Staged.stage (fun () ->
              ignore

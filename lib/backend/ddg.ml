@@ -44,9 +44,19 @@ let add_stats a b =
   a.spec_edges_dropped <- a.spec_edges_dropped + b.spec_edges_dropped;
   a.spec_checks <- a.spec_checks + b.spec_checks
 
+(** The latency of an edge that waits for its producer's result: a RAW
+    register edge, or a store-to-load edge.  {!Sched.schedule_block}
+    resolves it with {!Machdesc.latency} of the edge's source; every
+    other edge latency is a fixed cycle count (WAW 1, WAR 0; memory,
+    call, control and speculation-check edges 1), so the graph itself
+    does not depend on the machine. *)
+let producer = -1
+
 type graph = {
   insns : insn array;
-  preds : (int * int) list array;  (** (pred index, latency) per node *)
+  preds : (int * int) list array;
+      (** (pred index, latency) per node; the latency is {!producer} or
+          a fixed cycle count *)
   succs : (int * int) list array;
 }
 
@@ -128,7 +138,9 @@ let kind_of (i : insn) =
       K_plain
 
 (** Build the DDG of one block.  [stats] accumulates query counts across
-    blocks.
+    blocks.  The graph is the same for every machine: edges whose
+    latency is the producer's carry {!producer}, so one build serves
+    the schedules of both machines.
 
     [speculate] (a per-mille threshold, With_hli variants only) turns on
     speculative disambiguation: a store-to-load dependence whose HLI
@@ -140,26 +152,24 @@ let kind_of (i : insn) =
     (and the timing models charge [Machdesc.misspec_penalty]) when the
     addresses actually collide at run time.
 
-    Each instruction is classified and its latency computed once;
-    register dependences live in arrays indexed by register; and the
-    pairwise pass visits, for each [j], only the earlier [k] whose kinds
-    can make the pair dependent, in ascending [k].  The (j, k) order of
-    the GCC and HLI queries is therefore that of the full triangle. *)
+    Each instruction is classified once; register dependences live in
+    arrays indexed by register; and the pairwise pass visits, for each
+    [j], only the earlier [k] whose kinds can make the pair dependent,
+    in ascending [k].  The (j, k) order of the GCC and HLI queries is
+    therefore that of the full triangle. *)
 let build ~mode ?(combine_gcc = true) ?speculate
-    ~(hli : Hli_import.t option) ~(md : Machdesc.t) ~stats
-    (block_insns : insn list) : graph =
+    ~(hli : Hli_import.t option) ~stats (block_insns : insn list) : graph =
   let insns = Array.of_list block_insns in
   let n = Array.length insns in
-  let kind = Array.make n K_plain and lat = Array.make n 0 in
+  let kind = Array.make n K_plain in
   let uses = Array.make n [] and defs = Array.make n (-1) in
   let nregs = ref 0 in
   for j = 0 to n - 1 do
     let i = insns.(j) in
-    (* speculation marks are per-schedule: never inherit them from a
-       previous variant's build over the same RTL *)
+    (* the speculation marks are this build's decision: drop any an
+       earlier build over the same instructions left *)
     i.spec <- false;
     kind.(j) <- kind_of i;
-    lat.(j) <- Machdesc.latency md i;
     uses.(j) <- Rtl.uses i;
     nregs := List.fold_left (fun top r -> Int.max top (r + 1)) !nregs uses.(j);
     match def i with
@@ -183,7 +193,7 @@ let build ~mode ?(combine_gcc = true) ?speculate
     | [] -> ()
     | r :: rest ->
         let dj = last_def.(r) in
-        if dj >= 0 then add_edge dj j lat.(dj) (* RAW *);
+        if dj >= 0 then add_edge dj j producer (* RAW *);
         uses_since_def.(r) <- j :: uses_since_def.(r);
         read j rest
   in
@@ -235,7 +245,8 @@ let build ~mode ?(combine_gcc = true) ?speculate
     end
     else if dependent then
       (* a load waits for the store's latency, everything else 1 *)
-      add_edge k j (match (kind.(k), kind.(j)) with K_store, K_load -> lat.(k) | _ -> 1)
+      add_edge k j
+        (match (kind.(k), kind.(j)) with K_store, K_load -> producer | _ -> 1)
   in
   (* The earlier instructions each kind can depend on, in block order:
      a plain instruction only on [branches]; a load on [no_loads]

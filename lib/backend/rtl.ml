@@ -132,15 +132,6 @@ type program = {
 
 let find_fn p name = List.find_opt (fun f -> f.fname = name) p.fns
 
-(** A private copy of [p] for a pass that rewrites it in place: fresh
-    functions, blocks and instruction records, sharing only immutable
-    parts. *)
-let copy_program p =
-  let copy_insn i = { i with uid = i.uid } in
-  let copy_block b = { b with insns = List.map copy_insn b.insns } in
-  let copy_fn f = { f with blocks = Array.map copy_block f.blocks } in
-  { p with fns = List.map copy_fn p.fns }
-
 (* ------------------------------------------------------------------ *)
 (* Instruction properties                                              *)
 (* ------------------------------------------------------------------ *)

@@ -3,24 +3,30 @@
     Schedules each block independently — the paper notes GCC's scheduler
     is "limited to basic blocks" — using critical-path-first list
     scheduling over the {!Ddg} graph, with the target machine's
-    latencies.  The output is a new instruction order per block; the
-    timing simulators then measure what that order costs on each
-    machine. *)
+    latencies.  The graph does not depend on the machine, so each block's
+    is built once and scheduled for every machine.  The output is a new
+    instruction order per block and machine; the timing simulators then
+    measure what that order costs. *)
 
 open Rtl
+
+(* The cycles an edge out of a node whose own latency is [lat] makes
+   its successor wait. *)
+let edge_latency lat l = if l = Ddg.producer then lat else l
 
 (* critical-path priority: longest latency path from node to any sink.
    DDG edges always run forward in block order, so one backward sweep
    sets every successor's priority before its predecessors'. *)
-let priorities (g : Ddg.graph) (md : Machdesc.t) : int array =
+let priorities (g : Ddg.graph) (lat : int array) : int array =
   let n = Array.length g.Ddg.insns in
   let prio = Array.make n 0 in
-  let rec longest acc = function
+  let rec longest lj acc = function
     | [] -> acc
-    | (succ, lat) :: rest -> longest (Int.max acc (lat + prio.(succ))) rest
+    | (succ, l) :: rest ->
+        longest lj (Int.max acc (edge_latency lj l + prio.(succ))) rest
   in
   for j = n - 1 downto 0 do
-    prio.(j) <- Machdesc.latency md g.Ddg.insns.(j) + longest 0 g.Ddg.succs.(j)
+    prio.(j) <- lat.(j) + longest lat.(j) 0 g.Ddg.succs.(j)
   done;
   prio
 
@@ -67,10 +73,12 @@ let pop q =
     even over a 0-latency edge.  Ready nodes stay in [ready] until they
     issue, and cycles with nothing ready are skipped.  Both heaps hold
     node [j] as one int key, [major * n + j]: the earliest cycle in
-    [pending], the priority rank [top - prio.(j)] in [ready]. *)
+    [pending], the priority rank [top - prio.(j)] in [ready].  Edges
+    that wait for their producer take its {!Machdesc.latency} on [md]. *)
 let schedule_block ~(md : Machdesc.t) (g : Ddg.graph) : insn list =
   let n = Array.length g.Ddg.insns in
-  let prio = priorities g md in
+  let lat = Array.map (Machdesc.latency md) g.Ddg.insns in
+  let prio = priorities g lat in
   let top = Array.fold_left Int.max 0 prio in
   let unscheduled_preds = Array.map List.length g.Ddg.preds in
   (* earliest cycle each node may issue, updated as preds schedule *)
@@ -83,14 +91,15 @@ let schedule_block ~(md : Machdesc.t) (g : Ddg.graph) : insn list =
   let order = ref [] in
   let cycle = ref 0 in
   let remaining = ref n in
-  let rec release = function
+  let rec release lj = function
     | [] -> ()
-    | (succ, lat) :: rest ->
+    | (succ, l) :: rest ->
         unscheduled_preds.(succ) <- unscheduled_preds.(succ) - 1;
-        earliest.(succ) <- Int.max earliest.(succ) (!cycle + lat);
+        earliest.(succ) <-
+          Int.max earliest.(succ) (!cycle + edge_latency lj l);
         if unscheduled_preds.(succ) = 0 then
           push pending ((earliest.(succ) * n) + succ);
-        release rest
+        release lj rest
   in
   while !remaining > 0 do
     if ready.size = 0 then cycle := Int.max !cycle (pending.keys.(0) / n);
@@ -103,31 +112,42 @@ let schedule_block ~(md : Machdesc.t) (g : Ddg.graph) : insn list =
       incr issued;
       decr remaining;
       order := j :: !order;
-      release g.Ddg.succs.(j)
+      release lat.(j) g.Ddg.succs.(j)
     done;
     incr cycle
   done;
   List.rev_map (fun j -> g.Ddg.insns.(j)) !order
 
-(** Schedule every block of a function in place, building DDGs in the
-    given mode and accumulating query statistics. *)
-let schedule_fn ~mode ?(combine_gcc = true) ?speculate ~hli ~(md : Machdesc.t)
-    ~(stats : Ddg.stats) (fn : fn) : unit =
-  Array.iter
-    (fun (b : block) ->
-      let g = Ddg.build ~mode ~combine_gcc ?speculate ~hli ~md ~stats b.insns in
-      b.insns <- schedule_block ~md g)
-    fn.blocks
+(** Schedule [p] for every machine of [mds], block by block: each
+    block's DDG is built once, in the given alias mode, and
+    list-scheduled for every machine before the next block is built, so
+    only one block's graph is alive at a time.  The GCC and HLI queries,
+    their statistics and the speculation marks ([speculate] is the
+    per-mille threshold, see {!Ddg.build}) are therefore one machine's
+    worth.
 
-(** Schedule a whole program; returns the accumulated statistics.
-    [speculate] is the per-mille speculation threshold (see
-    {!Ddg.build}). *)
+    Returns one program per machine, in [mds] order, and the query
+    statistics.  Each program has fresh function and block records that
+    share [p]'s instruction records; [p]'s blocks keep their order.
+    Nothing writes an instruction record after the build, so the
+    sharing is safe. *)
 let schedule_program ~mode ?(combine_gcc = true) ?speculate ~hli_of_fn
-    ~(md : Machdesc.t) (p : program) : Ddg.stats =
+    ~(mds : Machdesc.t list) (p : program) : program list * Ddg.stats =
   let stats = Ddg.fresh_stats () in
-  List.iter
-    (fun fn ->
-      schedule_fn ~mode ~combine_gcc ?speculate ~hli:(hli_of_fn fn.fname) ~md
-        ~stats fn)
-    p.fns;
-  stats
+  let schedule_fn (fn : fn) =
+    let hli = hli_of_fn fn.fname in
+    let blocks = List.map (fun _ -> Array.copy fn.blocks) mds in
+    Array.iteri
+      (fun k (b : block) ->
+        let g = Ddg.build ~mode ~combine_gcc ?speculate ~hli ~stats b.insns in
+        List.iter2
+          (fun md bs -> bs.(k) <- { b with insns = schedule_block ~md g })
+          mds blocks)
+      fn.blocks;
+    List.map (fun bs -> { fn with blocks = bs }) blocks
+  in
+  let fns = List.map schedule_fn p.fns in
+  ( List.mapi
+      (fun m _ -> { p with fns = List.map (fun fs -> List.nth fs m) fns })
+      mds,
+    stats )

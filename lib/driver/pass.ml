@@ -7,8 +7,8 @@
     Source --parse_typecheck--> Tast --analysis--> Analyzed
            --tblconst--> Hli --serialize--> Hli
            --lower--> Mapped --hli_import--> Mapped
-           --cse/licm/unroll--> Mapped --ddg_schedule--> Scheduled
-           --simulate--> Simulated
+           --cse/licm/unroll--> Mapped --ddg_schedule--> Schedules
+    Scheduled (one of the Schedules) --simulate--> Simulated
     v}
 
     Stages are a GADT so a pipeline is checked — statically where the
@@ -55,12 +55,17 @@ type scheduled = {
   s_notes : note list;
 }
 
+(** One alias mode's schedules, one per machine of {!Variant.machines},
+    in that order. *)
+type schedules = (Variant.machine * scheduled) list
+
 type _ stage =
   | Source : source stage
   | Tast : Srclang.Tast.program stage
   | Analyzed : analyzed stage
   | Hli : hli stage
   | Mapped : mapped stage
+  | Schedules : schedules stage
   | Scheduled : scheduled stage
   | Simulated : Machine.Simulate.report stage
 
@@ -70,6 +75,7 @@ let stage_name : type a. a stage -> string = function
   | Analyzed -> "analyzed"
   | Hli -> "hli"
   | Mapped -> "mapped"
+  | Schedules -> "schedules"
   | Scheduled -> "scheduled"
   | Simulated -> "simulated"
 
@@ -83,6 +89,7 @@ let stage_eq : type a b. a stage -> b stage -> (a, b) eq option =
   | Analyzed, Analyzed -> Some Eq
   | Hli, Hli -> Some Eq
   | Mapped, Mapped -> Some Eq
+  | Schedules, Schedules -> Some Eq
   | Scheduled, Scheduled -> Some Eq
   | Simulated, Simulated -> Some Eq
   | _ -> None
@@ -109,25 +116,25 @@ type remote = { remote_unit : string -> remote_unit option }
     telemetry hook — the harness supplies [Telemetry.span], so the
     driver layer never depends on the harness.
 
-    The variant is split in two because the back end is: everything
-    before [ddg_schedule] depends on the alias mode only and runs once
-    per mode, then [ddg_schedule] (and [simulate]) run once per
-    machine.  A context without a machine is the shared prefix's, so a
-    prefix pass that starts reading the machine fails ({!the_machine})
-    instead of having its result silently shared by both machines. *)
+    The variant is split in two because the back end is: everything up
+    to and including [ddg_schedule] runs once per alias mode, in a
+    context without a machine ([ddg_schedule] builds each block's DDG
+    once and list-schedules it for every machine), and only [simulate]
+    runs once per variant.  A pass of the shared prefix that starts
+    reading the machine fails ({!the_machine}) instead of having its
+    result silently shared by both machines. *)
 type ctx = {
   span : spanf;
   alias : Backend.Ddg.mode option;
       (** [None] while running the alias-independent front end *)
   machine : Variant.machine option;
       (** [None] in the front end and in the machine-independent
-          back-end prefix *)
+          back end, [ddg_schedule] included *)
   ablation : Variant.ablation;
   fuel : int;  (** simulation fuel budget *)
   remote : remote option;
-      (** when set, the [With_hli] prefix imports/queries/maintains HLI
-          over a hlid session instead of in-process indexes, and both
-          machines schedule against the same session *)
+      (** when set, the [With_hli] back end imports/queries/maintains
+          HLI over a hlid session instead of in-process indexes *)
 }
 
 and spanf = { spanf : 'a. string -> (unit -> 'a) -> 'a }
@@ -144,10 +151,6 @@ let ctx ?(spanf = no_span) ?variant ?alias ?(ablation = Variant.baseline)
   let machine = Option.map (fun v -> v.Variant.machine) variant in
   { span = spanf; alias; machine; ablation; fuel; remote }
 
-(** The same context on machine [m]: a prefix context's per-machine
-    continuation. *)
-let on_machine c m = { c with machine = Some m }
-
 let no_context what =
   Diagnostics.error ~code:"E1010" ~phase:Diagnostics.Driver
     "%s-dependent pass run without %s context" what what
@@ -158,8 +161,8 @@ let no_context what =
 let the_alias c =
   match c.alias with Some a -> a | None -> no_context "alias"
 
-(** The machine of a per-machine context; raises the same diagnostic
-    in the front end and in the shared back-end prefix. *)
+(** The machine of a per-variant context; raises the same diagnostic
+    in the front end and in the shared back end. *)
 let the_machine c =
   match c.machine with Some m -> m | None -> no_context "machine"
 

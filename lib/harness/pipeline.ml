@@ -5,20 +5,21 @@
     (parse/typecheck → analysis → TBLCONST → serialize) runs once; the
     machine-independent back-end prefix (lower → [hli_import] →
     optional passes) runs once per alias mode; and [ddg_schedule] runs
-    once per machine over its mode's prefix, giving every variant of
-    {!Driver.Variant.matrix}.  With a {!Pool} the two alias modes build
-    concurrently; each mode's schedules run in turn on the domain that
-    built its prefix.  Each pass is automatically wrapped in its
-    derived telemetry span.
+    once per alias mode too, in the prefix's context: it builds each
+    block's DDG once and list-schedules it for every machine, giving
+    every variant of {!Driver.Variant.matrix}.  With a {!Pool} the two
+    alias modes build and schedule concurrently, each on its own
+    domain.  Each pass is automatically wrapped in its derived
+    telemetry span.
 
-    Sharing the prefix is sound because nothing in it can tell the
-    machines apart: its context carries the alias mode but no machine
-    (a prefix pass asking for one fails with E1010), so both machines
-    would have computed the same RTL, HLI entries and indexes.  The
-    scheduler is the one pass that writes RTL, and it rewrites a
-    private copy; the HLI it reads is final once the prefix ends (its
-    queries only fill the memo, or, with [remote], hit the one session
-    both machines share).
+    Sharing the prefix and the DDG is sound because neither can tell
+    the machines apart: their context carries the alias mode but no
+    machine (a pass asking for one fails with E1010), and DDG edges
+    carry either a fixed latency or "the producer's", which each
+    machine's list scheduler resolves.  The HLI the build queries is
+    final once the prefix ends.  Each machine's program gets fresh
+    function and block records over the prefix's instruction records,
+    which nothing writes after the build.
 
     Errors are {!Diagnostics.Diagnostic} values throughout — the table
     harness turns them into annotated partial rows, [bin/hlic] renders
@@ -134,7 +135,7 @@ let rec mkdir_p dir =
    evicts least-recently-used entries rather than oldest-written.
    Counted per function into the workload's telemetry record
    ([hli_cache_hits]/[hli_cache_misses], surfaced by --stats and the
-   hli-telemetry-v7 JSON dump). *)
+   hli-telemetry-v8 JSON dump). *)
 let cache_lookup ?tm dir ~ablation ~unit_name fp =
   let path = cache_path dir ~ablation fp in
   match
@@ -372,21 +373,15 @@ let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
   let spanf = spanf ?tm () in
   let h = frontend ~config ?src_file ?tm src in
   let hli = { Hli_core.Tables.entries = h.Driver.Pass.h_entries } in
-  (* one alias mode: its prefix, then each machine's schedule in turn
-     on this domain, sharing the prefix's memoized indexes or session *)
+  (* one alias mode: its prefix, then one DDG build per block scheduled
+     for every machine *)
   let backend alias =
     let run ?remote () =
       let ctx =
         Driver.Pass.ctx ~spanf ~alias ~ablation:config.ablation ?remote ()
       in
-      let m = Driver.Pass_manager.run_prefix ctx config.specs h in
-      List.map
-        (fun machine ->
-          ( { Driver.Variant.alias; machine },
-            Driver.Pass_manager.run_schedule
-              (Driver.Pass.on_machine ctx machine)
-              m ))
-        Driver.Variant.machines
+      Driver.Pass_manager.(run_schedule ctx (run_prefix ctx config.specs h))
+      |> List.map (fun (machine, s) -> ({ Driver.Variant.alias; machine }, s))
     in
     match (config.remote, alias) with
     | Some socket, Backend.Ddg.With_hli ->

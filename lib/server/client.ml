@@ -103,7 +103,7 @@ let shm_stats () =
     segment_bytes = Atomic.get sc_bytes;
   }
 
-(* canonical rendering of the telemetry "shm" object (hli-telemetry-v7) *)
+(* canonical rendering of the telemetry "shm" object (hli-telemetry-v8) *)
 let shm_stats_json () =
   let s = shm_stats () in
   Printf.sprintf

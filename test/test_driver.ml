@@ -1,10 +1,11 @@
 (* Driver-layer tests: --passes spec parsing and round-tripping, the
    registry and its derived telemetry span names, pipeline ordering /
    stage-chain validation, the shape of a compile (one back-end prefix
-   per alias mode, one schedule per machine, E1010 when a prefix
-   context is asked for its machine), and a golden check that the default
-   pipeline's Table 1/2 output is byte-identical to the output recorded
-   before the pass-manager refactor (test/golden_tables.txt). *)
+   and one DDG build per alias mode, scheduled for both machines, each
+   dependence pair queried once, E1010 when a prefix context is asked
+   for its machine), and a golden check that the default pipeline's
+   Table 1/2 output is byte-identical to the output recorded before the
+   pass-manager refactor (test/golden_tables.txt). *)
 
 let diag_code f =
   match f () with
@@ -139,17 +140,19 @@ let pipeline_tests =
     check_code "a prefix context asking for the machine is E1010" "E1010"
       (fun () ->
         Driver.Pass.the_machine (Driver.Pass.ctx ~alias:Backend.Ddg.With_hli ()));
-    check_code "scheduling in a prefix context is E1010" "E1010" (fun () ->
+    check_code "simulating in a prefix context is E1010" "E1010" (fun () ->
         let ctx = Driver.Pass.ctx ~alias:Backend.Ddg.With_hli () in
         let h =
           Driver.Pass_manager.run_frontend ctx
             { Driver.Pass.src = "int main() { return 0; }"; src_file = None }
         in
-        Driver.Pass_manager.(run_schedule ctx (run_prefix ctx [] h)));
+        Driver.Pass_manager.(
+          List.map (fun (_, s) -> simulate ctx s)
+            (run_schedule ctx (run_prefix ctx [] h))));
     Alcotest.test_case "the back-end prefix runs once per alias mode" `Quick
       (fun () ->
-        (* lower and the optional passes once per alias mode, the HLI
-           import once (With_hli only), the scheduler once per variant *)
+        (* lower, the optional passes and the scheduler once per alias
+           mode, the HLI import once (With_hli only) *)
         let tm = Harness.Telemetry.create () in
         let w = Option.get (Workloads.Registry.find "wc") in
         ignore
@@ -169,8 +172,28 @@ let pipeline_tests =
             ("backend.cse", 2);
             ("backend.licm", 2);
             ("backend.unroll", 2);
-            ("backend.ddg_schedule", 4);
+            ("backend.ddg_schedule", 2);
           ]);
+    Alcotest.test_case "each dependence pair is queried once per alias mode"
+      `Quick (fun () ->
+        (* every pair of mapped memory references the With_hli build
+           counts in Table 2 asks the HLI exactly once, not once per
+           machine *)
+        let equiv_acc () =
+          List.assoc "equiv_acc" (Hli_core.Query.query_counters ())
+        in
+        List.iter
+          (fun w ->
+            let before = equiv_acc () in
+            let c =
+              Harness.Pipeline.compile
+                ~config:{ Harness.Pipeline.default_config with hli_cache = None }
+                w.Workloads.Workload.source
+            in
+            Alcotest.(check int) w.Workloads.Workload.name
+              c.Harness.Pipeline.stats.Backend.Ddg.total
+              (equiv_acc () - before))
+          Workloads.Registry.all);
     Alcotest.test_case "diagnostics carry the source file name" `Quick
       (fun () ->
         let ctx = Driver.Pass.ctx () in

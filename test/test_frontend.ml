@@ -106,8 +106,12 @@ let compile_both src =
           Some (Backend.Hli_import.map_unit e fn)
       | None -> None
     in
-    let stats = Backend.Sched.schedule_program ~mode ~hli_of_fn ~md:Backend.Machdesc.r10000 rtl in
-    (rtl, stats)
+    match
+      Backend.Sched.schedule_program ~mode ~hli_of_fn
+        ~mds:[ Backend.Machdesc.r10000 ] rtl
+    with
+    | [ rtl ], stats -> (rtl, stats)
+    | _ -> assert false
   in
   (make_rtl Backend.Ddg.Gcc_only, make_rtl Backend.Ddg.With_hli)
 
