@@ -75,51 +75,23 @@ let memory_pinned ~hli (loop_body : insn list) (ld : insn) (m : mem) : bool =
 
 (* Destination register is a pure expression temporary within the loop:
    defined exactly once, and every use lies in the defining block after
-   the definition. *)
+   the definition.  One pass over the body: a use of [d] before [cand]
+   has been seen in its block is a use outside the defining block or
+   before the definition (uids are unique within a function, so [cand]
+   sits in one block). *)
 let temp_like (fn : fn) (body_bids : int list) (cand : insn) (d : reg) : bool =
-  let def_count =
-    List.fold_left
-      (fun acc bid ->
-        if bid < Array.length fn.blocks then
-          acc
-          + List.length
-              (List.filter (fun j -> def j = Some d) fn.blocks.(bid).insns)
-        else acc)
-      0 body_bids
-  in
-  def_count = 1
-  && List.for_all
-       (fun bid ->
-         if bid >= Array.length fn.blocks then true
-         else begin
-           let seen_def = ref false in
-           let ok = ref true in
-           List.iter
-             (fun (j : insn) ->
-               if j.uid = cand.uid then seen_def := true
-               else if List.mem d (uses j) && not !seen_def then ok := false)
-             fn.blocks.(bid).insns;
-           (* a use before the def in the defining block, or any use in a
-              block without the def, fails unless the def was seen *)
-           !ok
-           || not (List.exists (fun (j : insn) -> j.uid = cand.uid) fn.blocks.(bid).insns)
-              && not (List.exists (fun (j : insn) -> List.mem d (uses j)) fn.blocks.(bid).insns)
-         end)
-       body_bids
-  &&
-  (* uses only in the defining block *)
-  let def_bid =
-    List.find
-      (fun bid ->
-        bid < Array.length fn.blocks
-        && List.exists (fun (j : insn) -> j.uid = cand.uid) fn.blocks.(bid).insns)
-      body_bids
+  let defs = ref 0 in
+  let rec scan seen = function
+    | [] -> true
+    | (j : insn) :: rest ->
+        (match def j with Some r when r = d -> incr defs | _ -> ());
+        if j.uid = cand.uid then scan true rest
+        else !defs <= 1 && (seen || not (List.mem d (uses j))) && scan seen rest
   in
   List.for_all
-    (fun bid ->
-      bid = def_bid || bid >= Array.length fn.blocks
-      || not (List.exists (fun (j : insn) -> List.mem d (uses j)) fn.blocks.(bid).insns))
+    (fun bid -> bid >= Array.length fn.blocks || scan false fn.blocks.(bid).insns)
     body_bids
+  && !defs = 1
 
 (** Hoist invariant code of every loop of [fn] into its preheader,
     innermost-first.  [maintain] moves the HLI items of hoisted loads
