@@ -57,7 +57,7 @@ let () =
   let fn = Option.get (Backend.Rtl.find_fn rtl "recur") in
   ignore (Backend.Hli_import.map_unit entry fn);
   let mt = Hli_core.Maintain.start entry in
-  let stats =
+  let fn, stats =
     Backend.Unroll.run_fn
       ~maintain:(Backend.Hli_import.local_maint mt)
       ~factor:4 fn
@@ -73,8 +73,7 @@ let () =
       rtl with
       Backend.Rtl.fns =
         List.map
-          (fun f ->
-            if f.Backend.Rtl.fname = "recur" then Backend.Unroll.refresh f else f)
+          (fun f -> if f.Backend.Rtl.fname = "recur" then fn else f)
           rtl.Backend.Rtl.fns;
     }
   in

@@ -99,24 +99,50 @@ let candidates (fn : fn) : candidate list =
       | _ -> None)
     fn.loops
 
-(** Unroll every eligible innermost loop of [fn] by [factor].  Only
-    loops whose trip count divides evenly are transformed (no
-    preconditioning loop is emitted).  Returns statistics; [maintain]
-    keeps the HLI consistent and supplies fresh item ids for the
-    duplicated references. *)
-let run_fn ?maintain ~factor (fn : fn) : stats =
+(* Register classes of [fn] widened to [nregs] registers: the lowering's
+   classes, then three sweeps over the definitions (propagating through
+   copies) that classify the registers the copies added.  The sweeps
+   re-infer every defined register, so they also mark an FP comparison's
+   integer result Rflt where lowering said Rint (048.ora's trace_ray has
+   one).  They are kept as they are so unrolled programs simulate as
+   before. *)
+let widened_classes (fn : fn) nregs =
+  let classes = Array.make nregs Rint in
+  Array.blit fn.vreg_class 0 classes 0 fn.vreg_count;
+  for _pass = 1 to 3 do
+    Array.iter
+      (fun b ->
+        List.iter
+          (fun (i : insn) ->
+            match (i.desc, def i) with
+            | (Falu _ | Cvt_i2f _), Some d -> classes.(d) <- Rflt
+            | Cvt_f2i _, Some d -> classes.(d) <- Rint
+            | Load (_, m), Some d -> classes.(d) <- m.mclass
+            | Li (_, Fimm _), Some d -> classes.(d) <- Rflt
+            | Li (_, Reg s), Some d -> classes.(d) <- classes.(s)
+            | Alu _, Some d -> classes.(d) <- Rint
+            | _ -> ())
+          b.insns)
+      fn.blocks
+  done;
+  classes
+
+(** Unroll every eligible innermost loop of [fn] by [factor], editing
+    its blocks in place.  Only loops whose trip count divides evenly are
+    transformed (no preconditioning loop is emitted).  Returns [fn] with
+    register tables widened to the registers the copies added (the
+    record fields are immutable; [fn] itself when nothing was unrolled)
+    and statistics; [maintain] keeps the HLI consistent and supplies
+    fresh item ids for the duplicated references. *)
+let run_fn ?maintain ~factor (fn : fn) : fn * stats =
   let stats = fresh_stats () in
-  if factor < 2 then stats
-  else begin
-    let next_uid =
-      ref
-        (Array.fold_left
-           (fun acc b ->
-             List.fold_left (fun a (i : insn) -> max a i.uid) acc b.insns)
-           0 fn.blocks
-        + 1)
-    in
-    let next_reg = ref fn.vreg_count in
+  let next_uid = ref 0 and next_reg = ref fn.vreg_count in
+  let fresh r =
+    let v = !r in
+    incr r;
+    v
+  in
+  if factor >= 2 then
     List.iter
       (fun c ->
         if c.c_trip mod factor = 0 then begin
@@ -124,6 +150,13 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
           match find_iv_update body.insns with
           | None -> ()
           | Some (iv, step, uid_add, uid_mov) ->
+              if stats.unrolled = 0 then
+                next_uid :=
+                  1
+                  + Array.fold_left
+                      (fun acc b ->
+                        List.fold_left (fun a (i : insn) -> max a i.uid) acc b.insns)
+                      0 fn.blocks;
               stats.unrolled <- stats.unrolled + 1;
               (* HLI-side duplication first: gives us per-copy item ids *)
               let item_copies =
@@ -180,8 +213,7 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
                 else begin
                   stats.copies_made <- stats.copies_made + 1;
                   let rename : (reg, reg) Hashtbl.t = Hashtbl.create 16 in
-                  let iv_k = !next_reg in
-                  incr next_reg;
+                  let iv_k = fresh next_reg in
                   let map_use r =
                     if r = iv then iv_k
                     else Option.value ~default:r (Hashtbl.find_opt rename r)
@@ -189,8 +221,7 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
                   let map_def r =
                     if Hashtbl.mem carried r then r
                     else begin
-                      let nr = !next_reg in
-                      incr next_reg;
+                      let nr = fresh next_reg in
                       Hashtbl.replace rename r nr;
                       nr
                     end
@@ -211,10 +242,7 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
                   in
                   let iv_init =
                     {
-                      uid =
-                        (let u = !next_uid in
-                         incr next_uid;
-                         u);
+                      uid = fresh next_uid;
                       desc = Alu (Add, iv_k, Reg iv, Imm (k * step));
                       line = 0;
                       item = None;
@@ -224,11 +252,7 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
                   iv_init
                   :: List.map
                        (fun (i : insn) ->
-                         let uid =
-                           let u = !next_uid in
-                           incr next_uid;
-                           u
-                         in
+                         let uid = fresh next_uid in
                          let item =
                            match i.item with
                            | Some it -> item_copy it k
@@ -268,10 +292,7 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
               let copies = List.concat (List.init factor copy_of) in
               let new_step =
                 {
-                  uid =
-                    (let u = !next_uid in
-                     incr next_uid;
-                     u);
+                  uid = fresh next_uid;
                   desc = Alu (Add, iv, Reg iv, Imm (factor * step));
                   line = 0;
                   item = None;
@@ -281,44 +302,7 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
               body.insns <- copies @ [ new_step ] @ terminator
         end)
       (candidates fn);
-    ignore !next_reg;
-    stats
-  end
-
-(** Unrolling adds virtual registers; produce an [fn] with widened
-    register tables (the record fields are immutable). *)
-let refresh (fn : fn) : fn =
-  let max_reg =
-    Array.fold_left
-      (fun acc b ->
-        List.fold_left
-          (fun a (i : insn) ->
-            let m1 = List.fold_left max a (uses i) in
-            match def i with Some d -> max m1 d | None -> m1)
-          acc b.insns)
-      (fn.vreg_count - 1) fn.blocks
-  in
-  if max_reg < fn.vreg_count then fn
-  else begin
-    let classes = Array.make (max_reg + 1) Rint in
-    Array.blit fn.vreg_class 0 classes 0 fn.vreg_count;
-    (* infer classes of new registers from defs, iterating to propagate
-       through copies *)
-    for _pass = 1 to 3 do
-      Array.iter
-        (fun b ->
-          List.iter
-            (fun (i : insn) ->
-              match (i.desc, def i) with
-              | (Falu _ | Cvt_i2f _), Some d -> classes.(d) <- Rflt
-              | Cvt_f2i _, Some d -> classes.(d) <- Rint
-              | Load (_, m), Some d -> classes.(d) <- m.mclass
-              | Li (_, Fimm _), Some d -> classes.(d) <- Rflt
-              | Li (_, Reg s), Some d when s <= max_reg -> classes.(d) <- classes.(s)
-              | Alu _, Some d -> classes.(d) <- Rint
-              | _ -> ())
-            b.insns)
-        fn.blocks
-    done;
-    { fn with vreg_count = max_reg + 1; vreg_class = classes }
-  end
+  if stats.unrolled = 0 then (fn, stats)
+  else
+    ( { fn with vreg_count = !next_reg; vreg_class = widened_classes fn !next_reg },
+      stats )

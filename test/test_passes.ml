@@ -178,8 +178,85 @@ int main()
 }
 |}
 
+(* [Unroll.refresh] as it was, run after every unroll: rescan the
+   function for its highest register, then infer the widened classes
+   from definitions in three sweeps. *)
+module Old_unroll = struct
+  open Backend.Rtl
+
+  let refresh (fn : fn) : fn =
+    let max_reg =
+      Array.fold_left
+        (fun acc b ->
+          List.fold_left
+            (fun a (i : insn) ->
+              let m1 = List.fold_left max a (uses i) in
+              match def i with Some d -> max m1 d | None -> m1)
+            acc b.insns)
+        (fn.vreg_count - 1) fn.blocks
+    in
+    if max_reg < fn.vreg_count then fn
+    else begin
+      let classes = Array.make (max_reg + 1) Rint in
+      Array.blit fn.vreg_class 0 classes 0 fn.vreg_count;
+      (* infer classes of new registers from defs, iterating to propagate
+         through copies *)
+      for _pass = 1 to 3 do
+        Array.iter
+          (fun b ->
+            List.iter
+              (fun (i : insn) ->
+                match (i.desc, def i) with
+                | (Falu _ | Cvt_i2f _), Some d -> classes.(d) <- Rflt
+                | Cvt_f2i _, Some d -> classes.(d) <- Rint
+                | Load (_, m), Some d -> classes.(d) <- m.mclass
+                | Li (_, Fimm _), Some d -> classes.(d) <- Rflt
+                | Li (_, Reg s), Some d when s <= max_reg -> classes.(d) <- classes.(s)
+                | Alu _, Some d -> classes.(d) <- Rint
+                | _ -> ())
+              b.insns)
+          fn.blocks
+      done;
+      { fn with vreg_count = max_reg + 1; vreg_class = classes }
+    end
+end
+
+(* the registers [Unroll.run_fn] adds, against the rescan, on every
+   workload after cse,licm in each alias mode *)
+let widen_test =
+  Alcotest.test_case "widened registers = rescan-and-infer, 14 workloads"
+    `Quick (fun () ->
+      List.iter
+        (fun (w : Workloads.Workload.t) ->
+          let h =
+            Harness.Pipeline.frontend
+              ~config:{ Harness.Pipeline.default_config with hli_cache = None }
+              w.Workloads.Workload.source
+          in
+          List.iter
+            (fun alias ->
+              let ctx = Driver.Pass.ctx ~alias () in
+              let m =
+                Driver.Pass_manager.(run_prefix ctx (parse_specs "cse,licm") h)
+              in
+              List.iter
+                (fun (fn : Backend.Rtl.fn) ->
+                  let widened, _ = Backend.Unroll.run_fn ~factor:4 fn in
+                  (* [fn]'s blocks were unrolled in place; its register
+                     fields are still the lowering's *)
+                  let old = Old_unroll.refresh fn in
+                  let name = w.Workloads.Workload.name ^ " " ^ fn.Backend.Rtl.fname in
+                  Alcotest.(check int) (name ^ " vreg_count")
+                    old.Backend.Rtl.vreg_count widened.Backend.Rtl.vreg_count;
+                  Alcotest.(check bool) (name ^ " vreg_class") true
+                    (old.Backend.Rtl.vreg_class = widened.Backend.Rtl.vreg_class))
+                m.Driver.Pass.m_rtl.Backend.Rtl.fns)
+            Driver.Variant.aliases)
+        Workloads.Registry.all)
+
 let unroll_tests =
   [
+    widen_test;
     Alcotest.test_case "unroll preserves semantics, cuts overhead" `Quick
       (fun () ->
         let prog, _ = setup unroll_src in
@@ -190,9 +267,9 @@ let unroll_tests =
         let fns =
           List.map
             (fun fn ->
-              let s = Backend.Unroll.run_fn ~factor:4 fn in
+              let fn, s = Backend.Unroll.run_fn ~factor:4 fn in
               stats := !stats + s.Backend.Unroll.unrolled;
-              Backend.Unroll.refresh fn)
+              fn)
             rtl.Backend.Rtl.fns
         in
         let rtl = { rtl with Backend.Rtl.fns = fns } in
@@ -209,9 +286,7 @@ let unroll_tests =
         let rtl = Backend.Lower.lower_program prog in
         let fns =
           List.map
-            (fun fn ->
-              ignore (Backend.Unroll.run_fn ~factor:2 fn);
-              Backend.Unroll.refresh fn)
+            (fun fn -> fst (Backend.Unroll.run_fn ~factor:2 fn))
             rtl.Backend.Rtl.fns
         in
         let rtl = { rtl with Backend.Rtl.fns = fns } in
@@ -227,7 +302,7 @@ let unroll_tests =
         let total = ref 0 in
         List.iter
           (fun fn ->
-            let s = Backend.Unroll.run_fn ~factor:4 fn in
+            let _, s = Backend.Unroll.run_fn ~factor:4 fn in
             total := !total + s.Backend.Unroll.unrolled)
           rtl.Backend.Rtl.fns;
         Alcotest.(check int) "nothing unrolled" 0 !total;
