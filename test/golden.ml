@@ -1,6 +1,7 @@
-(* Golden files shared by test_simgolden and test_schedgolden: one row
-   per line, the first two space-separated fields naming the
-   configuration and the program; blank and '#' lines are skipped. *)
+(* Golden files shared by test_simgolden, test_schedgolden and
+   test_hligolden: one row per line, the first two space-separated
+   fields naming the configuration and the program; blank and '#'
+   lines are skipped. *)
 
 let read file =
   let ic = open_in_bin file in
