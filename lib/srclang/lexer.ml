@@ -19,18 +19,22 @@ type state = {
 
 let make src = { src; pos = 0; line = 1; col = 1 }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
+
+(* The character at [pos] (or [pos + 1]), or NUL past the end: callers
+   test [at_end] wherever the end differs from a NUL in the source. *)
+let peek st = if at_end st then '\000' else st.src.[st.pos]
 
 let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+  if st.pos + 1 < String.length st.src then st.src.[st.pos + 1] else '\000'
 
+(* only ever called on a character of the source *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+  if st.src.[st.pos] = '\n' then begin
+    st.line <- st.line + 1;
+    st.col <- 1
+  end
+  else st.col <- st.col + 1;
   st.pos <- st.pos + 1
 
 let loc st = Loc.make ~line:st.line ~col:st.col
@@ -41,39 +45,35 @@ let is_ident_char c = is_ident_start c || is_digit c
 
 let rec skip_ws_and_comments st =
   match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | ' ' | '\t' | '\r' | '\n' ->
       advance st;
       skip_ws_and_comments st
-  | Some '/' -> (
+  | '/' -> (
       match peek2 st with
-      | Some '/' ->
-          let rec to_eol () =
-            match peek st with
-            | Some '\n' | None -> ()
-            | Some _ ->
-                advance st;
-                to_eol ()
-          in
-          to_eol ();
+      | '/' ->
+          while not (at_end st || peek st = '\n') do
+            advance st
+          done;
           skip_ws_and_comments st
-      | Some '*' ->
+      | '*' ->
           let start = loc st in
           advance st;
           advance st;
           let rec to_close () =
-            match (peek st, peek2 st) with
-            | Some '*', Some '/' ->
-                advance st;
-                advance st
-            | None, _ -> err start "unterminated comment"
-            | Some _, _ ->
-                advance st;
-                to_close ()
+            if at_end st then err start "unterminated comment"
+            else if peek st = '*' && peek2 st = '/' then begin
+              advance st;
+              advance st
+            end
+            else begin
+              advance st;
+              to_close ()
+            end
           in
           to_close ();
           skip_ws_and_comments st
-      | Some _ | None -> ())
-  | Some _ | None -> ()
+      | _ -> ())
+  | _ -> ()
 
 let keyword_of_ident = function
   | "int" -> Some Token.KW_INT
@@ -89,33 +89,22 @@ let keyword_of_ident = function
 let lex_number st =
   let start = st.pos in
   let start_loc = loc st in
-  let rec digits () =
-    match peek st with
-    | Some c when is_digit c ->
-        advance st;
-        digits ()
-    | _ -> ()
+  let digits () =
+    while is_digit (peek st) do
+      advance st
+    done
   in
   digits ();
-  let is_float =
-    match (peek st, peek2 st) with
-    | Some '.', Some c when is_digit c -> true
-    | Some '.', (Some _ | None) -> true
-    | Some ('e' | 'E'), _ -> true
-    | _ -> false
-  in
+  let is_float = match peek st with '.' | 'e' | 'E' -> true | _ -> false in
   if is_float then begin
+    if peek st = '.' then begin
+      advance st;
+      digits ()
+    end;
     (match peek st with
-    | Some '.' ->
+    | 'e' | 'E' ->
         advance st;
-        digits ()
-    | _ -> ());
-    (match peek st with
-    | Some ('e' | 'E') ->
-        advance st;
-        (match peek st with
-        | Some ('+' | '-') -> advance st
-        | _ -> ());
+        (match peek st with '+' | '-' -> advance st | _ -> ());
         digits ()
     | _ -> ());
     let text = String.sub st.src start (st.pos - start) in
@@ -131,14 +120,9 @@ let lex_number st =
 
 let lex_ident st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_ident_char c ->
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
+  while is_ident_char (peek st) do
+    advance st
+  done;
   let text = String.sub st.src start (st.pos - start) in
   match keyword_of_ident text with Some kw -> kw | None -> Token.IDENT text
 
@@ -155,30 +139,30 @@ let lex_op st c =
     tok
   in
   match (c, peek2 st) with
-  | '+', Some '+' -> two Token.PLUS_PLUS
-  | '+', Some '=' -> two Token.PLUS_ASSIGN
+  | '+', '+' -> two Token.PLUS_PLUS
+  | '+', '=' -> two Token.PLUS_ASSIGN
   | '+', _ -> one Token.PLUS
-  | '-', Some '-' -> two Token.MINUS_MINUS
-  | '-', Some '=' -> two Token.MINUS_ASSIGN
+  | '-', '-' -> two Token.MINUS_MINUS
+  | '-', '=' -> two Token.MINUS_ASSIGN
   | '-', _ -> one Token.MINUS
-  | '*', Some '=' -> two Token.STAR_ASSIGN
+  | '*', '=' -> two Token.STAR_ASSIGN
   | '*', _ -> one Token.STAR
-  | '/', Some '=' -> two Token.SLASH_ASSIGN
+  | '/', '=' -> two Token.SLASH_ASSIGN
   | '/', _ -> one Token.SLASH
   | '%', _ -> one Token.PERCENT
-  | '<', Some '=' -> two Token.LE
-  | '<', Some '<' -> two Token.SHL
+  | '<', '=' -> two Token.LE
+  | '<', '<' -> two Token.SHL
   | '<', _ -> one Token.LT
-  | '>', Some '=' -> two Token.GE
-  | '>', Some '>' -> two Token.SHR
+  | '>', '=' -> two Token.GE
+  | '>', '>' -> two Token.SHR
   | '>', _ -> one Token.GT
-  | '=', Some '=' -> two Token.EQ
+  | '=', '=' -> two Token.EQ
   | '=', _ -> one Token.ASSIGN
-  | '!', Some '=' -> two Token.NE
+  | '!', '=' -> two Token.NE
   | '!', _ -> one Token.BANG
-  | '&', Some '&' -> two Token.AMP_AMP
+  | '&', '&' -> two Token.AMP_AMP
   | '&', _ -> one Token.AMP
-  | '|', Some '|' -> two Token.BAR_BAR
+  | '|', '|' -> two Token.BAR_BAR
   | '|', _ -> one Token.BAR
   | '^', _ -> one Token.CARET
   | '~', _ -> one Token.TILDE
@@ -195,11 +179,12 @@ let lex_op st c =
 let next_token st =
   skip_ws_and_comments st;
   let l = loc st in
-  match peek st with
-  | None -> (Token.EOF, l)
-  | Some c when is_digit c -> (lex_number st, l)
-  | Some c when is_ident_start c -> (lex_ident st, l)
-  | Some c -> (lex_op st c, l)
+  if at_end st then (Token.EOF, l)
+  else
+    let c = peek st in
+    if is_digit c then (lex_number st, l)
+    else if is_ident_start c then (lex_ident st, l)
+    else (lex_op st c, l)
 
 (** Tokenize the whole input.  The trailing [EOF] token is included. *)
 let tokenize src =

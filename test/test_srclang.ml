@@ -33,6 +33,268 @@ let lexer_tests =
         | _ -> Alcotest.fail "expected a lex diagnostic");
   ]
 
+(* The lexer before it stopped allocating a [char option] per peek: the
+   new one must give the same tokens, locations and diagnostics. *)
+module Old_lexer = struct
+  (* lexical errors are structured diagnostics, code E0101 *)
+  let err (l : Loc.t) fmt =
+    Diagnostics.error ~line:l.Loc.line ~col:l.Loc.col ~code:"E0101"
+      ~phase:Diagnostics.Lex fmt
+
+  type state = {
+    src : string;
+    mutable pos : int;
+    mutable line : int;
+    mutable col : int;
+  }
+
+  let make src = { src; pos = 0; line = 1; col = 1 }
+
+  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+
+  let peek2 st =
+    if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+
+  let advance st =
+    (match peek st with
+    | Some '\n' ->
+        st.line <- st.line + 1;
+        st.col <- 1
+    | Some _ -> st.col <- st.col + 1
+    | None -> ());
+    st.pos <- st.pos + 1
+
+  let loc st = Loc.make ~line:st.line ~col:st.col
+
+  let is_digit c = c >= '0' && c <= '9'
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident_char c = is_ident_start c || is_digit c
+
+  let rec skip_ws_and_comments st =
+    match peek st with
+    | Some (' ' | '\t' | '\r' | '\n') ->
+        advance st;
+        skip_ws_and_comments st
+    | Some '/' -> (
+        match peek2 st with
+        | Some '/' ->
+            let rec to_eol () =
+              match peek st with
+              | Some '\n' | None -> ()
+              | Some _ ->
+                  advance st;
+                  to_eol ()
+            in
+            to_eol ();
+            skip_ws_and_comments st
+        | Some '*' ->
+            let start = loc st in
+            advance st;
+            advance st;
+            let rec to_close () =
+              match (peek st, peek2 st) with
+              | Some '*', Some '/' ->
+                  advance st;
+                  advance st
+              | None, _ -> err start "unterminated comment"
+              | Some _, _ ->
+                  advance st;
+                  to_close ()
+            in
+            to_close ();
+            skip_ws_and_comments st
+        | Some _ | None -> ())
+    | Some _ | None -> ()
+
+  let keyword_of_ident = function
+    | "int" -> Some Token.KW_INT
+    | "double" -> Some Token.KW_DOUBLE
+    | "void" -> Some Token.KW_VOID
+    | "if" -> Some Token.KW_IF
+    | "else" -> Some Token.KW_ELSE
+    | "while" -> Some Token.KW_WHILE
+    | "for" -> Some Token.KW_FOR
+    | "return" -> Some Token.KW_RETURN
+    | _ -> None
+
+  let lex_number st =
+    let start = st.pos in
+    let start_loc = loc st in
+    let rec digits () =
+      match peek st with
+      | Some c when is_digit c ->
+          advance st;
+          digits ()
+      | _ -> ()
+    in
+    digits ();
+    let is_float =
+      match (peek st, peek2 st) with
+      | Some '.', Some c when is_digit c -> true
+      | Some '.', (Some _ | None) -> true
+      | Some ('e' | 'E'), _ -> true
+      | _ -> false
+    in
+    if is_float then begin
+      (match peek st with
+      | Some '.' ->
+          advance st;
+          digits ()
+      | _ -> ());
+      (match peek st with
+      | Some ('e' | 'E') ->
+          advance st;
+          (match peek st with
+          | Some ('+' | '-') -> advance st
+          | _ -> ());
+          digits ()
+      | _ -> ());
+      let text = String.sub st.src start (st.pos - start) in
+      match float_of_string_opt text with
+      | Some f -> Token.FLOAT_LIT f
+      | None -> err start_loc "bad float literal %s" text
+    end
+    else
+      let text = String.sub st.src start (st.pos - start) in
+      match int_of_string_opt text with
+      | Some n -> Token.INT_LIT n
+      | None -> err start_loc "bad int literal %s" text
+
+  let lex_ident st =
+    let start = st.pos in
+    let rec go () =
+      match peek st with
+      | Some c when is_ident_char c ->
+          advance st;
+          go ()
+      | _ -> ()
+    in
+    go ();
+    let text = String.sub st.src start (st.pos - start) in
+    match keyword_of_ident text with Some kw -> kw | None -> Token.IDENT text
+
+  (* Operators and punctuation; longest match first. *)
+  let lex_op st c =
+    let l = loc st in
+    let two tok =
+      advance st;
+      advance st;
+      tok
+    in
+    let one tok =
+      advance st;
+      tok
+    in
+    match (c, peek2 st) with
+    | '+', Some '+' -> two Token.PLUS_PLUS
+    | '+', Some '=' -> two Token.PLUS_ASSIGN
+    | '+', _ -> one Token.PLUS
+    | '-', Some '-' -> two Token.MINUS_MINUS
+    | '-', Some '=' -> two Token.MINUS_ASSIGN
+    | '-', _ -> one Token.MINUS
+    | '*', Some '=' -> two Token.STAR_ASSIGN
+    | '*', _ -> one Token.STAR
+    | '/', Some '=' -> two Token.SLASH_ASSIGN
+    | '/', _ -> one Token.SLASH
+    | '%', _ -> one Token.PERCENT
+    | '<', Some '=' -> two Token.LE
+    | '<', Some '<' -> two Token.SHL
+    | '<', _ -> one Token.LT
+    | '>', Some '=' -> two Token.GE
+    | '>', Some '>' -> two Token.SHR
+    | '>', _ -> one Token.GT
+    | '=', Some '=' -> two Token.EQ
+    | '=', _ -> one Token.ASSIGN
+    | '!', Some '=' -> two Token.NE
+    | '!', _ -> one Token.BANG
+    | '&', Some '&' -> two Token.AMP_AMP
+    | '&', _ -> one Token.AMP
+    | '|', Some '|' -> two Token.BAR_BAR
+    | '|', _ -> one Token.BAR
+    | '^', _ -> one Token.CARET
+    | '~', _ -> one Token.TILDE
+    | '(', _ -> one Token.LPAREN
+    | ')', _ -> one Token.RPAREN
+    | '{', _ -> one Token.LBRACE
+    | '}', _ -> one Token.RBRACE
+    | '[', _ -> one Token.LBRACKET
+    | ']', _ -> one Token.RBRACKET
+    | ';', _ -> one Token.SEMI
+    | ',', _ -> one Token.COMMA
+    | _ -> err l "unexpected character %C" c
+
+  let next_token st =
+    skip_ws_and_comments st;
+    let l = loc st in
+    match peek st with
+    | None -> (Token.EOF, l)
+    | Some c when is_digit c -> (lex_number st, l)
+    | Some c when is_ident_start c -> (lex_ident st, l)
+    | Some c -> (lex_op st c, l)
+
+  (** Tokenize the whole input.  The trailing [EOF] token is included. *)
+  let tokenize src =
+    let st = make src in
+    let rec go acc =
+      let tok, l = next_token st in
+      let acc = (tok, l) :: acc in
+      match tok with Token.EOF -> List.rev acc | _ -> go acc
+    in
+    go []
+end
+
+let lex_result tokenize src =
+  match tokenize src with
+  | toks -> Ok toks
+  | exception Diagnostics.Diagnostic d -> Error d
+
+let same_as_old_lexer src =
+  lex_result Lexer.tokenize src = lex_result Old_lexer.tokenize src
+
+(* Byte strings built from the fragments where the two lexers could part:
+   NUL inside and outside comments, unterminated comments, a slash at
+   the end, and number prefixes ending early. *)
+let gen_lex_bytes =
+  QCheck.Gen.(
+    let fragment =
+      frequency
+        [
+          ( 6,
+            oneofl
+              [ "\000"; "/"; "*"; "/*"; "*/"; "//"; "\n"; " "; "\t"; "\r"; "1"; "1.";
+                "1e"; "1e+"; "1e-"; "."; "e"; "+"; "-"; "="; "<"; ">"; "&"; "|"; "!";
+                "x"; "_"; "9"; "["; ";"; "@" ] );
+          (1, map (String.make 1) char);
+        ]
+    in
+    list_size (int_range 0 12) fragment >|= String.concat "")
+
+let lexer_oracle_tests =
+  [
+    Alcotest.test_case "workloads lex as before" `Quick (fun () ->
+        List.iter
+          (fun w ->
+            let name = w.Workloads.Workload.name and src = w.Workloads.Workload.source in
+            Alcotest.(check bool) name true (same_as_old_lexer src);
+            (* every 11th prefix, so the input also ends inside tokens
+               and comments *)
+            for k = 0 to String.length src / 11 do
+              if not (same_as_old_lexer (String.sub src 0 (11 * k))) then
+                Alcotest.failf "%s: prefix of %d bytes" name (11 * k)
+            done)
+          Workloads.Registry.all);
+    Alcotest.test_case "edge inputs lex as before" `Quick (fun () ->
+        List.iter
+          (fun src ->
+            Alcotest.(check bool) (String.escaped src) true (same_as_old_lexer src))
+          [ ""; "\000"; "a\000b"; "/* \000 */ x"; "// \000\nx"; "/* oops"; "/*"; "/* *";
+            "/"; "x /"; "1."; "1e"; "1e+"; "1.e"; "1.5e-"; "12abc";
+            "99999999999999999999" ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:5000 ~name:"random bytes lex as before"
+         (QCheck.make ~print:String.escaped gen_lex_bytes) same_as_old_lexer);
+  ]
+
 let pp_expr ppf (e : Ast.expr) =
   let rec go ppf (e : Ast.expr) =
     match e.Ast.edesc with
@@ -204,6 +466,7 @@ let () =
   Alcotest.run "srclang"
     [
       ("lexer", lexer_tests);
+      ("lexer-oracle", lexer_oracle_tests);
       ("parser", parser_tests);
       ("typecheck", typecheck_tests);
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_parse_total ]);
