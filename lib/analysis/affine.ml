@@ -115,27 +115,32 @@ and map2 f a b =
   | Some fa, Some fb -> Some (f fa fb)
   | _ -> None
 
-let pp ppf t =
-  if is_const t then Fmt.int ppf t.const
+(** Append the printed form to [b]: the constant first when non-zero,
+    then each term as [v], [-v] or [c*v], signed after the first, with
+    [v] printed as {!Symbol.pp} does ([name#id]). *)
+let add_to_buffer b t =
+  if is_const t then Buffer.add_string b (string_of_int t.const)
   else begin
-    let first = ref true in
-    if t.const <> 0 then begin
-      Fmt.int ppf t.const;
-      first := false
-    end;
-    List.iter
-      (fun (v, c) ->
-        if !first then begin
-          first := false;
-          if c = 1 then Symbol.pp ppf v
-          else if c = -1 then Fmt.pf ppf "-%a" Symbol.pp v
-          else Fmt.pf ppf "%d*%a" c Symbol.pp v
-        end
-        else if c = 1 then Fmt.pf ppf "+%a" Symbol.pp v
-        else if c = -1 then Fmt.pf ppf "-%a" Symbol.pp v
-        else if c > 0 then Fmt.pf ppf "+%d*%a" c Symbol.pp v
-        else Fmt.pf ppf "%d*%a" c Symbol.pp v)
+    if t.const <> 0 then Buffer.add_string b (string_of_int t.const);
+    List.iteri
+      (fun n (v, c) ->
+        let first = n = 0 && t.const = 0 in
+        if c = 1 then (if not first then Buffer.add_char b '+')
+        else if c = -1 then Buffer.add_char b '-'
+        else begin
+          if c > 0 && not first then Buffer.add_char b '+';
+          Buffer.add_string b (string_of_int c);
+          Buffer.add_char b '*'
+        end;
+        Buffer.add_string b v.Symbol.name;
+        Buffer.add_char b '#';
+        Buffer.add_string b (string_of_int v.Symbol.id))
       t.terms
   end
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 16 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Fmt.string ppf (to_string t)

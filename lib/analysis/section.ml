@@ -113,13 +113,27 @@ let same a b =
            da db
   | Whole, Dims _ | Dims _, Whole -> false
 
-let pp_bound ppf = function
-  | None -> Fmt.string ppf "?"
-  | Some f -> Affine.pp ppf f
-
-let pp ppf = function
-  | Whole -> Fmt.string ppf "<whole>"
+(** Append the printed form to [b]: [<whole>], or [\[lo..hi\]] per
+    dimension with [?] for an unknown bound. *)
+let add_to_buffer b = function
+  | Whole -> Buffer.add_string b "<whole>"
   | Dims dims ->
-      List.iter (fun d -> Fmt.pf ppf "[%a..%a]" pp_bound d.lo pp_bound d.hi) dims
+      let add_bound = function
+        | None -> Buffer.add_char b '?'
+        | Some f -> Affine.add_to_buffer b f
+      in
+      List.iter
+        (fun d ->
+          Buffer.add_char b '[';
+          add_bound d.lo;
+          Buffer.add_string b "..";
+          add_bound d.hi;
+          Buffer.add_char b ']')
+        dims
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 32 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Fmt.string ppf (to_string t)

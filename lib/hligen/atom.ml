@@ -44,7 +44,10 @@ type t = {
   reprs : Frontir.Access.t list;
       (** representative raw accesses; non-empty only for atoms built
           from immediate items, enabling exact dependence distances *)
-  desc : string;
+  desc_section : Section.t option;
+      (** what the class description prints after the space name: the
+          section the atom was made with, or [None] for the bare name.
+          {!desc} prints it once, when TBLCONST emits the class. *)
 }
 
 (** Section of one access: point sections from affine subscripts,
@@ -73,12 +76,24 @@ let desc_of_space space =
   | Space_sym s -> s.Symbol.name
   | Space_ptr p -> "*" ^ p.Symbol.name
   | Space_any -> "*?"
-  | Space_abi_out i -> Printf.sprintf "argout%d" i
-  | Space_abi_in i -> Printf.sprintf "argin%d" i
+  | Space_abi_out i -> "argout" ^ string_of_int i
+  | Space_abi_in i -> "argin" ^ string_of_int i
 
+(** The class description: the space name, then the description
+    section if there is one. *)
+let desc (t : t) =
+  match t.desc_section with
+  | None -> desc_of_space t.space
+  | Some sec ->
+      let b = Buffer.create 32 in
+      Buffer.add_string b (desc_of_space t.space);
+      Section.add_to_buffer b sec;
+      Buffer.contents b
+
+(* An item atom describes every subscripted access by its section, so a
+   non-affine subscript prints [x<whole>]; only a scalar prints bare. *)
 let of_item (item : Frontir.Itemgen.item) (a : Frontir.Access.t) : t =
   let section = section_of_access a in
-  let scalar = a.Frontir.Access.subscripts = [] in
   {
     members = [ Hli_core.Tables.Member_item item.Frontir.Itemgen.id ];
     space = space_of_access a;
@@ -87,9 +102,8 @@ let of_item (item : Frontir.Itemgen.item) (a : Frontir.Access.t) : t =
     has_load = not a.Frontir.Access.is_store;
     has_store = a.Frontir.Access.is_store;
     reprs = [ a ];
-    desc =
-      (if scalar then desc_of_space (space_of_access a)
-       else Fmt.str "%s%a" (desc_of_space (space_of_access a)) Section.pp section);
+    desc_section =
+      (if a.Frontir.Access.subscripts = [] then None else Some section);
   }
 
 (** Can two atoms of the same space be proven to touch the same

@@ -110,12 +110,7 @@ let loop_ctx_of_region (r : Frontir.Region.t) : Deptest.loop_ctx option =
           Some
             (Deptest.loop_ctx ~inner_ivars ~ivar:iv
                ?lower:(aff li.Frontir.Region.lower)
-               ?upper:
-                 (match aff li.Frontir.Region.upper with
-                 | Some u when not li.Frontir.Region.inclusive ->
-                     (* normalize to inclusive upper bound for trip count *)
-                     Some u
-                 | u -> u)
+               ?upper:(aff li.Frontir.Region.upper)
                ~inclusive:li.Frontir.Region.inclusive
                ?step:li.Frontir.Region.step ()))
 
@@ -123,7 +118,8 @@ let loop_ctx_of_region (r : Frontir.Region.t) : Deptest.loop_ctx option =
 (* Class formation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Merge atom [b] into [a] (same location). *)
+(* Merge atom [b] into [a] (same location); the result keeps [a]'s
+   description. *)
 let merge_atoms (a : Atom.t) (b : Atom.t) ~kind : Atom.t =
   {
     a with
@@ -137,6 +133,10 @@ let merge_atoms (a : Atom.t) (b : Atom.t) ~kind : Atom.t =
 
 let weaken k1 k2 =
   match (k1, k2) with T.Definitely, T.Definitely -> T.Definitely | _ -> T.Maybe
+
+(* Description section of a merged or widened atom: unlike an item
+   atom's, a [Whole] section prints as the bare space name. *)
+let desc_section = function Section.Whole -> None | sec -> Some sec
 
 (* Group atoms into classes: same-space atoms merge when provably the
    same location. *)
@@ -172,13 +172,8 @@ let merge_per_space (atoms : Atom.t list) : Atom.t list =
                 | _ -> T.Maybe
               in
               let merged = merge_atoms c atom ~kind in
-              let desc =
-                match merged.Atom.section with
-                | Section.Whole -> Atom.desc_of_space merged.Atom.space
-                | sec ->
-                    Fmt.str "%s%a" (Atom.desc_of_space merged.Atom.space) Section.pp sec
-              in
-              { merged with desc } :: rest
+              { merged with desc_section = desc_section merged.Atom.section }
+              :: rest
             end
             else c :: place rest
       in
@@ -216,31 +211,24 @@ let space_overlap_prob (ctx : context) (a : Atom.t) (b : Atom.t) : int option =
   | Atom.Space_any, _ | _, Atom.Space_any -> Some Pointsto.universe_prob
   | _ -> None
 
-(* Per-mille likelihood attached to an alias pair (the HLI3 probability
-   section): points-to cardinality evidence for cross-space pairs;
-   same-space pairs that are provably the same location get certainty,
-   other same-space pairs carry no estimate (subscript overlap is not a
+(* The alias-table entry of two classes, [None] when they cannot touch
+   a common location within one iteration.  Its per-mille likelihood
+   (the HLI3 probability section) is points-to cardinality evidence for
+   cross-space pairs (whose sections are not comparable); same-space
+   pairs that are provably the same location get certainty, other
+   same-space pairs carry no estimate (subscript overlap is not a
    cardinality question). *)
-let alias_prob ~invariant ctx (a : Atom.t) (b : Atom.t) : int option =
-  if Atom.space_equal a.Atom.space b.Atom.space then begin
-    match Atom.same_location ~invariant a b with
-    | Deptest.Same -> Some 1000
-    | Deptest.Different | Deptest.Maybe_same -> None
-  end
-  else space_overlap_prob ctx a b
-
-(* May two classes touch a common location within one iteration? *)
-let may_alias ~invariant ctx (a : Atom.t) (b : Atom.t) : bool =
-  if not (spaces_may_overlap ctx a.Atom.space b.Atom.space) then false
+let alias_entry ~invariant ctx (ida, (a : Atom.t)) (idb, (b : Atom.t)) :
+    T.alias_entry option =
+  let entry alias_prob = Some { T.alias_classes = [ ida; idb ]; alias_prob } in
+  if not (spaces_may_overlap ctx a.Atom.space b.Atom.space) then None
   else if Atom.space_equal a.Atom.space b.Atom.space then begin
     match Atom.same_location ~invariant a b with
-    | Deptest.Different -> false
-    | Deptest.Same | Deptest.Maybe_same -> true
+    | Deptest.Different -> None
+    | Deptest.Same -> entry (Some 1000)
+    | Deptest.Maybe_same -> entry None
   end
-  else
-    (* different spaces that may overlap (pointer aliasing): sections are
-       not comparable across spaces *)
-    true
+  else entry (space_overlap_prob ctx a b)
 
 (* ------------------------------------------------------------------ *)
 (* Loop-carried dependences between classes                            *)
@@ -250,7 +238,6 @@ let may_alias ~invariant ctx (a : Atom.t) (b : Atom.t) : bool =
    d >= 1)?  Conservative: overlap unless bounds prove separation that
    grows monotonically with the ivar. *)
 let section_carried ~lctx (a : Atom.t) (b : Atom.t) : bool =
-  ignore lctx;
   match (a.Atom.section, b.Atom.section) with
   | Section.Whole, _ | _, Section.Whole -> true
   | (Section.Dims _ as sa), (Section.Dims _ as sb) ->
@@ -342,8 +329,7 @@ let class_lcdd ~ctx ~lctx ~invariant (a : Atom.t) (b : Atom.t) :
           (fun rb ->
             if ra.Frontir.Access.is_store || rb.Frontir.Access.is_store then
               outcomes :=
-                ( Deptest.carried ~ctx:lctx ~invariant ra rb,
-                  Deptest.carried_prob ~ctx:lctx ~invariant ra rb )
+                Deptest.carried_with_prob ~ctx:lctx ~invariant ra rb
                 :: !outcomes)
           b.Atom.reprs)
       a.Atom.reprs;
@@ -419,11 +405,6 @@ let atom_for_parent ~parent_invariant (sub : Frontir.Region.t) (cid, (atom : Ato
     then T.Definitely
     else T.Maybe
   in
-  let desc =
-    match widened with
-    | Section.Whole -> Atom.desc_of_space atom.Atom.space
-    | sec -> Fmt.str "%s%a" (Atom.desc_of_space atom.Atom.space) Section.pp sec
-  in
   {
     atom with
     Atom.members =
@@ -431,7 +412,7 @@ let atom_for_parent ~parent_invariant (sub : Frontir.Region.t) (cid, (atom : Ato
     section = widened;
     kind;
     reprs = [];
-    desc;
+    desc_section = desc_section widened;
   }
 
 let dep_outcomes_to_lcdds ~src ~dst (outcomes : (Deptest.outcome * int) list) :
@@ -563,18 +544,7 @@ let rec build_region (ctx : context) (u : Frontir.Itemgen.unit_items)
   let aliases =
     let rec pairs = function
       | [] -> []
-      | (ida, a) :: rest ->
-          List.filter_map
-            (fun (idb, b) ->
-              if may_alias ~invariant ctx a b then
-                Some
-                  {
-                    T.alias_classes = [ ida; idb ];
-                    alias_prob = alias_prob ~invariant ctx a b;
-                  }
-              else None)
-            rest
-          @ pairs rest
+      | a :: rest -> List.filter_map (alias_entry ~invariant ctx a) rest @ pairs rest
     in
     pairs class_atoms
   in
@@ -697,7 +667,7 @@ let rec build_region (ctx : context) (u : Frontir.Itemgen.unit_items)
               T.class_id = id;
               kind = a.Atom.kind;
               members = a.Atom.members;
-              desc = a.Atom.desc;
+              desc = Atom.desc a;
             })
           class_atoms;
       aliases;
