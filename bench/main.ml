@@ -20,12 +20,10 @@
              dune exec bench/main.exe -- querybench
                                                  (query-throughput bench)
              dune exec bench/main.exe -- serbench
-                                                 (serialization throughput,
-                                                 HLI1-vs-HLI2 container
-                                                 overhead, and the on-disk
-                                                 HLI cache cold/warm runs)
+                                                 (the on-disk HLI cache
+                                                 cold/warm runs)
              dune exec bench/main.exe -- emit-hli
-                                                 (write each workload's HLI2
+                                                 (write each workload's HLI
                                                  file under --out DIR, for
                                                  hli_dump --check sweeps)
              dune exec bench/main.exe -- editstorm
@@ -784,7 +782,7 @@ let querybench cfg =
   Printf.eprintf "wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Serialization throughput + HLI cache benchmark (serbench)           *)
+(* On-disk HLI cache benchmark (serbench)                              *)
 (* ------------------------------------------------------------------ *)
 
 let workload_of_name ~mode name =
@@ -794,67 +792,12 @@ let workload_of_name ~mode name =
       Printf.eprintf "%s: unknown workload %s\n" mode name;
       exit 1
 
-(* Every workload's HLI through both encoders: the HLI1 payload bytes
-   (the paper's Table 1 metric) against the HLI2 container (explicit
-   option tags + per-entry length and CRC32), with encode/decode
-   throughput over the HLI2 bytes and a mandatory round-trip check. *)
-let serbench_sizes cfg =
-  let names =
-    match cfg.workloads with
-    | Some ns -> ns
-    | None -> List.map (fun w -> w.Workloads.Workload.name) Workloads.Registry.all
-  in
-  print_endline "== Serialization: HLI1 payload vs HLI2 container ==";
-  Printf.printf "%-14s %9s %9s %9s %11s %11s\n" "Benchmark" "HLI1(B)"
-    "HLI2(B)" "overhead" "enc MB/s" "dec MB/s";
-  let now = Harness.Telemetry.now_ns in
-  let t1 = ref 0 and t2 = ref 0 in
-  List.iter
-    (fun name ->
-      let w = workload_of_name ~mode:"serbench" name in
-      let prog =
-        Srclang.Typecheck.program_of_string w.Workloads.Workload.source
-      in
-      let entries = Harness.Pipeline.build_hli_entries prog in
-      let f = { Hli_core.Tables.entries } in
-      let v1 = Hli_core.Serialize.size_bytes f in
-      let bytes = Hli_core.Serialize.to_bytes f in
-      let v2 = String.length bytes in
-      if Hli_core.Serialize.of_bytes bytes <> f then begin
-        Printf.eprintf "serbench: %s: HLI2 round-trip mismatch\n" name;
-        exit 1
-      end;
-      t1 := !t1 + v1;
-      t2 := !t2 + v2;
-      let reps = 200 in
-      let time repf =
-        let t0 = now () in
-        for _ = 1 to reps do
-          repf ()
-        done;
-        Int64.sub (now ()) t0
-      in
-      let enc_ns = time (fun () -> ignore (Hli_core.Serialize.to_bytes f)) in
-      let dec_ns =
-        time (fun () -> ignore (Hli_core.Serialize.of_bytes bytes))
-      in
-      let mbps ns =
-        if Int64.compare ns 0L <= 0 then 0.0
-        else float_of_int (v2 * reps) /. (Int64.to_float ns /. 1e9) /. 1e6
-      in
-      Printf.printf "%-14s %9d %9d %8.1f%% %11.1f %11.1f\n" name v1 v2
-        (100.0 *. float_of_int (v2 - v1) /. float_of_int (max 1 v1))
-        (mbps enc_ns) (mbps dec_ns))
-    names;
-  Printf.printf "%-14s %9d %9d %8.1f%%\n" "total" !t1 !t2
-    (100.0 *. float_of_int (!t2 - !t1) /. float_of_int (max 1 !t1))
-
 (* Cold/warm compiles through the on-disk HLI cache: the cold run pays
-   analysis + TBLCONST and stores, the warm run replays the HLI2 file.
-   The two compiles must agree on the HLI (byte-identical tables are
-   the acceptance bar); hit/miss counts come from the per-run
-   telemetry. *)
-let serbench_cache cfg pool =
+   analysis + TBLCONST and stores, the warm run replays the cached
+   entries.  The two compiles must agree on the HLI (byte-identical
+   tables are the acceptance bar); hit/miss counts come from the
+   per-run telemetry. *)
+let serbench cfg pool =
   let dir =
     match cfg.hli_cache with
     | Some d -> d
@@ -865,7 +808,7 @@ let serbench_cache cfg pool =
     | Some ns -> ns
     | None -> [ "101.tomcatv"; "015.doduc"; "129.compress" ]
   in
-  Printf.printf "\n== On-disk HLI cache (dir: %s) ==\n" dir;
+  Printf.printf "== On-disk HLI cache (dir: %s) ==\n" dir;
   Printf.printf "%-14s %10s %10s %8s %5s %5s\n" "Benchmark" "cold ms"
     "warm ms" "speedup" "hits" "miss";
   let now = Harness.Telemetry.now_ns in
@@ -907,12 +850,8 @@ let serbench_cache cfg pool =
         (Harness.Telemetry.counter tm1 "hli_cache_misses"))
     names
 
-let serbench cfg pool =
-  serbench_sizes cfg;
-  serbench_cache cfg pool
-
 (* ------------------------------------------------------------------ *)
-(* emit-hli: one HLI2 file per workload (for hli_dump --check sweeps)  *)
+(* emit-hli: one HLI file per workload (for hli_dump --check sweeps)   *)
 (* ------------------------------------------------------------------ *)
 
 let emit_hli cfg =

@@ -8,7 +8,7 @@
 #   2. the --stats-json telemetry dump is well-formed JSON
 #      (validated with the harness's own structural checker, since the
 #      container has no external JSON tooling),
-#   3. every workload's emitted HLI2 file passes hli_dump --check
+#   3. every workload's emitted HLI file passes hli_dump --check
 #      (decode + structural validator), and
 #   4. a cold and a warm run through the on-disk HLI cache
 #      (--hli-cache) produce tables byte-identical to the uncached run,
@@ -66,7 +66,7 @@ fi
 
 echo "smoke: OK (parallel == sequential, also under --passes $PASSES; telemetry JSON valid)"
 
-# every workload's HLI2 file must decode and pass the structural
+# every workload's HLI file must decode and pass the structural
 # validator (the same checks hlic --lint-hli runs)
 "$exe" emit-hli --out "$tmp/hli" > /dev/null
 for f in "$tmp/hli"/*.hli; do

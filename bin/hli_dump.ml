@@ -1,4 +1,4 @@
-(* hli_dump — inspect a serialized HLI file (HLI1 or HLI2 container).
+(* hli_dump — inspect a serialized HLI file (an HLI3 container).
 
    Prints the line table and region tables of every program unit;
    --verify checks the binary round-trip, --check runs the structural

@@ -113,7 +113,8 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
           (match emit_hli with
           | Some out ->
               Hli_core.Serialize.write_file out c.Harness.Pipeline.hli;
-              Fmt.pr "wrote %s (%d bytes)@." out c.Harness.Pipeline.hli_bytes
+              Fmt.pr "wrote %s (%d bytes)@." out
+                (Hli_core.Serialize.container_bytes c.Harness.Pipeline.hli)
           | None -> ());
           let md_is_4600 = machine = "r4600" in
           let rtl =

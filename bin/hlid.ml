@@ -1,7 +1,7 @@
 (* hlid — the persistent HLI query daemon.
 
    Loads nothing at startup: each client session ships (Open_hli) or
-   names (Open_path) a validated HLI2 file, then issues dependence /
+   names (Open_path) a validated HLI file, then issues dependence /
    alias / REF-MOD queries and maintenance notifications over the
    framed wire protocol (lib/server/protocol.ml; DESIGN.md has the
    byte-level spec).  The server is event-driven: one poller domain

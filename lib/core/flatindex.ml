@@ -21,7 +21,7 @@
        8  generation (u64; seqlock word, NOT covered by the CRC)
       16  body CRC32 over bytes [20, total_len)
       20  total_len (bytes used, header included)
-      24  content hash (16 bytes; MD5 of the source HLI2 container)
+      24  content hash (16 bytes; MD5 of the source HLI container)
       40  n_items   44 n_regions   48 n_lines
       52..84  section offsets: items, chain pool, regions, crm
               records, class-id pool, alias pool, ups pool, lines
@@ -115,7 +115,7 @@ let pu32 b off v =
   Bytes.unsafe_set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
 
 (** Serialize [idx] into HLIX bytes (generation 0).  [content_hash]
-    is the 16-byte digest of the source HLI2 container the index was
+    is the 16-byte digest of the source HLI container the index was
     built from; readers use it to pair a segment with the unit they
     opened. *)
 let build ~content_hash (idx : Q.index) : Bytes.t =
@@ -469,7 +469,7 @@ let validate ?expect_hash (seg : seg) =
   (match expect_hash with
   | Some h when content_hash seg <> h ->
       S.corrupt ~at:o_hash ~code:"E0634"
-        "HLIX content hash does not match the opened HLI2 container"
+        "HLIX content hash does not match the opened HLI container"
   | _ -> ());
   let n_items = u32 seg o_nitems
   and n_regions = u32 seg o_nregions

@@ -584,8 +584,8 @@ let get_equiv_acc idx item_a item_b =
 (* ------------------------------------------------------------------ *)
 
 (** Per-mille confidence assumed for a "maybe" answer when the HLI
-    carries no probability section (HLI1/HLI2 data, or the front end
-    had no evidence): an uninformative midpoint, so consumers that
+    carries no probability for the pair (the front end had no
+    evidence): an uninformative midpoint, so consumers that
     speculate only above-midpoint thresholds never act on it. *)
 let default_maybe_prob = 500
 

@@ -67,8 +67,8 @@ type alias_entry = {
   alias_prob : int option;
       (** HLI3 probability section: likelihood the classes really do
           overlap at run time, in per-mille (0..1000), derived from
-          points-to set cardinalities.  [None] = no estimate (HLI1/HLI2
-          data, or evidence unavailable); consumers treat absence as
+          points-to set cardinalities.  [None] = no estimate (no
+          evidence was available); consumers treat absence as
           "assume the alias" *)
 }
 

@@ -90,7 +90,7 @@ let config_of_passes ?(ablation = Driver.Variant.baseline) passes =
 (* On-disk HLI cache                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The cache is per {e function}: each entry is a single-entry HLI2
+(* The cache is per {e function}: each entry is a single-entry HLI
    container keyed by the function's interprocedural fingerprint
    ({!Analysis.Fingerprint} — body digest + transitive-callee REF/MOD
    fingerprints + the program's pointer-constraint digest) plus the
@@ -179,9 +179,9 @@ let cache_store dir ~ablation fp entry =
    same directory race stat/unlink: a file another trim already
    removed still counts as freed space (it is gone either way) but not
    as an eviction of ours.  Evictions are counted
-   ([hli_cache_trims]).  Legacy whole-file [.hli] entries from the
-   pre-per-function cache count toward (and are trimmed under) the
-   same cap. *)
+   ([hli_cache_trims]).  Only [.hlie] cache entries count toward the
+   cap or are evicted: any other file in the directory, such as an
+   emitted [.hli], is left alone. *)
 let cache_trim ?tm dir ~max_bytes =
   match max_bytes with
   | None -> ()
@@ -189,8 +189,7 @@ let cache_trim ?tm dir ~max_bytes =
       try
         let files =
           Sys.readdir dir |> Array.to_list
-          |> List.filter (fun f ->
-                 Filename.check_suffix f ".hlie" || Filename.check_suffix f ".hli")
+          |> List.filter (fun f -> Filename.check_suffix f ".hlie")
           |> List.filter_map (fun f ->
                  let path = Filename.concat dir f in
                  match Unix.stat path with
@@ -385,8 +384,9 @@ let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
     in
     match (config.remote, alias) with
     | Some socket, Backend.Ddg.With_hli ->
-        (* the session opens the locally produced container, so the
-           server answers over exactly the bytes Table 1 measures *)
+        (* the session opens the container of the locally produced
+           HLI, so the server answers over the same tables as a local
+           compile *)
         with_session config socket (Hli_core.Serialize.to_bytes hli)
           (fun remote -> run ~remote ())
     | _ -> run ()

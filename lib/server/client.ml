@@ -57,7 +57,7 @@ type t = {
   pipeline : int;  (** max in-flight frames; 1 = strict request/reply *)
   shm : bool;  (** shared-memory fast path requested *)
   mutable shm_dir : string option;  (** advertised by the server's Hello *)
-  mutable shm_hash : string;  (** digest of the opened HLI2; "" = unknown *)
+  mutable shm_hash : string;  (** digest of the opened HLI; "" = unknown *)
   shm_units : (string, shm_unit) Hashtbl.t;
   mutable shm_last_u : string;
       (** single-entry lookup cache over [shm_units], hit by physical
@@ -292,7 +292,7 @@ let rpc_raw cl (req : P.request) : P.response =
 let try_open_delta cl bytes : (string * int list) list option =
   match S.split_container bytes with
   | exception S.Corrupt _ ->
-      (* not a splittable HLI2 container: ship it whole and let the
+      (* not a splittable HLI container: ship it whole and let the
          server answer authoritatively (its R_error carries the precise
          E06xx code the caller expects) *)
       None

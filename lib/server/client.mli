@@ -49,7 +49,7 @@ val pending : t -> int
 (** In-flight frames awaiting replies (0 unless pipelining). *)
 
 val open_hli_bytes : t -> string -> (string * int list) list
-(** Open an HLI2 container on the session, shipping as little as
+(** Open an HLI container on the session, shipping as little as
     possible: entries are referenced by content hash ([Open_delta])
     and only the ones the server's cross-session store lacks are
     uploaded ([Delta_fill]).  A delta exchange the server answers
@@ -59,7 +59,7 @@ val open_hli_bytes : t -> string -> (string * int list) list
     its name and duplicate item ids. *)
 
 val open_path : t -> string -> (string * int list) list
-(** Have the server load and validate an HLI2 file from its own
+(** Have the server load and validate an HLI file from its own
     filesystem. *)
 
 val line_table : t -> string -> Hli_core.Tables.line_entry list

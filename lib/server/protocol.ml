@@ -5,7 +5,7 @@
 
     {v tag:u8 | len:varint | payload (len bytes) | CRC32(payload):u32le v}
 
-    reusing the HLI2 container's primitives (bounded LEB128 varints,
+    reusing the HLI container's primitives (bounded LEB128 varints,
     explicit option/bool tags, IEEE CRC32) from {!Hli_core.Serialize},
     so the wire format inherits the same hostile-input posture: every
     decode failure raises {!Hli_core.Serialize.Corrupt} with a precise
@@ -70,8 +70,8 @@ type answer =
 
 type request =
   | Hello of { version : int }
-  | Open_hli of string  (** HLI2 container bytes, shipped inline *)
-  | Open_path of string  (** HLI2 file path readable by the server *)
+  | Open_hli of string  (** HLI container bytes, shipped inline *)
+  | Open_path of string  (** HLI file path readable by the server *)
   | Batch of query list
   | Notify_delete of { u : string; item : int }
   | Notify_gen of { u : string; like : int; line : int }
@@ -89,7 +89,7 @@ type request =
           opened units (shared-memory fast path; DESIGN.md §8) *)
   | Open_delta of (string * string) list
       (** open by reference: per entry, its unit name and the 16-byte
-          content hash of its HLI2 payload ({!S.entry_hash}).  Entries
+          content hash of its entry payload ({!S.entry_hash}).  Entries
           the server already holds (from any prior session) are reused;
           the rest are requested back via {!R_delta_need} and shipped
           with {!Delta_fill} *)
@@ -187,7 +187,7 @@ let put_answer buf = function
       S.put_bool buf b
   | A_lcdd o ->
       Buffer.add_char buf '\002';
-      S.put_opt buf (fun b l -> S.put_list b S.put_lcdd_v3 l) o
+      S.put_opt buf (fun b l -> S.put_list b S.put_lcdd l) o
   | A_call r ->
       Buffer.add_char buf '\003';
       put_call buf r
@@ -446,7 +446,7 @@ let get_answer cur =
   match S.byte cur with
   | 0 -> A_equiv (get_equiv cur)
   | 1 -> A_alias (S.get_bool cur)
-  | 2 -> A_lcdd (S.get_opt cur (fun cur -> S.get_list cur S.get_lcdd_v3))
+  | 2 -> A_lcdd (S.get_opt cur (fun cur -> S.get_list cur S.get_lcdd))
   | 3 -> A_call (get_call cur)
   | 4 -> A_region_of (S.get_opt cur S.get_varint)
   | 5 -> A_hoist_target (S.get_opt cur S.get_varint)

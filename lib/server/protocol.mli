@@ -40,8 +40,8 @@ type answer =
 
 type request =
   | Hello of { version : int }
-  | Open_hli of string  (** HLI2 container bytes, shipped inline *)
-  | Open_path of string  (** HLI2 file path readable by the server *)
+  | Open_hli of string  (** HLI container bytes, shipped inline *)
+  | Open_path of string  (** HLI file path readable by the server *)
   | Batch of query list
   | Notify_delete of { u : string; item : int }
   | Notify_gen of { u : string; like : int; line : int }
@@ -59,7 +59,7 @@ type request =
           opened units (shared-memory fast path; DESIGN.md §8) *)
   | Open_delta of (string * string) list
       (** open by reference: per entry, its unit name and the 16-byte
-          content hash of its HLI2 payload.  Known entries are reused
+          content hash of its entry payload.  Known entries are reused
           from the server's cross-session store; missing ones are
           requested via [R_delta_need] and shipped with [Delta_fill] *)
   | Delta_fill of string list

@@ -144,7 +144,7 @@ let fresh_stats () =
 type unit_state = {
   us_mt : M.t;
   mutable us_idx : Q.index;  (** replaced at [Refresh], like a commit *)
-  us_hash : string;  (** 16-byte digest of the source HLI2 container *)
+  us_hash : string;  (** 16-byte digest of the source HLI container *)
   mutable us_pub : Shm.pub option;  (** published HLIX segment, if any *)
   mutable us_dirty : bool;
       (** maintenance ops since the last commit; a [Refresh] on a
@@ -412,25 +412,24 @@ let bump_query_kind st = function
   | P.Q_region_of _ -> st.st_q_region <- st.st_q_region + 1
   | P.Q_hoist_target _ -> st.st_q_hoist <- st.st_q_hoist + 1
 
-(* decode + validate + open a full HLI2 container, and seed the entry
-   store so later sessions can delta-open against these entries *)
+(* split + decode + validate + open a full container, and seed the
+   entry store with its payloads so later sessions can delta-open
+   against these entries *)
 let open_container_bytes t (c : conn) bytes : P.response =
-  match S.of_bytes bytes with
+  match
+    let payloads = S.payloads_of_container bytes in
+    let f = { T.entries = List.map S.entry_of_bytes payloads } in
+    Hli_core.Validate.validate f;
+    (payloads, f)
+  with
   | exception S.Corrupt cor ->
       P.R_error { e_code = cor.S.c_code; e_msg = S.corruption_to_string cor }
-  | f -> (
-      match Hli_core.Validate.validate f with
-      | () ->
-          let resp = open_file t c ~hash:(Digest.string bytes) f in
-          (try
-             List.iter
-               (fun (_, p) -> store_put t (S.entry_hash_of_payload p) p)
-               (S.split_container bytes)
-           with S.Corrupt _ -> ());
-          resp
-      | exception Diagnostics.Diagnostic d ->
-          P.R_error
-            { e_code = d.Diagnostics.code; e_msg = d.Diagnostics.message })
+  | exception Diagnostics.Diagnostic d ->
+      P.R_error { e_code = d.Diagnostics.code; e_msg = d.Diagnostics.message }
+  | payloads, f ->
+      let resp = open_file t c ~hash:(Digest.string bytes) f in
+      List.iter (fun p -> store_put t (S.entry_hash_of_payload p) p) payloads;
+      resp
 
 (* resolve every referenced entry out of the store; a reference
    evicted since the scan is a state error the client answers with a

@@ -47,7 +47,7 @@ let blit_range (b : Bytes.t) (seg : F.seg) lo hi =
 (** Build [idx]'s HLIX image and publish it as [dir]/[name].hlix
     (atomic tmp+rename), keeping the file mapped read-write for
     in-place rebuilds.  [hash] is the 16-byte digest of the source
-    HLI2 container. *)
+    HLI container. *)
 let publish ~dir ~name ~hash idx : pub =
   let bytes = F.build ~content_hash:hash idx in
   let cap = round_cap (Bytes.length bytes) in

@@ -102,16 +102,20 @@ let query_tests =
 
 (* random files come from the shared generator (test/testgen.ml), which
    the fuzz harness also uses; ~allow_zero adds the Some 0 boundary
-   values only HLI2 can represent *)
+   values, which only the container's option tags keep apart from None.
+   The round-trip name predates the HLI3 magic: HLI2 introduced the
+   option tags this property exercises. *)
 let serialize_props =
   [
     QCheck.Test.make ~count:200 ~name:"HLI2 round-trip (incl. Some 0)"
       (QCheck.make (Testgen.gen_file ~allow_zero:true ())) (fun f ->
         Hli_core.Serialize.of_bytes (Hli_core.Serialize.to_bytes f) = f);
-    QCheck.Test.make ~count:200 ~name:"HLI1 pair agrees with v1_normalize"
+    (* Table 1's size is the old HLI1 encoder's length, on files with
+       Some 0 fields and probabilities (which HLI1 does not encode) *)
+    QCheck.Test.make ~count:500 ~name:"size_bytes = Old_hli1 length"
       (QCheck.make (Testgen.gen_file ~allow_zero:true ())) (fun f ->
-        Hli_core.Serialize.of_bytes_v1 (Hli_core.Serialize.to_bytes_v1 f)
-        = Testgen.v1_normalize f);
+        Hli_core.Serialize.size_bytes f
+        = String.length (Testgen.Old_hli1.to_bytes f));
     QCheck.Test.make ~count:100 ~name:"size is deterministic"
       (QCheck.make (Testgen.gen_file ())) (fun f ->
         Hli_core.Serialize.size_bytes f = Hli_core.Serialize.size_bytes f);
@@ -120,9 +124,16 @@ let serialize_props =
 let serialize_tests =
   [
     Alcotest.test_case "bad magic rejected" `Quick (fun () ->
-        match Hli_core.Serialize.of_bytes "NOPE" with
-        | exception Hli_core.Serialize.Corrupt _ -> ()
-        | _ -> Alcotest.fail "accepted garbage");
+        (* garbage, a short input, and the retired HLI1/HLI2 magics
+           (an empty container under each) *)
+        List.iter
+          (fun b ->
+            match Hli_core.Serialize.of_bytes b with
+            | exception Hli_core.Serialize.Corrupt c ->
+                Alcotest.(check string) (String.escaped b) "E0610"
+                  c.Hli_core.Serialize.c_code
+            | _ -> Alcotest.failf "accepted %S" b)
+          [ "NOPE"; ""; "HLI"; "HLI1\000"; "HLI2\000" ]);
     Alcotest.test_case "truncation rejected" `Quick (fun () ->
         let f = { T.entries = [ fig2_entry () ] } in
         let b = Hli_core.Serialize.to_bytes f in
@@ -131,11 +142,21 @@ let serialize_tests =
         | exception Hli_core.Serialize.Corrupt _ -> ()
         | _ -> Alcotest.fail "accepted truncated");
     Alcotest.test_case "trailing bytes rejected" `Quick (fun () ->
-        let f = { T.entries = [] } in
-        let b = Hli_core.Serialize.to_bytes f ^ "x" in
-        match Hli_core.Serialize.of_bytes b with
-        | exception Hli_core.Serialize.Corrupt _ -> ()
-        | _ -> Alcotest.fail "accepted trailing");
+        (* after the container, and inside a CRC-valid entry payload *)
+        let payload =
+          Hli_core.Serialize.entry_to_bytes (fig2_entry ()) ^ "x"
+        in
+        List.iter
+          (fun b ->
+            match Hli_core.Serialize.of_bytes b with
+            | exception Hli_core.Serialize.Corrupt c ->
+                Alcotest.(check string) "code" "E0616"
+                  c.Hli_core.Serialize.c_code
+            | _ -> Alcotest.fail "accepted trailing")
+          [
+            Hli_core.Serialize.to_bytes { T.entries = [] } ^ "x";
+            Hli_core.Serialize.container_of_payloads [ payload ];
+          ]);
     Alcotest.test_case "figure-2 entry round-trips" `Quick (fun () ->
         let f = { T.entries = [ fig2_entry () ] } in
         Alcotest.(check bool) "eq" true
@@ -168,9 +189,9 @@ let dump_tests =
           ]);
     Alcotest.test_case "golden text dump with probability sections" `Quick
       (fun () ->
-        (* exactly what [hli_dump --entry u] prints for an HLI3 entry:
-           alias sets and maybe-LCDDs carry p=..., sections without a
-           probability render as before (HLI2 dumps are unchanged) *)
+        (* exactly what [hli_dump --entry u] prints: alias sets and
+           maybe-LCDDs carry p=..., sections without a probability
+           carry no suffix *)
         let e =
           {
             T.unit_name = "u";
@@ -239,7 +260,7 @@ let dump_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Serialization boundaries (HLI2 hardening)                           *)
+(* Serialization boundaries (container hardening)                      *)
 (* ------------------------------------------------------------------ *)
 
 let corrupt_code f =
@@ -301,12 +322,13 @@ let boundary_tests =
           Hli_core.Serialize.put_varint b max_int;
           Buffer.contents b
         in
-        Alcotest.(check string) "HLI1" "E0613"
+        Alcotest.(check string) "entry count" "E0613"
           (corrupt_code (fun () ->
-               Hli_core.Serialize.of_bytes ("HLI1" ^ huge)));
-        Alcotest.(check string) "HLI2" "E0613"
+               Hli_core.Serialize.of_bytes ("HLI3" ^ huge)));
+        (* a unit name, then a line-table length past the payload *)
+        Alcotest.(check string) "list length" "E0613"
           (corrupt_code (fun () ->
-               Hli_core.Serialize.of_bytes ("HLI2" ^ huge))));
+               Hli_core.Serialize.entry_of_bytes ("\001u" ^ huge))));
     Alcotest.test_case "callrefmod bool tag > 1 rejected as E0614" `Quick
       (fun () ->
         let b = Buffer.create 8 in
@@ -325,7 +347,7 @@ let boundary_tests =
         Alcotest.(check string) "flip" "E0615"
           (corrupt_code (fun () ->
                Hli_core.Serialize.of_bytes (Bytes.to_string b))));
-    Alcotest.test_case "Some 0 survives HLI2, collapses in HLI1" `Quick
+    Alcotest.test_case "Some zero survives HLI3" `Quick
       (fun () ->
         let lcdd =
           {
@@ -349,21 +371,12 @@ let boundary_tests =
               ];
           }
         in
-        (* lossless through the HLI2 container *)
         let f2 = Hli_core.Serialize.of_bytes (Hli_core.Serialize.to_bytes f) in
-        Alcotest.(check bool) "HLI2 preserves" true (f = f2);
+        Alcotest.(check bool) "preserved" true (f = f2);
         let r2 = List.nth (List.hd f2.T.entries).T.regions 1 in
         Alcotest.(check (option int)) "parent Some 0" (Some 0) r2.T.parent;
         Alcotest.(check (option int)) "distance Some 0" (Some 0)
-          (List.hd r2.T.lcdds).T.lcdd_distance;
-        (* the legacy payload encoding documents its loss *)
-        let f1 =
-          Hli_core.Serialize.of_bytes_v1 (Hli_core.Serialize.to_bytes_v1 f)
-        in
-        let r1 = List.nth (List.hd f1.T.entries).T.regions 1 in
-        Alcotest.(check (option int)) "HLI1 parent collapses" None r1.T.parent;
-        Alcotest.(check (option int)) "HLI1 distance collapses" None
-          (List.hd r1.T.lcdds).T.lcdd_distance);
+          (List.hd r2.T.lcdds).T.lcdd_distance);
     Alcotest.test_case "empty file and empty tables round-trip" `Quick
       (fun () ->
         List.iter
@@ -375,7 +388,7 @@ let boundary_tests =
             { T.entries = [ { T.unit_name = "e"; line_table = []; regions = [] } ] };
             { T.entries = [ { T.unit_name = "r"; line_table = []; regions = [ region 1 ] } ] };
           ]);
-    Alcotest.test_case "golden HLI1 fixture decodes (reader compat)" `Quick
+    Alcotest.test_case "HLI1 golden: size and E0610" `Quick
       (fun () ->
         (* one unit, one line with one store, one region with a class,
            an unknown-distance LCDD and a sub-region REF/MOD entry —
@@ -447,12 +460,55 @@ let boundary_tests =
               ];
           }
         in
-        (* the magic dispatch routes old files to the legacy reader *)
-        Alcotest.(check bool) "decodes" true
-          (Hli_core.Serialize.of_bytes golden = expected);
-        (* and the legacy writer still emits exactly these bytes *)
-        Alcotest.(check string) "writer stable" golden
-          (Hli_core.Serialize.to_bytes_v1 expected));
+        (* the size oracle still emits exactly these bytes ... *)
+        Alcotest.(check string) "oracle stable" golden
+          (Testgen.Old_hli1.to_bytes expected);
+        (* ... Table 1's size is their length ... *)
+        Alcotest.(check int) "size_bytes" (String.length golden)
+          (Hli_core.Serialize.size_bytes expected);
+        (* ... and no reader accepts them any more *)
+        Alcotest.(check string) "retired magic" "E0610"
+          (corrupt_code (fun () -> Hli_core.Serialize.of_bytes golden)));
+    Alcotest.test_case "size_bytes raises like HLI1" `Quick (fun () ->
+        let diag_code f =
+          match f () with
+          | exception Diagnostics.Diagnostic d -> d.Diagnostics.code
+          | _ -> "no-error"
+        in
+        let lcdd ?prob d =
+          {
+            T.lcdd_src = 1;
+            lcdd_dst = 1;
+            lcdd_dep = T.Dep_maybe;
+            lcdd_distance = d;
+            lcdd_prob = prob;
+          }
+        in
+        let file ?(parent = None) lcdds =
+          {
+            T.entries =
+              [
+                {
+                  T.unit_name = "n";
+                  line_table = [];
+                  regions = [ region ~parent ~lcdds 1 ];
+                };
+              ];
+          }
+        in
+        List.iter
+          (fun (what, f) ->
+            Alcotest.(check string) what
+              (diag_code (fun () -> Testgen.Old_hli1.to_bytes f))
+              (diag_code (fun () -> Hli_core.Serialize.size_bytes f)))
+          [
+            ("negative distance", file [ lcdd (Some (-1)) ]);
+            ("negative parent", file ~parent:(Some (-3)) []);
+            ("negative probability", file [ lcdd ~prob:(-5) None ]);
+          ];
+        Alcotest.(check string) "encoder raises E0601" "E0601"
+          (diag_code (fun () ->
+               Testgen.Old_hli1.to_bytes (file [ lcdd (Some (-1)) ]))));
     Alcotest.test_case "post-unroll=4 entry round-trips losslessly" `Quick
       (fun () ->
         let e = fig2_entry () in
@@ -460,10 +516,11 @@ let boundary_tests =
         ignore (Hli_core.Maintain.unroll m ~rid:4 ~factor:4);
         let e', _ = Hli_core.Maintain.commit m in
         let f = { T.entries = [ e' ] } in
-        Alcotest.(check bool) "HLI2 round-trip" true
+        Alcotest.(check bool) "round-trip" true
           (Hli_core.Serialize.of_bytes (Hli_core.Serialize.to_bytes f) = f);
-        Alcotest.(check bool) "HLI1 size still defined" true
-          (Hli_core.Serialize.size_bytes f > 0));
+        Alcotest.(check int) "size_bytes = Old_hli1 length"
+          (String.length (Testgen.Old_hli1.to_bytes f))
+          (Hli_core.Serialize.size_bytes f));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -848,6 +905,20 @@ let cache_tests =
             in
             List.iter Domain.join doms;
             Alcotest.(check (list string)) "concurrent trims drained" []
+              (List.sort compare (Array.to_list (Sys.readdir dir)))));
+    Alcotest.test_case "trim leaves emitted .hli files alone" `Quick
+      (fun () ->
+        with_cache_dir (fun dir ->
+            (* hlic --emit-hli and bench emit-hli write .hli files; a
+               cache pointed at the same directory must not evict them *)
+            let mk name =
+              Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+                  Out_channel.output_string oc (String.make 10 'x'))
+            in
+            List.iter mk [ "old.hlie"; "prog.hli" ];
+            Harness.Pipeline.cache_trim dir ~max_bytes:(Some 1);
+            Alcotest.(check (list string)) "only the cache entry evicted"
+              [ "prog.hli" ]
               (List.sort compare (Array.to_list (Sys.readdir dir)))));
   ]
 

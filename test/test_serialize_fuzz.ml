@@ -1,19 +1,25 @@
 (* Fuzz/differential harness for the HLI serializer.
 
-   Three corpora, one rule: the reader must either return a value or
+   Four corpora, one rule: the reader must either return a value or
    raise [Serialize.Corrupt] — any other exception, or accepting bytes
    it cannot faithfully re-encode, is a bug.
 
    1. Random HLI files from the shared generator (test/testgen.ml),
-      including the Some-0 boundary values only HLI2 represents: the
-      HLI2 pair must round-trip exactly, and the legacy HLI1
-      writer/reader pair must agree with [Testgen.v1_normalize] (the
-      differential oracle).
-   2. Truncations of every workload's encoded file (both containers) at
-      every prefix length: a strict prefix can never decode.
-   3. Deterministic single-byte mutations of the same files: a mutant
-      that decodes must re-encode to a value equal to itself, and the
-      structural validator must not crash on it.
+      including the Some-0 boundary values: the container must
+      round-trip exactly, and [Serialize.size_bytes] must equal the
+      length of the old HLI1 encoding ([Testgen.Old_hli1], the oracle
+      for Table 1's size).
+   2. Truncations of every workload's encoded container at every
+      prefix length: a strict prefix can never decode.
+   3. Deterministic single-byte mutations of the same containers: a
+      mutant that decodes must re-encode to a value equal to itself,
+      and the structural validator must not crash on it.
+   4. The same mutations on bare entry payloads.  The container's CRC32
+      rejects every payload flip in 3, so this is where the entry
+      decoder's tag and bound checks see hostile bytes.  Each mutant
+      goes to [Serialize.entry_of_bytes] directly and, re-framed with a
+      valid CRC by [container_of_payloads], to [of_bytes]; both must
+      agree, and survivors follow the rules of 3.
 
    Runs under dune runtest with a modest default budget; the @fuzz
    alias (pulled into @smoke) raises it via FUZZ_ITERS.  FUZZ_SEED
@@ -54,7 +60,7 @@ let decode b =
   | exception Hli_core.Serialize.Corrupt _ -> Rejected
   | exception e -> Crashed e
 
-(* phase 1: randomized generation, both encoders *)
+(* phase 1: randomized generation: round-trip and the size oracle *)
 let random_files () =
   let rand = Random.State.make [| seed |] in
   let n = max 50 iters in
@@ -62,22 +68,23 @@ let random_files () =
     let f = QCheck.Gen.generate1 ~rand (Testgen.gen_file ~allow_zero:true ()) in
     (match decode (Hli_core.Serialize.to_bytes f) with
     | Decoded f' when f' = f -> ()
-    | Decoded _ -> fail "random file: HLI2 round-trip mismatch"
-    | Rejected -> fail "random file: HLI2 encoding rejected"
+    | Decoded _ -> fail "random file: round-trip mismatch"
+    | Rejected -> fail "random file: encoding rejected"
     | Crashed e ->
         fail "random file: decoder crashed: %s" (Printexc.to_string e));
     match
-      Hli_core.Serialize.of_bytes_v1 (Hli_core.Serialize.to_bytes_v1 f)
+      ( Hli_core.Serialize.size_bytes f,
+        String.length (Testgen.Old_hli1.to_bytes f) )
     with
-    | f1 ->
-        if f1 <> Testgen.v1_normalize f then
-          fail "random file: HLI1 pair disagrees with v1_normalize"
+    | size, oracle ->
+        if size <> oracle then
+          fail "random file: size_bytes %d, HLI1 oracle %d bytes" size oracle
     | exception e ->
-        fail "random file: HLI1 pair crashed: %s" (Printexc.to_string e)
+        fail "random file: size_bytes crashed: %s" (Printexc.to_string e)
   done;
-  Printf.printf "fuzz: %d random files (HLI2 round-trip + HLI1 oracle)\n" n
+  Printf.printf "fuzz: %d random files (round-trip + HLI1 size oracle)\n" n
 
-(* phases 2+3: truncation and mutation over the workload corpus *)
+(* phases 2-4: truncation and mutation over the workload corpus *)
 let corpus () =
   List.map
     (fun w ->
@@ -98,51 +105,83 @@ let truncations name bytes counter =
         fail "%s: truncation at %d crashed: %s" name len (Printexc.to_string e)
   done
 
+(* flip one byte of [s] at a random position with a random nonzero
+   mask; returns the mutant, the position and the mask *)
+let mutate s =
+  let pos = rand_int (String.length s) in
+  let x = 1 + rand_int 255 in
+  let b = Bytes.of_string s in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x));
+  (Bytes.to_string b, pos, x)
+
+(* a decoded mutant must re-round-trip, and the validator must not
+   crash on it *)
+let check_survivor name pos f' =
+  (match decode (Hli_core.Serialize.to_bytes f') with
+  | Decoded f'' when f'' = f' -> ()
+  | _ -> fail "%s: surviving mutant at byte %d fails re-round-trip" name pos);
+  match Hli_core.Validate.check_file f' with
+  | _issues -> () (* issues are fine; crashing is not *)
+  | exception e ->
+      fail "%s: validator crashed on mutant: %s" name (Printexc.to_string e)
+
 let mutations name bytes ~muts ~survivors =
-  let n = String.length bytes in
   for _ = 1 to iters do
     incr muts;
-    let pos = rand_int n in
-    let x = 1 + rand_int 255 in
-    let b = Bytes.of_string bytes in
-    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x));
-    match decode (Bytes.to_string b) with
+    let m, pos, x = mutate bytes in
+    match decode m with
     | Rejected -> ()
     | Crashed e ->
         fail "%s: mutation at byte %d (xor %#x) crashed: %s" name pos x
           (Printexc.to_string e)
-    | Decoded f' -> (
+    | Decoded f' ->
         incr survivors;
-        (match decode (Hli_core.Serialize.to_bytes f') with
-        | Decoded f'' when f'' = f' -> ()
-        | _ -> fail "%s: surviving mutant at byte %d fails re-round-trip" name pos);
-        match Hli_core.Validate.check_file f' with
-        | _issues -> () (* issues are fine; crashing is not *)
-        | exception e ->
-            fail "%s: validator crashed on mutant: %s" name
-              (Printexc.to_string e))
+        check_survivor name pos f'
+  done
+
+let payload_mutations name payloads ~muts ~survivors =
+  let payloads = Array.of_list payloads in
+  for _ = 1 to iters do
+    incr muts;
+    let m, pos, x = mutate payloads.(rand_int (Array.length payloads)) in
+    let direct =
+      match Hli_core.Serialize.entry_of_bytes m with
+      | e -> Decoded { T.entries = [ e ] }
+      | exception Hli_core.Serialize.Corrupt _ -> Rejected
+      | exception e -> Crashed e
+    in
+    match (direct, decode (Hli_core.Serialize.container_of_payloads [ m ])) with
+    | Rejected, Rejected -> ()
+    | Crashed e, _ | _, Crashed e ->
+        fail "%s: payload mutation at byte %d (xor %#x) crashed: %s" name pos
+          x (Printexc.to_string e)
+    | Decoded f', Decoded f'' when f' = f'' ->
+        incr survivors;
+        check_survivor name pos f'
+    | _ ->
+        fail "%s: payload mutation at byte %d (xor %#x): entry_of_bytes and \
+              of_bytes disagree" name pos x
   done
 
 let () =
   random_files ();
   let corpus = corpus () in
   let truncs = ref 0 and muts = ref 0 and survivors = ref 0 in
+  let pmuts = ref 0 and psurvivors = ref 0 in
   List.iter
     (fun (name, f) ->
-      List.iter
-        (fun (tag, bytes) ->
-          let name = name ^ "/" ^ tag in
-          truncations name bytes truncs;
-          mutations name bytes ~muts ~survivors)
-        [
-          ("hli2", Hli_core.Serialize.to_bytes f);
-          ("hli1", Hli_core.Serialize.to_bytes_v1 f);
-        ])
+      let bytes = Hli_core.Serialize.to_bytes f in
+      truncations name bytes truncs;
+      mutations name bytes ~muts ~survivors;
+      payload_mutations (name ^ "/payload")
+        (List.map Hli_core.Serialize.entry_to_bytes f.T.entries)
+        ~muts:pmuts ~survivors:psurvivors)
     corpus;
   Printf.printf
-    "fuzz: %d workloads x {HLI2,HLI1}: %d truncations, %d mutations (%d \
-     mutants decoded, all re-round-tripped)\n"
-    (List.length corpus) !truncs !muts !survivors;
+    "fuzz: %d workloads: %d truncations, %d container mutations (%d \
+     decoded), %d payload mutations (%d decoded); every decoded mutant \
+     re-round-tripped\n"
+    (List.length corpus) !truncs !muts !survivors !pmuts !psurvivors;
   if !failures > 0 then begin
     Printf.eprintf "fuzz: %d failure(s) (FUZZ_SEED=%d FUZZ_ITERS=%d)\n"
       !failures seed iters;

@@ -514,7 +514,7 @@ let fault_tests =
         with_server (fun path _srv ->
             with_client path (fun cl ->
                 expect_code "E0610" (fun () ->
-                    C.open_hli_bytes cl "not an HLI2 container"))));
+                    C.open_hli_bytes cl "not an HLI container"))));
     Alcotest.test_case "bad unroll factor relays E0701" `Quick (fun () ->
         let entries = Lazy.force wc_entries in
         with_server (fun path _srv ->

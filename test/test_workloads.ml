@@ -7,13 +7,13 @@ let workload_case (w : Workloads.Workload.t) =
       let c = Harness.Pipeline.compile w.Workloads.Workload.source in
       (* mapping must be total: the ITEMGEN/lowering contract *)
       Alcotest.(check int) "unmapped refs" 0 c.Harness.Pipeline.map_unmapped;
-      (* the HLI file survives the HLI2 container round-trip *)
+      (* the HLI file survives the container round-trip *)
       let bytes = Hli_core.Serialize.to_bytes c.Harness.Pipeline.hli in
       Alcotest.(check bool) "roundtrip" true
         (Hli_core.Serialize.of_bytes bytes = c.Harness.Pipeline.hli);
       Alcotest.(check int) "container size accounted" (String.length bytes)
         (Hli_core.Serialize.container_bytes c.Harness.Pipeline.hli);
-      (* Table 1's size metric stays the legacy HLI1 payload *)
+      (* Table 1's size metric is size_bytes, not the container length *)
       Alcotest.(check int) "size accounted"
         (Hli_core.Serialize.size_bytes c.Harness.Pipeline.hli)
         c.Harness.Pipeline.hli_bytes;

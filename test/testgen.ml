@@ -2,11 +2,9 @@
    serializer property tests (test_hli.ml) and the fuzz/differential
    harness (test_serialize_fuzz.ml).
 
-   [~allow_zero:true] additionally generates the HLI2-only boundary
-   values — [Some 0] LCDD distances and [Some 0] region parents — which
-   the legacy HLI1 payload encoding collapses to [None] (its optional
-   fields are bare varints with 0 meaning "absent").  Keep it [false]
-   when the property under test includes the HLI1 writer/reader pair. *)
+   [~allow_zero:true] additionally generates the boundary values
+   [Some 0] for LCDD distances and region parents, which only the
+   container's explicit option tags keep apart from [None]. *)
 
 module T = Hli_core.Tables
 
@@ -39,8 +37,8 @@ let gen_file ?(allow_zero = false) () : T.hli_file QCheck.Gen.t =
       list_size (int_range 0 4) gen_member >>= fun members ->
       return { T.class_id; kind; desc; members }
     in
-    (* probability sections (HLI3): full per-mille range including the
-       0 boundary — the v3 encoding tags the option explicitly, so
+    (* probability sections: full per-mille range including the 0
+       boundary — the container tags the option explicitly, so
        [Some 0] must round-trip *)
     let gen_prob = opt (int_range 0 1000) in
     let gen_lcdd =
@@ -98,28 +96,88 @@ let gen_file ?(allow_zero = false) () : T.hli_file QCheck.Gen.t =
     in
     list_size (int_range 0 4) gen_entry >>= fun entries -> return { T.entries })
 
-(* The HLI1 payload encoding's normalization: what a lossless value
-   becomes after a v1 write/read cycle (optional zeros collapse, and
-   the probability sections — which HLI1 cannot carry — drop to
-   [None]).  The differential oracle compares against this. *)
-let v1_normalize (f : T.hli_file) : T.hli_file =
-  let norm_lcdd l =
-    { l with T.lcdd_distance = (match l.T.lcdd_distance with
-                                | Some 0 -> None
-                                | d -> d);
-             lcdd_prob = None }
-  in
-  let norm_alias a = { a with T.alias_prob = None } in
-  let norm_region r =
-    {
-      r with
-      T.parent = (match r.T.parent with Some 0 -> None | p -> p);
-      aliases = List.map norm_alias r.T.aliases;
-      lcdds = List.map norm_lcdd r.T.lcdds;
-    }
-  in
-  let norm_entry e = { e with T.regions = List.map norm_region e.T.regions } in
-  { T.entries = List.map norm_entry f.T.entries }
+(* The first HLI payload encoding (magic "HLI1"), kept verbatim as the
+   oracle for [Serialize.size_bytes]: Table 1's size is defined as the
+   length of this encoding.  Integers are varints, strings and lists
+   are length-prefixed, and an optional field is the bare varint of its
+   value, 0 when absent (so [Some 0] and [None] encode alike).
+   Probabilities are not encoded. *)
+module Old_hli1 = struct
+  module S = Hli_core.Serialize
+
+  let put_acc buf = function
+    | T.Acc_load -> Buffer.add_char buf '\000'
+    | T.Acc_store -> Buffer.add_char buf '\001'
+    | T.Acc_call -> Buffer.add_char buf '\002'
+
+  let put_item buf it =
+    S.put_varint buf it.T.item_id;
+    put_acc buf it.T.acc
+
+  let put_line buf le =
+    S.put_varint buf le.T.line_no;
+    S.put_list buf put_item le.T.items
+
+  let put_member buf = function
+    | T.Member_item id ->
+        Buffer.add_char buf '\000';
+        S.put_varint buf id
+    | T.Member_subclass { sub_region; cls } ->
+        Buffer.add_char buf '\001';
+        S.put_varint buf sub_region;
+        S.put_varint buf cls
+
+  let put_class buf c =
+    S.put_varint buf c.T.class_id;
+    Buffer.add_char buf
+      (match c.T.kind with T.Definitely -> '\000' | T.Maybe -> '\001');
+    S.put_string buf c.T.desc;
+    S.put_list buf put_member c.T.members
+
+  let put_alias buf a = S.put_list buf S.put_varint a.T.alias_classes
+
+  let put_lcdd buf l =
+    S.put_varint buf l.T.lcdd_src;
+    S.put_varint buf l.T.lcdd_dst;
+    Buffer.add_char buf
+      (match l.T.lcdd_dep with T.Dep_definite -> '\000' | T.Dep_maybe -> '\001');
+    S.put_varint buf (Option.value l.T.lcdd_distance ~default:0)
+
+  let put_callrefmod buf e =
+    (match e.T.call_key with
+    | T.Key_call_item id ->
+        Buffer.add_char buf '\000';
+        S.put_varint buf id
+    | T.Key_sub_region r ->
+        Buffer.add_char buf '\001';
+        S.put_varint buf r);
+    S.put_bool buf e.T.refmod_all;
+    S.put_list buf S.put_varint e.T.ref_classes;
+    S.put_list buf S.put_varint e.T.mod_classes
+
+  let put_region buf r =
+    S.put_varint buf r.T.region_id;
+    Buffer.add_char buf
+      (match r.T.rtype with T.Region_unit -> '\000' | T.Region_loop -> '\001');
+    S.put_varint buf (Option.value r.T.parent ~default:0);
+    S.put_varint buf r.T.first_line;
+    S.put_varint buf r.T.last_line;
+    S.put_list buf put_class r.T.eq_classes;
+    S.put_list buf put_alias r.T.aliases;
+    S.put_list buf put_lcdd r.T.lcdds;
+    S.put_list buf put_callrefmod r.T.callrefmods
+
+  let put_entry buf e =
+    S.put_string buf e.T.unit_name;
+    S.put_list buf put_line e.T.line_table;
+    S.put_list buf put_region e.T.regions
+
+  let to_bytes (f : T.hli_file) : string =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf "HLI1";
+    S.put_list buf put_entry f.T.entries;
+    Buffer.contents buf
+end
 
 (* ------------------------------------------------------------------ *)
 (* hlid wire-protocol frame generators, used by the protocol fuzz      *)
