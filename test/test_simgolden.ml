@@ -5,7 +5,8 @@
    instructions, L1 hits and misses, LSQ stall cycles and
    misspeculations.  The rows cover all 14 workloads under the paper
    configuration, the two workloads that carry speculable edges at
-   [--speculate 1000], and one workload with the LSQ rule off.
+   [--speculate 1000], one workload with the LSQ rule off, and all 14
+   workloads again with the cse,licm,unroll=4 optional passes.
 
      test_simgolden.exe           the cheap subset (runtest)
      test_simgolden.exe --full    every row (dune build @simgolden)
@@ -21,26 +22,34 @@ let header =
   "# config program variant output_md5 cycles dyn_insns l1_hits l1_misses \
    lsq_stalls misspeculations"
 
-(* (ablation, programs), in file order *)
+let all_programs = List.map (fun w -> w.Workloads.Workload.name) Workloads.Registry.all
+
+let with_ablation ab = { P.default_config with ablation = ab; hli_cache = None }
+
+(* (config name, config, programs), in file order *)
 let groups =
   [
-    (V.baseline, List.map (fun w -> w.Workloads.Workload.name) Workloads.Registry.all);
-    (V.with_speculate 1000 V.baseline, [ "034.mdljdp2"; "077.mdljsp2" ]);
-    (Option.get (V.find_ablation "lsq-off"), [ "023.eqntott" ]);
+    ("baseline", with_ablation V.baseline, all_programs);
+    ( "speculate=1000",
+      with_ablation (V.with_speculate 1000 V.baseline),
+      [ "034.mdljdp2"; "077.mdljsp2" ] );
+    ("lsq-off", with_ablation (Option.get (V.find_ablation "lsq-off")), [ "023.eqntott" ]);
+    ( "cse,licm,unroll=4",
+      { (P.config_of_passes "cse,licm,unroll=4") with hli_cache = None },
+      all_programs );
   ]
 
 let cheap = [ "023.eqntott"; "077.mdljsp2"; "141.apsi" ]
 
-(* Compile [prog] under [ab], simulate all four variants at full fuel,
-   and render one line per variant. *)
-let lines ?pool (ab : V.ablation) prog =
+(* Compile [prog] under [config], simulate all four variants at full
+   fuel, and render one line per variant. *)
+let lines ?pool name config prog =
   let w = Option.get (Workloads.Registry.find prog) in
-  let config = { P.default_config with ablation = ab; hli_cache = None } in
   let c = P.compile ~config w.Workloads.Workload.source in
   let m = P.measure ?pool c in
   List.map
     (fun (v, (r : R.report)) ->
-      Printf.sprintf "%s %s %s %s %d %d %d %d %d %d" ab.V.ab_name prog (V.name v)
+      Printf.sprintf "%s %s %s %s %d %d %d %d %d %d" name prog (V.name v)
         (Digest.to_hex (Digest.string r.R.output))
         r.R.cycles r.R.dyn_insns r.R.l1_hits r.R.l1_misses r.R.lsq_stalls
         r.R.misspeculations)
@@ -49,19 +58,16 @@ let lines ?pool (ab : V.ablation) prog =
 let cases ~full =
   let golden = Golden.read golden_file in
   List.concat_map
-    (fun (ab, progs) ->
+    (fun (name, config, progs) ->
       List.filter_map
         (fun prog ->
           if full || List.mem prog cheap then
             Some
-              (Alcotest.test_case
-                 (ab.V.ab_name ^ " " ^ prog)
-                 `Slow
-                 (fun () ->
+              (Alcotest.test_case (name ^ " " ^ prog) `Slow (fun () ->
                    Alcotest.(check (list string))
                      "cycle-exact"
-                     (Golden.rows golden ~config:ab.V.ab_name ~prog)
-                     (lines ab prog)))
+                     (Golden.rows golden ~config:name ~prog)
+                     (lines name config prog)))
           else None)
         progs)
     groups
@@ -72,8 +78,10 @@ let () =
       let pool = Pool.create ~jobs:2 in
       print_endline header;
       List.iter
-        (fun (ab, progs) ->
-          List.iter (fun p -> List.iter print_endline (lines ~pool ab p)) progs)
+        (fun (name, config, progs) ->
+          List.iter
+            (fun p -> List.iter print_endline (lines ~pool name config p))
+            progs)
         groups;
       Pool.shutdown pool
   | [ exe; "--full" ] ->
