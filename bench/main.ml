@@ -325,18 +325,11 @@ let parse_args () =
 (* Table reproductions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* resolve --passes/--ablation into a pipeline config; exits with the
-   diagnostic's code on a bad spec or name *)
+(* resolve --passes/--ablation/--speculate into a pipeline config;
+   exits with the diagnostic's code on a bad spec, name or threshold *)
 let pipeline_config cfg =
   try
-    let ablation =
-      match Driver.Variant.find_ablation cfg.ablation with
-      | Some a -> a
-      | None ->
-          Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver
-            "unknown ablation %S (known: %s)" cfg.ablation
-            (String.concat ", " ("baseline" :: Driver.Variant.ablation_names))
-    in
+    let ablation = Driver.Variant.resolve ?speculate:cfg.speculate cfg.ablation in
     { Harness.Pipeline.specs = Driver.Pass_manager.parse_specs cfg.passes;
       ablation;
       hli_cache = cfg.hli_cache;
@@ -344,13 +337,6 @@ let pipeline_config cfg =
       remote = cfg.remote;
       pipeline = cfg.pipeline;
       shm = cfg.shm }
-    |> fun c ->
-    (match cfg.speculate with
-    | None -> c
-    | Some t ->
-        { c with
-          Harness.Pipeline.ablation =
-            Driver.Variant.with_speculate t c.Harness.Pipeline.ablation })
   with Diagnostics.Diagnostic d ->
     Fmt.epr "%a@." Diagnostics.pp d;
     exit (Diagnostics.exit_code d)
@@ -2103,7 +2089,7 @@ int main()
       Test.make ~name:"frontend:parse+typecheck"
         (Staged.stage (fun () -> ignore (Srclang.Typecheck.program_of_string src)));
       Test.make ~name:"frontend:tblconst"
-        (Staged.stage (fun () -> ignore (Hligen.Tblconst.build_program prog)));
+        (Staged.stage (fun () -> ignore (Harness.Pipeline.build_hli_entries prog)));
       Test.make ~name:"hli:serialize"
         (Staged.stage (fun () -> ignore (Hli_core.Serialize.to_bytes hli)));
       Test.make ~name:"hli:deserialize"

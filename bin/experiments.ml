@@ -19,22 +19,7 @@ let run_tables only quick passes ablation speculate list_passes =
               (fun w -> List.mem w.Workloads.Workload.name names)
               Workloads.Registry.all
       in
-      let ablation =
-        match Driver.Variant.find_ablation ablation with
-        | Some a -> a
-        | None ->
-            Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver
-              "unknown ablation %S (known: %s)" ablation
-              (String.concat ", " ("baseline" :: Driver.Variant.ablation_names))
-      in
-      let ablation =
-        match speculate with
-        | None -> ablation
-        | Some t when t >= 0 && t <= 1000 -> Driver.Variant.with_speculate t ablation
-        | Some t ->
-            Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver
-              "--speculate threshold %d out of range (per-mille, 0..1000)" t
-      in
+      let ablation = Driver.Variant.resolve ?speculate ablation in
       let config =
         { Harness.Pipeline.specs = Driver.Pass_manager.parse_specs passes;
           ablation;

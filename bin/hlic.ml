@@ -70,25 +70,7 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
         @@ fun () ->
         try
           let src = read_file src_path in
-          let ablation =
-            match Driver.Variant.find_ablation ablation with
-            | Some a -> a
-            | None ->
-                Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver
-                  "unknown ablation %S (known: %s)" ablation
-                  (String.concat ", "
-                     ("baseline" :: Driver.Variant.ablation_names))
-          in
-          let ablation =
-            match speculate with
-            | None -> ablation
-            | Some t when t >= 0 && t <= 1000 ->
-                Driver.Variant.with_speculate t ablation
-            | Some t ->
-                Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver
-                  "--speculate threshold %d out of range (per-mille, 0..1000)"
-                  t
-          in
+          let ablation = Driver.Variant.resolve ?speculate ablation in
           let config =
             {
               Harness.Pipeline.specs = Driver.Pass_manager.parse_specs passes;

@@ -1,34 +1,20 @@
-(** Typed compilation passes.
-
-    A pass is a named, registered stage with a typed payload.  The
-    payload chain mirrors the paper's Figure 3 pipeline:
+(** The payloads of the fixed pipeline (the paper's Figure 3) and the
+    context its back-end steps run in.
 
     {v
-    Source --parse_typecheck--> Tast --analysis--> Analyzed
-           --tblconst--> Hli --serialize--> Hli
-           --lower--> Mapped --hli_import--> Mapped
-           --cse/licm/unroll--> Mapped --ddg_schedule--> Schedules
-    Scheduled (one of the Schedules) --simulate--> Simulated
+    source --parse_typecheck, analysis, tblconst, serialize--> hli
+           --lower, hli_import, cse/licm/unroll--> mapped
+           --ddg_schedule--> schedules
+    scheduled (one of the schedules) --simulate--> report
     v}
 
-    Stages are a GADT so a pipeline is checked — statically where the
-    pass list is literal, dynamically (with a {!Diagnostics} error, not
-    a [Match_failure]) where it is assembled from CLI specs.  The pass
-    manager derives each pass's telemetry span as
-    [prefix ^ "." ^ name], which is how the hand-maintained span
-    strings of the seed's [pipeline.ml] became derived data. *)
-
-type source = { src : string; src_file : string option }
-
-type analyzed = {
-  a_prog : Srclang.Tast.program;
-  a_ctx : Hligen.Tblconst.context;
-}
+    The front half is [Harness.Pipeline.frontend]; the back-end steps
+    are plain functions of {!Pass_manager}. *)
 
 type hli = {
   h_prog : Srclang.Tast.program;
   h_entries : Hli_core.Tables.hli_entry list;
-  h_bytes : int;  (** serialized size; 0 until the [serialize] pass runs *)
+  h_bytes : int;  (** Table 1's size ([Serialize.size_bytes]) *)
 }
 
 (** A human-readable per-pass result note (e.g. CSE elimination counts),
@@ -59,41 +45,6 @@ type scheduled = {
     in that order. *)
 type schedules = (Variant.machine * scheduled) list
 
-type _ stage =
-  | Source : source stage
-  | Tast : Srclang.Tast.program stage
-  | Analyzed : analyzed stage
-  | Hli : hli stage
-  | Mapped : mapped stage
-  | Schedules : schedules stage
-  | Scheduled : scheduled stage
-  | Simulated : Machine.Simulate.report stage
-
-let stage_name : type a. a stage -> string = function
-  | Source -> "source"
-  | Tast -> "tast"
-  | Analyzed -> "analyzed"
-  | Hli -> "hli"
-  | Mapped -> "mapped"
-  | Schedules -> "schedules"
-  | Scheduled -> "scheduled"
-  | Simulated -> "simulated"
-
-type (_, _) eq = Eq : ('a, 'a) eq
-
-let stage_eq : type a b. a stage -> b stage -> (a, b) eq option =
- fun a b ->
-  match (a, b) with
-  | Source, Source -> Some Eq
-  | Tast, Tast -> Some Eq
-  | Analyzed, Analyzed -> Some Eq
-  | Hli, Hli -> Some Eq
-  | Mapped, Mapped -> Some Eq
-  | Schedules, Schedules -> Some Eq
-  | Scheduled, Scheduled -> Some Eq
-  | Simulated, Simulated -> Some Eq
-  | _ -> None
-
 (** Hooks giving the back end a remote HLI session (hlid) for one
     unit.  The closures route to Batch/Notify_* wire frames; the
     driver layer stays ignorant of the protocol. *)
@@ -112,7 +63,7 @@ type remote_unit = {
     local entry). *)
 type remote = { remote_unit : string -> remote_unit option }
 
-(** Execution context threaded through every pass.  [spanf] is the
+(** Execution context of the back-end steps.  [spanf] is the
     telemetry hook — the harness supplies [Telemetry.span], so the
     driver layer never depends on the harness.
 
@@ -125,11 +76,10 @@ type remote = { remote_unit : string -> remote_unit option }
     result silently shared by both machines. *)
 type ctx = {
   span : spanf;
-  alias : Backend.Ddg.mode option;
-      (** [None] while running the alias-independent front end *)
+  alias : Backend.Ddg.mode option;  (** [None] without a variant *)
   machine : Variant.machine option;
-      (** [None] in the front end and in the machine-independent
-          back end, [ddg_schedule] included *)
+      (** [None] in the machine-independent back end, [ddg_schedule]
+          included *)
   ablation : Variant.ablation;
   fuel : int;  (** simulation fuel budget *)
   remote : remote option;
@@ -156,45 +106,13 @@ let no_context what =
     "%s-dependent pass run without %s context" what what
 
 (** The alias mode of a back-end context; raises a driver diagnostic in
-    a front-end context (an internal pipeline-assembly bug, not a user
-    error). *)
+    a context without one (a driver bug, not a user error). *)
 let the_alias c =
   match c.alias with Some a -> a | None -> no_context "alias"
 
 (** The machine of a per-variant context; raises the same diagnostic
-    in the front end and in the shared back end. *)
+    in the shared back end. *)
 let the_machine c =
   match c.machine with Some m -> m | None -> no_context "machine"
 
 let the_variant c = { Variant.alias = the_alias c; machine = the_machine c }
-
-type t =
-  | P : {
-      name : string;
-      prefix : string;  (** telemetry namespace; span = prefix ^ "." ^ name *)
-      doc : string;
-      structural : bool;
-          (** part of the fixed pipeline skeleton — always runs, not
-              selectable via [--passes] *)
-      takes_arg : bool;  (** accepts [name=N] in a pass spec *)
-      default_arg : int option;
-      after : string list;
-          (** passes that must run earlier when co-selected *)
-      maintains_hli : bool;
-          (** edits HLI entries through {!Hli_core.Maintain} *)
-      input : 'i stage;
-      output : 'o stage;
-      run : ctx -> arg:int option -> 'i -> 'o;
-    }
-      -> t
-
-let name (P p) = p.name
-let doc (P p) = p.doc
-let span_name (P p) = p.prefix ^ "." ^ p.name
-let is_structural (P p) = p.structural
-let takes_arg (P p) = p.takes_arg
-let default_arg (P p) = p.default_arg
-let after (P p) = p.after
-let maintains_hli (P p) = p.maintains_hli
-let input_stage_name (P p) = stage_name p.input
-let output_stage_name (P p) = stage_name p.output

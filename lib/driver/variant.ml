@@ -125,6 +125,23 @@ let find_ablation n =
 
 let ablation_names = List.map (fun a -> a.ab_name) ablations
 
+(** The [--ablation NAME] and [--speculate T] flags as one ablation;
+    raises E1006 for an unknown name and for a threshold outside the
+    per-mille range 0..1000. *)
+let resolve ?speculate name =
+  let err fmt = Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver fmt in
+  let ab =
+    match find_ablation name with
+    | Some a -> a
+    | None ->
+        err "unknown ablation %S (known: %s)" name
+          (String.concat ", " ("baseline" :: ablation_names))
+  in
+  match speculate with
+  | None -> ab
+  | Some t when t >= 0 && t <= 1000 -> with_speculate t ab
+  | Some t -> err "--speculate threshold %d out of range (per-mille, 0..1000)" t
+
 (** TBLCONST options this ablation implies. *)
 let tblconst_options ab =
   {

@@ -1,16 +1,15 @@
-(** The full compilation pipeline, front end to simulator, assembled
-    from the registered passes of {!Driver.Pass_manager}.
+(** The full compilation pipeline, front end to simulator.
 
-    [compile] mirrors Figure 3 of the paper: the front-end pipeline
-    (parse/typecheck → analysis → TBLCONST → serialize) runs once; the
+    [compile] mirrors Figure 3 of the paper: the front end ({!frontend}:
+    parse/typecheck → analysis → TBLCONST → serialize) runs once; the
     machine-independent back-end prefix (lower → [hli_import] →
-    optional passes) runs once per alias mode; and [ddg_schedule] runs
-    once per alias mode too, in the prefix's context: it builds each
-    block's DDG once and list-schedules it for every machine, giving
-    every variant of {!Driver.Variant.matrix}.  With a {!Pool} the two
-    alias modes build and schedule concurrently, each on its own
-    domain.  Each pass is automatically wrapped in its derived
-    telemetry span.
+    optional passes, {!Driver.Pass_manager.run_prefix}) runs once per
+    alias mode; and [ddg_schedule] runs once per alias mode too, in the
+    prefix's context: it builds each block's DDG once and
+    list-schedules it for every machine, giving every variant of
+    {!Driver.Variant.matrix}.  With a {!Pool} the two alias modes build
+    and schedule concurrently, each on its own domain.  Each step runs
+    in its telemetry span ({!Driver.Pass_manager.span_names}).
 
     Sharing the prefix and the DDG is sound because neither can tell
     the machines apart: their context carries the alias mode but no
@@ -94,32 +93,34 @@ let config_of_passes ?(ablation = Driver.Variant.baseline) passes =
    container keyed by the function's interprocedural fingerprint
    ({!Analysis.Fingerprint} — body digest + transitive-callee REF/MOD
    fingerprints + the program's pointer-constraint digest) plus the
-   TBLCONST options (ablation name) and the container format revision
-   (a format bump must invalidate every old entry).  An edit to one
+   TBLCONST options and the container format revision (a format bump
+   must invalidate every old entry).  Only the TBLCONST options enter
+   the key: an ablation or [--speculate] that changes only the back end
+   shares the entries of the paper configuration.  An edit to one
    function therefore re-analyzes only that function and the callers
    whose fingerprints it feeds; every other function's entry is spliced
    back from disk byte-identically.
 
    The optional-pass spec ([--passes]) is deliberately NOT part of the
-   key: every selectable pass is a back-end pass (structural front-end
-   passes are rejected by [parse_specs]), runs strictly after the
+   key: every selectable pass is a back-end pass (fixed-pipeline
+   names are rejected by [parse_specs]), runs strictly after the
    cached front-end output is produced, and mutates only per-alias-mode
    copies of the entries — so two configurations differing only in
    [--passes] share cache entries by construction.  [test_hli.ml]
    holds a regression test pinning this. *)
 
-let cache_key ~(ablation : Driver.Variant.ablation) (fp : Digest.t) =
+let cache_key ~(opts : Hligen.Tblconst.options) (fp : Digest.t) =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
           [
             Hli_core.Serialize.format_version;
-            ablation.Driver.Variant.ab_name;
+            string_of_bool opts.Hligen.Tblconst.merge_parent_classes;
+            string_of_bool opts.Hligen.Tblconst.routine_only_regions;
             fp;
           ]))
 
-let cache_path dir ~ablation fp =
-  Filename.concat dir (cache_key ~ablation fp ^ ".hlie")
+let cache_path dir ~opts fp = Filename.concat dir (cache_key ~opts fp ^ ".hlie")
 
 let rec mkdir_p dir =
   if dir <> "" && not (Sys.file_exists dir) then begin
@@ -136,8 +137,8 @@ let rec mkdir_p dir =
    Counted per function into the workload's telemetry record
    ([hli_cache_hits]/[hli_cache_misses], surfaced by --stats and the
    hli-telemetry-v8 JSON dump). *)
-let cache_lookup ?tm dir ~ablation ~unit_name fp =
-  let path = cache_path dir ~ablation fp in
+let cache_lookup ?tm dir ~opts ~unit_name fp =
+  let path = cache_path dir ~opts fp in
   match
     if Sys.file_exists path then
       match Hli_core.Serialize.read_file path with
@@ -159,10 +160,10 @@ let cache_lookup ?tm dir ~ablation ~unit_name fp =
 (* Best-effort store: written to a temp file then renamed, so readers
    (including pool domains compiling concurrently) never observe a torn
    file; any I/O failure just means the next run regenerates. *)
-let cache_store dir ~ablation fp entry =
+let cache_store dir ~opts fp entry =
   try
     mkdir_p dir;
-    let path = cache_path dir ~ablation fp in
+    let path = cache_path dir ~opts fp in
     let tmp = Filename.temp_file ~temp_dir:dir "hli-cache" ".tmp" in
     Hli_core.Serialize.write_file tmp { Hli_core.Tables.entries = [ entry ] };
     Sys.rename tmp path
@@ -262,99 +263,93 @@ let pass_notes c =
 let spanf ?tm () =
   { Driver.Pass.spanf = (fun name f -> Telemetry.span ?tm name f) }
 
-(** Build the HLI entries of a program (front-end pipeline only, no
-    serialization) — used by benchmarks and tests that want entries
-    without a full compile. *)
-let build_hli_entries ?(opts = Hligen.Tblconst.default_options) ?tm prog =
+(** Analysis and TBLCONST: one HLI entry per function of [prog], in
+    program order.  [cached], one option per function, holds the
+    entries the HLI cache supplied; only the others are built, and
+    each is passed to [store]. *)
+let build_hli_entries ?(opts = Hligen.Tblconst.default_options) ?tm ?cached
+    ?(store = fun _ _ -> ()) (prog : Srclang.Tast.program) =
+  let funcs = prog.Srclang.Tast.funcs in
+  let cached =
+    match cached with Some c -> c | None -> List.map (fun _ -> None) funcs
+  in
   let ctx =
     Telemetry.span ?tm "frontend.analysis" (fun () ->
         Hligen.Tblconst.make_context ~opts prog)
   in
   Telemetry.span ?tm "hligen.tblconst" (fun () ->
-      List.map
-        (fun f ->
-          let e, _, _ = Hligen.Tblconst.build_unit ctx f in
-          e)
-        prog.Srclang.Tast.funcs)
+      List.map2
+        (fun f cached ->
+          match cached with
+          | Some e -> e
+          | None ->
+              let e, _, _ = Hligen.Tblconst.build_unit ctx f in
+              store f e;
+              e)
+        funcs cached)
 
-(** Compile a source program into all matrix variants.
+(* The per-function cache in front of analysis and TBLCONST: each
+   function's entry is replayed from disk on a fingerprint hit.  A fully
+   warm compile skips the analysis fixpoints; a partial hit runs them
+   once and builds only the stale functions, splicing the cached entries
+   back in program order. *)
+let cached_entries ?tm dir ~max_bytes ~opts (prog : Srclang.Tast.program) =
+  let fps =
+    Telemetry.span ?tm "hli.fingerprint" (fun () ->
+        Analysis.Fingerprint.of_program prog)
+  in
+  let fp (f : Srclang.Tast.func) =
+    Analysis.Fingerprint.func fps f.Srclang.Tast.name
+  in
+  let cached =
+    Telemetry.span ?tm "hli.cache" (fun () ->
+        List.map
+          (fun (f : Srclang.Tast.func) ->
+            cache_lookup ?tm dir ~opts ~unit_name:f.Srclang.Tast.name (fp f))
+          prog.Srclang.Tast.funcs)
+  in
+  if List.for_all Option.is_some cached then List.map Option.get cached
+  else begin
+    if List.exists Option.is_some cached then
+      Telemetry.count ?tm "hli_cache_partial_hits";
+    let entries =
+      build_hli_entries ~opts ?tm ~cached
+        ~store:(fun f e -> cache_store dir ~opts (fp f) e)
+        prog
+    in
+    cache_trim ?tm dir ~max_bytes;
+    entries
+  end
 
-    Only the [With_hli] variants import the HLI and issue (counted)
-    queries — the [Gcc_only] baselines never touch HLI lookups, and
-    Table 2's measurement stream comes from exactly one pass (the
-    {!Driver.Variant.stats_variant}, whose [stats] this record
-    carries). *)
-(* The HLI-production phase on its own: parse/typecheck through
-   TBLCONST and serialization sizing, with the per-function cache in
-   front when [config.hli_cache] is set.  This is what an incremental
-   recompile pays per edited file — the back-end matrix consumes the
-   result identically whether it was replayed or rebuilt — so the
-   edit-storm benchmark times exactly this function. *)
+(** The front end, what an incremental recompile pays per edited file:
+    parse/typecheck, analysis and TBLCONST (behind the per-function
+    cache when [config.hli_cache] is set), and Table 1's size.  The
+    back end consumes the result identically whether it was replayed or
+    rebuilt, so the edit-storm benchmark times exactly this function.
+    Diagnostics get [src_file] attached. *)
 let frontend ?(config = default_config) ?src_file ?tm (src : string) :
     Driver.Pass.hli =
-  let spanf = spanf ?tm () in
-  let fctx = Driver.Pass.ctx ~spanf ~ablation:config.ablation () in
-  let ablation = config.ablation in
-  match config.hli_cache with
-  | None -> Driver.Pass_manager.run_frontend fctx { Driver.Pass.src; src_file }
-  | Some dir ->
-        (* Per-function warm start: parse/typecheck always runs (the
-           back end lowers the TAST, and fingerprints are computed over
-           it), then each function's entry is either replayed from disk
-           (fingerprint hit) or rebuilt.  A fully warm compile skips
-           the analysis fixpoints entirely; a partial hit runs them
-           once and re-runs TBLCONST only for the stale functions,
-           splicing cached entries back in program order.  h_bytes is
-           recomputed from the identical entries, so Table 1 is
-           byte-identical to a cold run. *)
-        let prog =
-          Driver.Pass_manager.run_parse_typecheck fctx
-            { Driver.Pass.src; src_file }
-        in
-        let fps =
-          spanf.Driver.Pass.spanf "hli.fingerprint" (fun () ->
-              Analysis.Fingerprint.of_program prog)
-        in
-        let lookups =
-          spanf.Driver.Pass.spanf "hli.cache" (fun () ->
-              List.map
-                (fun (f : Srclang.Tast.func) ->
-                  let fp = Analysis.Fingerprint.func fps f.Srclang.Tast.name in
-                  ( f,
-                    fp,
-                    cache_lookup ?tm dir ~ablation
-                      ~unit_name:f.Srclang.Tast.name fp ))
-                prog.Srclang.Tast.funcs)
-        in
-        let missing = List.exists (fun (_, _, e) -> e = None) lookups in
-        if missing && List.exists (fun (_, _, e) -> e <> None) lookups then
-          Telemetry.count ?tm "hli_cache_partial_hits";
-        let entries =
-          if not missing then List.map (fun (_, _, e) -> Option.get e) lookups
-          else begin
-            let opts = Driver.Variant.tblconst_options ablation in
-            let tctx =
-              spanf.Driver.Pass.spanf "frontend.analysis" (fun () ->
-                  Hligen.Tblconst.make_context ~opts prog)
-            in
-            spanf.Driver.Pass.spanf "hligen.tblconst" (fun () ->
-                List.map
-                  (fun (f, fp, cached) ->
-                    match cached with
-                    | Some e -> e
-                    | None ->
-                        let e, _, _ = Hligen.Tblconst.build_unit tctx f in
-                        cache_store dir ~ablation fp e;
-                        e)
-                  lookups)
-          end
-        in
-        if missing then cache_trim ?tm dir ~max_bytes:config.hli_cache_max;
-        let h_bytes =
-          spanf.Driver.Pass.spanf "hli.serialize" (fun () ->
-              Hli_core.Serialize.size_bytes { Hli_core.Tables.entries })
-        in
-        { Driver.Pass.h_prog = prog; h_entries = entries; h_bytes }
+  let opts = Driver.Variant.tblconst_options config.ablation in
+  try
+    let prog =
+      Telemetry.span ?tm "frontend.parse_typecheck" (fun () ->
+          Srclang.Typecheck.program_of_string src)
+    in
+    let entries =
+      match config.hli_cache with
+      | None -> build_hli_entries ~opts ?tm prog
+      | Some dir ->
+          cached_entries ?tm dir ~max_bytes:config.hli_cache_max ~opts prog
+    in
+    let h_bytes =
+      Telemetry.span ?tm "hli.serialize" (fun () ->
+          Hli_core.Serialize.size_bytes { Hli_core.Tables.entries })
+    in
+    { Driver.Pass.h_prog = prog; h_entries = entries; h_bytes }
+  with Diagnostics.Diagnostic d
+    when src_file <> None && d.Diagnostics.file = None ->
+    raise (Diagnostics.Diagnostic
+             (Diagnostics.with_file (Option.get src_file) d))
 
 (* One hlid session for the duration of [f].  [wire] is the HLI
    container the session opens. *)
@@ -367,6 +362,13 @@ let with_session config socket wire f =
     (fun () ->
       f (Remote.hooks_of_client cl (Hli_server.Client.open_hli_bytes cl wire)))
 
+(** Compile a source program into all matrix variants.
+
+    Only the [With_hli] variants import the HLI and issue (counted)
+    queries — the [Gcc_only] baselines never touch HLI lookups, and
+    Table 2's measurement stream comes from exactly one pass (the
+    {!Driver.Variant.stats_variant}, whose [stats] this record
+    carries). *)
 let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
     compiled =
   let spanf = spanf ?tm () in

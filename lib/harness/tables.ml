@@ -283,23 +283,15 @@ let stats_table (rows : row list) =
   line (Printf.sprintf "%-20s %12d" "hli_cache_trims" (sum "hli_cache_trims"));
   Buffer.contents buf
 
-(** Machine-readable dump: schema {!Telemetry.schema_version}
-    ([hli-telemetry-v5]).  Per workload: failure annotation, unmapped,
-    duplicate and dropped counts, dependence-query stats, and the
-    {!Telemetry} spans/counters; plus the process-wide per-kind HLI
-    query counters and the [query_cache] hit/miss/invalidation
-    counters added in v2.  v3 added the per-workload [dropped] count
-    and the per-pass backend spans; v4 added the aggregate [hli_cache]
-    hit/miss object for the on-disk HLI cache (zeros when no cache
-    directory is configured); v5 added the [server] object —
-    [?server] carries the hlid telemetry JSON of a [--remote] run
-    ([null] otherwise); v6 added the [shm] object — [?shm] carries
-    the shared-memory fast-path counters of a [--shm] run as a
-    preformatted JSON object ([null] otherwise); v7 made the
-    [hli_cache] counters per-function and added its
-    [partial_hits]/[trims] fields; v8 added the per-kind [equiv_prob]
-    counter and the per-workload [speculation] object (edges dropped,
-    checks inserted, misspeculations). *)
+(** Machine-readable dump, schema {!Telemetry.schema_version} (its doc
+    lists what each version added).  Per workload: failure annotation,
+    unmapped, duplicate and dropped counts, dependence-query stats, the
+    [speculation] object and the {!Telemetry} spans/counters.  Process
+    wide: the per-kind HLI query counters, the [query_cache] counters,
+    the aggregate [hli_cache] object (zeros without a cache directory),
+    [server] — the hlid telemetry JSON of a [--remote] run, given as
+    [?server] — and [shm] — the fast-path counters of a [--shm] run,
+    given as [?shm]; both are [null] otherwise. *)
 let stats_json ?server ?shm (rows : row list) =
   let b = Buffer.create 4096 in
   Buffer.add_string b

@@ -20,9 +20,8 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
 }
 
-(** Pipeline stage names, in pipeline order — derived from the pass
-    registry (each pass's span is [prefix ^ "." ^ name]), so a newly
-    registered pass shows up here without hand-maintenance. *)
+(** Pipeline stage names, in pipeline order: the spans the driver
+    opens, listed once in {!Driver.Pass_manager.span_names}. *)
 let stage_order = Driver.Pass_manager.span_names
 
 let create () : t =

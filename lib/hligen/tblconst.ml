@@ -721,15 +721,3 @@ let build_unit (ctx : context) (f : Tast.func) : T.hli_entry * Frontir.Itemgen.u
   ( { T.unit_name = f.Tast.name; line_table = line_table_of_items u; regions },
     u,
     region )
-
-(** Build the HLI file for a whole program. *)
-let build_program ?(opts = default_options) (prog : Tast.program) : T.hli_file =
-  let ctx = make_context ~opts prog in
-  {
-    T.entries =
-      List.map
-        (fun f ->
-          let entry, _, _ = build_unit ctx f in
-          entry)
-        prog.Tast.funcs;
-  }

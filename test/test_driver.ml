@@ -1,11 +1,12 @@
 (* Driver-layer tests: --passes spec parsing and round-tripping, the
-   registry and its derived telemetry span names, pipeline ordering /
-   stage-chain validation, the shape of a compile (one back-end prefix
-   and one DDG build per alias mode, scheduled for both machines, each
-   dependence pair queried once, E1010 when a prefix context is asked
-   for its machine), and a golden check that the default pipeline's
-   Table 1/2 output is byte-identical to the output recorded before the
-   pass-manager refactor (test/golden_tables.txt). *)
+   --ablation/--speculate resolver, the optional-pass table and the
+   telemetry span names, the front end's spans and HLI-cache counters,
+   the shape of a compile (one back-end prefix and one DDG build per
+   alias mode, scheduled for both machines, each dependence pair
+   queried once, E1010 when a prefix context is asked for its machine),
+   and a golden check that the default pipeline's Table 1/2 output is
+   byte-identical to the output recorded before the pass-manager
+   refactor (test/golden_tables.txt). *)
 
 let diag_code f =
   match f () with
@@ -32,8 +33,8 @@ let spec_tests =
           (List.length (Driver.Pass_manager.parse_specs "")));
     Alcotest.test_case "unroll default arg survives round-trip" `Quick
       (fun () ->
-        (* a bare "unroll" keeps sp_arg = None (the pass's default_arg
-           applies at run time), so it prints back without "=N" *)
+        (* a bare "unroll" keeps sp_arg = None (the factor defaults to
+           4 at run time), so it prints back without "=N" *)
         Alcotest.(check string) "bare" "unroll" (roundtrip "unroll"));
     check_code "unknown pass is E1001" "E1001" (fun () ->
         Driver.Pass_manager.parse_specs "cse,frobnicate");
@@ -51,6 +52,40 @@ let spec_tests =
         Driver.Pass_manager.parse_specs "unroll=4,cse");
     check_code "licm before cse violates ordering (E1004)" "E1004" (fun () ->
         Driver.Pass_manager.parse_specs "licm,cse");
+    Alcotest.test_case "every fixed-pipeline name is E1002" `Quick (fun () ->
+        List.iter
+          (fun n ->
+            Alcotest.(check (option string))
+              n (Some "E1002")
+              (diag_code (fun () -> Driver.Pass_manager.parse_specs n)))
+          [
+            "parse_typecheck";
+            "analysis";
+            "tblconst";
+            "serialize";
+            "lower";
+            "hli_import";
+            "ddg_schedule";
+            "simulate";
+          ]);
+    check_code "unknown ablation is E1006" "E1006" (fun () ->
+        Driver.Variant.resolve "frobnicate");
+    Alcotest.test_case "speculate threshold outside 0..1000 is E1006" `Quick
+      (fun () ->
+        List.iter
+          (fun t ->
+            Alcotest.(check (option string))
+              (string_of_int t) (Some "E1006")
+              (diag_code (fun () ->
+                   Driver.Variant.resolve ~speculate:t "baseline")))
+          [ -1; 1001 ]);
+    Alcotest.test_case "speculate composes onto an ablation" `Quick (fun () ->
+        let ab = Driver.Variant.resolve ~speculate:500 "merge-off" in
+        Alcotest.(check string)
+          "name" "merge-off+speculate=500" ab.Driver.Variant.ab_name;
+        Alcotest.(check (option int))
+          "threshold" (Some 500) ab.Driver.Variant.speculate;
+        Alcotest.(check bool) "merge off" false ab.Driver.Variant.merge_classes);
   ]
 
 let registry_tests =
@@ -61,12 +96,13 @@ let registry_tests =
           Harness.Telemetry.stage_order);
     Alcotest.test_case "span = prefix.name for every pass" `Quick (fun () ->
         List.iter
-          (fun p ->
+          (fun span ->
             Alcotest.(check bool)
-              (Driver.Pass.span_name p ^ " namespaced")
-              true
-              (String.contains (Driver.Pass.span_name p) '.'))
-          Driver.Pass_manager.registry);
+              (span ^ " namespaced") true (String.contains span '.'))
+          Driver.Pass_manager.span_names;
+        Alcotest.(check int)
+          "eleven spans" 11
+          (List.length Driver.Pass_manager.span_names));
     Alcotest.test_case "list-passes names every pass" `Quick (fun () ->
         let text = Driver.Pass_manager.list_text () in
         let has_sub s sub =
@@ -75,10 +111,10 @@ let registry_tests =
           go 0
         in
         List.iter
-          (fun p ->
-            Alcotest.(check bool) (Driver.Pass.name p) true
-              (has_sub text (Driver.Pass.name p)))
-          Driver.Pass_manager.registry);
+          (fun n -> Alcotest.(check bool) n true (has_sub text n))
+          (List.map (fun p -> p.Driver.Pass_manager.name)
+             Driver.Pass_manager.optional
+          @ Driver.Pass_manager.span_names));
     Alcotest.test_case "all four ablations are registered" `Quick (fun () ->
         List.iter
           (fun n ->
@@ -94,61 +130,26 @@ let registry_tests =
           (List.map Driver.Variant.name Driver.Variant.matrix));
   ]
 
+let tiny = "int main() { return 0; }"
+let uncached = { Harness.Pipeline.default_config with hli_cache = None }
+let frontend src = Harness.Pipeline.frontend ~config:uncached src
+
 let pipeline_tests =
   [
-    Alcotest.test_case "backend pipeline with passes validates" `Quick
-      (fun () ->
-        Alcotest.(check (option string)) "ok" None
-          (diag_code (fun () ->
-               Driver.Pass_manager.(
-                 validate_pipeline
-                   (prefix_pipeline ~alias:Backend.Ddg.With_hli
-                      (parse_specs "cse,licm,unroll=4")
-                   @ [ step "ddg_schedule" ])))));
-    Alcotest.test_case "gcc-only pipeline skips hli_import yet validates"
-      `Quick (fun () ->
-        (* cse's after=[hli_import] only binds when hli_import is
-           co-selected; the GCC baselines run passes without HLI *)
-        Alcotest.(check (option string)) "ok" None
-          (diag_code (fun () ->
-               Driver.Pass_manager.(
-                 validate_pipeline
-                   (prefix_pipeline ~alias:Backend.Ddg.Gcc_only
-                      (parse_specs "cse,licm")
-                   @ [ step "ddg_schedule" ])))));
-    check_code "stage chain mismatch is E1005" "E1005" (fun () ->
-        Driver.Pass_manager.(
-          validate_pipeline [ step "parse_typecheck"; step "lower" ]));
-    check_code "duplicate step is E1003" "E1003" (fun () ->
-        Driver.Pass_manager.(
-          validate_pipeline [ step "lower"; step "hli_import"; step "hli_import" ]));
     Alcotest.test_case "frontend runs without a variant" `Quick (fun () ->
-        let ctx = Driver.Pass.ctx () in
-        let h =
-          Driver.Pass_manager.run_frontend ctx
-            { Driver.Pass.src = "int main() { return 0; }"; src_file = None }
-        in
+        let h = frontend tiny in
         Alcotest.(check bool) "entries" true (h.Driver.Pass.h_entries <> []);
         Alcotest.(check bool) "serialized" true (h.Driver.Pass.h_bytes > 0));
     check_code "backend without a variant is E1010" "E1010" (fun () ->
-        let ctx = Driver.Pass.ctx () in
-        let h =
-          Driver.Pass_manager.run_frontend ctx
-            { Driver.Pass.src = "int main() { return 0; }"; src_file = None }
-        in
-        Driver.Pass_manager.run_prefix ctx [] h);
+        Driver.Pass_manager.run_prefix (Driver.Pass.ctx ()) [] (frontend tiny));
     check_code "a prefix context asking for the machine is E1010" "E1010"
       (fun () ->
         Driver.Pass.the_machine (Driver.Pass.ctx ~alias:Backend.Ddg.With_hli ()));
     check_code "simulating in a prefix context is E1010" "E1010" (fun () ->
         let ctx = Driver.Pass.ctx ~alias:Backend.Ddg.With_hli () in
-        let h =
-          Driver.Pass_manager.run_frontend ctx
-            { Driver.Pass.src = "int main() { return 0; }"; src_file = None }
-        in
         Driver.Pass_manager.(
           List.map (fun (_, s) -> simulate ctx s)
-            (run_schedule ctx (run_prefix ctx [] h))));
+            (run_schedule ctx (run_prefix ctx [] (frontend tiny)))));
     Alcotest.test_case "the back-end prefix runs once per alias mode" `Quick
       (fun () ->
         (* lower, the optional passes and the scheduler once per alias
@@ -196,17 +197,99 @@ let pipeline_tests =
           Workloads.Registry.all);
     Alcotest.test_case "diagnostics carry the source file name" `Quick
       (fun () ->
-        let ctx = Driver.Pass.ctx () in
         match
-          Driver.Pass_manager.run_frontend ctx
-            { Driver.Pass.src = "int f() { return nope; }";
-              src_file = Some "bad.c" }
+          Harness.Pipeline.frontend ~config:uncached ~src_file:"bad.c"
+            "int f() { return nope; }"
         with
         | exception Diagnostics.Diagnostic d ->
             Alcotest.(check (option string)) "file" (Some "bad.c")
               d.Diagnostics.file;
             Alcotest.(check string) "code" "E0301" d.Diagnostics.code
         | _ -> Alcotest.fail "expected a typecheck diagnostic");
+  ]
+
+(* The front end's spans and HLI-cache counters over one compile of a
+   four-function program: uncached, cold, warm, and after an edit to one
+   function that leaves the others' fingerprints alone. *)
+let four_funcs mid =
+  "int g;\n"
+  ^ Printf.sprintf "int leaf(int n) { g = g + n; return n + %d; }\n" mid
+  ^ "int caller(int n) { return leaf(n) + 1; }\n"
+  ^ "int lone(int n) { return n * 7; }\n"
+  ^ "int main() { return caller(2) + lone(3); }\n"
+
+let frontend_counts ?dir src =
+  let tm = Harness.Telemetry.create () in
+  ignore
+    (Harness.Pipeline.compile ~config:{ uncached with hli_cache = dir } ~tm src);
+  List.map
+    (fun n -> (n, Harness.Telemetry.span_count tm n))
+    [
+      "frontend.parse_typecheck";
+      "hli.fingerprint";
+      "hli.cache";
+      "frontend.analysis";
+      "hligen.tblconst";
+      "hli.serialize";
+    ]
+  @ List.map
+      (fun n -> (n, Harness.Telemetry.counter tm n))
+      [ "hli_cache_hits"; "hli_cache_misses"; "hli_cache_partial_hits" ]
+
+let check_counts name expected actual =
+  Alcotest.(check (list (pair string int)))
+    name
+    (List.combine (List.map fst actual) expected)
+    actual
+
+let with_cache_dir f =
+  let dir = Filename.temp_file "hli-driver-test" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun e -> Sys.remove (Filename.concat dir e))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+let frontend_tests =
+  [
+    Alcotest.test_case "uncached: each front-end step runs once" `Quick
+      (fun () ->
+        check_counts "uncached"
+          [ 1; 0; 0; 1; 1; 1; 0; 0; 0 ]
+          (frontend_counts (four_funcs 1)));
+    Alcotest.test_case "cache: cold, warm and a one-function edit" `Quick
+      (fun () ->
+        with_cache_dir (fun dir ->
+            check_counts "cold"
+              [ 1; 1; 1; 1; 1; 1; 0; 4; 0 ]
+              (frontend_counts ~dir (four_funcs 1));
+            check_counts "warm: no analysis or TBLCONST"
+              [ 1; 1; 1; 0; 0; 1; 4; 0; 0 ]
+              (frontend_counts ~dir (four_funcs 1));
+            check_counts "edit: one partial hit"
+              [ 1; 1; 1; 1; 1; 1; 3; 1; 1 ]
+              (frontend_counts ~dir (four_funcs 2))));
+    Alcotest.test_case "a compile records exactly the listed spans" `Quick
+      (fun () ->
+        let tm = Harness.Telemetry.create () in
+        let c =
+          Harness.Pipeline.compile
+            ~config:
+              {
+                (Harness.Pipeline.config_of_passes "cse,licm,unroll=4") with
+                hli_cache = None;
+              }
+            ~tm (four_funcs 1)
+        in
+        ignore (Harness.Pipeline.measure ~tm c);
+        Alcotest.(check (list string))
+          "spans" Driver.Pass_manager.span_names
+          (Harness.Telemetry.span_names tm));
   ]
 
 (* Byte-identity of the default pipeline against the output recorded
@@ -239,5 +322,6 @@ let () =
       ("specs", spec_tests);
       ("registry", registry_tests);
       ("pipeline", pipeline_tests);
+      ("frontend", frontend_tests);
       ("golden", golden_tests);
     ]

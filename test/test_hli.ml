@@ -857,6 +857,32 @@ let cache_tests =
             ignore (frontend_bytes ~config (cache_src 1));
             Alcotest.(check int) "ablated run stores its own entries" (2 * n)
               (List.length (cache_files dir))));
+    Alcotest.test_case "back-end ablations share the front-end entries"
+      `Quick (fun () ->
+        (* the key holds the TBLCONST options, not the ablation name:
+           --speculate, lsq-off and hli-only change only the back end *)
+        with_cache_dir (fun dir ->
+            ignore (Harness.Pipeline.compile ~config:(cache_config dir) (cache_src 1));
+            let before = cache_files dir in
+            List.iter
+              (fun ab ->
+                let tm = Harness.Telemetry.create () in
+                ignore
+                  (Harness.Pipeline.compile
+                     ~config:{ (cache_config dir) with Harness.Pipeline.ablation = ab }
+                     ~tm (cache_src 1));
+                let name = ab.Driver.Variant.ab_name in
+                Alcotest.(check (pair int int))
+                  (name ^ ": hits, misses") (4, 0)
+                  ( Harness.Telemetry.counter tm "hli_cache_hits",
+                    Harness.Telemetry.counter tm "hli_cache_misses" );
+                Alcotest.(check (list string))
+                  (name ^ ": no entries written") before (cache_files dir))
+              [
+                Driver.Variant.resolve ~speculate:1000 "baseline";
+                Driver.Variant.resolve "lsq-off";
+                Driver.Variant.resolve "hli-only";
+              ]));
     Alcotest.test_case "size cap trims the oldest entries" `Quick (fun () ->
         with_cache_dir (fun dir ->
             (* cap of 1 byte: every miss-filling compile trims the
