@@ -62,7 +62,7 @@
                           run-time checks and recovery; composes onto
                           --ablation (specbench sweeps this axis
                           itself and rejects the flag)
-     --list-passes        list the registered passes and exit
+     --list-passes        list the optional passes and the span order, exit
      --hli-cache DIR      on-disk HLI cache directory for the compile
                           stage (default: HLI_CACHE env; unset disables
                           caching; also the serbench cache directory)

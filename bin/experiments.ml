@@ -70,7 +70,10 @@ let speculate_arg =
            composes with $(b,--ablation)")
 
 let list_passes_flag =
-  Arg.(value & flag & info [ "list-passes" ] ~doc:"list registered passes and exit")
+  Arg.(
+    value & flag
+    & info [ "list-passes" ]
+        ~doc:"list the optional passes and the span order, and exit")
 
 let cmd =
   let doc = "reproduce the paper's Tables 1 and 2" in

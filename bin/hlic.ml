@@ -250,7 +250,10 @@ let speculate_arg =
            schedules byte-identical to the non-speculative compiler")
 
 let list_passes_flag =
-  Arg.(value & flag & info [ "list-passes" ] ~doc:"list registered passes and exit")
+  Arg.(
+    value & flag
+    & info [ "list-passes" ]
+        ~doc:"list the optional passes and the span order, and exit")
 
 let jobs_arg =
   Arg.(

@@ -20,8 +20,9 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
 }
 
-(** Pipeline stage names, in pipeline order: the spans the driver
-    opens, listed once in {!Driver.Pass_manager.span_names}. *)
+(** Pipeline stage names, in pipeline order: the spans of the front
+    end and the back end, listed once in
+    {!Driver.Pass_manager.span_names}. *)
 let stage_order = Driver.Pass_manager.span_names
 
 let create () : t =
