@@ -2058,12 +2058,7 @@ let micro () =
         e.Hli_core.Tables.unit_name = fn.Backend.Rtl.fname)
       entries
   in
-  let map = Backend.Hli_import.map_unit entry fn in
-  let idx =
-    match map.Backend.Hli_import.source with
-    | Backend.Hli_import.Local idx -> idx
-    | Backend.Hli_import.Remote _ -> assert false (* map_unit is local *)
-  in
+  let idx = Hli_core.Query.build entry in
   let item_arr = Array.of_list (Hli_core.Tables.all_items entry) in
   let small_src =
     {|

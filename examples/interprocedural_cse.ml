@@ -69,12 +69,7 @@ let compile_cse ~use_hli =
       in
       let m = Backend.Hli_import.map_unit entry fn in
       let hli = if use_hli then Some m else None in
-      let mt =
-        if use_hli then
-          Some (Backend.Hli_import.local_maint (Hli_core.Maintain.start entry))
-        else None
-      in
-      let s = Backend.Cse.run_fn ?hli ?maintain:mt fn in
+      let s = Backend.Cse.run_fn ?hli fn in
       total.Backend.Cse.loads_eliminated <-
         total.Backend.Cse.loads_eliminated + s.Backend.Cse.loads_eliminated;
       total.Backend.Cse.alu_eliminated <-

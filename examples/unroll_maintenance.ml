@@ -55,13 +55,12 @@ let () =
   (* unroll by 4 with maintenance *)
   let rtl = Backend.Lower.lower_program prog in
   let fn = Option.get (Backend.Rtl.find_fn rtl "recur") in
-  ignore (Backend.Hli_import.map_unit entry fn);
   let mt = Hli_core.Maintain.start entry in
-  let fn, stats =
-    Backend.Unroll.run_fn
-      ~maintain:(Backend.Hli_import.local_maint mt)
-      ~factor:4 fn
+  let hli =
+    Backend.Hli_import.map_unit_lines ~session:(Backend.Hli_import.local mt)
+      ~dups:[] ~line_table:entry.Hli_core.Tables.line_table fn
   in
+  let fn, stats = Backend.Unroll.run_fn ~hli ~factor:4 fn in
   Fmt.pr "unrolled %d loop(s), made %d body copies@."
     stats.Backend.Unroll.unrolled stats.Backend.Unroll.copies_made;
   let entry', _ = Hli_core.Maintain.commit mt in

@@ -9,8 +9,9 @@
     values whose locations the callee may MOD are purged
     ([invalidate_memory_clobbered] in the paper).
 
-    Deleted loads have their HLI items removed through the maintenance
-    API, keeping the tables consistent for later passes. *)
+    Deleted loads have their HLI items removed through the session's
+    maintenance functions, keeping the tables consistent for later
+    passes. *)
 
 open Rtl
 
@@ -62,7 +63,6 @@ type state = {
           has since been replaced or removed is stale and skipped *)
   stats : stats;
   hli : Hli_import.t option;
-  maintain : Hli_import.maint option;
 }
 
 let vn_of_reg st r =
@@ -142,7 +142,7 @@ let invalidate_call st (call : insn) =
       | Some _, Some h -> (
           match (e.litem, call.item) with
           | Some li, Some ci -> (
-              match Hli_import.item_call_acc h ~call:ci ~mem:li with
+              match h.Hli_import.session.call_acc ~call:ci ~mem:li with
               | Hli_core.Query.Call_none | Hli_core.Query.Call_ref ->
                   st.stats.call_survivals <- st.stats.call_survivals + 1;
                   Some e
@@ -261,8 +261,8 @@ let process_block (st : state) (insns : insn list) : insn list =
               st.stats.loads_eliminated <- st.stats.loads_eliminated + 1;
               set_reg_vn st d e.vn;
               (* the load disappears: delete its HLI item *)
-              (match (st.maintain, i.item) with
-              | Some mt, Some it -> mt.Hli_import.mn_delete_item it
+              (match (st.hli, i.item) with
+              | Some h, Some it -> h.Hli_import.session.delete_item it
               | _ -> ());
               emit { i with desc = Li (d, Reg e.holder); item = None }
           | _ ->
@@ -283,10 +283,10 @@ let process_block (st : state) (insns : insn list) : insn list =
     insns;
   List.rev !out
 
-(** Run local CSE over a function.  [hli]+[maintain] enable the
-    selective call invalidation of Figure 4 and keep the HLI tables in
-    sync with deleted loads. *)
-let run_fn ?hli ?maintain (fn : fn) : stats =
+(** Run local CSE over a function.  [hli] enables the selective call
+    invalidation of Figure 4 and keeps the HLI tables in sync with
+    deleted loads. *)
+let run_fn ?hli (fn : fn) : stats =
   let stats = fresh_stats () in
   let st =
     {
@@ -296,7 +296,6 @@ let run_fn ?hli ?maintain (fn : fn) : stats =
       held = Hashtbl.create 64;
       stats;
       hli;
-      maintain;
     }
   in
   Array.iter (fun b -> b.insns <- process_block st b.insns) fn.blocks;

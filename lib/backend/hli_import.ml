@@ -9,33 +9,52 @@
     degradation the paper describes for unconsidered code-generation
     rules.
 
-    The query side is abstracted over {!backend_kind}: [Local] holds
-    an in-process {!Hli_core.Query.index}; [Remote] holds a
-    {!query_source} of closures answering over the hlid wire protocol.
-    The optimisation passes only ever see the item-level adapters, so
-    they are oblivious to which side of the process boundary the HLI
-    lives on — the boundary is exactly the paper's front-end/back-end
-    interface. *)
+    The passes reach the HLI only through a {!session} of query and
+    maintenance functions — the paper's front-end/back-end interface
+    (Section 3.2, Figure 3).  {!local} builds one over an in-process
+    {!Hli_core.Maintain.t}; the harness builds one over a hlid client,
+    so no pass knows which side of the process boundary the HLI lives
+    on. *)
 
 open Rtl
 
-(** Item-level query closures; the [Remote] back end routes these to a
-    hlid session. *)
-type query_source = {
-  qs_equiv_acc : int -> int -> Hli_core.Query.equiv_result;
-  qs_equiv_prob : int -> int -> Hli_core.Query.equiv_result * int;
-      (** the equiv answer plus its per-mille confidence (HLI3
-          probability sections; protocol v5 on the wire) *)
-  qs_call_acc : call:int -> mem:int -> Hli_core.Query.call_acc_result;
-  qs_region_of_item : int -> int option;
+(** One unit's HLI session.  Queries answer from the index as of the
+    last [barrier], which the driver calls at the end of every pass. *)
+type session = {
+  equiv_acc : int -> int -> Hli_core.Query.equiv_result;
+  equiv_prob : int -> int -> Hli_core.Query.equiv_result * int;
+      (** the equiv answer plus its per-mille confidence *)
+  call_acc : call:int -> mem:int -> Hli_core.Query.call_acc_result;
+  region_of_item : int -> int option;
+  delete_item : int -> unit;
+  gen_item : like:int -> line:int -> int;
+  move_item_outward : item:int -> target_rid:int -> bool;
+  unroll : rid:int -> factor:int -> Hli_core.Maintain.unroll_result;
+  hoist_target : int -> int option;
+      (** the parent region of the item's region in the maintained
+          entry — the LICM hoist decision *)
+  barrier : unit -> unit;
 }
 
-type backend_kind =
-  | Local of Hli_core.Query.index
-  | Remote of query_source
+(** The session of an in-process {!Hli_core.Maintain.t}. *)
+let local (m : Hli_core.Maintain.t) : session =
+  let module M = Hli_core.Maintain in
+  let module Q = Hli_core.Query in
+  {
+    equiv_acc = (fun a b -> Q.get_equiv_acc (M.queried m) a b);
+    equiv_prob = (fun a b -> Q.get_equiv_prob (M.queried m) a b);
+    call_acc = (fun ~call ~mem -> Q.get_call_acc (M.queried m) ~call ~mem);
+    region_of_item = (fun item -> Q.get_region_of_item (M.queried m) item);
+    delete_item = M.delete_item m;
+    gen_item = M.gen_item m;
+    move_item_outward = M.move_item_outward m;
+    unroll = M.unroll m;
+    hoist_target = M.hoist_target m;
+    barrier = (fun () -> ignore (M.barrier m));
+  }
 
 type t = {
-  source : backend_kind;
+  session : session;
   mapped : int;  (** how many items were attached to instructions *)
   unmapped_insns : int;  (** memory/call insns left without an item *)
   mismatched_lines : int list;
@@ -55,7 +74,7 @@ let insn_kind (i : insn) : Hli_core.Tables.access_type option =
     table.  This is the whole import algorithm; it deliberately needs
     nothing but the line table, so a remote back end can run it after
     fetching the table over the wire. *)
-let map_unit_lines ~(source : backend_kind) ~(dups : int list)
+let map_unit_lines ~(session : session) ~(dups : int list)
     ~(line_table : Hli_core.Tables.line_table) (fn : fn) : t =
   (* items_of_line only consults the line table, so a synthetic entry
      carries it without the region tables *)
@@ -109,7 +128,7 @@ let map_unit_lines ~(source : backend_kind) ~(dups : int list)
       go insns items true)
     by_line;
   {
-    source;
+    session;
     mapped = !mapped;
     unmapped_insns = !unmapped;
     mismatched_lines = List.sort_uniq compare !bad_lines;
@@ -117,42 +136,18 @@ let map_unit_lines ~(source : backend_kind) ~(dups : int list)
   }
 
 (** Attach HLI items to the instructions of [fn].  [entry] must be the
-    HLI entry of the same unit; the resulting back end is [Local] over
-    a freshly built index. *)
+    HLI entry of the same unit; the session is a fresh local one, which
+    builds the unit's index. *)
 let map_unit (entry : Hli_core.Tables.hli_entry) (fn : fn) : t =
-  let index = Hli_core.Query.build entry in
-  map_unit_lines ~source:(Local index)
-    ~dups:(Hli_core.Query.duplicate_items index)
+  let m = Hli_core.Maintain.start entry in
+  map_unit_lines ~session:(local m)
+    ~dups:(Hli_core.Query.duplicate_items (Hli_core.Maintain.queried m))
     ~line_table:entry.Hli_core.Tables.line_table fn
 
-(* ------------------------------------------------------------------ *)
-(* Query adapters over items                                           *)
-(* ------------------------------------------------------------------ *)
-
-let item_equiv_acc (t : t) ia ib : Hli_core.Query.equiv_result =
-  match t.source with
-  | Local index -> Hli_core.Query.get_equiv_acc index ia ib
-  | Remote qs -> qs.qs_equiv_acc ia ib
-
-let item_equiv_prob (t : t) ia ib : Hli_core.Query.equiv_result * int =
-  match t.source with
-  | Local index -> Hli_core.Query.get_equiv_prob index ia ib
-  | Remote qs -> qs.qs_equiv_prob ia ib
-
 let item_proves_independent (t : t) ia ib : bool =
-  match item_equiv_acc t ia ib with
+  match t.session.equiv_acc ia ib with
   | Hli_core.Query.Equiv_none -> true
   | _ -> false
-
-let item_call_acc (t : t) ~call ~mem : Hli_core.Query.call_acc_result =
-  match t.source with
-  | Local index -> Hli_core.Query.get_call_acc index ~call ~mem
-  | Remote qs -> qs.qs_call_acc ~call ~mem
-
-let item_region_of (t : t) item : int option =
-  match t.source with
-  | Local index -> Hli_core.Query.get_region_of_item index item
-  | Remote qs -> qs.qs_region_of_item item
 
 (* ------------------------------------------------------------------ *)
 (* Query adapters over instructions                                    *)
@@ -163,7 +158,7 @@ let item_region_of (t : t) item : int option =
     [Equiv_unknown]. *)
 let equiv_acc (t : t) (a : insn) (b : insn) : Hli_core.Query.equiv_result =
   match (a.item, b.item) with
-  | Some ia, Some ib -> item_equiv_acc t ia ib
+  | Some ia, Some ib -> t.session.equiv_acc ia ib
   | _ -> Hli_core.Query.Equiv_unknown
 
 (** {!equiv_acc} plus its per-mille confidence.  Unmapped
@@ -172,7 +167,7 @@ let equiv_acc (t : t) (a : insn) (b : insn) : Hli_core.Query.equiv_result =
 let equiv_prob (t : t) (a : insn) (b : insn) :
     Hli_core.Query.equiv_result * int =
   match (a.item, b.item) with
-  | Some ia, Some ib -> item_equiv_prob t ia ib
+  | Some ia, Some ib -> t.session.equiv_prob ia ib
   | _ -> (Hli_core.Query.Equiv_unknown, 0)
 
 (** Does the HLI prove these two references independent (no edge
@@ -186,7 +181,7 @@ let proves_independent (t : t) (a : insn) (b : insn) : bool =
     instruction. *)
 let call_acc (t : t) ~(call : insn) ~(mem : insn) : Hli_core.Query.call_acc_result =
   match (call.item, mem.item) with
-  | Some ci, Some mi -> item_call_acc t ~call:ci ~mem:mi
+  | Some ci, Some mi -> t.session.call_acc ~call:ci ~mem:mi
   | _ -> Hli_core.Query.Call_unknown
 
 (** May the call disturb (or observe, for stores) the memory reference?
@@ -200,40 +195,3 @@ let call_conflicts (t : t) ~(call : insn) ~(mem : insn) : bool =
   | Hli_core.Query.Call_mod | Hli_core.Query.Call_refmod
   | Hli_core.Query.Call_unknown ->
       true
-
-(* ------------------------------------------------------------------ *)
-(* Maintenance hooks                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** Maintenance operations as closures, so a pass mutating the HLI is
-    equally oblivious to the process boundary: [local_maint] wraps an
-    in-process {!Hli_core.Maintain.t}; the remote pipeline wires these
-    to Notify_* frames. *)
-type maint = {
-  mn_delete_item : int -> unit;
-  mn_gen_item : like:int -> line:int -> int;
-  mn_move_item_outward : item:int -> target_rid:int -> bool;
-  mn_unroll : rid:int -> factor:int -> Hli_core.Maintain.unroll_result;
-  mn_hoist_target : int -> int option;
-      (** commit the maintained entry and answer the parent region of
-          the item's region — the LICM hoist decision *)
-}
-
-let local_maint (mt : Hli_core.Maintain.t) : maint =
-  {
-    mn_delete_item = (fun item -> Hli_core.Maintain.delete_item mt item);
-    mn_gen_item = (fun ~like ~line -> Hli_core.Maintain.gen_item mt ~like ~line);
-    mn_move_item_outward =
-      (fun ~item ~target_rid ->
-        Hli_core.Maintain.move_item_outward mt ~item ~target_rid);
-    mn_unroll = (fun ~rid ~factor -> Hli_core.Maintain.unroll mt ~rid ~factor);
-    mn_hoist_target =
-      (fun item ->
-        let entry, idx = Hli_core.Maintain.commit mt in
-        match Hli_core.Query.get_region_of_item idx item with
-        | Some rid -> (
-            match Hli_core.Tables.find_region entry rid with
-            | Some r -> r.Hli_core.Tables.parent
-            | None -> None)
-        | None -> None);
-  }

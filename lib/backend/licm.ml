@@ -11,9 +11,9 @@
     the loop sit in the same block, after the definition — so moving the
     definition to the preheader can never expose a stale value.
 
-    Hoisted items are moved to the enclosing region through the
-    maintenance hooks ({!Hli_import.maint}), which wrap either a local
-    {!Hli_core.Maintain.t} or a remote hlid session. *)
+    Hoisted items are moved to the enclosing region through the unit's
+    {!Hli_import.session}: [hoist_target] names the region, and
+    [move_item_outward] moves the item there. *)
 
 open Rtl
 
@@ -94,9 +94,9 @@ let temp_like (fn : fn) (body_bids : int list) (cand : insn) (d : reg) : bool =
   && !defs = 1
 
 (** Hoist invariant code of every loop of [fn] into its preheader,
-    innermost-first.  [maintain] moves the HLI items of hoisted loads
-    outward through the maintenance API. *)
-let run_fn ?hli ?maintain (fn : fn) : stats =
+    innermost-first.  With [hli], the HLI items of hoisted loads move
+    outward through its session. *)
+let run_fn ?hli (fn : fn) : stats =
   let stats = fresh_stats () in
   let counted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   (* innermost loops have larger region ids with our preorder numbering;
@@ -178,13 +178,11 @@ let run_fn ?hli ?maintain (fn : fn) : stats =
             match i.desc with
             | Load _ -> (
                 stats.hoisted_loads <- stats.hoisted_loads + 1;
-                match (maintain, i.item) with
-                | Some (mt : Hli_import.maint), Some it -> (
-                    match mt.Hli_import.mn_hoist_target it with
+                match (hli, i.item) with
+                | Some (h : Hli_import.t), Some it -> (
+                    match h.session.hoist_target it with
                     | Some p ->
-                        ignore
-                          (mt.Hli_import.mn_move_item_outward ~item:it
-                             ~target_rid:p)
+                        ignore (h.session.move_item_outward ~item:it ~target_rid:p)
                     | None -> ())
                 | _ -> ())
             | _ -> stats.hoisted_alu <- stats.hoisted_alu + 1)

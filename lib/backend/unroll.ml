@@ -132,9 +132,9 @@ let widened_classes (fn : fn) nregs =
     transformed (no preconditioning loop is emitted).  Returns [fn] with
     register tables widened to the registers the copies added (the
     record fields are immutable; [fn] itself when nothing was unrolled)
-    and statistics; [maintain] keeps the HLI consistent and supplies
-    fresh item ids for the duplicated references. *)
-let run_fn ?maintain ~factor (fn : fn) : fn * stats =
+    and statistics; [hli]'s session keeps the HLI consistent and
+    supplies fresh item ids for the duplicated references. *)
+let run_fn ?hli ~factor (fn : fn) : fn * stats =
   let stats = fresh_stats () in
   let next_uid = ref 0 and next_reg = ref fn.vreg_count in
   let fresh r =
@@ -160,12 +160,10 @@ let run_fn ?maintain ~factor (fn : fn) : fn * stats =
               stats.unrolled <- stats.unrolled + 1;
               (* HLI-side duplication first: gives us per-copy item ids *)
               let item_copies =
-                match maintain with
-                | Some (mt : Hli_import.maint) -> (
+                match hli with
+                | Some (h : Hli_import.t) -> (
                     try
-                      let r =
-                        mt.Hli_import.mn_unroll ~rid:c.c_loop.l_region ~factor
-                      in
+                      let r = h.session.unroll ~rid:c.c_loop.l_region ~factor in
                       Some r.Hli_core.Maintain.copies
                     with Diagnostics.Diagnostic _ ->
                       (* no such HLI region: unroll the RTL anyway, the

@@ -3,11 +3,15 @@
     As the back end optimizes, memory references are deleted (CSE), moved
     (loop-invariant removal) or duplicated (unrolling); these functions
     keep the HLI tables consistent with such changes so later passes can
-    still query it.  All functions work on a mutable {!t} wrapping one
-    program-unit entry; {!commit} returns the updated immutable entry and
-    its query index.  A session keeps the index of its current entry
-    and builds a new one only after an edit, so a session that edits
-    nothing commits the index it started with. *)
+    still query it.  A {!t} is the one HLI session of a program unit —
+    the in-process back end and hlid both keep one per unit.
+
+    Queries read {!queried}, the index as of the last end-of-pass
+    {!barrier}: edits change the maintained entry at once, but a pass
+    keeps reading the structure it started with (its memo tables are
+    emptied by every edit).  The barrier moves the queries to the
+    maintained entry's index, built at most once per edited pass; a
+    pass that edits nothing keeps its index, memos included. *)
 
 open Tables
 
@@ -16,26 +20,28 @@ type t = {
   (* the query index of [entry]; [None] from an edit until something
      needs it again *)
   mutable index : Query.index option;
-  (* query indexes whose memo caches must be dropped whenever a
-     transaction edits the entry; registered with {!watch} *)
-  mutable watchers : Query.index list;
+  (* the index queries read; the entry is unedited since the last
+     barrier exactly when [index] is still this one *)
+  mutable queried : Query.index;
 }
 
 (** A session on [entry].  [index], when given, must be an index of
-    [entry] (the unit's current one); it is reused until the first
-    edit. *)
-let start ?index entry = { entry; index; watchers = [] }
+    [entry] (the unit's current one); without it one is built. *)
+let start ?index entry =
+  let queried =
+    match index with Some idx -> idx | None -> Query.build entry
+  in
+  { entry; index = Some queried; queried }
 
-(** Register [idx] so its memoized query answers are invalidated after
-    every maintenance transaction on [m].  Importers watch the index
-    they expose to optimization passes, guaranteeing no pass can observe
-    a cached answer that predates an HLI edit. *)
-let watch m idx = m.watchers <- idx :: m.watchers
+(** The index queries read: the start index until the first
+    {!barrier} after an edit. *)
+let queried m = m.queried
 
-(* after every edit: the index no longer describes the entry *)
+(* after every edit: the index no longer describes the entry, and the
+   queried index may have memoized an answer the edit changed *)
 let edited m =
   m.index <- None;
-  List.iter Query.invalidate m.watchers
+  Query.invalidate m.queried
 
 let index m =
   match m.index with
@@ -45,7 +51,26 @@ let index m =
       m.index <- Some idx;
       idx
 
+(** The maintained entry and its index. *)
 let commit m = (m.entry, index m)
+
+(** The end-of-pass barrier: after an edit, queries move to the
+    maintained entry's index and the result is [true]; with no edit
+    since the last barrier nothing changes and the result is
+    [false]. *)
+let barrier m =
+  match m.index with
+  | Some idx when idx == m.queried -> false
+  | _ ->
+      m.queried <- index m;
+      true
+
+(** The LICM hoist decision: the parent of [item]'s region in the
+    maintained entry. *)
+let hoist_target m item =
+  match Query.get_region_of_item (index m) item with
+  | Some rid -> Option.bind (find_region m.entry rid) (fun r -> r.parent)
+  | None -> None
 
 let next_free_id m =
   let from_items =

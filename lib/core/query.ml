@@ -18,11 +18,10 @@
 
     and memoizes the two pair-granularity queries ({!get_equiv_acc} on
     the unordered item pair, {!get_call_acc} on [(call, mem)]).  Memo
-    tables are dropped by {!invalidate}, which {!Maintain} transactions
-    call on watched indexes so maintenance can never leave a stale
-    cached answer behind.  Per-kind query counters are bumped once per
-    {e logical} query — cache hits included — so Table 2 totals are
-    independent of caching.
+    tables are dropped by {!invalidate}, which every {!Maintain} edit
+    calls on the index its session's queries read.  Per-kind query
+    counters are bumped once per {e logical} query — cache hits
+    included — so Table 2 totals are independent of caching.
 
     An index (and its memo tables) is not synchronized: harness domains
     each build their own index per compilation variant.  The
@@ -161,7 +160,7 @@ let reset_query_counters () =
 (* ------------------------------------------------------------------ *)
 
 (** Snapshot of the memo/index counters, in a fixed order (these feed
-    the [hli-telemetry-v2] [query_cache] object and the [--stats] hit
+    the [hli-telemetry-v8] [query_cache] object and the [--stats] hit
     rate rows). *)
 let cache_counters () =
   [
@@ -453,7 +452,7 @@ let build (entry : hli_entry) : index =
 let duplicate_items idx = idx.dup_items
 
 (** Drop every memoized answer of [idx].  Called by {!Maintain} on
-    watched indexes after each maintenance transaction; the next query
+    its session's queried index after each edit; the next query
     recomputes from the index's entry snapshot. *)
 let invalidate idx =
   let s = shard () in

@@ -22,10 +22,9 @@ type hli = {
 type note = { n_pass : string; n_text : string }
 
 type mapped = {
-  m_entries : Hli_core.Tables.hli_entry list;
-      (** current entries — maintenance passes replace edited ones *)
   m_rtl : Backend.Rtl.program;
-  m_maps : (string, Backend.Hli_import.t) Hashtbl.t;  (** by unit name *)
+  m_maps : (string, Backend.Hli_import.t) Hashtbl.t;
+      (** by unit name; each holds its unit's HLI session *)
   m_unmapped : int;  (** memory refs the line mapping could not cover *)
   m_duplicates : int;  (** duplicate HLI item ids found while indexing *)
   m_dropped : int;  (** HLI entries whose unit has no RTL function *)
@@ -45,23 +44,10 @@ type scheduled = {
     in that order. *)
 type schedules = (Variant.machine * scheduled) list
 
-(** Hooks giving the back end a remote HLI session (hlid) for one
-    unit.  The closures route to Batch/Notify_* wire frames; the
-    driver layer stays ignorant of the protocol. *)
-type remote_unit = {
-  ru_source : Backend.Hli_import.query_source;
-  ru_maint : Backend.Hli_import.maint;
-  ru_refresh : unit -> unit;
-      (** end-of-pass barrier: the server replays [Maintain.commit]'s
-          index replacement so the next pass queries fresh structure *)
-  ru_line_table : unit -> Hli_core.Tables.line_table;
-  ru_dups : int list;  (** duplicate item ids, from the server's open *)
-}
-
-(** A remote HLI back end: [remote_unit] answers [None] when the
-    server session has no such unit (the import falls back to the
-    local entry). *)
-type remote = { remote_unit : string -> remote_unit option }
+(** A remote HLI back end: the import of one unit's function over a
+    hlid session, or [None] when the session has no such unit (the
+    import falls back to the local entry). *)
+type remote = string -> Backend.Rtl.fn -> Backend.Hli_import.t option
 
 (** Execution context of the back-end steps.  [spanf] is the
     telemetry hook — the harness supplies [Telemetry.span], so the
@@ -83,8 +69,8 @@ type ctx = {
   ablation : Variant.ablation;
   fuel : int;  (** simulation fuel budget *)
   remote : remote option;
-      (** when set, the [With_hli] back end imports/queries/maintains
-          HLI over a hlid session instead of in-process indexes *)
+      (** when set, the [With_hli] back end imports, queries and
+          maintains the HLI over a hlid session *)
 }
 
 and spanf = { spanf : 'a. string -> (unit -> 'a) -> 'a }

@@ -12,7 +12,6 @@ open Pass
 
 let lower (h : hli) : mapped =
   {
-    m_entries = h.h_entries;
     m_rtl = Backend.Lower.lower_program h.h_prog;
     m_maps = Hashtbl.create 16;
     m_unmapped = 0;
@@ -21,127 +20,56 @@ let lower (h : hli) : mapped =
     m_notes = [];
   }
 
-let hli_import ctx (m : mapped) : mapped =
+let hli_import ctx (h : hli) (m : mapped) : mapped =
   let unmapped = ref 0 and duplicates = ref 0 and dropped = ref 0 in
   List.iter
     (fun (e : Hli_core.Tables.hli_entry) ->
-      match Backend.Rtl.find_fn m.m_rtl e.Hli_core.Tables.unit_name with
+      let u = e.Hli_core.Tables.unit_name in
+      match Backend.Rtl.find_fn m.m_rtl u with
       | Some fn ->
           let mp =
-            match
-              Option.bind ctx.remote (fun r ->
-                  r.remote_unit e.Hli_core.Tables.unit_name)
-            with
-            | Some ru ->
-                (* remote back end: the line table and duplicate list
-                   come over the wire; queries route to the session *)
-                Backend.Hli_import.map_unit_lines
-                  ~source:(Backend.Hli_import.Remote ru.ru_source)
-                  ~dups:ru.ru_dups
-                  ~line_table:(ru.ru_line_table ())
-                  fn
+            match Option.bind ctx.remote (fun r -> r u fn) with
+            | Some mp -> mp
             | None -> Backend.Hli_import.map_unit e fn
           in
           unmapped := !unmapped + mp.Backend.Hli_import.unmapped_insns;
           duplicates := !duplicates + List.length mp.Backend.Hli_import.dup_items;
-          Hashtbl.replace m.m_maps e.Hli_core.Tables.unit_name mp
+          Hashtbl.replace m.m_maps u mp
       | None ->
           (* an HLI entry with no RTL function: its items can never be
              mapped — count it instead of dropping it silently *)
           incr dropped)
-    m.m_entries;
+    h.h_entries;
   { m with m_unmapped = !unmapped; m_duplicates = !duplicates; m_dropped = !dropped }
 
-(* Fold an optimization step over every function.  On HLI variants each
-   function gets a maintenance session watching its imported query
-   index (so no pass can observe a stale memoized answer), and after
-   the step the committed entry and its fresh index replace the old
-   ones — both in the map table and in the payload's entry list, so a
-   later pass maintains the already-edited entry, not the original.
-
-   On a remote back end the server owns all of that state: the pass
-   sees the session's maintenance hooks, and the end-of-step commit
-   becomes a Refresh barrier (the server rebuilds the unit's index
-   from the maintained entry). *)
-let fold_maintained ctx (m : mapped)
-    (apply :
-      hli:Backend.Hli_import.t option ->
-      maintain:Backend.Hli_import.maint option ->
-      Backend.Rtl.fn ->
-      Backend.Rtl.fn) : mapped =
-  let use_hli = the_alias ctx = Backend.Ddg.With_hli in
-  let entries = ref m.m_entries in
+(* Fold an optimization step over every function, giving it the
+   function's imported HLI (none in the [Gcc_only] mode, which imports
+   nothing), then end the pass at the session's barrier: the next pass
+   queries the structure this one maintained. *)
+let fold_maintained (m : mapped)
+    (apply : hli:Backend.Hli_import.t option -> Backend.Rtl.fn -> Backend.Rtl.fn)
+    : mapped =
   let fns =
     List.map
       (fun (fn : Backend.Rtl.fn) ->
-        let fname = fn.Backend.Rtl.fname in
-        let hli = if use_hli then Hashtbl.find_opt m.m_maps fname else None in
-        let remote =
-          if use_hli then
-            Option.bind ctx.remote (fun r -> r.remote_unit fname)
-          else None
-        in
-        match remote with
-        | Some ru ->
-            let fn = apply ~hli ~maintain:(Some ru.ru_maint) fn in
-            ru.ru_refresh ();
+        match Hashtbl.find_opt m.m_maps fn.Backend.Rtl.fname with
+        | Some h ->
+            let fn = apply ~hli:(Some h) fn in
+            h.Backend.Hli_import.session.barrier ();
             fn
-        | None ->
-            let index =
-              match hli with
-              | Some { Backend.Hli_import.source = Local index; _ } ->
-                  Some index
-              | _ -> None
-            in
-            let maintain =
-              if use_hli then
-                Option.map
-                  (Hli_core.Maintain.start ?index)
-                  (List.find_opt
-                     (fun (e : Hli_core.Tables.hli_entry) ->
-                       e.Hli_core.Tables.unit_name = fname)
-                     !entries)
-              else None
-            in
-            (match (maintain, index) with
-            | Some mt, Some index -> Hli_core.Maintain.watch mt index
-            | _ -> ());
-            let fn =
-              apply ~hli
-                ~maintain:(Option.map Backend.Hli_import.local_maint maintain)
-                fn
-            in
-            (match maintain with
-            | Some mt ->
-                let entry', index = Hli_core.Maintain.commit mt in
-                (match Hashtbl.find_opt m.m_maps fname with
-                | Some mp ->
-                    Hashtbl.replace m.m_maps fname
-                      {
-                        mp with
-                        Backend.Hli_import.source =
-                          Backend.Hli_import.Local index;
-                      }
-                | None -> ());
-                entries :=
-                  List.map
-                    (fun (e : Hli_core.Tables.hli_entry) ->
-                      if e.Hli_core.Tables.unit_name = fname then entry' else e)
-                    !entries
-            | None -> ());
-            fn)
+        | None -> apply ~hli:None fn)
       m.m_rtl.Backend.Rtl.fns
   in
-  { m with m_rtl = { m.m_rtl with Backend.Rtl.fns = fns }; m_entries = !entries }
+  { m with m_rtl = { m.m_rtl with Backend.Rtl.fns = fns } }
 
 let add_note (m : mapped) n_pass n_text =
   { m with m_notes = m.m_notes @ [ { n_pass; n_text } ] }
 
-let run_cse ctx ~arg:_ (m : mapped) : mapped =
+let run_cse ~arg:_ (m : mapped) : mapped =
   let t = Backend.Cse.fresh_stats () in
   let m =
-    fold_maintained ctx m (fun ~hli ~maintain fn ->
-        let s = Backend.Cse.run_fn ?hli ?maintain fn in
+    fold_maintained m (fun ~hli fn ->
+        let s = Backend.Cse.run_fn ?hli fn in
         t.Backend.Cse.alu_eliminated <-
           t.Backend.Cse.alu_eliminated + s.Backend.Cse.alu_eliminated;
         t.Backend.Cse.loads_eliminated <-
@@ -157,11 +85,11 @@ let run_cse ctx ~arg:_ (m : mapped) : mapped =
        t.Backend.Cse.alu_eliminated t.Backend.Cse.loads_eliminated
        t.Backend.Cse.call_purges t.Backend.Cse.call_survivals)
 
-let run_licm ctx ~arg:_ (m : mapped) : mapped =
+let run_licm ~arg:_ (m : mapped) : mapped =
   let t = Backend.Licm.fresh_stats () in
   let m =
-    fold_maintained ctx m (fun ~hli ~maintain fn ->
-        let s = Backend.Licm.run_fn ?hli ?maintain fn in
+    fold_maintained m (fun ~hli fn ->
+        let s = Backend.Licm.run_fn ?hli fn in
         t.Backend.Licm.hoisted_loads <-
           t.Backend.Licm.hoisted_loads + s.Backend.Licm.hoisted_loads;
         t.Backend.Licm.hoisted_alu <-
@@ -175,12 +103,12 @@ let run_licm ctx ~arg:_ (m : mapped) : mapped =
        t.Backend.Licm.hoisted_loads t.Backend.Licm.hoisted_alu
        t.Backend.Licm.blocked_by_alias)
 
-let run_unroll ctx ~arg (m : mapped) : mapped =
+let run_unroll ~arg (m : mapped) : mapped =
   let factor = Option.value ~default:4 arg in
   let t = Backend.Unroll.fresh_stats () in
   let m =
-    fold_maintained ctx m (fun ~hli:_ ~maintain fn ->
-        let fn, s = Backend.Unroll.run_fn ?maintain ~factor fn in
+    fold_maintained m (fun ~hli fn ->
+        let fn, s = Backend.Unroll.run_fn ?hli ~factor fn in
         t.Backend.Unroll.unrolled <-
           t.Backend.Unroll.unrolled + s.Backend.Unroll.unrolled;
         t.Backend.Unroll.copies_made <-
@@ -200,7 +128,7 @@ type optional = {
   doc : string;
   takes_arg : bool;  (** accepts [name=N], N >= 2 *)
   after : string list;  (** passes that must come earlier when co-selected *)
-  run : ctx -> arg:int option -> mapped -> mapped;
+  run : arg:int option -> mapped -> mapped;
 }
 
 (** The optional passes, selected with [--passes].  They run between
@@ -352,13 +280,13 @@ let run_prefix ctx (specs : spec list) (h : hli) : mapped =
   let m = span "lower" (fun () -> lower h) in
   let m =
     match alias with
-    | Backend.Ddg.With_hli -> span "hli_import" (fun () -> hli_import ctx m)
+    | Backend.Ddg.With_hli -> span "hli_import" (fun () -> hli_import ctx h m)
     | Backend.Ddg.Gcc_only -> m
   in
   List.fold_left
     (fun m s ->
       let p = find_optional s.sp_pass in
-      span p.name (fun () -> p.run ctx ~arg:s.sp_arg m))
+      span p.name (fun () -> p.run ~arg:s.sp_arg m))
     m specs
 
 (** [ddg_schedule] over a prefix's output, in the same context: one DDG

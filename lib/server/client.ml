@@ -643,8 +643,8 @@ let equiv_prob cl ~u a b =
   | _ -> net_raise "E1105" "answer kind mismatch (equiv_prob)"
 
 let hoist_target cl ~u item =
-  (* not memoized: the answer depends on maintained state committed
-     server-side, mirroring the local commit-then-query sequence *)
+  (* not memoized: the answer reads the maintained entry, which every
+     notification changes *)
   match one cl (P.Q_hoist_target { u; item }) with
   | P.A_hoist_target r -> r
   | _ -> net_raise "E1105" "answer kind mismatch (hoist_target)"
@@ -654,10 +654,10 @@ let hoist_target cl ~u item =
 (* ------------------------------------------------------------------ *)
 
 (* Invalidation is scoped to the unit the notify names: memos for
-   untouched units stay warm across another unit's maintenance (the
-   watch edge only invalidates the maintained unit's index locally
-   too).  The notify also opens the unit's maintenance window — shm
-   lookups fall back to the wire until the next [refresh] barrier. *)
+   untouched units stay warm across another unit's maintenance (a
+   local [Maintain] edit empties only its own unit's memos too).  The
+   notify also opens the unit's maintenance window — shm lookups fall
+   back to the wire until the next [refresh] barrier. *)
 let invalidate_unit cl u =
   let drop proj tbl =
     Hashtbl.filter_map_inplace
@@ -719,9 +719,9 @@ let refresh cl ~u =
   if shm_active cl u then begin
     (* the barrier must be synchronous when the unit is served off
        shm: only once the server has acked the Refresh is the segment
-       rebuilt to the committed index, so a deferred ack would let an
-       shm read race ahead of the rebuild and answer from the
-       pre-commit image *)
+       rebuilt to the maintained entry's index, so a deferred ack would
+       let an shm read race ahead of the rebuild and answer from the
+       pre-edit image *)
     expect_ack "Refresh" (rpc cl (P.Refresh u));
     Hashtbl.remove cl.maint_open u
   end

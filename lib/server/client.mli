@@ -94,8 +94,9 @@ val call_acc :
 val region_of_item : t -> u:string -> int -> int option
 
 val hoist_target : t -> u:string -> int -> int option
-(** Server-side commit-then-query for the LICM hoist decision; not
-    memoized because the answer tracks maintained state. *)
+(** The LICM hoist decision, answered server-side by
+    [Maintain.hoist_target]; not memoized because the answer tracks
+    maintained state. *)
 
 val equiv_prob :
   t -> u:string -> int -> int -> Hli_core.Query.equiv_result * int
@@ -130,7 +131,7 @@ type shm_stats = {
 val shm_stats : unit -> shm_stats
 
 val shm_stats_json : unit -> string
-(** The counters rendered as the canonical hli-telemetry-v7 ["shm"]
+(** The counters rendered as the canonical hli-telemetry-v8 ["shm"]
     JSON object. *)
 
 (** {2 Maintenance notifications} — each invalidates the named unit's
@@ -149,11 +150,11 @@ val notify_unroll :
   t -> u:string -> rid:int -> factor:int -> Hli_core.Maintain.unroll_result
 
 val refresh : t -> u:string -> unit
-(** End-of-pass barrier: the server rebuilds the unit's query index
-    from the maintained entry ([Maintain.commit]'s index replacement)
-    and, in shm mode, rebuilds the unit's HLIX segment under the
-    seqlock.  Ack deferred like {!notify_delete} when pipelining —
+(** End-of-pass barrier ([Maintain.barrier] on the server's session):
+    after an edit the server's queries move to the maintained entry's
+    index and, in shm mode, the unit's HLIX segment is rebuilt under
+    the seqlock.  Ack deferred like {!notify_delete} when pipelining —
     except when the unit is served off shm, where the barrier is
     synchronous (a deferred ack would let an shm read race the
-    server's rebuild and answer from the pre-commit image).  Closes
+    server's rebuild and answer from the pre-edit image).  Closes
     the unit's maintenance window. *)

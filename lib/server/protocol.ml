@@ -56,9 +56,9 @@ type query =
   | Q_call of { u : string; call : int; mem : int }
   | Q_region_of of { u : string; item : int }
   | Q_hoist_target of { u : string; item : int }
-      (** LICM's hoist decision: the parent region of the item's
-          region under the {e committed} entry, queried server-side so
-          the commit/fresh-index step happens where the tables live *)
+      (** LICM's hoist decision ([Maintain.hoist_target]): the parent
+          region of the item's region in the {e maintained} entry,
+          answered server-side where that entry lives *)
 
 type answer =
   | A_equiv of Q.equiv_result
@@ -78,9 +78,10 @@ type request =
   | Notify_move of { u : string; item : int; target_rid : int }
   | Notify_unroll of { u : string; rid : int; factor : int }
   | Refresh of string
-      (** end-of-pass barrier: rebuild the unit's query index from the
-          current (maintained) entry, mirroring the local pipeline's
-          per-pass [Maintain.commit] index replacement *)
+      (** end-of-pass barrier, [Maintain.barrier] on the unit's
+          session: after an edit, later queries read the maintained
+          entry's index; with no edit since the last barrier it
+          changes nothing *)
   | Line_table of string
   | Stats
   | Close

@@ -48,9 +48,10 @@ type request =
   | Notify_move of { u : string; item : int; target_rid : int }
   | Notify_unroll of { u : string; rid : int; factor : int }
   | Refresh of string
-      (** end-of-pass barrier: rebuild the unit's query index from the
-          maintained entry (the local pipeline's per-pass
-          [Maintain.commit] index replacement) *)
+      (** end-of-pass barrier, [Maintain.barrier] on the unit's
+          session: after an edit, later queries read the maintained
+          entry's index; with no edit since the last barrier it
+          changes nothing *)
   | Line_table of string
   | Stats
   | Close

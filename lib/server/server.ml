@@ -11,20 +11,18 @@
     - requests on one connection are handled strictly in arrival
       order and answered in that order (the invariant pipelined
       clients correlate replies by);
-    - a connection's session state (its per-unit
-      {!Hli_core.Maintain} transactions and {!Hli_core.Query}
-      indexes) is only ever touched by the worker currently holding
+    - a connection's session state (one {!Hli_core.Maintain} session
+      per unit) is only ever touched by the worker currently holding
       its queue — no locking around HLI state;
     - a slow or heavily pipelined connection occupies one worker,
       never the poller: other connections keep being read and served.
 
     Only the telemetry record and the connection table are shared
-    (mutex-protected).  The semantics mirror the in-process pipeline
-    exactly (the remote differential suite depends on it): queries
-    answer from the connection's current index, maintenance ops
-    invalidate its memo tables via the [watch] edge, and the index
-    structure is only rebuilt at a {!Protocol.Refresh} — the wire
-    image of the local per-pass [Maintain.commit].
+    (mutex-protected).  The semantics are the in-process pipeline's,
+    because the session is the same {!Hli_core.Maintain.t}: queries
+    answer from [Maintain.queried], maintenance ops edit the entry, and
+    a {!Protocol.Refresh} is [Maintain.barrier] — the end-of-pass
+    barrier the local driver calls.
 
     Shutdown is graceful: {!initiate_shutdown} flips a flag, closes
     the listening socket and wakes the poller through a self-pipe; the
@@ -143,14 +141,8 @@ let fresh_stats () =
 
 type unit_state = {
   us_mt : M.t;
-  mutable us_idx : Q.index;  (** replaced at [Refresh], like a commit *)
   us_hash : string;  (** 16-byte digest of the source HLI container *)
   mutable us_pub : Shm.pub option;  (** published HLIX segment, if any *)
-  mutable us_dirty : bool;
-      (** maintenance ops since the last commit; a [Refresh] on a
-          clean unit skips the commit, index rebuild and shm rebuild
-          entirely, leaving the published segment byte-identical
-          (generation word included) *)
 }
 
 (* Work items flow poller -> per-connection queue -> one worker.  The
@@ -319,24 +311,15 @@ let find_unit units u =
   | None -> reply_error "E1107" "unknown unit %S" u
 
 let answer_query_in us q : P.answer =
+  let idx = M.queried us.us_mt in
   match q with
-  | P.Q_equiv { a; b; _ } -> P.A_equiv (Q.get_equiv_acc us.us_idx a b)
-  | P.Q_alias { rid; ca; cb; _ } -> P.A_alias (Q.get_alias us.us_idx ~rid ca cb)
-  | P.Q_lcdd { rid; a; b; _ } -> P.A_lcdd (Q.get_lcdd us.us_idx ~rid a b)
-  | P.Q_call { call; mem; _ } -> P.A_call (Q.get_call_acc us.us_idx ~call ~mem)
-  | P.Q_region_of { item; _ } ->
-      P.A_region_of (Q.get_region_of_item us.us_idx item)
+  | P.Q_equiv { a; b; _ } -> P.A_equiv (Q.get_equiv_acc idx a b)
+  | P.Q_alias { rid; ca; cb; _ } -> P.A_alias (Q.get_alias idx ~rid ca cb)
+  | P.Q_lcdd { rid; a; b; _ } -> P.A_lcdd (Q.get_lcdd idx ~rid a b)
+  | P.Q_call { call; mem; _ } -> P.A_call (Q.get_call_acc idx ~call ~mem)
+  | P.Q_region_of { item; _ } -> P.A_region_of (Q.get_region_of_item idx item)
   | P.Q_hoist_target { item; _ } ->
-      (* verbatim the local LICM hoist decision: commit, then ask the
-         fresh index and walk to the region's parent *)
-      let entry, idx = M.commit us.us_mt in
-      P.A_hoist_target
-        (match Q.get_region_of_item idx item with
-        | Some rid -> (
-            match T.find_region entry rid with
-            | Some r -> r.T.parent
-            | None -> None)
-        | None -> None)
+      P.A_hoist_target (M.hoist_target us.us_mt item)
 
 (** The per-session directory where this connection's HLIX segments
     live; advertised to the client in the Hello response. *)
@@ -384,21 +367,13 @@ let open_file t (c : conn) ~hash (f : T.hli_file) : P.response =
     List.map
       (fun (e : T.hli_entry) ->
         let idx = Q.build e in
-        let mt = M.start ~index:idx e in
-        M.watch mt idx;
         let pub =
           match dir with
           | Some d -> try_publish t d e.T.unit_name ~hash idx
           | None -> None
         in
         Hashtbl.replace units e.T.unit_name
-          {
-            us_mt = mt;
-            us_idx = idx;
-            us_hash = hash;
-            us_pub = pub;
-            us_dirty = false;
-          };
+          { us_mt = M.start ~index:idx e; us_hash = hash; us_pub = pub };
         (e.T.unit_name, Q.duplicate_items idx))
       f.T.entries
   in
@@ -558,25 +533,21 @@ let handle t (c : conn) (req : P.request) : P.response * bool =
       (P.R_results answers, true)
   | P.Notify_delete { u; item } ->
       let us = find_unit units u in
-      us.us_dirty <- true;
       M.delete_item us.us_mt item;
       locked t (fun () -> t.st.st_maintenance <- t.st.st_maintenance + 1);
       (P.R_ack, true)
   | P.Notify_gen { u; like; line } ->
       let us = find_unit units u in
-      us.us_dirty <- true;
       let id = M.gen_item us.us_mt ~like ~line in
       locked t (fun () -> t.st.st_maintenance <- t.st.st_maintenance + 1);
       (P.R_gen id, true)
   | P.Notify_move { u; item; target_rid } ->
       let us = find_unit units u in
-      us.us_dirty <- true;
       let moved = M.move_item_outward us.us_mt ~item ~target_rid in
       locked t (fun () -> t.st.st_maintenance <- t.st.st_maintenance + 1);
       (P.R_moved moved, true)
   | P.Notify_unroll { u; rid; factor } -> (
       let us = find_unit units u in
-      us.us_dirty <- true;
       locked t (fun () -> t.st.st_maintenance <- t.st.st_maintenance + 1);
       match M.unroll us.us_mt ~rid ~factor with
       | r -> (P.R_unrolled r, true)
@@ -586,35 +557,28 @@ let handle t (c : conn) (req : P.request) : P.response * bool =
             true ))
   | P.Refresh u ->
       let us = find_unit units u in
-      if not us.us_dirty then begin
-        (* clean unit: the committed state cannot have changed, so the
-           barrier is a no-op — the index stays, and the published shm
-           segment is left byte-identical (its generation word never
-           moves, which co-located readers rely on to skip
-           revalidation) *)
-        locked t (fun () -> t.st.st_refresh_skips <- t.st.st_refresh_skips + 1);
-        (P.R_ack, true)
-      end
+      if not (M.barrier us.us_mt) then
+        (* nothing edited since the last barrier: the index stays, and
+           the published shm segment is left byte-identical (its
+           generation word never moves, which co-located readers rely
+           on to skip revalidation) *)
+        locked t (fun () -> t.st.st_refresh_skips <- t.st.st_refresh_skips + 1)
       else begin
-      us.us_dirty <- false;
-      let _entry, idx = M.commit us.us_mt in
-      us.us_idx <- idx;
-      M.watch us.us_mt idx;
-      (match us.us_pub with
-      | Some pub -> (
-          (* seqlock in-place rebuild; on any failure the segment is
-             withdrawn and the client's generation check turns its
-             next lookup into a wire fallback *)
-          try
-            Shm.rebuild pub ~hash:us.us_hash idx;
-            locked t (fun () ->
-                t.st.st_shm_rebuilds <- t.st.st_shm_rebuilds + 1)
-          with _ ->
-            Shm.unpublish pub;
-            us.us_pub <- None)
-      | None -> ());
+        match us.us_pub with
+        | Some pub -> (
+            (* seqlock in-place rebuild; on any failure the segment is
+               withdrawn and the client's generation check turns its
+               next lookup into a wire fallback *)
+            try
+              Shm.rebuild pub ~hash:us.us_hash (M.queried us.us_mt);
+              locked t (fun () ->
+                  t.st.st_shm_rebuilds <- t.st.st_shm_rebuilds + 1)
+            with _ ->
+              Shm.unpublish pub;
+              us.us_pub <- None)
+        | None -> ()
+      end;
       (P.R_ack, true)
-      end
   | P.Line_table u ->
       let us = find_unit units u in
       (P.R_line_table us.us_mt.M.entry.T.line_table, true)
@@ -632,7 +596,7 @@ let handle t (c : conn) (req : P.request) : P.response * bool =
   | P.Q_prob { u; pairs } ->
       let us = find_unit units u in
       let answers =
-        List.map (fun (a, b) -> Q.get_equiv_prob us.us_idx a b) pairs
+        List.map (fun (a, b) -> Q.get_equiv_prob (M.queried us.us_mt) a b) pairs
       in
       locked t (fun () ->
           let st = t.st in

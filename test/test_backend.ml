@@ -490,7 +490,6 @@ module Old_cse = struct
     table : (ekey, entry) Hashtbl.t;
     stats : Cse.stats;
     hli : Hli_import.t option;
-    maintain : Hli_import.maint option;
   }
 
   let vn_of_reg st r =
@@ -550,7 +549,7 @@ module Old_cse = struct
             | Some h -> (
                 match (e.litem, call.item) with
                 | Some li, Some ci -> (
-                    match Hli_import.item_call_acc h ~call:ci ~mem:li with
+                    match h.Hli_import.session.call_acc ~call:ci ~mem:li with
                     | Hli_core.Query.Call_none | Hli_core.Query.Call_ref ->
                         st.stats.Cse.call_survivals <-
                           st.stats.Cse.call_survivals + 1
@@ -652,8 +651,8 @@ module Old_cse = struct
             | Some e when e.lmem <> None && e.holder <> d ->
                 st.stats.Cse.loads_eliminated <- st.stats.Cse.loads_eliminated + 1;
                 set_reg_vn st d e.vn;
-                (match (st.maintain, i.item) with
-                | Some mt, Some it -> mt.Hli_import.mn_delete_item it
+                (match (st.hli, i.item) with
+                | Some h, Some it -> h.Hli_import.session.delete_item it
                 | _ -> ());
                 emit { i with desc = Li (d, Reg e.holder); item = None }
             | _ ->
@@ -675,11 +674,11 @@ module Old_cse = struct
       insns;
     List.rev !out
 
-  let run_fn ?hli ?maintain (fn : fn) : Cse.stats =
+  let run_fn ?hli (fn : fn) : Cse.stats =
     let stats = Cse.fresh_stats () in
     let st =
       { next_vn = 0; reg_vn = Hashtbl.create 64; table = Hashtbl.create 64;
-        stats; hli; maintain }
+        stats; hli }
     in
     Array.iter (fun b -> b.insns <- process_block st b.insns) fn.blocks;
     stats
@@ -767,41 +766,38 @@ let cse_fn blocks =
     loops = [];
   }
 
-(* A Remote query source (and maintenance hooks) whose answers are a
-   hash of the seed and the items, logging every call in order. *)
+(* An HLI session whose answers are a hash of the seed and the items,
+   logging every call in order. *)
 let logging_hli seed =
   let log = ref [] in
   let pick n xs = List.nth xs (Hashtbl.hash (seed, n) mod List.length xs) in
-  let source =
+  let session =
     {
-      Hli_import.qs_equiv_acc =
+      Hli_import.equiv_acc =
         (fun a b ->
           log := Printf.sprintf "equiv %d %d" a b :: !log;
           pick (0, a, b)
             Hli_core.Query.[ Equiv_none; Equiv_alias; Equiv_unknown ]);
-      qs_equiv_prob = (fun _ _ -> Alcotest.fail "CSE asked for a probability");
-      qs_call_acc =
+      equiv_prob = (fun _ _ -> Alcotest.fail "CSE asked for a probability");
+      call_acc =
         (fun ~call ~mem ->
           log := Printf.sprintf "call %d %d" call mem :: !log;
           pick (1, call, mem)
             Hli_core.Query.[ Call_none; Call_ref; Call_mod; Call_refmod; Call_unknown ]);
-      qs_region_of_item = (fun _ -> Alcotest.fail "CSE asked for a region");
-    }
-  in
-  let maint =
-    {
-      Hli_import.mn_delete_item = (fun it -> log := Printf.sprintf "delete %d" it :: !log);
-      mn_gen_item = (fun ~like:_ ~line:_ -> Alcotest.fail "CSE generated an item");
-      mn_move_item_outward = (fun ~item:_ ~target_rid:_ -> Alcotest.fail "CSE moved an item");
-      mn_unroll = (fun ~rid:_ ~factor:_ -> Alcotest.fail "CSE unrolled");
-      mn_hoist_target = (fun _ -> Alcotest.fail "CSE asked for a hoist target");
+      region_of_item = (fun _ -> Alcotest.fail "CSE asked for a region");
+      delete_item = (fun it -> log := Printf.sprintf "delete %d" it :: !log);
+      gen_item = (fun ~like:_ ~line:_ -> Alcotest.fail "CSE generated an item");
+      move_item_outward = (fun ~item:_ ~target_rid:_ -> Alcotest.fail "CSE moved an item");
+      unroll = (fun ~rid:_ ~factor:_ -> Alcotest.fail "CSE unrolled");
+      hoist_target = (fun _ -> Alcotest.fail "CSE asked for a hoist target");
+      barrier = (fun () -> Alcotest.fail "CSE ended a pass");
     }
   in
   let hli =
-    { Hli_import.source = Remote source; mapped = 0; unmapped_insns = 0;
+    { Hli_import.session; mapped = 0; unmapped_insns = 0;
       mismatched_lines = []; dup_items = [] }
   in
-  (hli, maint, log)
+  (hli, log)
 
 let print_cse_case (blocks, seed) =
   let fn = cse_fn blocks in
@@ -812,10 +808,10 @@ let cse_run run (blocks, seed) ~with_hli =
   let fn = cse_fn blocks in
   let stats, log =
     if with_hli then
-      let hli, maint, log = logging_hli seed in
-      let s = run ?hli:(Some hli) ?maintain:(Some maint) fn in
+      let hli, log = logging_hli seed in
+      let s = run ?hli:(Some hli) fn in
       (s, List.rev !log)
-    else (run ?hli:None ?maintain:None fn, [])
+    else (run ?hli:None fn, [])
   in
   (Fmt.str "%a" Rtl.pp_fn fn, stats, log)
 
@@ -828,9 +824,9 @@ let cse_tests =
          (fun case ->
            List.for_all
              (fun with_hli ->
-               cse_run (fun ?hli ?maintain fn -> Cse.run_fn ?hli ?maintain fn)
+               cse_run (fun ?hli fn -> Cse.run_fn ?hli fn)
                  case ~with_hli
-               = cse_run (fun ?hli ?maintain fn -> Old_cse.run_fn ?hli ?maintain fn)
+               = cse_run (fun ?hli fn -> Old_cse.run_fn ?hli fn)
                    case ~with_hli)
              [ false; true ]));
   ]
@@ -1143,18 +1139,25 @@ let hashed_hli seed =
       Hli_core.Query.
         [ Equiv_none; Equiv_alias; Equiv_same Hli_core.Tables.Maybe; Equiv_unknown ]
   in
-  let source =
+  let session =
     {
-      Hli_import.qs_equiv_acc = equiv;
-      qs_equiv_prob = (fun a b -> (equiv a b, Hashtbl.hash (seed, 1, a, b) mod 1001));
-      qs_call_acc =
+      Hli_import.equiv_acc = equiv;
+      equiv_prob = (fun a b -> (equiv a b, Hashtbl.hash (seed, 1, a, b) mod 1001));
+      call_acc =
         (fun ~call ~mem ->
           pick (2, call, mem)
             Hli_core.Query.[ Call_none; Call_ref; Call_mod; Call_refmod; Call_unknown ]);
-      qs_region_of_item = (fun _ -> Alcotest.fail "the DDG asked for a region");
+      region_of_item = (fun _ -> Alcotest.fail "the DDG asked for a region");
+      delete_item = (fun _ -> Alcotest.fail "the DDG deleted an item");
+      gen_item = (fun ~like:_ ~line:_ -> Alcotest.fail "the DDG generated an item");
+      move_item_outward =
+        (fun ~item:_ ~target_rid:_ -> Alcotest.fail "the DDG moved an item");
+      unroll = (fun ~rid:_ ~factor:_ -> Alcotest.fail "the DDG unrolled");
+      hoist_target = (fun _ -> Alcotest.fail "the DDG asked for a hoist target");
+      barrier = (fun () -> Alcotest.fail "the DDG ended a pass");
     }
   in
-  { Hli_import.source = Remote source; mapped = 0; unmapped_insns = 0;
+  { Hli_import.session; mapped = 0; unmapped_insns = 0;
     mismatched_lines = []; dup_items = [] }
 
 (* a random CSE block, ending in 0-2 branches *)

@@ -613,7 +613,6 @@ let maintain_tests =
         in
         let b0 = builds () in
         let m = Hli_core.Maintain.start ~index:idx e in
-        Hli_core.Maintain.watch m idx;
         let _, idx1 = Hli_core.Maintain.commit m in
         (* a refused move reads the index but edits nothing *)
         Alcotest.(check bool) "not moved" false
@@ -622,6 +621,36 @@ let maintain_tests =
         Alcotest.(check bool) "same index" true (idx1 == idx && idx2 == idx);
         Alcotest.(check bool) "same entry" true (e2 == e);
         Alcotest.(check int) "no index built" b0 (builds ()));
+    Alcotest.test_case "queries read the index of the last barrier" `Quick
+      (fun () ->
+        let module M = Hli_core.Maintain in
+        let m = M.start (fig2_entry ()) in
+        let region6 = Hli_core.Query.get_region_of_item (M.queried m) 6 in
+        Alcotest.(check bool) "item 6 has a region" true (region6 <> None);
+        M.delete_item m 6;
+        Alcotest.(check (option int)) "the start index answers until the barrier"
+          region6
+          (Hli_core.Query.get_region_of_item (M.queried m) 6);
+        Alcotest.(check bool) "the first barrier moves" true (M.barrier m);
+        Alcotest.(check bool) "queries read the maintained index" true
+          (M.queried m == snd (M.commit m));
+        let q = M.queried m in
+        Alcotest.(check bool) "a second barrier changes nothing" false
+          (M.barrier m);
+        Alcotest.(check bool) "queried index kept" true (M.queried m == q);
+        let e' = fst (M.commit m) in
+        let region9 =
+          List.find
+            (fun r ->
+              List.exists
+                (fun c -> List.mem (T.Member_item 9) c.T.members)
+                r.T.eq_classes)
+            e'.T.regions
+        in
+        Alcotest.(check bool) "item 9's region has a parent" true
+          (region9.T.parent <> None);
+        Alcotest.(check (option int)) "hoist target of item 9" region9.T.parent
+          (M.hoist_target m 9));
   ]
   @ List.map
       (fun (name, edit, probe) ->
@@ -633,7 +662,6 @@ let maintain_tests =
             Alcotest.(check bool) "memo filled" true
               (Hli_core.Query.memo_size idx > 0);
             let m = Hli_core.Maintain.start ~index:idx e in
-            Hli_core.Maintain.watch m idx;
             edit m;
             Alcotest.(check int) "watched memo dropped" 0
               (Hli_core.Query.memo_size idx);

@@ -86,11 +86,12 @@ let cse_tests =
         let entry, m = List.assoc "work" maps in
         let before = List.length (Hli_core.Tables.all_items entry) in
         let mt = Hli_core.Maintain.start entry in
-        let s =
-          Backend.Cse.run_fn ~hli:m
-            ~maintain:(Backend.Hli_import.local_maint mt)
-            fn
+        let m =
+          Backend.Hli_import.map_unit_lines ~session:(Backend.Hli_import.local mt)
+            ~dups:m.Backend.Hli_import.dup_items
+            ~line_table:entry.Hli_core.Tables.line_table fn
         in
+        let s = Backend.Cse.run_fn ~hli:m fn in
         let entry', _ = Hli_core.Maintain.commit mt in
         let after = List.length (Hli_core.Tables.all_items entry') in
         Alcotest.(check int) "items deleted"

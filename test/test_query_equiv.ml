@@ -338,8 +338,7 @@ let maintenance_tests =
     Alcotest.test_case "Maintain edits empty watching memos" `Quick (fun () ->
         let e = fig2_entry () in
         let idx = Q.build e in
-        let m = Hli_core.Maintain.start e in
-        Hli_core.Maintain.watch m idx;
+        let m = Hli_core.Maintain.start ~index:idx e in
         let items = take 8 (List.sort_uniq compare (T.all_items e)) in
         List.iter
           (fun a -> List.iter (fun b -> ignore (Q.get_equiv_acc idx a b)) items)

@@ -8,8 +8,10 @@
    plus the two workloads that carry speculable edges at
    [--speculate 1000].  The cse,licm,unroll=4 and speculate=1000 groups
    run a second time with their HLI served over the wire (an hlid on
-   its own domain, pipeline 8; speculation sends Q_prob frames), and
-   each of those rows must equal the local line.
+   its own domain, pipeline 8; speculation sends Q_prob frames), and a
+   third time with the read-only queries answered off the hlid's shm
+   segments; each of those rows must equal the local line, and the shm
+   leg must have mapped a segment.
    Nothing is simulated, so every row runs under runtest.
 
      test_schedgolden.exe           check every row
@@ -70,19 +72,30 @@ let lines name config prog =
         st.D.spec_edges_dropped st.D.spec_checks)
     c.P.variants
 
-(* An hlid on its own domain for the wire rows, shut down after [f]. *)
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+    Unix.rmdir p
+  end
+  else Sys.remove p
+
+(* An hlid on its own domain for the wire rows, publishing its shm
+   segments into a temporary directory; both are removed after [f]. *)
 let with_server f =
-  let socket =
+  let tmp name =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hli-schedgolden-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "hli-schedgolden-%d.%s" (Unix.getpid ()) name)
   in
+  let socket = tmp "sock" and shm_dir = tmp "shm" in
+  Unix.mkdir shm_dir 0o755;
   let srv =
     Hli_server.Server.create
       {
         (Hli_server.Server.default_config ~socket_path:socket) with
         jobs = 1;
         idle_timeout = 0.005;
+        shm_dir = Some shm_dir;
       }
   in
   let d = Domain.spawn (fun () -> Hli_server.Server.run srv) in
@@ -90,7 +103,8 @@ let with_server f =
     ~finally:(fun () ->
       Hli_server.Server.initiate_shutdown srv;
       Domain.join d;
-      try Sys.remove socket with Sys_error _ -> ())
+      (try Sys.remove socket with Sys_error _ -> ());
+      try rm_rf shm_dir with Sys_error _ | Unix.Unix_error _ -> ())
     (fun () -> f socket)
 
 let cases ~socket =
@@ -109,7 +123,8 @@ let cases ~socket =
       if not (List.mem name wire_groups) then []
       else
         let remote = { config with P.remote = Some socket; pipeline = 8 } in
-        List.map (case ("remote " ^ name) name remote) progs)
+        List.map (case ("remote " ^ name) name remote) progs
+        @ List.map (case ("shm " ^ name) name { remote with shm = true }) progs)
     groups
 
 let () =
@@ -122,4 +137,8 @@ let () =
         groups
   | _ ->
       with_server (fun socket ->
-          Alcotest.run ~and_exit:false "schedgolden" [ ("rows", cases ~socket) ])
+          Alcotest.run ~and_exit:false "schedgolden" [ ("rows", cases ~socket) ]);
+      if (Hli_server.Client.shm_stats ()).maps = 0 then begin
+        prerr_endline "schedgolden: the shm rows mapped no segment";
+        exit 1
+      end

@@ -359,9 +359,8 @@ let shm_tests =
         | i0 :: rest ->
             let like = match rest with i :: _ -> i | [] -> i0 in
             (* local replay, watched like the server's session state *)
-            let mt = M.start e in
             let idx0 = Q.build e in
-            M.watch mt idx0;
+            let mt = M.start ~index:idx0 e in
             M.delete_item mt i0;
             let gid = M.gen_item mt ~like ~line:5 in
             let _entry', idx' = M.commit mt in
@@ -1101,6 +1100,20 @@ let delta_tests =
                       before;
                     Alcotest.(check int) "clean units were skipped"
                       (skips0 + List.length entries - 1)
+                      (skips (C.server_stats cl));
+                    (* a rejected unroll edits nothing, so the barrier
+                       after it is a skip too *)
+                    let seg = seg_of dir touched in
+                    let old = read_bytes seg
+                    and skips1 = skips (C.server_stats cl) in
+                    expect_code "E0701" (fun () ->
+                        C.notify_unroll cl ~u:touched ~rid:1 ~factor:1);
+                    C.refresh cl ~u:touched;
+                    Alcotest.(check bool)
+                      "segment byte-identical after a rejected unroll" true
+                      (read_bytes seg = old);
+                    Alcotest.(check int) "the rejected unroll's refresh was skipped"
+                      (skips1 + 1)
                       (skips (C.server_stats cl))))));
     Alcotest.test_case "re-opening identical content leaves the store fixed"
       `Quick (fun () ->
