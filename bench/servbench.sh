@@ -5,7 +5,7 @@
 #   2. runs a workload subset through bench tables in-process, --remote,
 #      --remote --pipeline 8, and --remote --shm, requiring
 #      byte-identical Tables 1/2 on every path and a well-formed
-#      hli-telemetry-v7 dump carrying the "server" and "shm" objects;
+#      telemetry dump carrying the "server" and "shm" objects;
 #   3. runs a quick servbench (client subprocesses against a
 #      Domain-spawned server) over both the wire and shm paths,
 #      validates the emitted hli-servbench-v2 JSON, and enforces

@@ -1,10 +1,11 @@
 (* hlid — the persistent HLI query daemon.
 
-   Loads nothing at startup: each client session ships (Open_hli) or
-   names (Open_path) a validated HLI file, then issues dependence /
-   alias / REF-MOD queries and maintenance notifications over the
-   framed wire protocol (lib/server/protocol.ml; DESIGN.md has the
-   byte-level spec).  The server is event-driven: one poller domain
+   Loads nothing at startup: each client session ships an HLI file
+   (Open_hli, or Open_delta against entries an earlier session
+   shipped), then issues the back end's equiv, equiv-prob, REF/MOD
+   and hoist-target queries and its maintenance notifications over
+   the framed wire protocol (lib/server/protocol.ml; DESIGN.md has
+   the byte-level spec).  The server is event-driven: one poller domain
    reads and decodes frames in place over per-connection reused
    buffers and dispatches requests to a worker pool, so any number of
    (possibly pipelined) sessions share -j worker domains.
@@ -15,47 +16,58 @@
 open Cmdliner
 
 let run_hlid socket jobs max_frame timeout shm_dir store_cap stats stats_json =
-  let cfg =
-    {
-      (Hli_server.Server.default_config ~socket_path:socket) with
-      jobs;
-      max_frame;
-      request_timeout = timeout;
-      shm_dir;
-      store_cap;
-    }
-  in
-  match Hli_server.Server.create cfg with
-  | exception Diagnostics.Diagnostic d ->
-      Fmt.epr "%a@." Diagnostics.pp d;
-      Diagnostics.exit_code d
-  | srv ->
-      let shutdown _ = Hli_server.Server.initiate_shutdown srv in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown);
-      (match shm_dir with
-      | Some d -> Fmt.epr "hlid: publishing HLIX segments under %s@." d
-      | None -> ());
-      Fmt.epr "hlid: listening on %s (%d jobs)@." socket jobs;
-      Hli_server.Server.run srv;
-      let json = Hli_server.Server.stats_json srv in
-      if stats then Fmt.pr "== hlid server telemetry ==@.%s@." json;
-      (match stats_json with
-      | None -> ()
-      | Some path ->
-          let payload =
-            Printf.sprintf "{\"schema\":\"%s\",\"server\":%s}"
-              Harness.Telemetry.schema_version json
-          in
-          if path = "-" then print_endline payload
-          else begin
-            let oc = open_out_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc payload);
-            Fmt.epr "hlid: wrote telemetry to %s@." path
-          end);
-      0
+  (* open the --stats-json file before binding the socket: an
+     unwritable path then fails at startup, not at shutdown after a
+     whole serving life whose telemetry it was meant to keep *)
+  match
+    match stats_json with
+    | Some path when path <> "-" -> Some (open_out_bin path)
+    | _ -> None
+  with
+  | exception Sys_error msg ->
+      Fmt.epr "hlid: cannot write --stats-json: %s@." msg;
+      1
+  | stats_oc -> (
+      let cfg =
+        {
+          (Hli_server.Server.default_config ~socket_path:socket) with
+          jobs;
+          max_frame;
+          request_timeout = timeout;
+          shm_dir;
+          store_cap;
+        }
+      in
+      match Hli_server.Server.create cfg with
+      | exception Diagnostics.Diagnostic d ->
+          Fmt.epr "%a@." Diagnostics.pp d;
+          Diagnostics.exit_code d
+      | srv ->
+          let shutdown _ = Hli_server.Server.initiate_shutdown srv in
+          Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
+          Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown);
+          (match shm_dir with
+          | Some d -> Fmt.epr "hlid: publishing HLIX segments under %s@." d
+          | None -> ());
+          Fmt.epr "hlid: listening on %s (%d jobs)@." socket jobs;
+          Hli_server.Server.run srv;
+          let json = Hli_server.Server.stats_json srv in
+          if stats then Fmt.pr "== hlid server telemetry ==@.%s@." json;
+          (match stats_json with
+          | None -> ()
+          | Some path -> (
+              let payload =
+                Printf.sprintf "{\"schema\":\"%s\",\"server\":%s}"
+                  Harness.Telemetry.schema_version json
+              in
+              match stats_oc with
+              | None -> print_endline payload
+              | Some oc ->
+                  Fun.protect
+                    ~finally:(fun () -> close_out oc)
+                    (fun () -> output_string oc payload);
+                  Fmt.epr "hlid: wrote telemetry to %s@." path));
+          0)
 
 let socket_arg =
   Arg.(

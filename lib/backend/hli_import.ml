@@ -25,7 +25,6 @@ type session = {
   equiv_prob : int -> int -> Hli_core.Query.equiv_result * int;
       (** the equiv answer plus its per-mille confidence *)
   call_acc : call:int -> mem:int -> Hli_core.Query.call_acc_result;
-  region_of_item : int -> int option;
   delete_item : int -> unit;
   gen_item : like:int -> line:int -> int;
   move_item_outward : item:int -> target_rid:int -> bool;
@@ -44,7 +43,6 @@ let local (m : Hli_core.Maintain.t) : session =
     equiv_acc = (fun a b -> Q.get_equiv_acc (M.queried m) a b);
     equiv_prob = (fun a b -> Q.get_equiv_prob (M.queried m) a b);
     call_acc = (fun ~call ~mem -> Q.get_call_acc (M.queried m) ~call ~mem);
-    region_of_item = (fun item -> Q.get_region_of_item (M.queried m) item);
     delete_item = M.delete_item m;
     gen_item = M.gen_item m;
     move_item_outward = M.move_item_outward m;

@@ -1,23 +1,23 @@
 (** HLIX — a position-independent, mmap-able flat image of a query
     {!Query.index}.
 
-    One segment holds everything {!Query.get_equiv_acc},
-    {!Query.get_call_acc}, {!Query.get_alias}, {!Query.get_lcdd} and
-    {!Query.get_region_of_item} consult at query time — per-item
-    (region, class) chains with the class kind and alias slot
-    precomputed per element, per-region alias bitsets, ancestor
-    chains, callrefmod tables, per-region LCDD edge lists and the
-    line -> innermost-region map — as fixed-width little-endian
-    records behind a fixed header.  All cross-references are byte
-    offsets from the segment base (no pointers), so the same bytes
-    answer queries at any mapping address in any process.
+    One segment holds everything {!Query.get_equiv_acc} and
+    {!Query.get_call_acc} consult at query time — the two queries a
+    co-located back end answers off the mapping: per-item (region,
+    class) chains with the class kind and alias slot precomputed per
+    element, per-region alias bitsets, ancestor chains, callrefmod
+    tables and the line -> innermost-region map — as fixed-width
+    little-endian records behind a fixed header.  All
+    cross-references are byte offsets from the segment base (no
+    pointers), so the same bytes answer queries at any mapping
+    address in any process.
 
     Layout (all fields u32 LE unless noted; [NONE] = 0xffffffff):
 
     {v
     header (96 bytes)
        0  magic "HLIX"
-       4  version (= 1)
+       4  version (= 3)
        8  generation (u64; seqlock word, NOT covered by the CRC)
       16  body CRC32 over bytes [20, total_len)
       20  total_len (bytes used, header included)
@@ -25,17 +25,15 @@
       40  n_items   44 n_regions   48 n_lines
       52..84  section offsets: items, chain pool, regions, crm
               records, class-id pool, alias pool, ups pool, lines
-      84  lcdd section offset   88 n_lcdds
-      92..96  reserved (zero)
+      84..96  reserved (zero)
     items     n_items x 16: id, line (NONE if absent), chain_off,
               chain_len — sorted by id (binary search)
     chain     elements x 20: region_idx (into the region table),
               rid, cid, kind (0 definitely / 1 maybe / 2 absent),
               alias slot of cid in rid's bitset (NONE if unmapped)
-    regions   n_regions x 40: rid, first_line (i32), last_line (i32),
-              crm_off, crm_cnt, ups_off, ups_cnt, alias_off,
-              lcdd_off, lcdd_cnt — sorted by rid, deduplicated
-              last-wins like [Query.region_by_id]
+    regions   n_regions x 32: rid, first_line (i32), last_line (i32),
+              crm_off, crm_cnt, ups_off, ups_cnt, alias_off — sorted
+              by rid, deduplicated last-wins like [Query.region_by_id]
     crm       records x 28: key_kind (0 call item / 1 sub-region),
               key_val (item id, or region index; NONE if the
               sub-region id is unknown), refmod_all, ref_off,
@@ -43,15 +41,10 @@
               (first covering entry wins, like the engine)
     cls       sorted u32 class-id runs (binary-search membership for
               the crm REF/MOD sets)
-    alias     per region: width, k, k x (class id, slot) pairs
-              sorted by class id, then the k*k bit matrix verbatim
-              from [Query.alias_bits] (padded to 4 bytes)
+    alias     per region: width, then the width*width bit matrix
+              verbatim from [Query.alias_bits] (padded to 4 bytes)
     ups       u32 region-table indices (self first, root last)
     lines     n_lines x 8: line, region index — sorted by line
-    lcdd      n_lcdds x 24: src class, dst class, dep (0 definite /
-              1 maybe), has_distance, distance (i32), prob (0 none /
-              per-mille p stored as p+1) — entry order preserved per
-              region
     v}
 
     The precomputed kind and slot per chain element make the hot
@@ -80,7 +73,7 @@ type seg = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.
 exception Torn
 
 let magic = "HLIX"
-let hlix_version = 2
+let hlix_version = 3
 let header_size = 96
 let none = 0xffffffff
 let mask32 = 0xffffffff
@@ -101,8 +94,6 @@ let o_cls = 68
 let o_alias = 72
 let o_ups = 76
 let o_lines = 80
-let o_lcdd = 84
-let o_nlcdds = 88
 
 (* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
@@ -184,8 +175,7 @@ let build ~content_hash (idx : Q.index) : Bytes.t =
   in
   let alias_bytes =
     Array.fold_left
-      (fun a ab ->
-        a + 8 + (8 * ab.Q.ab_width) + pad4 (Bytes.length ab.Q.ab_bits))
+      (fun a ab -> a + 4 + pad4 (Bytes.length ab.Q.ab_bits))
       0 aliases
   in
   let lines =
@@ -195,20 +185,16 @@ let build ~content_hash (idx : Q.index) : Bytes.t =
     |> List.sort compare |> Array.of_list
   in
   let n_lines = Array.length lines in
-  let lcdd_total =
-    Array.fold_left (fun a r -> a + List.length r.lcdds) 0 regions
-  in
   (* section offsets *)
   let off_items = header_size in
   let off_chain = off_items + (16 * n_items) in
   let off_regions = off_chain + (20 * chain_total) in
-  let off_crm = off_regions + (40 * n_regions) in
+  let off_crm = off_regions + (32 * n_regions) in
   let off_cls = off_crm + (28 * crm_total) in
   let off_alias = off_cls + (4 * cls_total) in
   let off_ups = off_alias + alias_bytes in
   let off_lines = off_ups + (4 * ups_total) in
-  let off_lcdd = off_lines + (8 * n_lines) in
-  let total = off_lcdd + (24 * lcdd_total) in
+  let total = off_lines + (8 * n_lines) in
   let b = Bytes.make total '\000' in
   Bytes.blit_string magic 0 b 0 4;
   pu32 b 4 hlix_version;
@@ -226,8 +212,6 @@ let build ~content_hash (idx : Q.index) : Bytes.t =
   pu32 b o_alias off_alias;
   pu32 b o_ups off_ups;
   pu32 b o_lines off_lines;
-  pu32 b o_lcdd off_lcdd;
-  pu32 b o_nlcdds lcdd_total;
   (* items + chain pool *)
   let chain_off = ref off_chain in
   Array.iteri
@@ -264,15 +248,14 @@ let build ~content_hash (idx : Q.index) : Bytes.t =
         c)
     items;
   assert (!chain_off = off_regions);
-  (* regions + crm + cls + alias + ups + lcdd *)
+  (* regions + crm + cls + alias + ups *)
   let crm_off = ref off_crm
   and cls_off = ref off_cls
   and alias_off = ref off_alias
-  and ups_off = ref off_ups
-  and lcdd_off = ref off_lcdd in
+  and ups_off = ref off_ups in
   Array.iteri
     (fun i r ->
-      let roff = off_regions + (40 * i) in
+      let roff = off_regions + (32 * i) in
       pu32 b roff r.region_id;
       pu32 b (roff + 4) (r.first_line land mask32);
       pu32 b (roff + 8) (r.last_line land mask32);
@@ -319,46 +302,15 @@ let build ~content_hash (idx : Q.index) : Bytes.t =
         upss.(i);
       pu32 b (roff + 28) !alias_off;
       let ab = aliases.(i) in
-      let k = ab.Q.ab_width in
-      pu32 b !alias_off k;
-      pu32 b (!alias_off + 4) k;
-      let pairs =
-        Hashtbl.fold (fun c s acc -> (c, s) :: acc) ab.Q.ab_slot []
-        |> List.sort compare
-      in
-      List.iteri
-        (fun j (c, s) ->
-          pu32 b (!alias_off + 8 + (8 * j)) c;
-          pu32 b (!alias_off + 8 + (8 * j) + 4) s)
-        pairs;
-      let bo = !alias_off + 8 + (8 * k) in
+      pu32 b !alias_off ab.Q.ab_width;
+      let bo = !alias_off + 4 in
       Bytes.blit ab.Q.ab_bits 0 b bo (Bytes.length ab.Q.ab_bits);
-      alias_off := bo + pad4 (Bytes.length ab.Q.ab_bits);
-      pu32 b (roff + 32) !lcdd_off;
-      pu32 b (roff + 36) (List.length r.lcdds);
-      List.iter
-        (fun l ->
-          let e = !lcdd_off in
-          pu32 b e l.lcdd_src;
-          pu32 b (e + 4) l.lcdd_dst;
-          pu32 b (e + 8)
-            (match l.lcdd_dep with Dep_definite -> 0 | Dep_maybe -> 1);
-          (match l.lcdd_distance with
-          | Some d ->
-              pu32 b (e + 12) 1;
-              pu32 b (e + 16) (d land mask32)
-          | None -> ());
-          (match l.lcdd_prob with
-          | Some p -> pu32 b (e + 20) (p + 1)
-          | None -> ());
-          lcdd_off := e + 24)
-        r.lcdds)
+      alias_off := bo + pad4 (Bytes.length ab.Q.ab_bits))
     regions;
   assert (!crm_off = off_cls);
   assert (!cls_off = off_alias);
   assert (!alias_off = off_ups);
   assert (!ups_off = off_lines);
-  assert (!lcdd_off = total);
   Array.iteri
     (fun i (line, ri) ->
       pu32 b (off_lines + (8 * i)) (line land mask32);
@@ -432,12 +384,12 @@ let seg_of_bytes (b : Bytes.t) : seg =
 
 (** Full segment check: magic (E0630), version (E0631), length
     (E0632), body CRC over [20, total_len) (E0633), content hash
-    against [expect_hash] when given (E0634), and section geometry —
+    against [expect_hash] (E0634), and section geometry —
     monotone section offsets consistent with the header counts
     (E0635).  The generation word is deliberately outside the CRC;
     call this once per mapping and once per observed generation
     change, not per query. *)
-let validate ?expect_hash (seg : seg) =
+let validate ~expect_hash (seg : seg) =
   let n = dim seg in
   if n < header_size then
     S.corrupt ~code:"E0632" "HLIX segment truncated: %d bytes, header needs %d"
@@ -466,20 +418,16 @@ let validate ?expect_hash (seg : seg) =
   if crc <> u32 seg o_crc then
     S.corrupt ~at:o_crc ~code:"E0633"
       "HLIX body CRC mismatch: stored %08x, computed %08x" (u32 seg o_crc) crc;
-  (match expect_hash with
-  | Some h when content_hash seg <> h ->
-      S.corrupt ~at:o_hash ~code:"E0634"
-        "HLIX content hash does not match the opened HLI container"
-  | _ -> ());
+  if content_hash seg <> expect_hash then
+    S.corrupt ~at:o_hash ~code:"E0634"
+      "HLIX content hash does not match the opened HLI container";
   let n_items = u32 seg o_nitems
   and n_regions = u32 seg o_nregions
-  and n_lines = u32 seg o_nlines
-  and n_lcdds = u32 seg o_nlcdds in
+  and n_lines = u32 seg o_nlines in
   let offs =
     [
       u32 seg o_items; u32 seg o_chain; u32 seg o_regions; u32 seg o_crm;
       u32 seg o_cls; u32 seg o_alias; u32 seg o_ups; u32 seg o_lines;
-      u32 seg o_lcdd;
     ]
   in
   let rec monotone prev = function
@@ -491,12 +439,10 @@ let validate ?expect_hash (seg : seg) =
   let sec i = List.nth offs i in
   if sec 1 - sec 0 <> 16 * n_items then
     S.corrupt ~code:"E0635" "HLIX item section size disagrees with n_items";
-  if sec 3 - sec 2 <> 40 * n_regions then
+  if sec 3 - sec 2 <> 32 * n_regions then
     S.corrupt ~code:"E0635" "HLIX region section size disagrees with n_regions";
-  if sec 8 - sec 7 <> 8 * n_lines then
-    S.corrupt ~code:"E0635" "HLIX line section size disagrees with n_lines";
-  if len - sec 8 <> 24 * n_lcdds then
-    S.corrupt ~code:"E0635" "HLIX lcdd section size disagrees with n_lcdds"
+  if len - sec 7 <> 8 * n_lines then
+    S.corrupt ~code:"E0635" "HLIX line section size disagrees with n_lines"
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
@@ -531,22 +477,6 @@ let find_item (seg : seg) id =
   done;
   !res
 
-let find_region (seg : seg) rid =
-  let n = capped seg (u32 seg o_nregions) 40 in
-  let base = u32 seg o_regions in
-  let lo = ref 0 and hi = ref n and res = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let v = u32 seg (base + (40 * mid)) in
-    if v = rid then begin
-      res := mid;
-      lo := !hi
-    end
-    else if v < rid then lo := mid + 1
-    else hi := mid
-  done;
-  !res
-
 (* membership probe of a sorted u32 run *)
 let cls_mem (seg : seg) off cnt v =
   let cnt = capped seg cnt 4 in
@@ -563,29 +493,11 @@ let cls_mem (seg : seg) off cnt v =
   done;
   !found
 
-(* slot of class [c] in the region's alias record at [aoff]; -1 when
-   the class is not in the alias relation *)
-let alias_slot (seg : seg) aoff c =
-  let k = capped seg (u32 seg (aoff + 4)) 8 in
-  let base = aoff + 8 in
-  let lo = ref 0 and hi = ref k and res = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let x = u32 seg (base + (8 * mid)) in
-    if x = c then begin
-      res := u32 seg (base + (8 * mid) + 4);
-      lo := !hi
-    end
-    else if x < c then lo := mid + 1
-    else hi := mid
-  done;
-  !res
-
+(* bit (sa, sb) of the region's alias record at [aoff] *)
 let alias_bit (seg : seg) aoff width sa sb =
   if sa < 0 || sb < 0 || sa >= width || sb >= width then false
   else
-    let k = u32 seg (aoff + 4) in
-    let bits = aoff + 8 + (8 * k) in
+    let bits = aoff + 4 in
     let i = (sa * width) + sb in
     u8 seg (bits + (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -633,7 +545,7 @@ let get_equiv_acc (seg : seg) item_a item_b =
               if sa = none || sb = none then result := Q.Equiv_none
               else begin
                 let roff =
-                  u32 seg o_regions + (40 * capped seg ridx 40)
+                  u32 seg o_regions + (32 * capped seg ridx 32)
                 in
                 let aoff = u32 seg (roff + 28) in
                 let width = capped seg (u32 seg aoff) 8 in
@@ -697,14 +609,14 @@ let get_call_acc (seg : seg) ~call ~mem =
       else begin
         let im = find_item seg mem in
         let rbase = u32 seg o_regions in
-        let r0off = rbase + (40 * capped seg r0 40) in
+        let r0off = rbase + (32 * capped seg r0 32) in
         let ups_off = u32 seg (r0off + 20)
         and ups_cnt = capped seg (u32 seg (r0off + 24)) 4 in
         let result = ref Q.Call_unknown and decided = ref false in
         let i = ref 0 in
         while (not !decided) && !i < ups_cnt do
           let uidx = capped seg (u32 seg (ups_off + (4 * !i))) 32 in
-          let roff = rbase + (40 * uidx) in
+          let roff = rbase + (32 * uidx) in
           let rid = u32 seg roff in
           let crm_off = u32 seg (roff + 12)
           and crm_cnt = capped seg (u32 seg (roff + 16)) 28 in
@@ -719,7 +631,7 @@ let get_call_acc (seg : seg) ~call ~mem =
                   let sr = u32 seg (eoff + 4) in
                   sr <> none
                   &&
-                  let soff = rbase + (40 * capped seg sr 40) in
+                  let soff = rbase + (32 * capped seg sr 32) in
                   call_line >= i32 seg (soff + 4)
                   && call_line <= i32 seg (soff + 8)
             in
@@ -756,70 +668,4 @@ let get_call_acc (seg : seg) ~call ~mem =
           incr i
         done;
         !result
-      end
-
-(** Mirror of {!Query.get_alias}: O(log k) slot lookups plus one bit
-    probe on the region's alias matrix. *)
-let get_alias (seg : seg) ~rid cls_a cls_b =
-  let ri = find_region seg rid in
-  if ri < 0 then false
-  else
-    let roff = u32 seg o_regions + (40 * ri) in
-    let aoff = u32 seg (roff + 28) in
-    let width = capped seg (u32 seg aoff) 8 in
-    let sa = alias_slot seg aoff cls_a in
-    if sa < 0 then false
-    else
-      let sb = alias_slot seg aoff cls_b in
-      alias_bit seg aoff width sa sb
-
-(** Mirror of {!Query.get_region_of_item}: the region of the item's
-    innermost (first) chain element. *)
-let get_region_of_item (seg : seg) item =
-  let i = find_item seg item in
-  if i < 0 then None
-  else
-    let base = u32 seg o_items in
-    let len = u32 seg (base + (16 * i) + 12) in
-    if len = 0 then None
-    else Some (u32 seg (u32 seg (base + (16 * i) + 8) + 4))
-
-(** Mirror of {!Query.get_lcdd}: resolve both items to their classes
-    in region [rid], then filter the region's LCDD edge list (entry
-    order preserved).  [None] when the region is unknown or either
-    item has no class there — exactly the engine's answer, so a
-    shared-memory reader returns byte-identical results. *)
-let get_lcdd (seg : seg) ~rid item_a item_b =
-  let ri = find_region seg rid in
-  if ri < 0 then None
-  else
-    let ia = find_item seg item_a and ib = find_item seg item_b in
-    if ia < 0 || ib < 0 then None
-    else
-      let ca = class_at seg ia rid and cb = class_at seg ib rid in
-      if ca < 0 || cb < 0 then None
-      else begin
-        let roff = u32 seg o_regions + (40 * ri) in
-        let off = u32 seg (roff + 32)
-        and cnt = capped seg (u32 seg (roff + 36)) 24 in
-        (* build back-to-front so the list preserves entry order *)
-        let acc = ref [] in
-        for j = cnt - 1 downto 0 do
-          let e = off + (24 * j) in
-          let src = u32 seg e and dst = u32 seg (e + 4) in
-          if (src = ca && dst = cb) || (src = cb && dst = ca) then
-            acc :=
-              {
-                lcdd_src = src;
-                lcdd_dst = dst;
-                lcdd_dep = (if u32 seg (e + 8) = 0 then Dep_definite else Dep_maybe);
-                lcdd_distance =
-                  (if u32 seg (e + 12) = 0 then None else Some (i32 seg (e + 16)));
-                lcdd_prob =
-                  (let v = u32 seg (e + 20) in
-                   if v = 0 then None else Some (v - 1));
-              }
-              :: !acc
-        done;
-        Some !acc
       end

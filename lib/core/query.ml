@@ -160,7 +160,7 @@ let reset_query_counters () =
 (* ------------------------------------------------------------------ *)
 
 (** Snapshot of the memo/index counters, in a fixed order (these feed
-    the [hli-telemetry-v8] [query_cache] object and the [--stats] hit
+    the [hli-telemetry-v9] [query_cache] object and the [--stats] hit
     rate rows). *)
 let cache_counters () =
   [

@@ -136,7 +136,7 @@ let rec mkdir_p dir =
    evicts least-recently-used entries rather than oldest-written.
    Counted per function into the workload's telemetry record
    ([hli_cache_hits]/[hli_cache_misses], surfaced by --stats and the
-   hli-telemetry-v8 JSON dump). *)
+   hli-telemetry-v9 JSON dump). *)
 let cache_lookup ?tm dir ~opts ~unit_name fp =
   let path = cache_path dir ~opts fp in
   match

@@ -8,9 +8,9 @@
 module C = Hli_server.Client
 
 (** The import over an open client session.  [opened] is the unit list
-    returned by the session's [open_hli_bytes]/[open_path] (unit name
-    paired with its duplicate item ids).  Each query and maintenance
-    function is one wire call; the end-of-pass barrier is a Refresh. *)
+    returned by the session's [open_hli_bytes] (unit name paired with
+    its duplicate item ids).  Each query and maintenance function is
+    one wire call; the end-of-pass barrier is a Refresh. *)
 let hooks_of_client (cl : C.t) (opened : (string * int list) list) :
     Driver.Pass.remote =
  fun u fn ->
@@ -21,7 +21,6 @@ let hooks_of_client (cl : C.t) (opened : (string * int list) list) :
           Backend.Hli_import.equiv_acc = (fun a b -> C.equiv_acc cl ~u a b);
           equiv_prob = (fun a b -> C.equiv_prob cl ~u a b);
           call_acc = (fun ~call ~mem -> C.call_acc cl ~u ~call ~mem);
-          region_of_item = (fun item -> C.region_of_item cl ~u item);
           delete_item = (fun item -> C.notify_delete cl ~u item);
           gen_item = (fun ~like ~line -> C.notify_gen cl ~u ~like ~line);
           move_item_outward =

@@ -173,8 +173,11 @@ let to_json (t : t) = "{" ^ json_fragment t ^ "}"
     query, and its [Q_prob] wire counterpart inside [server]) and the
     per-workload [speculation] object — DDG edges dropped by
     [--speculate], checks inserted, and misspeculation recoveries
-    observed in simulation. *)
-let schema_version = "hli-telemetry-v8"
+    observed in simulation; v9 cut the [server] object's [queries] to
+    the back end's four kinds (its [alias], [lcdd] and
+    [region_of_item] counters are gone), and its [batches] now counts
+    the probability queries' frames too, since they ride in [Batch]. *)
+let schema_version = "hli-telemetry-v9"
 
 (* first "schema" key in the dump (the emitters put it first) and its
    string value, scanned tolerantly so a pretty-printed dump still

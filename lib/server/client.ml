@@ -1,12 +1,11 @@
 (** Blocking hlid client, with optional request pipelining.
 
     One {!t} is one server session (one socket, one opened HLI file).
-    Single-query conveniences memoize locally — the client-side image
-    of the query engine's memo tables — and every maintenance
-    notification conservatively resets all memo tables, exactly as
-    [Maintain]'s watch edge invalidates local indexes.  Memoization is
-    invisible to table output: Table 2 query counts are computed from
-    back-end DDG statistics, not the query engine's counters.
+    It carries the back-end session's four queries (equiv, equiv-prob,
+    call, hoist-target) and its maintenance calls.  Each query is one
+    [Batch] frame, or in shm mode an equiv or call lookup off the
+    unit's mapped HLIX segment; nothing is memoized client-side, so
+    every answer is the server session's [Maintain.queried] answer.
 
     Pipelining rides on the server's ordering guarantee: replies come
     back strictly in request order, one per request, so correlation is
@@ -27,8 +26,6 @@
 
 module P = Protocol
 module S = Hli_core.Serialize
-module T = Hli_core.Tables
-module Q = Hli_core.Query
 module F = Hli_core.Flatindex
 
 (* what the head-of-line in-flight request must be answered with *)
@@ -57,7 +54,9 @@ type t = {
   pipeline : int;  (** max in-flight frames; 1 = strict request/reply *)
   shm : bool;  (** shared-memory fast path requested *)
   mutable shm_dir : string option;  (** advertised by the server's Hello *)
-  mutable shm_hash : string;  (** digest of the opened HLI; "" = unknown *)
+  mutable shm_hash : string;
+      (** digest of the opened HLI container, checked against each
+          segment's content hash *)
   shm_units : (string, shm_unit) Hashtbl.t;
   mutable shm_last_u : string;
       (** single-entry lookup cache over [shm_units], hit by physical
@@ -70,13 +69,6 @@ type t = {
       (** units with uncommitted maintenance: shm lookups fall back to
           the wire until the next [refresh] barrier *)
   expect : expected Queue.t;  (** in-flight expectations, send order *)
-  (* memo tables, keyed by (unit, args); invalidated per unit on notify *)
-  memo_equiv : (string * int * int, Q.equiv_result) Hashtbl.t;
-  memo_alias : (string * int * int * int, bool) Hashtbl.t;
-  memo_lcdd : (string * int * int * int, T.lcdd_entry list option) Hashtbl.t;
-  memo_call : (string * int * int, Q.call_acc_result) Hashtbl.t;
-  memo_region : (string * int, int option) Hashtbl.t;
-  memo_prob : (string * int * int, Q.equiv_result * int) Hashtbl.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -103,7 +95,7 @@ let shm_stats () =
     segment_bytes = Atomic.get sc_bytes;
   }
 
-(* canonical rendering of the telemetry "shm" object (hli-telemetry-v8) *)
+(* canonical rendering of the telemetry "shm" object (hli-telemetry-v9) *)
 let shm_stats_json () =
   let s = shm_stats () in
   Printf.sprintf
@@ -196,12 +188,6 @@ let connect ?(timeout = P.default_timeout) ?(max_frame = P.default_max_frame)
       shm_last_su = None;
       maint_open = Hashtbl.create 8;
       expect = Queue.create ();
-      memo_equiv = Hashtbl.create 256;
-      memo_alias = Hashtbl.create 64;
-      memo_lcdd = Hashtbl.create 64;
-      memo_call = Hashtbl.create 64;
-      memo_region = Hashtbl.create 64;
-      memo_prob = Hashtbl.create 64;
     }
   in
   (match rpc cl (P.Hello { version = P.protocol_version }) with
@@ -321,12 +307,6 @@ let open_hli_bytes cl bytes =
     | None -> expect_opened (rpc cl (P.Open_hli bytes))
   in
   cl.shm_hash <- Digest.string bytes;
-  fetch_shm_list cl;
-  opened
-
-let open_path cl path =
-  let opened = expect_opened (rpc cl (P.Open_path path)) in
-  (cl.shm_hash <- (try Digest.file path with Sys_error _ -> ""));
   fetch_shm_list cl;
   opened
 
@@ -516,10 +496,7 @@ let with_seg cl u (f : F.seg -> 'a) : 'a option =
                           `Retry
                         end
                         else if g1 <> su.su_vgen then begin
-                          let expect_hash =
-                            if cl.shm_hash = "" then None else Some cl.shm_hash
-                          in
-                          match F.validate ?expect_hash seg with
+                          match F.validate ~expect_hash:cl.shm_hash seg with
                           | () ->
                               if F.generation seg = g1 then begin
                                 su.su_vgen <- g1;
@@ -548,45 +525,24 @@ let with_seg cl u (f : F.seg -> 'a) : 'a option =
           go shm_attempts
         end
 
-(** Answer one read-only query off the mapped segment, [None] = use
-    the wire.  Hoist queries always use the wire: hoist tracks
-    maintained state server-side. *)
+(** Answer one query off the mapped segment, [None] = use the wire.
+    Segments carry no probabilities, and hoist tracks maintained state
+    server-side, so prob and hoist queries always use the wire. *)
 let shm_query cl (q : P.query) : P.answer option =
   match q with
   | P.Q_equiv { u; a; b } ->
       Option.map
         (fun r -> P.A_equiv r)
         (with_seg cl u (fun seg -> F.get_equiv_acc seg a b))
-  | P.Q_alias { u; rid; ca; cb } ->
-      Option.map
-        (fun r -> P.A_alias r)
-        (with_seg cl u (fun seg -> F.get_alias seg ~rid ca cb))
   | P.Q_call { u; call; mem } ->
       Option.map
         (fun r -> P.A_call r)
         (with_seg cl u (fun seg -> F.get_call_acc seg ~call ~mem))
-  | P.Q_region_of { u; item } ->
-      Option.map
-        (fun r -> P.A_region_of r)
-        (with_seg cl u (fun seg -> F.get_region_of_item seg item))
-  | P.Q_lcdd { u; rid; a; b } ->
-      Option.map
-        (fun r -> P.A_lcdd r)
-        (with_seg cl u (fun seg -> F.get_lcdd seg ~rid a b))
-  | P.Q_hoist_target _ -> None
+  | P.Q_prob _ | P.Q_hoist_target _ -> None
 
 let shm_active cl u = cl.shm && Hashtbl.mem cl.shm_units u
 
-let memoized tbl key fetch =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = fetch () in
-      Hashtbl.replace tbl key v;
-      v
-
 let equiv_acc cl ~u a b =
-  memoized cl.memo_equiv (u, a, b) @@ fun () ->
   match with_seg cl u (fun seg -> F.get_equiv_acc seg a b) with
   | Some r -> r
   | None -> (
@@ -594,26 +550,7 @@ let equiv_acc cl ~u a b =
       | P.A_equiv r -> r
       | _ -> net_raise "E1105" "answer kind mismatch (equiv)")
 
-let alias cl ~u ~rid ca cb =
-  memoized cl.memo_alias (u, rid, ca, cb) @@ fun () ->
-  match with_seg cl u (fun seg -> F.get_alias seg ~rid ca cb) with
-  | Some r -> r
-  | None -> (
-      match one cl (P.Q_alias { u; rid; ca; cb }) with
-      | P.A_alias r -> r
-      | _ -> net_raise "E1105" "answer kind mismatch (alias)")
-
-let lcdd cl ~u ~rid a b =
-  memoized cl.memo_lcdd (u, rid, a, b) @@ fun () ->
-  match with_seg cl u (fun seg -> F.get_lcdd seg ~rid a b) with
-  | Some r -> r
-  | None -> (
-      match one cl (P.Q_lcdd { u; rid; a; b }) with
-      | P.A_lcdd r -> r
-      | _ -> net_raise "E1105" "answer kind mismatch (lcdd)")
-
 let call_acc cl ~u ~call ~mem =
-  memoized cl.memo_call (u, call, mem) @@ fun () ->
   match with_seg cl u (fun seg -> F.get_call_acc seg ~call ~mem) with
   | Some r -> r
   | None -> (
@@ -621,30 +558,12 @@ let call_acc cl ~u ~call ~mem =
       | P.A_call r -> r
       | _ -> net_raise "E1105" "answer kind mismatch (call)")
 
-let region_of_item cl ~u item =
-  memoized cl.memo_region (u, item) @@ fun () ->
-  match with_seg cl u (fun seg -> F.get_region_of_item seg item) with
-  | Some r -> r
-  | None -> (
-      match one cl (P.Q_region_of { u; item }) with
-      | P.A_region_of r -> r
-      | _ -> net_raise "E1105" "answer kind mismatch (region_of)")
-
 let equiv_prob cl ~u a b =
-  (* probability queries stay on the wire in shm mode too: HLIX
-     segments don't carry alias probability sections (yet), so the
-     mapped image can't answer with a confidence *)
-  memoized cl.memo_prob (u, a, b) @@ fun () ->
-  match rpc cl (P.Q_prob { u; pairs = [ (a, b) ] }) with
-  | P.R_prob [ r ] -> r
-  | P.R_prob l ->
-      net_raise "E1105" "out-of-sequence reply: %d answers to a 1-pair Q_prob"
-        (List.length l)
+  match one cl (P.Q_prob { u; a; b }) with
+  | P.A_prob r -> r
   | _ -> net_raise "E1105" "answer kind mismatch (equiv_prob)"
 
 let hoist_target cl ~u item =
-  (* not memoized: the answer reads the maintained entry, which every
-     notification changes *)
   match one cl (P.Q_hoist_target { u; item }) with
   | P.A_hoist_target r -> r
   | _ -> net_raise "E1105" "answer kind mismatch (hoist_target)"
@@ -653,24 +572,10 @@ let hoist_target cl ~u item =
 (* Maintenance                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Invalidation is scoped to the unit the notify names: memos for
-   untouched units stay warm across another unit's maintenance (a
-   local [Maintain] edit empties only its own unit's memos too).  The
-   notify also opens the unit's maintenance window — shm lookups fall
-   back to the wire until the next [refresh] barrier. *)
-let invalidate_unit cl u =
-  let drop proj tbl =
-    Hashtbl.filter_map_inplace
-      (fun k v -> if String.equal (proj k) u then None else Some v)
-      tbl
-  in
-  drop (fun (u', _, _) -> u') cl.memo_equiv;
-  drop (fun (u', _, _, _) -> u') cl.memo_alias;
-  drop (fun (u', _, _, _) -> u') cl.memo_lcdd;
-  drop (fun (u', _, _) -> u') cl.memo_call;
-  drop (fun (u', _) -> u') cl.memo_region;
-  drop (fun (u', _, _) -> u') cl.memo_prob;
-  Hashtbl.replace cl.maint_open u ()
+(* A notify opens the unit's maintenance window: its segment still
+   images the pre-edit index, so shm lookups fall back to the wire
+   until the next [refresh] barrier closes the window. *)
+let open_maint_window cl u = Hashtbl.replace cl.maint_open u ()
 
 let expect_ack what = function
   | P.R_ack -> ()
@@ -693,42 +598,37 @@ let deferred_ack cl what req =
   else expect_ack what (rpc cl req)
 
 let notify_delete cl ~u item =
-  invalidate_unit cl u;
+  open_maint_window cl u;
   deferred_ack cl "Notify_delete" (P.Notify_delete { u; item })
 
 let notify_gen cl ~u ~like ~line =
-  invalidate_unit cl u;
+  open_maint_window cl u;
   match rpc cl (P.Notify_gen { u; like; line }) with
   | P.R_gen id -> id
   | _ -> net_raise "E1105" "unexpected response to Notify_gen"
 
 let notify_move cl ~u ~item ~target_rid =
-  invalidate_unit cl u;
+  open_maint_window cl u;
   match rpc cl (P.Notify_move { u; item; target_rid }) with
   | P.R_moved moved -> moved
   | _ -> net_raise "E1105" "unexpected response to Notify_move"
 
 let notify_unroll cl ~u ~rid ~factor =
-  invalidate_unit cl u;
+  open_maint_window cl u;
   match rpc cl (P.Notify_unroll { u; rid; factor }) with
   | P.R_unrolled r -> r
   | _ -> net_raise "E1105" "unexpected response to Notify_unroll"
 
 let refresh cl ~u =
-  invalidate_unit cl u;
-  if shm_active cl u then begin
+  if shm_active cl u then
     (* the barrier must be synchronous when the unit is served off
        shm: only once the server has acked the Refresh is the segment
        rebuilt to the maintained entry's index, so a deferred ack would
        let an shm read race ahead of the rebuild and answer from the
        pre-edit image *)
-    expect_ack "Refresh" (rpc cl (P.Refresh u));
-    Hashtbl.remove cl.maint_open u
-  end
-  else begin
-    deferred_ack cl "Refresh" (P.Refresh u);
-    Hashtbl.remove cl.maint_open u
-  end
+    expect_ack "Refresh" (rpc cl (P.Refresh u))
+  else deferred_ack cl "Refresh" (P.Refresh u);
+  Hashtbl.remove cl.maint_open u
 
 let flush cl = drain cl
 let pending cl = in_flight cl

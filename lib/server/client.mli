@@ -1,9 +1,12 @@
 (** Blocking hlid client: one value is one server session.
 
-    Single-query conveniences memoize answers locally; every
-    maintenance notification resets all memo tables (the client-side
-    image of [Maintain]'s watch-edge invalidation), so answers always
-    match what the in-process engine would return.
+    It carries the back-end session's four queries (equiv, equiv-prob,
+    call, hoist-target) and its maintenance calls, the functions
+    [Harness.Remote] wraps into a [Backend.Hli_import.session].  Each
+    query is one [Batch] frame, or in shm mode an equiv or call lookup
+    off the unit's mapped HLIX segment.  Nothing is memoized
+    client-side: every answer is the server session's, read from the
+    index as of the unit's last [refresh] barrier.
 
     With [~pipeline:n] (n > 1) the client keeps up to [n] frames in
     flight: {!query_batches} overlaps batches, and {!notify_delete}/
@@ -11,8 +14,7 @@
     server answers strictly in request order, the client keeps an
     expectation FIFO, and any reply that does not match the
     head-of-line expectation raises an out-of-sequence E1105.  With
-    the default [pipeline = 1] the session is strict request/reply,
-    wire-identical to PR 5 clients.
+    the default [pipeline = 1] the session is strict request/reply.
 
     Every failure raises {!Diagnostics.Diagnostic}: protocol faults
     carry their E11xx code under phase [Net]; server-relayed errors
@@ -27,9 +29,9 @@ val connect :
     [pipeline] (default 1) is the max in-flight frame window.  With
     [~shm:true], the shared-memory fast path is enabled: the HLIX
     segments the server publishes for this session are mapped
-    read-only and the single-query conveniences answer equiv/alias/
-    call/region-of queries straight off the mapping under the seqlock
-    protocol, transparently falling back to the wire when the
+    read-only and {!equiv_acc}/{!call_acc} answer straight off the
+    mapping under the seqlock protocol, transparently falling back to
+    the wire when the
     generation is odd or moved mid-read, the segment is missing or
     corrupt, or the unit has uncommitted maintenance (DESIGN.md §8).
     Raises E1112 if the socket is unreachable, E1111 if the server
@@ -58,10 +60,6 @@ val open_hli_bytes : t -> string -> (string * int list) list
     slower one; transport faults raise as usual.  Returns, per unit,
     its name and duplicate item ids. *)
 
-val open_path : t -> string -> (string * int list) list
-(** Have the server load and validate an HLI file from its own
-    filesystem. *)
-
 val line_table : t -> string -> Hli_core.Tables.line_entry list
 (** The named unit's line table (drives remote instruction mapping). *)
 
@@ -71,8 +69,8 @@ val server_stats : t -> string
 (** {2 Queries} *)
 
 val query_batch : t -> Protocol.query list -> Protocol.answer list
-(** One frame carrying N queries; answers are positional.  Bypasses
-    the memo tables (servbench uses this directly). *)
+(** One frame carrying N queries; answers are positional (servbench
+    uses this directly). *)
 
 val query_batches : t -> Protocol.query list list -> Protocol.answer list list
 (** Pipelined fan-out: up to [pipeline] [Batch] frames in flight at
@@ -82,36 +80,29 @@ val query_batches : t -> Protocol.query list list -> Protocol.answer list list
     round-trips. *)
 
 val equiv_acc : t -> u:string -> int -> int -> Hli_core.Query.equiv_result
-val alias : t -> u:string -> rid:int -> int -> int -> bool
-
-val lcdd :
-  t -> u:string -> rid:int -> int -> int ->
-  Hli_core.Tables.lcdd_entry list option
 
 val call_acc :
   t -> u:string -> call:int -> mem:int -> Hli_core.Query.call_acc_result
 
-val region_of_item : t -> u:string -> int -> int option
-
 val hoist_target : t -> u:string -> int -> int option
 (** The LICM hoist decision, answered server-side by
-    [Maintain.hoist_target]; not memoized because the answer tracks
-    maintained state. *)
+    [Maintain.hoist_target]; always on the wire, since it reads the
+    maintained entry. *)
 
 val equiv_prob :
   t -> u:string -> int -> int -> Hli_core.Query.equiv_result * int
 (** Confidence-weighted equiv: the engine's [get_equiv_prob] — the
     equiv answer plus a per-mille confidence from the HLI3 probability
-    sections.  Memoized like {!equiv_acc}; always answered on the wire
-    (HLIX segments don't carry alias probabilities). *)
+    sections.  Always answered on the wire (HLIX segments don't carry
+    alias probabilities). *)
 
 (** {2 Shared-memory fast path} *)
 
 val shm_query : t -> Protocol.query -> Protocol.answer option
-(** Answer one read-only query off the unit's mapped HLIX segment,
-    [None] = not answerable off shm (shm off, no segment, seqlock
-    retries exhausted, or an uncommitted maintenance window) — send it
-    over the wire instead.  Hoist queries always return [None].
+(** Answer one query off the unit's mapped HLIX segment, [None] = not
+    answerable off shm (shm off, no segment, seqlock retries
+    exhausted, or an uncommitted maintenance window) — send it over
+    the wire instead.  Prob and hoist queries always return [None].
     Never returns a wrong answer: lookups are accepted only under an
     even, unchanged generation, and images are CRC/content-hash
     revalidated whenever the generation moves. *)
@@ -131,12 +122,11 @@ type shm_stats = {
 val shm_stats : unit -> shm_stats
 
 val shm_stats_json : unit -> string
-(** The counters rendered as the canonical hli-telemetry-v8 ["shm"]
+(** The counters rendered as the canonical hli-telemetry-v9 ["shm"]
     JSON object. *)
 
-(** {2 Maintenance notifications} — each invalidates the named unit's
-    memo entries (other units' memos stay warm) and opens its
-    maintenance window, during which shm lookups fall back to the
+(** {2 Maintenance notifications} — each opens the named unit's
+    maintenance window, during which its shm lookups fall back to the
     wire. *)
 
 val notify_delete : t -> u:string -> int -> unit

@@ -33,9 +33,10 @@ module Q = Hli_core.Query
 
 (* Every peer builds from this tree, so there is one version and no
    negotiation: a Hello at any other version is answered E1111.  Bump
-   it whenever a frame's layout changes (v6: R_hello carries only the
-   version and the shm directory). *)
-let protocol_version = 6
+   it whenever a frame's layout changes (v7: the four back-end query
+   kinds only, probability queries ride in Batch, tags renumbered
+   densely). *)
+let protocol_version = 7
 
 (** Bound on a frame's payload length, checked {e before} the payload
     is read or allocated. *)
@@ -51,10 +52,9 @@ let err ?at code fmt = S.corrupt ?at ~code fmt
 
 type query =
   | Q_equiv of { u : string; a : int; b : int }
-  | Q_alias of { u : string; rid : int; ca : int; cb : int }
-  | Q_lcdd of { u : string; rid : int; a : int; b : int }
   | Q_call of { u : string; call : int; mem : int }
-  | Q_region_of of { u : string; item : int }
+  | Q_prob of { u : string; a : int; b : int }
+      (** confidence-weighted equiv: the engine's [get_equiv_prob] *)
   | Q_hoist_target of { u : string; item : int }
       (** LICM's hoist decision ([Maintain.hoist_target]): the parent
           region of the item's region in the {e maintained} entry,
@@ -62,16 +62,13 @@ type query =
 
 type answer =
   | A_equiv of Q.equiv_result
-  | A_alias of bool
-  | A_lcdd of T.lcdd_entry list option
   | A_call of Q.call_acc_result
-  | A_region_of of int option
+  | A_prob of (Q.equiv_result * int)  (** result, per-mille confidence *)
   | A_hoist_target of int option
 
 type request =
   | Hello of { version : int }
   | Open_hli of string  (** HLI container bytes, shipped inline *)
-  | Open_path of string  (** HLI file path readable by the server *)
   | Batch of query list
   | Notify_delete of { u : string; item : int }
   | Notify_gen of { u : string; like : int; line : int }
@@ -97,9 +94,6 @@ type request =
   | Delta_fill of string list
       (** the entry payloads an {!R_delta_need} asked for, in the
           listed order; only valid while its [Open_delta] is pending *)
-  | Q_prob of { u : string; pairs : (int * int) list }
-      (** confidence-weighted equiv: per item pair, the engine's
-          [get_equiv_prob] answer — (result, per-mille confidence) *)
 
 type response =
   | R_hello of { version : int; shm_dir : string option }
@@ -121,8 +115,6 @@ type response =
       (** positions (into the [Open_delta] list) of the entries the
           server's store lacks; empty never occurs — a fully known
           delta open is answered with {!R_opened} directly *)
-  | R_prob of (Q.equiv_result * int) list
-      (** positional answers to a {!Q_prob}'s pairs *)
   | R_error of { e_code : string; e_msg : string }
 
 (* ------------------------------------------------------------------ *)
@@ -135,29 +127,18 @@ let put_query buf = function
       S.put_string buf u;
       S.put_varint buf a;
       S.put_varint buf b
-  | Q_alias { u; rid; ca; cb } ->
-      Buffer.add_char buf '\001';
-      S.put_string buf u;
-      S.put_varint buf rid;
-      S.put_varint buf ca;
-      S.put_varint buf cb
-  | Q_lcdd { u; rid; a; b } ->
-      Buffer.add_char buf '\002';
-      S.put_string buf u;
-      S.put_varint buf rid;
-      S.put_varint buf a;
-      S.put_varint buf b
   | Q_call { u; call; mem } ->
-      Buffer.add_char buf '\003';
+      Buffer.add_char buf '\001';
       S.put_string buf u;
       S.put_varint buf call;
       S.put_varint buf mem
-  | Q_region_of { u; item } ->
-      Buffer.add_char buf '\004';
+  | Q_prob { u; a; b } ->
+      Buffer.add_char buf '\002';
       S.put_string buf u;
-      S.put_varint buf item
+      S.put_varint buf a;
+      S.put_varint buf b
   | Q_hoist_target { u; item } ->
-      Buffer.add_char buf '\005';
+      Buffer.add_char buf '\003';
       S.put_string buf u;
       S.put_varint buf item
 
@@ -183,20 +164,15 @@ let put_answer buf = function
   | A_equiv r ->
       Buffer.add_char buf '\000';
       put_equiv buf r
-  | A_alias b ->
-      Buffer.add_char buf '\001';
-      S.put_bool buf b
-  | A_lcdd o ->
-      Buffer.add_char buf '\002';
-      S.put_opt buf (fun b l -> S.put_list b S.put_lcdd l) o
   | A_call r ->
-      Buffer.add_char buf '\003';
+      Buffer.add_char buf '\001';
       put_call buf r
-  | A_region_of o ->
-      Buffer.add_char buf '\004';
-      S.put_opt buf S.put_varint o
+  | A_prob (r, p) ->
+      Buffer.add_char buf '\002';
+      put_equiv buf r;
+      S.put_varint buf p
   | A_hoist_target o ->
-      Buffer.add_char buf '\005';
+      Buffer.add_char buf '\003';
       S.put_opt buf S.put_varint o
 
 (* (id, per-copy ids) pairs of Maintain.unroll_result *)
@@ -210,22 +186,20 @@ let put_ipairs buf l =
 let request_tag = function
   | Hello _ -> 0x01
   | Open_hli _ -> 0x02
-  | Open_path _ -> 0x03
-  | Batch _ -> 0x04
-  | Notify_delete _ -> 0x05
-  | Notify_gen _ -> 0x06
-  | Notify_move _ -> 0x07
-  | Notify_unroll _ -> 0x08
-  | Refresh _ -> 0x09
-  | Line_table _ -> 0x0a
-  | Stats -> 0x0b
-  | Close -> 0x0c
-  | Shm_list -> 0x0d
-  | Open_delta _ -> 0x0e
-  | Delta_fill _ -> 0x0f
-  | Q_prob _ -> 0x10
+  | Batch _ -> 0x03
+  | Notify_delete _ -> 0x04
+  | Notify_gen _ -> 0x05
+  | Notify_move _ -> 0x06
+  | Notify_unroll _ -> 0x07
+  | Refresh _ -> 0x08
+  | Line_table _ -> 0x09
+  | Stats -> 0x0a
+  | Close -> 0x0b
+  | Shm_list -> 0x0c
+  | Open_delta _ -> 0x0d
+  | Delta_fill _ -> 0x0e
 
-let is_request_tag t = t >= 0x01 && t <= 0x10
+let is_request_tag t = t >= 0x01 && t <= 0x0e
 
 let response_tag = function
   | R_hello _ -> 0x81
@@ -240,10 +214,9 @@ let response_tag = function
   | R_closing -> 0x8a
   | R_shm_list _ -> 0x8b
   | R_delta_need _ -> 0x8c
-  | R_prob _ -> 0x8d
   | R_error _ -> 0xff
 
-let is_response_tag t = (t >= 0x81 && t <= 0x8d) || t = 0xff
+let is_response_tag t = (t >= 0x81 && t <= 0x8c) || t = 0xff
 
 let frame tag payload =
   let buf = Buffer.create (String.length payload + 12) in
@@ -258,7 +231,6 @@ let request_payload (r : request) : string =
   (match r with
   | Hello { version } -> S.put_varint buf version
   | Open_hli bytes -> S.put_string buf bytes
-  | Open_path p -> S.put_string buf p
   | Batch qs -> S.put_list buf put_query qs
   | Notify_delete { u; item } ->
       S.put_string buf u;
@@ -283,14 +255,7 @@ let request_payload (r : request) : string =
           S.put_string b name;
           S.put_string b hash)
         refs
-  | Delta_fill payloads -> S.put_list buf S.put_string payloads
-  | Q_prob { u; pairs } ->
-      S.put_string buf u;
-      S.put_list buf
-        (fun b (a, x) ->
-          S.put_varint b a;
-          S.put_varint b x)
-        pairs);
+  | Delta_fill payloads -> S.put_list buf S.put_string payloads);
   Buffer.contents buf
 
 (* append the framed request to [buf] without building the
@@ -335,12 +300,6 @@ let response_payload (r : response) : string =
           S.put_string b path)
         segs
   | R_delta_need idxs -> S.put_list buf S.put_varint idxs
-  | R_prob answers ->
-      S.put_list buf
-        (fun b (r, p) ->
-          put_equiv b r;
-          S.put_varint b p)
-        answers
   | R_error { e_code; e_msg } ->
       S.put_string buf e_code;
       S.put_string buf e_msg);
@@ -365,26 +324,15 @@ let get_query ?(get_u = S.get_string) cur =
       Q_equiv { u; a; b }
   | 1 ->
       let u = get_u cur in
-      let rid = S.get_varint cur in
-      let ca = S.get_varint cur in
-      let cb = S.get_varint cur in
-      Q_alias { u; rid; ca; cb }
-  | 2 ->
-      let u = get_u cur in
-      let rid = S.get_varint cur in
-      let a = S.get_varint cur in
-      let b = S.get_varint cur in
-      Q_lcdd { u; rid; a; b }
-  | 3 ->
-      let u = get_u cur in
       let call = S.get_varint cur in
       let mem = S.get_varint cur in
       Q_call { u; call; mem }
-  | 4 ->
+  | 2 ->
       let u = get_u cur in
-      let item = S.get_varint cur in
-      Q_region_of { u; item }
-  | 5 ->
+      let a = S.get_varint cur in
+      let b = S.get_varint cur in
+      Q_prob { u; a; b }
+  | 3 ->
       let u = get_u cur in
       let item = S.get_varint cur in
       Q_hoist_target { u; item }
@@ -446,11 +394,11 @@ let get_call cur : Q.call_acc_result =
 let get_answer cur =
   match S.byte cur with
   | 0 -> A_equiv (get_equiv cur)
-  | 1 -> A_alias (S.get_bool cur)
-  | 2 -> A_lcdd (S.get_opt cur (fun cur -> S.get_list cur S.get_lcdd))
-  | 3 -> A_call (get_call cur)
-  | 4 -> A_region_of (S.get_opt cur S.get_varint)
-  | 5 -> A_hoist_target (S.get_opt cur S.get_varint)
+  | 1 -> A_call (get_call cur)
+  | 2 ->
+      let r = get_equiv cur in
+      A_prob (r, S.get_varint cur)
+  | 3 -> A_hoist_target (S.get_opt cur S.get_varint)
   | n -> err ~at:(cur.S.pos - 1) "E1105" "bad answer tag %d" n
 
 let get_ipairs cur =
@@ -463,29 +411,28 @@ let decode_request_payload tag cur : request =
   match tag with
   | 0x01 -> Hello { version = S.get_varint cur }
   | 0x02 -> Open_hli (S.get_string cur)
-  | 0x03 -> Open_path (S.get_string cur)
-  | 0x04 -> Batch (get_batch cur)
-  | 0x05 ->
+  | 0x03 -> Batch (get_batch cur)
+  | 0x04 ->
       let u = S.get_string cur in
       Notify_delete { u; item = S.get_varint cur }
-  | 0x06 ->
+  | 0x05 ->
       let u = S.get_string cur in
       let like = S.get_varint cur in
       Notify_gen { u; like; line = S.get_varint cur }
-  | 0x07 ->
+  | 0x06 ->
       let u = S.get_string cur in
       let item = S.get_varint cur in
       Notify_move { u; item; target_rid = S.get_varint cur }
-  | 0x08 ->
+  | 0x07 ->
       let u = S.get_string cur in
       let rid = S.get_varint cur in
       Notify_unroll { u; rid; factor = S.get_varint cur }
-  | 0x09 -> Refresh (S.get_string cur)
-  | 0x0a -> Line_table (S.get_string cur)
-  | 0x0b -> Stats
-  | 0x0c -> Close
-  | 0x0d -> Shm_list
-  | 0x0e ->
+  | 0x08 -> Refresh (S.get_string cur)
+  | 0x09 -> Line_table (S.get_string cur)
+  | 0x0a -> Stats
+  | 0x0b -> Close
+  | 0x0c -> Shm_list
+  | 0x0d ->
       Open_delta
         (S.get_list cur (fun cur ->
              let name = S.get_string cur in
@@ -495,16 +442,7 @@ let decode_request_payload tag cur : request =
                  "entry hash of %d bytes (want 16, an MD5 digest)"
                  (String.length hash);
              (name, hash)))
-  | 0x0f -> Delta_fill (S.get_list cur S.get_string)
-  | 0x10 ->
-      let u = S.get_string cur in
-      let pairs =
-        S.get_list cur (fun cur ->
-            let a = S.get_varint cur in
-            let b = S.get_varint cur in
-            (a, b))
-      in
-      Q_prob { u; pairs }
+  | 0x0e -> Delta_fill (S.get_list cur S.get_string)
   | _ -> assert false (* tag validated by the framing layer *)
 
 let decode_response_payload tag cur : response =
@@ -535,12 +473,6 @@ let decode_response_payload tag cur : response =
              let name = S.get_string cur in
              (name, S.get_string cur)))
   | 0x8c -> R_delta_need (S.get_list cur S.get_varint)
-  | 0x8d ->
-      R_prob
-        (S.get_list cur (fun cur ->
-             let r = get_equiv cur in
-             let p = S.get_varint cur in
-             (r, p)))
   | 0xff ->
       let e_code = S.get_string cur in
       R_error { e_code; e_msg = S.get_string cur }

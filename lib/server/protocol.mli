@@ -20,28 +20,26 @@ val default_max_frame : int
 val default_timeout : float
 (** Default per-frame progress timeout, seconds. *)
 
-(** One query of a {!Batch}; [u] names the opened unit. *)
+(** One query of a {!Batch}; [u] names the opened unit.  These are
+    the back-end session's four queries ([Hli_import.session]). *)
 type query =
   | Q_equiv of { u : string; a : int; b : int }
-  | Q_alias of { u : string; rid : int; ca : int; cb : int }
-  | Q_lcdd of { u : string; rid : int; a : int; b : int }
   | Q_call of { u : string; call : int; mem : int }
-  | Q_region_of of { u : string; item : int }
+  | Q_prob of { u : string; a : int; b : int }
+      (** confidence-weighted equiv: the engine's [get_equiv_prob] *)
   | Q_hoist_target of { u : string; item : int }
 
 (** Positional answers of an {!R_results}, mirroring {!query}. *)
 type answer =
   | A_equiv of Hli_core.Query.equiv_result
-  | A_alias of bool
-  | A_lcdd of Hli_core.Tables.lcdd_entry list option
   | A_call of Hli_core.Query.call_acc_result
-  | A_region_of of int option
+  | A_prob of (Hli_core.Query.equiv_result * int)
+      (** result and per-mille confidence *)
   | A_hoist_target of int option
 
 type request =
   | Hello of { version : int }
   | Open_hli of string  (** HLI container bytes, shipped inline *)
-  | Open_path of string  (** HLI file path readable by the server *)
   | Batch of query list
   | Notify_delete of { u : string; item : int }
   | Notify_gen of { u : string; like : int; line : int }
@@ -66,9 +64,6 @@ type request =
   | Delta_fill of string list
       (** the entry payloads an [R_delta_need] asked for, in the listed
           order; only valid while its [Open_delta] is pending *)
-  | Q_prob of { u : string; pairs : (int * int) list }
-      (** confidence-weighted equiv: per item pair, the engine's
-          [get_equiv_prob] answer *)
 
 type response =
   | R_hello of { version : int; shm_dir : string option }
@@ -89,9 +84,6 @@ type response =
   | R_delta_need of int list
       (** positions (into the [Open_delta] list) of the entries the
           server's store lacks *)
-  | R_prob of (Hli_core.Query.equiv_result * int) list
-      (** positional answers to a [Q_prob]'s pairs: result and
-          per-mille confidence *)
   | R_error of { e_code : string; e_msg : string }
 
 (** {2 Pure frame codec} — used directly by the fuzz harness. *)

@@ -67,7 +67,7 @@ let default_config ~socket_path =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry (hli-telemetry-v8 "server" object)                        *)
+(* Telemetry (hli-telemetry-v9 "server" object)                        *)
 (* ------------------------------------------------------------------ *)
 
 let lat_cap = 8192
@@ -81,10 +81,7 @@ type stats = {
   mutable st_queries : int;
   mutable st_batch_max : int;
   mutable st_q_equiv : int;
-  mutable st_q_alias : int;
-  mutable st_q_lcdd : int;
   mutable st_q_call : int;
-  mutable st_q_region : int;
   mutable st_q_hoist : int;
   mutable st_q_prob : int;
   mutable st_maintenance : int;
@@ -114,10 +111,7 @@ let fresh_stats () =
     st_queries = 0;
     st_batch_max = 0;
     st_q_equiv = 0;
-    st_q_alias = 0;
-    st_q_lcdd = 0;
     st_q_call = 0;
-    st_q_region = 0;
     st_q_hoist = 0;
     st_q_prob = 0;
     st_maintenance = 0;
@@ -248,7 +242,7 @@ let percentile_ns sorted p =
     int_of_float (sorted.(max 0 i) *. 1e9)
 
 (** The server-side telemetry object embedded as the ["server"] field
-    of an hli-telemetry-v8 dump (and answered to a [Stats] frame). *)
+    of an hli-telemetry-v9 dump (and answered to a [Stats] frame). *)
 let stats_json t =
   locked t @@ fun () ->
   let s = t.st in
@@ -260,8 +254,7 @@ let stats_json t =
        "{\"sessions\":%d,\"active\":%d,\"frames\":%d,\"rejected_frames\":%d,\
         \"timed_out_frames\":%d,\"batches\":%d,\"batch_max\":%d,\
         \"maintenance_ops\":%d,\"queries\":{\"total\":%d,\"equiv_acc\":%d,\
-        \"alias\":%d,\"lcdd\":%d,\"call_acc\":%d,\"region_of_item\":%d,\
-        \"hoist_target\":%d,\"equiv_prob\":%d},\"latency_ns\":{\"samples\":%d,\"p50\":%d,\
+        \"call_acc\":%d,\"hoist_target\":%d,\"equiv_prob\":%d},\"latency_ns\":{\"samples\":%d,\"p50\":%d,\
         \"p99\":%d},\"shm\":{\"publishes\":%d,\"rebuilds\":%d,\
         \"stale_swept\":%d},\"delta\":{\"opens\":%d,\"entries_reused\":%d,\
         \"entries_filled\":%d},\"store\":{\"bytes\":%d,\"entries\":%d},\
@@ -269,8 +262,7 @@ let stats_json t =
         \"per_session\":["
        s.st_sessions s.st_active s.st_frames s.st_rejected s.st_timeouts
        s.st_batches s.st_batch_max s.st_maintenance s.st_queries s.st_q_equiv
-       s.st_q_alias s.st_q_lcdd s.st_q_call s.st_q_region s.st_q_hoist
-       s.st_q_prob s.st_lat_n
+       s.st_q_call s.st_q_hoist s.st_q_prob s.st_lat_n
        (percentile_ns sorted 0.50)
        (percentile_ns sorted 0.99)
        s.st_shm_publishes s.st_shm_rebuilds s.st_shm_stale_swept
@@ -292,10 +284,8 @@ let stats_json t =
 
 let q_unit = function
   | P.Q_equiv { u; _ }
-  | P.Q_alias { u; _ }
-  | P.Q_lcdd { u; _ }
   | P.Q_call { u; _ }
-  | P.Q_region_of { u; _ }
+  | P.Q_prob { u; _ }
   | P.Q_hoist_target { u; _ } ->
       u
 
@@ -314,10 +304,8 @@ let answer_query_in us q : P.answer =
   let idx = M.queried us.us_mt in
   match q with
   | P.Q_equiv { a; b; _ } -> P.A_equiv (Q.get_equiv_acc idx a b)
-  | P.Q_alias { rid; ca; cb; _ } -> P.A_alias (Q.get_alias idx ~rid ca cb)
-  | P.Q_lcdd { rid; a; b; _ } -> P.A_lcdd (Q.get_lcdd idx ~rid a b)
   | P.Q_call { call; mem; _ } -> P.A_call (Q.get_call_acc idx ~call ~mem)
-  | P.Q_region_of { item; _ } -> P.A_region_of (Q.get_region_of_item idx item)
+  | P.Q_prob { a; b; _ } -> P.A_prob (Q.get_equiv_prob idx a b)
   | P.Q_hoist_target { item; _ } ->
       P.A_hoist_target (M.hoist_target us.us_mt item)
 
@@ -355,13 +343,13 @@ let open_file t (c : conn) ~hash (f : T.hli_file) : P.response =
     reply_error "E1106" "session already has an HLI open";
   let dir =
     match session_shm_dir t c with
-    | Some d when hash <> "" ->
+    | Some d ->
         (try
            if not (Sys.file_exists d) then Unix.mkdir d 0o755
            else sweep_session_dir t d;
            Some d
          with Unix.Unix_error _ | Sys_error _ -> None)
-    | _ -> None
+    | None -> None
   in
   let opened =
     List.map
@@ -381,10 +369,8 @@ let open_file t (c : conn) ~hash (f : T.hli_file) : P.response =
 
 let bump_query_kind st = function
   | P.Q_equiv _ -> st.st_q_equiv <- st.st_q_equiv + 1
-  | P.Q_alias _ -> st.st_q_alias <- st.st_q_alias + 1
-  | P.Q_lcdd _ -> st.st_q_lcdd <- st.st_q_lcdd + 1
   | P.Q_call _ -> st.st_q_call <- st.st_q_call + 1
-  | P.Q_region_of _ -> st.st_q_region <- st.st_q_region + 1
+  | P.Q_prob _ -> st.st_q_prob <- st.st_q_prob + 1
   | P.Q_hoist_target _ -> st.st_q_hoist <- st.st_q_hoist + 1
 
 (* split + decode + validate + open a full container, and seed the
@@ -491,17 +477,6 @@ let handle t (c : conn) (req : P.request) : P.response * bool =
           ( open_container_bytes t c
               (S.container_of_payloads (delta_payloads t arr)),
             true ))
-  | P.Open_path path -> (
-      match S.read_file path with
-      | f ->
-          let hash = try Digest.file path with Sys_error _ -> "" in
-          (open_file t c ~hash f, true)
-      | exception Diagnostics.Diagnostic d ->
-          ( P.R_error
-              { e_code = d.Diagnostics.code; e_msg = d.Diagnostics.message },
-            true )
-      | exception Sys_error msg ->
-          (P.R_error { e_code = "E0001"; e_msg = msg }, true))
   | P.Batch qs ->
       (* a batch almost always stays on one unit, and the decoder
          interns repeated names, so the memo usually hits on the
@@ -593,17 +568,6 @@ let handle t (c : conn) (req : P.request) : P.response * bool =
           units []
       in
       (P.R_shm_list segs, true)
-  | P.Q_prob { u; pairs } ->
-      let us = find_unit units u in
-      let answers =
-        List.map (fun (a, b) -> Q.get_equiv_prob (M.queried us.us_mt) a b) pairs
-      in
-      locked t (fun () ->
-          let st = t.st in
-          let n = List.length pairs in
-          st.st_queries <- st.st_queries + n;
-          st.st_q_prob <- st.st_q_prob + n);
-      (P.R_prob answers, true)
   | P.Close -> (P.R_closing, false)
 
 (* ------------------------------------------------------------------ *)
@@ -629,7 +593,6 @@ let handle_work t c out = function
       c.c_frames <- c.c_frames + 1;
       (match req with
       | P.Batch qs -> c.c_queries <- c.c_queries + List.length qs
-      | P.Q_prob { pairs; _ } -> c.c_queries <- c.c_queries + List.length pairs
       | _ -> ());
       locked t (fun () ->
           t.st.st_frames <- t.st.st_frames + 1;

@@ -69,6 +69,6 @@ val stats_json : t -> string
     per-query-kind counts, maintenance ops, rejected and timed-out
     frames, p50/p99 service latency (ns), capped per-session
     summaries.  Embedded as the ["server"] field of an
-    hli-telemetry-v8 dump, and answered to a [Stats] frame. *)
+    hli-telemetry-v9 dump, and answered to a [Stats] frame. *)
 
 val socket_path : t -> string

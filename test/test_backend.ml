@@ -784,7 +784,6 @@ let logging_hli seed =
           log := Printf.sprintf "call %d %d" call mem :: !log;
           pick (1, call, mem)
             Hli_core.Query.[ Call_none; Call_ref; Call_mod; Call_refmod; Call_unknown ]);
-      region_of_item = (fun _ -> Alcotest.fail "CSE asked for a region");
       delete_item = (fun it -> log := Printf.sprintf "delete %d" it :: !log);
       gen_item = (fun ~like:_ ~line:_ -> Alcotest.fail "CSE generated an item");
       move_item_outward = (fun ~item:_ ~target_rid:_ -> Alcotest.fail "CSE moved an item");
@@ -1147,7 +1146,6 @@ let hashed_hli seed =
         (fun ~call ~mem ->
           pick (2, call, mem)
             Hli_core.Query.[ Call_none; Call_ref; Call_mod; Call_refmod; Call_unknown ]);
-      region_of_item = (fun _ -> Alcotest.fail "the DDG asked for a region");
       delete_item = (fun _ -> Alcotest.fail "the DDG deleted an item");
       gen_item = (fun ~like:_ ~line:_ -> Alcotest.fail "the DDG generated an item");
       move_item_outward =

@@ -1,9 +1,8 @@
 (* HLIX (lib/core/flatindex.ml) correctness + corruption harness.
 
-   1. Differential: for every workload entry, every query answered off
-      the flat segment equals the in-process engine — equiv_acc over
-      all sampled item pairs (absent ids included), call_acc, alias,
-      region_of_item.
+   1. Differential: for every workload entry, both queries answered
+      off the flat segment equal the in-process engine — equiv_acc and
+      call_acc over all sampled item pairs (absent ids included).
    2. All-prefix truncation: every strict prefix of a segment must be
       rejected by [Flatindex.validate] with a precise E063x code
       (truncations land on E0632 — the stored total_len can never fit).
@@ -60,9 +59,6 @@ let items_of_entry (e : T.hli_entry) =
        (fun le -> List.map (fun it -> it.T.item_id) le.T.items)
        e.T.line_table)
 
-let rids_of_entry (e : T.hli_entry) =
-  List.sort_uniq compare (List.map (fun r -> r.T.region_id) e.T.regions)
-
 let take n xs =
   let rec go n = function
     | x :: rest when n > 0 -> x :: go (n - 1) rest
@@ -96,30 +92,7 @@ let differential name (e : T.hli_entry) idx seg =
             fail "%s/%s call %d %d: engine %s, segment %s" name u a b
               (pp_call want) (pp_call got))
         items)
-    items;
-  List.iter
-    (fun item ->
-      if Q.get_region_of_item idx item <> F.get_region_of_item seg item then
-        fail "%s/%s region_of %d disagrees" name u item)
-    items;
-  List.iter
-    (fun rid ->
-      for ca = 0 to 5 do
-        for cb = 0 to 5 do
-          if Q.get_alias idx ~rid ca cb <> F.get_alias seg ~rid ca cb then
-            fail "%s/%s alias r%d %d %d disagrees" name u rid ca cb
-        done
-      done;
-      let pairs = take 8 items in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              if Q.get_lcdd idx ~rid a b <> F.get_lcdd seg ~rid a b then
-                fail "%s/%s lcdd r%d %d %d disagrees" name u rid a b)
-            pairs)
-        pairs)
-    (take 6 (rids_of_entry e) @ [ 31337 ])
+    items
 
 (* ------------------------------------------------------------------ *)
 (* 2+3: truncation and mutation sweeps                                 *)

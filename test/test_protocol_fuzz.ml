@@ -88,15 +88,13 @@ let exemplar_requests : (string * P.request) list =
   [
     ("hello", P.Hello { version = P.protocol_version });
     ("open_hli", P.Open_hli (S.to_bytes { Hli_core.Tables.entries = [ sample_entry ] }));
-    ("open_path", P.Open_path "/tmp/x.hli");
     ( "batch",
       P.Batch
         [
           P.Q_equiv { u = "u"; a = 1; b = 2 };
-          P.Q_alias { u = "u"; rid = 1; ca = 0; cb = 1 };
-          P.Q_lcdd { u = "u"; rid = 1; a = 1; b = 2 };
           P.Q_call { u = "u"; call = 3; mem = 1 };
-          P.Q_region_of { u = "u"; item = 1 };
+          P.Q_prob { u = "u"; a = 2; b = 2 };
+          P.Q_prob { u = "u"; a = 3; b = 99991 };
           P.Q_hoist_target { u = "u"; item = 1 };
         ] );
     ("notify_delete", P.Notify_delete { u = "u"; item = 1 });
@@ -117,8 +115,6 @@ let exemplar_requests : (string * P.request) list =
     ("open_delta_empty", P.Open_delta []);
     ( "delta_fill",
       P.Delta_fill [ S.entry_to_bytes sample_entry; "second payload" ] );
-    ("q_prob", P.Q_prob { u = "u"; pairs = [ (1, 2); (2, 2); (3, 99991) ] });
-    ("q_prob_empty", P.Q_prob { u = "u"; pairs = [] });
   ]
 
 let exemplar_responses : (string * P.response) list =
@@ -134,21 +130,13 @@ let exemplar_responses : (string * P.response) list =
         [
           P.A_equiv Hli_core.Query.Equiv_none;
           P.A_equiv (Hli_core.Query.Equiv_same Hli_core.Tables.Maybe);
-          P.A_alias true;
-          P.A_lcdd None;
-          P.A_lcdd
-            (Some
-               [
-                 {
-                   Hli_core.Tables.lcdd_src = 1;
-                   lcdd_dst = 2;
-                   lcdd_dep = Hli_core.Tables.Dep_maybe;
-                   lcdd_distance = Some 0;
-                   lcdd_prob = Some 850;
-                 };
-               ]);
           P.A_call Hli_core.Query.Call_refmod;
-          P.A_region_of (Some 1);
+          P.A_prob (Hli_core.Query.Equiv_none, 1000);
+          P.A_prob (Hli_core.Query.Equiv_same Hli_core.Tables.Maybe, 500);
+          P.A_prob (Hli_core.Query.Equiv_same Hli_core.Tables.Definitely, 1000);
+          P.A_prob (Hli_core.Query.Equiv_alias, 850);
+          P.A_prob (Hli_core.Query.Equiv_unknown, 0);
+          P.A_hoist_target (Some 1);
           P.A_hoist_target None;
         ] );
     ("r_ack", P.R_ack);
@@ -169,16 +157,6 @@ let exemplar_responses : (string * P.response) list =
     ("r_shm_list_empty", P.R_shm_list []);
     ("r_delta_need", P.R_delta_need [ 0; 3; 17 ]);
     ("r_delta_need_none", P.R_delta_need []);
-    ( "r_prob",
-      P.R_prob
-        [
-          (Hli_core.Query.Equiv_none, 1000);
-          (Hli_core.Query.Equiv_same Hli_core.Tables.Maybe, 500);
-          (Hli_core.Query.Equiv_same Hli_core.Tables.Definitely, 1000);
-          (Hli_core.Query.Equiv_alias, 850);
-          (Hli_core.Query.Equiv_unknown, 0);
-        ] );
-    ("r_prob_empty", P.R_prob []);
     ("r_error", P.R_error { e_code = "E1107"; e_msg = "unknown unit" });
   ]
 

@@ -8,9 +8,9 @@
    plus the two workloads that carry speculable edges at
    [--speculate 1000].  The cse,licm,unroll=4 and speculate=1000 groups
    run a second time with their HLI served over the wire (an hlid on
-   its own domain, pipeline 8; speculation sends Q_prob frames), and a
-   third time with the read-only queries answered off the hlid's shm
-   segments; each of those rows must equal the local line, and the shm
+   its own domain, pipeline 8; speculation sends Q_prob queries), and
+   a third time with the equiv and call queries answered off the
+   hlid's shm segments; each of those rows must equal the local line, and the shm
    leg must have mapped a segment.
    Nothing is simulated, so every row runs under runtest.
 

@@ -103,8 +103,8 @@ let json_tests =
           (has_sub json
              (Printf.sprintf "\"schema\":\"%s\""
                 Harness.Telemetry.schema_version));
-        Alcotest.(check bool) "schema is v8" true
-          (Harness.Telemetry.schema_version = "hli-telemetry-v8");
+        Alcotest.(check bool) "schema is v9" true
+          (Harness.Telemetry.schema_version = "hli-telemetry-v9");
         (* v5: the server object is present, null for in-process runs *)
         Alcotest.(check bool) "has null server" true
           (has_sub json "\"server\":null");
@@ -123,14 +123,21 @@ let json_tests =
           (has_sub json "\"failure\":\"out of fuel\""));
     Alcotest.test_case "schema gate rejects a v1 dump specifically" `Quick
       (fun () ->
-        let v1 = "{\"schema\":\"hli-telemetry-v1\",\"workloads\":[]}" in
-        (match Harness.Telemetry.check_schema v1 with
-        | Ok () -> Alcotest.fail "v1 dump accepted"
-        | Error msg ->
-            Alcotest.(check bool) "names the found version" true
-              (has_sub msg "hli-telemetry-v1");
-            Alcotest.(check bool) "names the expected version" true
-              (has_sub msg Harness.Telemetry.schema_version));
+        (* v1 is the oldest dump; v8 is the one just before this
+           binary's *)
+        List.iter
+          (fun old ->
+            let dump =
+              Printf.sprintf "{\"schema\":\"%s\",\"workloads\":[]}" old
+            in
+            match Harness.Telemetry.check_schema dump with
+            | Ok () -> Alcotest.failf "%s dump accepted" old
+            | Error msg ->
+                Alcotest.(check bool) "names the found version" true
+                  (has_sub msg old);
+                Alcotest.(check bool) "names the expected version" true
+                  (has_sub msg Harness.Telemetry.schema_version))
+          [ "hli-telemetry-v1"; "hli-telemetry-v8" ];
         (* current dumps and non-telemetry JSON pass the gate *)
         (match
            Harness.Telemetry.check_schema

@@ -195,15 +195,10 @@ let gen_query : P.query QCheck.Gen.t =
       [
         (int_range 0 500 >>= fun a ->
          int_range 0 500 >>= fun b -> return (P.Q_equiv { u; a; b }));
-        (int_range 1 20 >>= fun rid ->
-         int_range 0 8 >>= fun ca ->
-         int_range 0 8 >>= fun cb -> return (P.Q_alias { u; rid; ca; cb }));
-        (int_range 1 20 >>= fun rid ->
-         int_range 0 500 >>= fun a ->
-         int_range 0 500 >>= fun b -> return (P.Q_lcdd { u; rid; a; b }));
         (int_range 0 500 >>= fun call ->
          int_range 0 500 >>= fun mem -> return (P.Q_call { u; call; mem }));
-        map (fun item -> P.Q_region_of { u; item }) (int_range 0 500);
+        (int_range 0 500 >>= fun a ->
+         int_range 0 500 >>= fun b -> return (P.Q_prob { u; a; b }));
         map (fun item -> P.Q_hoist_target { u; item }) (int_range 0 500);
       ])
 
@@ -217,7 +212,6 @@ let gen_request : P.request QCheck.Gen.t =
         map
           (fun f -> P.Open_hli (Hli_core.Serialize.to_bytes f))
           (gen_file ~allow_zero:true ());
-        map (fun s -> P.Open_path s) gen_unit_name;
         map (fun qs -> P.Batch qs) (list_size (int_range 0 12) gen_query);
         (gen_unit_name >>= fun u ->
          int_range 0 500 >>= fun item -> return (P.Notify_delete { u; item }));
@@ -253,10 +247,4 @@ let gen_request : P.request QCheck.Gen.t =
                   | e :: _ -> Hli_core.Serialize.entry_to_bytes e
                   | [] -> "")
                 (gen_file ~allow_zero:true ())));
-        (* probabilistic batch (protocol v5) *)
-        (gen_unit_name >>= fun u ->
-         list_size (int_range 0 10)
-           (int_range 0 500 >>= fun a ->
-            int_range 0 500 >>= fun b -> return (a, b))
-         >>= fun pairs -> return (P.Q_prob { u; pairs }));
       ])
