@@ -3,8 +3,9 @@
    telemetry span names, the front end's spans and HLI-cache counters,
    the shape of a compile (one back-end prefix and one DDG build per
    alias mode, scheduled for both machines, each dependence pair
-   queried once, E1010 when a prefix context is asked for its machine),
-   and a golden check that the default pipeline's Table 1/2 output is
+   queried once, E1010 when a prefix context is asked for its machine,
+   E0901 when any variant's output differs from the first's), and a
+   golden check that the default pipeline's Table 1/2 output is
    byte-identical to the output recorded before the pass-manager
    refactor (test/golden_tables.txt). *)
 
@@ -206,6 +207,43 @@ let pipeline_tests =
               d.Diagnostics.file;
             Alcotest.(check string) "code" "E0301" d.Diagnostics.code
         | _ -> Alcotest.fail "expected a typecheck diagnostic");
+    Alcotest.test_case "E0901 compares every variant with the first" `Quick
+      (fun () ->
+        (* a variant's RTL swapped for another program's stands for a
+           schedule that changed the output; swapping both r10000
+           variants alike must be caught too, since each machine has
+           its own schedule *)
+        let compile src = Harness.Pipeline.compile ~config:uncached src in
+        let a = compile "int main() { print_int(1); return 0; }"
+        and b = compile "int main() { print_int(2); return 0; }" in
+        let swap vs =
+          {
+            a with
+            Harness.Pipeline.variants =
+              List.map
+                (fun (v, s) ->
+                  (v, if List.mem v vs then List.assoc v b.Harness.Pipeline.variants else s))
+                a.Harness.Pipeline.variants;
+          }
+        in
+        let v alias machine = { Driver.Variant.alias; machine } in
+        List.iter
+          (fun (vs, message) ->
+            match Harness.Pipeline.measure (swap vs) with
+            | exception Diagnostics.Diagnostic d ->
+                Alcotest.(check (pair string string))
+                  message ("E0901", message)
+                  (d.Diagnostics.code, d.Diagnostics.message)
+            | _ -> Alcotest.fail ("no E0901: " ^ message))
+          [
+            ( [ v Backend.Ddg.With_hli Driver.Variant.R4600 ],
+              "schedule changed program output (hli/r4600 differs from gcc/r4600)" );
+            ( [
+                v Backend.Ddg.Gcc_only Driver.Variant.R10000;
+                v Backend.Ddg.With_hli Driver.Variant.R10000;
+              ],
+              "schedule changed program output (gcc/r10000 differs from gcc/r4600)" );
+          ]);
   ]
 
 (* The front end's spans and HLI-cache counters over one compile of a
