@@ -12,30 +12,26 @@
     stores in the queue are known}.  A conservatively ordered static
     schedule therefore delays address computations of stores — and every
     younger load pays for it; the HLI schedule hoists loads above
-    stores, making their issue independent. *)
+    stores, making their issue independent.
 
-(* function units, as ranges of [units]: 2 integer ALUs, 2 FP units,
-   1 memory port *)
-let alu = 0
+    {!Exec} reports each executed instruction through the entry point of
+    its class ([alu], [fpu], [load], [store], [branch]); [pc] indexes
+    the decoded program's tables, and the decoder bounds it and every
+    register id, so the tables and the scoreboard are read unchecked. *)
 
-let fpu = 1
-
-let mem = 2
-
-let unit_lo = [| 0; 2; 4 |]
-
-let unit_hi = [| 2; 4; 5 |]
-
+(* function units, indexes of [units]: integer ALUs 0-1, FP units 2-3,
+   memory port 4 *)
 type t = {
-  md : Backend.Machdesc.t;
   cache : Cache.t;
-  code : Exec.code;
   window : int;
+  issue_width : int;
+  lsq_blocking : bool;
+  misspec_penalty : int;
+  srcs_start : int array;  (** the decoded program's, see {!Code.code} *)
+  srcs : int array;
+  dst : int array;
   ready : int array;  (** globalized register -> cycle its value is ready *)
   lat : int array;  (** pc -> result latency *)
-  kind : int array;  (** pc -> function unit kind *)
-  is_load : bool array;
-  is_store : bool array;
   rob_retire : int array;  (** ROB slot -> retire cycle of its occupant *)
   mutable slot : int;  (** ROB slot of the next instruction: [seq mod window] *)
   mutable seq : int;  (** instructions dispatched so far *)
@@ -55,26 +51,19 @@ type t = {
   mutable lsq_stall_cycles : int;  (** diagnostic: issue delay due to LSQ *)
 }
 
-let make ?(md = Backend.Machdesc.r10000) (code : Exec.code) =
+let make ?(md = Backend.Machdesc.r10000) (code : Code.code) =
   let window = max 1 md.Backend.Machdesc.window in
-  let src = code.Exec.src in
   {
-    md;
     cache = Cache.r10000 ();
-    code;
     window;
-    ready = Array.make code.Exec.global_regs 0;
-    lat = Array.map (Backend.Machdesc.latency md) src;
-    kind =
-      Array.map
-        (fun (i : Backend.Rtl.insn) ->
-          match i.Backend.Rtl.desc with
-          | Backend.Rtl.Falu _ | Backend.Rtl.Cvt_i2f _ | Backend.Rtl.Cvt_f2i _ -> fpu
-          | Backend.Rtl.Load _ | Backend.Rtl.Store _ -> mem
-          | _ -> alu)
-        src;
-    is_load = Array.map Backend.Rtl.is_load src;
-    is_store = Array.map Backend.Rtl.is_store src;
+    issue_width = md.Backend.Machdesc.issue_width;
+    lsq_blocking = md.Backend.Machdesc.lsq_blocking;
+    misspec_penalty = md.Backend.Machdesc.misspec_penalty;
+    srcs_start = code.Code.srcs_start;
+    srcs = code.Code.srcs;
+    dst = code.Code.dst;
+    ready = Array.make code.Code.global_regs 0;
+    lat = Array.map (Backend.Machdesc.latency md) code.Code.src;
     rob_retire = Array.make window 0;
     slot = 0;
     seq = 0;
@@ -126,22 +115,24 @@ let lsq_wait t addr operand_ready =
   done;
   !w
 
+(* After [expire], at most [window - 1] stores are live (DESIGN.md,
+   "Simulator internals"), so the tail index wraps at most once. *)
 let push_store t ~complete ~retire addr =
   expire t (t.seq + 1);
-  let k = (t.st_head + t.st_count) mod t.window in
+  let k = t.st_head + t.st_count in
+  let k = if k >= t.window then k - t.window else k in
   t.st_seq.(k) <- t.seq;
   t.st_complete.(k) <- complete;
   t.st_retire.(k) <- retire;
   t.st_addr.(k) <- addr;
   t.st_count <- t.st_count + 1
 
-let step (t : t) (d : Exec.dyn) =
-  let pc = d.Exec.d_pc in
-  let md = t.md in
-  let width = md.Backend.Machdesc.issue_width in
-  (* in-order dispatch: [width] per cycle, and the ROB slot must have retired *)
+(* In-order dispatch, [issue_width] per cycle, once the ROB slot's
+   previous occupant has retired; returns the cycle [pc]'s operands are
+   all ready, no earlier than its dispatch. *)
+let[@inline] operands t pc =
   let oldest_retire = if t.seq >= t.window then t.rob_retire.(t.slot) else 0 in
-  if t.dispatch_in_cycle >= width then begin
+  if t.dispatch_in_cycle >= t.issue_width then begin
     t.dispatch_cycle <- t.dispatch_cycle + 1;
     t.dispatch_in_cycle <- 0
   end;
@@ -149,44 +140,31 @@ let step (t : t) (d : Exec.dyn) =
     t.dispatch_cycle <- oldest_retire;
     t.dispatch_in_cycle <- 0
   end;
-  let dispatch = t.dispatch_cycle in
   t.dispatch_in_cycle <- t.dispatch_in_cycle + 1;
-  (* operands *)
-  let code = t.code and ready = t.ready in
-  let src_ready = ref 0 in
-  for k = code.Exec.srcs_start.(pc) to code.Exec.srcs_start.(pc + 1) - 1 do
-    let r = ready.(code.Exec.srcs.(k)) in
-    if r > !src_ready then src_ready := r
+  let ready = t.ready and srcs = t.srcs in
+  let at = ref t.dispatch_cycle in
+  for k = Array.unsafe_get t.srcs_start pc to Array.unsafe_get t.srcs_start (pc + 1) - 1 do
+    let r = Array.unsafe_get ready (Array.unsafe_get srcs k) in
+    if r > !at then at := r
   done;
-  let operand_ready = imax dispatch !src_ready in
-  let lsq_ready =
-    if t.is_load.(pc) && md.Backend.Machdesc.lsq_blocking then
-      lsq_wait t d.Exec.d_addr operand_ready
-    else 0
-  in
-  if lsq_ready > operand_ready then
-    t.lsq_stall_cycles <- t.lsq_stall_cycles + (lsq_ready - operand_ready);
-  let can_issue = imax operand_ready lsq_ready in
-  (* earliest free unit of the kind (the first, on ties) *)
-  let kind = t.kind.(pc) and units = t.units in
-  let best = ref unit_lo.(kind) in
-  for u = unit_lo.(kind) + 1 to unit_hi.(kind) - 1 do
-    if units.(u) < units.(!best) then best := u
-  done;
-  let issue = imax can_issue units.(!best) in
-  units.(!best) <- issue + 1;
-  let lat =
-    if kind = mem then t.lat.(pc) + Cache.access t.cache d.Exec.d_addr else t.lat.(pc)
-  in
-  let complete = issue + lat in
-  let dst = code.Exec.dst.(pc) in
-  if dst >= 0 then ready.(dst) <- complete;
-  (* in-order retirement, issue_width per cycle *)
+  !at
+
+(* issue on unit [u], no earlier than [can_issue] *)
+let[@inline] issue_on t u can_issue =
+  let issue = imax can_issue t.units.(u) in
+  t.units.(u) <- issue + 1;
+  issue
+
+(* [pc]'s result is ready at [complete]; retire it in order,
+   [issue_width] per cycle, and return the retire cycle *)
+let[@inline] retire_at t pc complete =
+  let dst = Array.unsafe_get t.dst pc in
+  if dst >= 0 then Array.unsafe_set t.ready dst complete;
   let retire = imax complete t.last_retire in
   let retire =
     if retire = t.last_retire then begin
       t.retired_in_cycle <- t.retired_in_cycle + 1;
-      if t.retired_in_cycle >= width then begin
+      if t.retired_in_cycle >= t.issue_width then begin
         t.retired_in_cycle <- 0;
         retire + 1
       end
@@ -198,20 +176,58 @@ let step (t : t) (d : Exec.dyn) =
     end
   in
   t.last_retire <- retire;
-  (* a store that caught misspeculated loads replays them from the
-     issue queue: dispatch restarts after the recovery window *)
-  if d.Exec.d_misspec > 0 then begin
-    t.dispatch_cycle <-
-      imax t.dispatch_cycle
-        (complete + (d.Exec.d_misspec * md.Backend.Machdesc.misspec_penalty));
-    t.dispatch_in_cycle <- 0
-  end;
+  retire
+
+(* the ROB slot of the instruction just dispatched frees at [retire] *)
+let[@inline] commit t retire =
   t.rob_retire.(t.slot) <- retire;
-  if t.is_store.(pc) then push_store t ~complete ~retire d.Exec.d_addr;
   t.seq <- t.seq + 1;
   t.slot <- (if t.slot + 1 = t.window then 0 else t.slot + 1);
   if retire > t.cycles then t.cycles <- retire
 
-let cycles t = t.cycles
+(* a register-to-register instruction on the earlier-free unit of the
+   pair [u], [u + 1] (unit [u] on ties) *)
+let[@inline] plain t pc u =
+  let units = t.units in
+  let u = if units.(u + 1) < units.(u) then u + 1 else u in
+  let issue = issue_on t u (operands t pc) in
+  commit t (retire_at t pc (issue + Array.unsafe_get t.lat pc))
 
-let hook t : Exec.dyn -> unit = fun d -> step t d
+let alu t pc = plain t pc 0
+
+let fpu t pc = plain t pc 2
+
+(* the model has no fetch stage: a transfer costs what an ALU op does *)
+let branch t pc (_taken : bool) = alu t pc
+
+let load t pc addr =
+  let operand_ready = operands t pc in
+  let can_issue =
+    if t.lsq_blocking then begin
+      let lsq_ready = lsq_wait t addr operand_ready in
+      if lsq_ready > operand_ready then begin
+        t.lsq_stall_cycles <- t.lsq_stall_cycles + (lsq_ready - operand_ready);
+        lsq_ready
+      end
+      else operand_ready
+    end
+    else operand_ready
+  in
+  let issue = issue_on t 4 can_issue in
+  let complete = issue + Array.unsafe_get t.lat pc + Cache.access t.cache addr in
+  commit t (retire_at t pc complete)
+
+(* a store that caught [misspec] misspeculated loads replays them from
+   the issue queue: dispatch restarts after the recovery window *)
+let store t pc addr misspec =
+  let issue = issue_on t 4 (operands t pc) in
+  let complete = issue + Array.unsafe_get t.lat pc + Cache.access t.cache addr in
+  let retire = retire_at t pc complete in
+  if misspec > 0 then begin
+    t.dispatch_cycle <- imax t.dispatch_cycle (complete + (misspec * t.misspec_penalty));
+    t.dispatch_in_cycle <- 0
+  end;
+  push_store t ~complete ~retire addr;
+  commit t retire
+
+let cycles t = t.cycles

@@ -28,7 +28,7 @@ let run ?(fuel = 400_000_000) ?md (machine : machine)
   match machine with
   | R4600 ->
       let m = Inorder.make ?md code in
-      let res = Exec.run_code ~fuel ~hook:(Inorder.hook m) code in
+      let res = Exec.run_code ~fuel ~model:(Exec.R4600 m) code in
       let h, mi = Cache.l1_stats m.Inorder.cache in
       {
         machine;
@@ -43,7 +43,7 @@ let run ?(fuel = 400_000_000) ?md (machine : machine)
       }
   | R10000 ->
       let m = Ooo.make ?md code in
-      let res = Exec.run_code ~fuel ~hook:(Ooo.hook m) code in
+      let res = Exec.run_code ~fuel ~model:(Exec.R10000 m) code in
       let h, mi = Cache.l1_stats m.Ooo.cache in
       {
         machine;
