@@ -1,31 +1,23 @@
 (* Benchmark harness.
 
-   Two kinds of content, as DESIGN.md's per-experiment index specifies:
+   Reproductions — regenerate every table of the paper's evaluation
+   (Table 1: HLI sizes; Table 2: dependence-query counts, reductions
+   and machine speedups), plus the ablations DESIGN.md calls out
+   (class-merging aggressiveness, the R10000 LSQ blocking rule, and the
+   HLI-vs-no-HLI behaviour of the CSE/LICM passes) — and the benches
+   behind the committed BENCH_*.json artifacts.  Per-layer timings are
+   bench/e2e's job.
 
-   1. Reproductions — regenerate every table of the paper's evaluation
-      (Table 1: HLI sizes; Table 2: dependence-query counts, reductions
-      and machine speedups), plus the ablations DESIGN.md calls out
-      (class-merging aggressiveness, the R10000 LSQ blocking rule, and
-      the HLI-vs-no-HLI behaviour of the CSE/LICM passes).
-
-   2. Microbenchmarks — one Bechamel Test.make per pipeline stage that
-      feeds those tables (front-end analysis + TBLCONST, serialization,
-      HLI queries, DDG construction + scheduling, and both timing
-      simulators), so component costs are tracked like any other
-      performance artifact.
-
-   Run with: dune exec bench/main.exe            (everything)
-             dune exec bench/main.exe -- tables  (reproductions only)
-             dune exec bench/main.exe -- micro   (microbenchmarks only)
-             dune exec bench/main.exe -- querybench
-                                                 (query-throughput bench)
-             dune exec bench/main.exe -- serbench
-                                                 (the on-disk HLI cache
-                                                 cold/warm runs)
+   Run with: dune exec bench/main.exe            (tables)
+             dune exec bench/main.exe -- tables  (the same)
              dune exec bench/main.exe -- emit-hli
                                                  (write each workload's HLI
                                                  file under --out DIR, for
                                                  hli_dump --check sweeps)
+             dune exec bench/main.exe -- servbench
+                                                 (hlid query throughput per
+                                                 path x clients x batch,
+                                                 BENCH_servbench.json)
              dune exec bench/main.exe -- editstorm
                                                  (mutate a fraction of the
                                                  suite's functions, recompile
@@ -33,7 +25,6 @@
                                                  HLI cache; the incremental
                                                  recompile curve,
                                                  BENCH_editstorm.json)
-
              dune exec bench/main.exe -- specbench
                                                  (speculative-scheduling
                                                  threshold sweep: DDG edges
@@ -48,7 +39,7 @@
                           Domain.recommended_domain_count; -j 1 is the
                           sequential reference path)
      --workloads a,b,c    run only the named workloads (skips ablations;
-                          also selects the querybench workloads)
+                          also selects the other modes' workloads)
      --fuel N             per-run simulation budget, 0 = unlimited
                           (exhaustion annotates the row, see Tables)
      --passes SPEC        optional passes for every workload, e.g.
@@ -65,7 +56,7 @@
      --list-passes        list the optional passes and the span order, exit
      --hli-cache DIR      on-disk HLI cache directory for the compile
                           stage (default: HLI_CACHE env; unset disables
-                          caching; also the serbench cache directory)
+                          caching; also editstorm's cache directory)
      --stats              print the per-stage telemetry table
      --stats-json PATH    write the hli-telemetry-v9 JSON dump ("-" for
                           stdout)
@@ -90,15 +81,9 @@
                           version is rejected, naming both versions),
                           then the structural JSON check; exit 1 on
                           either (used by bench/smoke.sh)
-     --out PATH           querybench output file (default
-                          BENCH_queries.json) / servbench output file
-                          (default BENCH_servbench.json) / emit-hli
-                          output directory (default _hli)
-
-   querybench replays a deterministic query stream over the selected
-   workloads' HLI entries against both the indexed Query engine and the
-   Query_ref oracle, and records queries/sec, index build time, memo
-   hit rates and the speedup in an hli-querybench-v1 JSON artifact. *)
+     --out PATH           servbench / editstorm / specbench output file
+                          (default its BENCH_*.json) / emit-hli output
+                          directory (default _hli) *)
 
 let fuel = 100_000_000
 
@@ -127,7 +112,7 @@ type cfg = {
 let usage () =
   prerr_endline
     "usage: main.exe \
-     [tables|micro|querybench|serbench|servbench|remote-probe|emit-hli|editstorm|specbench|all] \
+     [tables|servbench|remote-probe|emit-hli|editstorm|specbench] \
      [-j N] [--fuel N] [--workloads a,b,c] [--passes SPEC] [--ablation NAME] \
      [--speculate THRESH] [--list-passes] [--stats] [--stats-json PATH] \
      [--validate-json PATH] [--hli-cache DIR] [--out PATH] [--remote SOCKET] \
@@ -135,10 +120,11 @@ let usage () =
   exit 2
 
 (* --------------------------------------------------------------- *)
-(* Interrupt handling: SIGINT/SIGTERM remove partially-written      *)
-(* artifacts (a half-dumped --stats-json, a servbench socket) so an  *)
-(* interrupted run never leaves corrupt telemetry behind, then exit  *)
-(* with the conventional 128+signal code.                           *)
+(* Cleanup: an exit before a file is complete, and SIGINT/SIGTERM,  *)
+(* remove partially-written files (a half-dumped --stats-json, an   *)
+(* artifact's .tmp, a servbench socket), so a failed or interrupted *)
+(* run never leaves corrupt output behind; a signal exits with the  *)
+(* conventional 128+signal code.                                    *)
 (* --------------------------------------------------------------- *)
 
 let cleanup_mutex = Mutex.create ()
@@ -169,21 +155,49 @@ let run_cleanups () =
   List.iter (fun h -> try h () with _ -> ()) hooks;
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) files
 
-let install_signal_handlers () =
-  let handle signum _ =
-    run_cleanups ();
-    Stdlib.exit (128 + signum)
-  in
+let install_cleanups () =
+  at_exit run_cleanups;
+  let handle signum _ = Stdlib.exit (128 + signum) in
   (try Sys.set_signal Sys.sigint (Sys.Signal_handle (handle 2))
    with Invalid_argument _ | Sys_error _ -> ());
   try Sys.set_signal Sys.sigterm (Sys.Signal_handle (handle 15))
   with Invalid_argument _ | Sys_error _ -> ()
 
+(* The --out artifact of servbench, editstorm and specbench.  A mode
+   opens it before its run, so an unwritable path fails before any
+   work.  The JSON is validated, written to <out>.tmp and renamed over
+   <out>, so a failed or interrupted run leaves the committed
+   BENCH_*.json untouched.  Returns the writer for the finished JSON. *)
+let open_artifact cfg ~mode ~default =
+  let out = Option.value ~default cfg.out in
+  let tmp = out ^ ".tmp" in
+  let oc =
+    try open_out_bin tmp
+    with Sys_error msg ->
+      Printf.eprintf "--out: %s\n" msg;
+      exit 1
+  in
+  register_cleanup tmp;
+  fun json ->
+    (match Harness.Telemetry.validate_json json with
+    | Ok () -> ()
+    | Error (msg, pos) ->
+        Printf.eprintf "%s: generated malformed JSON at byte %d: %s\n" mode pos
+          msg;
+        exit 1);
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
+    (try Sys.rename tmp out
+     with Sys_error msg ->
+       Printf.eprintf "--out: %s\n" msg;
+       exit 1);
+    unregister_cleanup tmp;
+    Printf.eprintf "wrote %s\n" out
+
 let parse_args () =
   let cfg =
     ref
       {
-        mode = "all";
+        mode = "tables";
         jobs = Pool.default_jobs ();
         fuel;
         stats = false;
@@ -204,9 +218,8 @@ let parse_args () =
   in
   let rec loop = function
     | [] -> ()
-    | ( "tables" | "micro" | "all" | "querybench" | "serbench" | "servbench"
-      | "servbench-child" | "remote-probe" | "emit-hli" | "editstorm"
-      | "specbench" ) as m
+    | ( "tables" | "servbench" | "servbench-child" | "remote-probe" | "emit-hli"
+      | "editstorm" | "specbench" ) as m
       :: rest ->
         cfg := { !cfg with mode = m };
         loop rest
@@ -341,6 +354,29 @@ let pipeline_config cfg =
     Fmt.epr "%a@." Diagnostics.pp d;
     exit (Diagnostics.exit_code d)
 
+(* --workloads, in the given order; an unknown name is skipped with a
+   warning *)
+let selected_workloads cfg =
+  match cfg.workloads with
+  | None -> Workloads.Registry.all
+  | Some names ->
+      List.filter_map
+        (fun n ->
+          match Workloads.Registry.find n with
+          | Some w -> Some w
+          | None ->
+              Fmt.epr "warning: unknown workload %s (skipped)@." n;
+              None)
+        names
+
+(* a workload a mode cannot run without: unknown is fatal *)
+let workload_of_name ~mode name =
+  match Workloads.Registry.find name with
+  | Some w -> w
+  | None ->
+      Printf.eprintf "%s: unknown workload %s\n" mode name;
+      exit 1
+
 let reproduce_tables cfg pool =
   let config = pipeline_config cfg in
   (* fail fast on an unwritable --stats-json path, before the (long) run *)
@@ -357,19 +393,7 @@ let reproduce_tables cfg pool =
           Printf.eprintf "--stats-json: %s\n" msg;
           exit 1)
   in
-  let ws =
-    match cfg.workloads with
-    | None -> Workloads.Registry.all
-    | Some names ->
-        List.filter_map
-          (fun n ->
-            match Workloads.Registry.find n with
-            | Some w -> Some w
-            | None ->
-                Fmt.epr "warning: unknown workload %s (skipped)@." n;
-                None)
-          names
-  in
+  let ws = selected_workloads cfg in
   if cfg.ablation <> "baseline" then
     Fmt.epr "ablation: %s (%s)@." config.Harness.Pipeline.ablation.Driver.Variant.ab_name
       config.Harness.Pipeline.ablation.Driver.Variant.ab_doc;
@@ -407,8 +431,7 @@ let reproduce_tables cfg pool =
           output_string oc (Harness.Tables.stats_json ?server ?shm rows));
       unregister_cleanup path;
       Fmt.epr "wrote telemetry to %s@." path
-  | _ -> ());
-  rows
+  | _ -> ())
 
 (* The DESIGN.md §5 ablations are {!Driver.Variant.ablations} configs;
    a full-table run under any of them is `--ablation NAME`.  The
@@ -497,344 +520,6 @@ let ablation_passes () =
       let c2, l2 = variant true in
       Printf.printf "%-14s %11d/%-6d %11d/%-6d\n" name c1 c2 l1 l2)
     [ "015.doduc"; "101.tomcatv"; "052.alvinn" ]
-
-(* ------------------------------------------------------------------ *)
-(* Query-throughput microbenchmark (BENCH_queries.json)                *)
-(* ------------------------------------------------------------------ *)
-
-(* per-unit query material, derived once from the entry so both engines
-   see the same stream *)
-type qb_unit = {
-  qb_items : int array;  (** capped item ids *)
-  qb_calls : int array;  (** capped call item ids *)
-  qb_rids : int array;  (** capped region ids *)
-}
-
-let qb_item_cap = 140
-let qb_call_cap = 16
-let qb_rid_cap = 16
-let qb_reps = 6
-
-let qb_unit_of_entry (e : Hli_core.Tables.hli_entry) =
-  let cap k arr = Array.sub arr 0 (min k (Array.length arr)) in
-  let items = Array.of_list (Hli_core.Tables.all_items e) in
-  let calls =
-    List.concat_map
-      (fun (le : Hli_core.Tables.line_entry) ->
-        List.filter_map
-          (fun (it : Hli_core.Tables.item_entry) ->
-            if it.Hli_core.Tables.acc = Hli_core.Tables.Acc_call then
-              Some it.Hli_core.Tables.item_id
-            else None)
-          le.Hli_core.Tables.items)
-      e.Hli_core.Tables.line_table
-  in
-  let rids =
-    List.map
-      (fun (r : Hli_core.Tables.region_entry) -> r.Hli_core.Tables.region_id)
-      e.Hli_core.Tables.regions
-  in
-  {
-    qb_items = cap qb_item_cap items;
-    qb_calls = cap qb_call_cap (Array.of_list calls);
-    qb_rids = cap qb_rid_cap (Array.of_list rids);
-  }
-
-(* The replayed stream.  The pair-granularity queries (equiv, call
-   REF/MOD) are repeated [qb_reps] times — the back end re-asks the
-   same pairs across CSE/LICM/scheduling passes, which is the access
-   pattern the memo exists for; the remaining kinds (region-of, alias,
-   lcdd over a small class/item square per region) run once.  Returns
-   the number of queries issued.
-
-   The two run functions are textual copies (one per engine): calling
-   the engines through a closure record or functor would put an equal
-   indirect-call tax on both sides and blur the very difference being
-   measured. *)
-let qb_run_indexed (u : qb_unit) idx =
-  let q = ref 0 in
-  let n = Array.length u.qb_items in
-  for _rep = 1 to qb_reps do
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        ignore (Hli_core.Query.get_equiv_acc idx u.qb_items.(i) u.qb_items.(j));
-        incr q
-      done
-    done;
-    Array.iter
-      (fun c ->
-        Array.iter
-          (fun m ->
-            ignore (Hli_core.Query.get_call_acc idx ~call:c ~mem:m);
-            incr q)
-          u.qb_items)
-      u.qb_calls
-  done;
-  for i = 0 to n - 1 do
-    ignore (Hli_core.Query.get_region_of_item idx u.qb_items.(i));
-    incr q
-  done;
-  Array.iter
-    (fun rid ->
-      let k = min n 8 in
-      for i = 0 to k - 1 do
-        for j = 0 to k - 1 do
-          ignore (Hli_core.Query.get_alias idx ~rid i j);
-          incr q;
-          ignore
-            (Hli_core.Query.get_lcdd idx ~rid u.qb_items.(i) u.qb_items.(j));
-          incr q
-        done
-      done)
-    u.qb_rids;
-  !q
-
-let qb_run_ref (u : qb_unit) idx =
-  let q = ref 0 in
-  let n = Array.length u.qb_items in
-  for _rep = 1 to qb_reps do
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        ignore
-          (Hli_core.Query_ref.get_equiv_acc idx u.qb_items.(i) u.qb_items.(j));
-        incr q
-      done
-    done;
-    Array.iter
-      (fun c ->
-        Array.iter
-          (fun m ->
-            ignore (Hli_core.Query_ref.get_call_acc idx ~call:c ~mem:m);
-            incr q)
-          u.qb_items)
-      u.qb_calls
-  done;
-  for i = 0 to n - 1 do
-    ignore (Hli_core.Query_ref.get_region_of_item idx u.qb_items.(i));
-    incr q
-  done;
-  Array.iter
-    (fun rid ->
-      let k = min n 8 in
-      for i = 0 to k - 1 do
-        for j = 0 to k - 1 do
-          ignore (Hli_core.Query_ref.get_alias idx ~rid i j);
-          incr q;
-          ignore
-            (Hli_core.Query_ref.get_lcdd idx ~rid u.qb_items.(i) u.qb_items.(j));
-          incr q
-        done
-      done)
-    u.qb_rids;
-  !q
-
-type qb_result = {
-  qb_name : string;
-  qb_queries : int;
-  qb_build_ns : int64;
-  qb_indexed_ns : int64;
-  qb_ref_ns : int64;
-  qb_equiv_hit_rate : float;
-  qb_call_hit_rate : float;
-}
-
-let qps queries ns =
-  if Int64.compare ns 0L <= 0 then 0.0
-  else float_of_int queries /. (Int64.to_float ns /. 1e9)
-
-let qb_speedup (r : qb_result) =
-  if Int64.compare r.qb_indexed_ns 0L <= 0 then 0.0
-  else Int64.to_float r.qb_ref_ns /. Int64.to_float r.qb_indexed_ns
-
-let querybench_workload name : qb_result =
-  let w =
-    match Workloads.Registry.find name with
-    | Some w -> w
-    | None ->
-        Printf.eprintf "querybench: unknown workload %s\n" name;
-        exit 1
-  in
-  let prog = Srclang.Typecheck.program_of_string w.Workloads.Workload.source in
-  let entries = Harness.Pipeline.build_hli_entries prog in
-  let units = List.map qb_unit_of_entry entries in
-  let now = Harness.Telemetry.now_ns in
-  (* one warmup pass (cold caches), then take the fastest of a few
-     timed passes — the stream is sub-millisecond, so a single timing
-     is at the mercy of GC pauses and scheduling noise *)
-  (* indexed engine: one build per unit (timed) *)
-  let t0 = now () in
-  let idxs = List.map Hli_core.Query.build entries in
-  let build_ns = Int64.sub (now ()) t0 in
-  let run_indexed () =
-    List.fold_left2 (fun acc u idx -> acc + qb_run_indexed u idx) 0 units idxs
-  in
-  (* hit rates of one cold pass: how often the stream re-asks a pair *)
-  let cc0 = Hli_core.Query.cache_counters () in
-  let queries = run_indexed () in
-  let cc1 = Hli_core.Query.cache_counters () in
-  let delta k = List.assoc k cc1 - List.assoc k cc0 in
-  let rate h m = if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m) in
-  let equiv_hit_rate =
-    rate (delta "equiv_memo_hits") (delta "equiv_memo_misses")
-  in
-  let call_hit_rate = rate (delta "call_memo_hits") (delta "call_memo_misses") in
-  (* reference oracle: same stream, no precomputation to amortize *)
-  let refs = List.map Hli_core.Query_ref.build entries in
-  let run_ref () =
-    List.fold_left2 (fun acc u idx -> acc + qb_run_ref u idx) 0 units refs
-  in
-  let queries_ref = run_ref () in
-  assert (queries = queries_ref);
-  (* The streams are sub-millisecond, so a single timing is at the
-     mercy of GC pauses and container scheduling noise.  Interleave the
-     two engines' trials (so a noisy window hits both alike) and keep
-     the fastest pass of each. *)
-  let trials = 15 in
-  let indexed_best = ref Int64.max_int and ref_best = ref Int64.max_int in
-  let timed run best =
-    let t0 = now () in
-    ignore (run ());
-    let dt = Int64.sub (now ()) t0 in
-    if Int64.compare dt !best < 0 then best := dt
-  in
-  for _ = 1 to trials do
-    timed run_indexed indexed_best;
-    timed run_ref ref_best
-  done;
-  let indexed_ns = !indexed_best and ref_ns = !ref_best in
-  {
-    qb_name = name;
-    qb_queries = queries;
-    qb_build_ns = build_ns;
-    qb_indexed_ns = indexed_ns;
-    qb_ref_ns = ref_ns;
-    qb_equiv_hit_rate = equiv_hit_rate;
-    qb_call_hit_rate = call_hit_rate;
-  }
-
-let querybench cfg =
-  let names =
-    match cfg.workloads with
-    | Some ns -> ns
-    | None -> [ "103.su2cor"; "015.doduc" ]
-  in
-  let results = List.map querybench_workload names in
-  print_endline "== Query throughput: indexed engine vs Query_ref oracle ==";
-  Printf.printf "%-14s %10s %12s %12s %8s %9s %9s\n" "Benchmark" "queries"
-    "indexed q/s" "ref q/s" "speedup" "equiv-hit" "call-hit";
-  List.iter
-    (fun r ->
-      Printf.printf "%-14s %10d %12.0f %12.0f %7.1fx %8.1f%% %8.1f%%\n"
-        r.qb_name r.qb_queries
-        (qps r.qb_queries r.qb_indexed_ns)
-        (qps r.qb_queries r.qb_ref_ns)
-        (qb_speedup r)
-        (100.0 *. r.qb_equiv_hit_rate)
-        (100.0 *. r.qb_call_hit_rate))
-    results;
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"hli-querybench-v1\",\"workloads\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"queries\":%d,\"build_ns\":%Ld,\"indexed\":{\"query_ns\":%Ld,\"qps\":%.1f},\"reference\":{\"query_ns\":%Ld,\"qps\":%.1f},\"speedup\":%.2f,\"equiv_hit_rate\":%.4f,\"call_hit_rate\":%.4f}"
-           (Harness.Telemetry.json_escape r.qb_name)
-           r.qb_queries r.qb_build_ns r.qb_indexed_ns
-           (qps r.qb_queries r.qb_indexed_ns)
-           r.qb_ref_ns
-           (qps r.qb_queries r.qb_ref_ns)
-           (qb_speedup r) r.qb_equiv_hit_rate r.qb_call_hit_rate))
-    results;
-  Buffer.add_string b "]}";
-  let json = Buffer.contents b in
-  (match Harness.Telemetry.validate_json json with
-  | Ok () -> ()
-  | Error (msg, pos) ->
-      Printf.eprintf "querybench: generated malformed JSON at byte %d: %s\n"
-        pos msg;
-      exit 1);
-  let out = Option.value ~default:"BENCH_queries.json" cfg.out in
-  let oc =
-    try open_out_bin out
-    with Sys_error msg ->
-      Printf.eprintf "--out: %s\n" msg;
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json);
-  Printf.eprintf "wrote %s\n" out
-
-(* ------------------------------------------------------------------ *)
-(* On-disk HLI cache benchmark (serbench)                              *)
-(* ------------------------------------------------------------------ *)
-
-let workload_of_name ~mode name =
-  match Workloads.Registry.find name with
-  | Some w -> w
-  | None ->
-      Printf.eprintf "%s: unknown workload %s\n" mode name;
-      exit 1
-
-(* Cold/warm compiles through the on-disk HLI cache: the cold run pays
-   analysis + TBLCONST and stores, the warm run replays the cached
-   entries.  The two compiles must agree on the HLI (byte-identical
-   tables are the acceptance bar); hit/miss counts come from the
-   per-run telemetry. *)
-let serbench cfg pool =
-  let dir =
-    match cfg.hli_cache with
-    | Some d -> d
-    | None -> Filename.concat (Filename.get_temp_dir_name ()) "hli-serbench-cache"
-  in
-  let names =
-    match cfg.workloads with
-    | Some ns -> ns
-    | None -> [ "101.tomcatv"; "015.doduc"; "129.compress" ]
-  in
-  Printf.printf "== On-disk HLI cache (dir: %s) ==\n" dir;
-  Printf.printf "%-14s %10s %10s %8s %5s %5s\n" "Benchmark" "cold ms"
-    "warm ms" "speedup" "hits" "miss";
-  let now = Harness.Telemetry.now_ns in
-  List.iter
-    (fun name ->
-      let w = workload_of_name ~mode:"serbench" name in
-      let src = w.Workloads.Workload.source in
-      let config =
-        { Harness.Pipeline.default_config with hli_cache = Some dir }
-      in
-      (* drop every cached entry so the first compile is genuinely cold
-         (the cache is per-function now — there is no single path to
-         remove for a workload) *)
-      (try
-         Array.iter
-           (fun f ->
-             if Filename.check_suffix f ".hlie" then
-               Sys.remove (Filename.concat dir f))
-           (Sys.readdir dir)
-       with Sys_error _ -> ());
-      let timed () =
-        let tm = Harness.Telemetry.create () in
-        let t0 = now () in
-        let c = Harness.Pipeline.compile ~config ?pool ~tm src in
-        (c, Int64.sub (now ()) t0, tm)
-      in
-      let c1, cold_ns, tm1 = timed () in
-      let c2, warm_ns, tm2 = timed () in
-      if c1.Harness.Pipeline.hli <> c2.Harness.Pipeline.hli then begin
-        Printf.eprintf "serbench: %s: warm-cache HLI differs from cold\n" name;
-        exit 1
-      end;
-      let ms ns = Int64.to_float ns /. 1e6 in
-      Printf.printf "%-14s %10.2f %10.2f %7.2fx %5d %5d\n" name (ms cold_ns)
-        (ms warm_ns)
-        (if Int64.compare warm_ns 0L <= 0 then 0.0
-         else Int64.to_float cold_ns /. Int64.to_float warm_ns)
-        (Harness.Telemetry.counter tm2 "hli_cache_hits")
-        (Harness.Telemetry.counter tm1 "hli_cache_misses"))
-    names
 
 (* ------------------------------------------------------------------ *)
 (* emit-hli: one HLI file per workload (for hli_dump --check sweeps)   *)
@@ -1066,6 +751,9 @@ let editstorm cfg =
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "hli-editstorm-%d" (Unix.getpid ()))
   in
+  let write_artifact =
+    open_artifact cfg ~mode:"editstorm" ~default:"BENCH_editstorm.json"
+  in
   let now = Harness.Telemetry.now_ns in
   Printf.printf "== Edit storm: %d workloads, %d functions ==\n"
     (List.length wls) total;
@@ -1255,22 +943,7 @@ let editstorm cfg =
            frac mutated re partial cold_ns warm_ns edit_ns speedup))
     rows;
   Buffer.add_string b "]}";
-  let json = Buffer.contents b in
-  (match Harness.Telemetry.validate_json json with
-  | Ok () -> ()
-  | Error (msg, pos) ->
-      Printf.eprintf "editstorm: generated malformed JSON at byte %d: %s\n" pos
-        msg;
-      exit 1);
-  let out = Option.value ~default:"BENCH_editstorm.json" cfg.out in
-  let oc =
-    try open_out_bin out
-    with Sys_error msg ->
-      Printf.eprintf "--out: %s\n" msg;
-      exit 1
-  in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  Printf.eprintf "wrote %s\n" out
+  write_artifact (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Speculation sweep (BENCH_speculate.json)                            *)
@@ -1311,19 +984,7 @@ let spec_fail_reason = function
   | e -> Printexc.to_string e
 
 let specbench cfg pool =
-  let ws =
-    match cfg.workloads with
-    | None -> Workloads.Registry.all
-    | Some names ->
-        List.filter_map
-          (fun n ->
-            match Workloads.Registry.find n with
-            | Some w -> Some w
-            | None ->
-                Fmt.epr "warning: unknown workload %s (skipped)@." n;
-                None)
-          names
-  in
+  let ws = selected_workloads cfg in
   let base_ablation =
     (pipeline_config cfg).Harness.Pipeline.ablation
   in
@@ -1332,6 +993,9 @@ let specbench cfg pool =
     Printf.eprintf "specbench: --speculate is implied by the sweep\n";
     exit 2
   end;
+  let write_artifact =
+    open_artifact cfg ~mode:"specbench" ~default:"BENCH_speculate.json"
+  in
   let run_at w speculate =
     let ablation =
       match speculate with
@@ -1472,22 +1136,7 @@ let specbench cfg pool =
           Buffer.add_string b "]}")
     rows;
   Buffer.add_string b "]}";
-  let json = Buffer.contents b in
-  (match Harness.Telemetry.validate_json json with
-  | Ok () -> ()
-  | Error (msg, pos) ->
-      Printf.eprintf "specbench: generated malformed JSON at byte %d: %s\n" pos
-        msg;
-      exit 1);
-  let out = Option.value ~default:"BENCH_speculate.json" cfg.out in
-  let oc =
-    try open_out_bin out
-    with Sys_error msg ->
-      Printf.eprintf "--out: %s\n" msg;
-      exit 1
-  in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  Printf.eprintf "wrote %s\n" out
+  write_artifact (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Server benchmark (servbench) and the remote-probe fault client      *)
@@ -1495,32 +1144,36 @@ let specbench cfg pool =
 
 module SP = Hli_server.Protocol
 
-(* A deterministic batched query stream over one unit, modeled on the
-   querybench stream but sized for round-trips: every query crosses
-   the wire, so the quadratic parts are capped harder.  It holds only
-   kinds the back end sends: all-pairs equiv and call REF/MOD. *)
+(* A deterministic batched query stream over one unit, sized for
+   round-trips: every query crosses the wire, so the quadratic parts
+   are capped.  It holds only kinds the back end sends: all-pairs equiv
+   over the unit's first [sb_item_cap] items, then call REF/MOD of its
+   first [sb_call_cap] calls against those items. *)
 let sb_item_cap = 40
+let sb_call_cap = 16
 
 let sb_queries_of_entry (e : Hli_core.Tables.hli_entry) : SP.query list =
   let u = e.Hli_core.Tables.unit_name in
-  let qb = qb_unit_of_entry e in
-  let items =
-    Array.sub qb.qb_items 0 (min sb_item_cap (Array.length qb.qb_items))
+  let first k l = List.filteri (fun i _ -> i < k) l in
+  let items = first sb_item_cap (Hli_core.Tables.all_items e) in
+  let calls =
+    first sb_call_cap
+      (List.concat_map
+         (fun (le : Hli_core.Tables.line_entry) ->
+           List.filter_map
+             (fun (it : Hli_core.Tables.item_entry) ->
+               if it.Hli_core.Tables.acc = Hli_core.Tables.Acc_call then
+                 Some it.Hli_core.Tables.item_id
+               else None)
+             le.Hli_core.Tables.items)
+         e.Hli_core.Tables.line_table)
   in
-  let n = Array.length items in
-  let qs = ref [] in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      qs := SP.Q_equiv { u; a = items.(i); b = items.(j) } :: !qs
-    done
-  done;
-  Array.iter
-    (fun c ->
-      Array.iter
-        (fun m -> qs := SP.Q_call { u; call = c; mem = m } :: !qs)
-        items)
-    qb.qb_calls;
-  List.rev !qs
+  List.concat_map
+    (fun a -> List.map (fun b -> SP.Q_equiv { u; a; b }) items)
+    items
+  @ List.concat_map
+      (fun call -> List.map (fun mem -> SP.Q_call { u; call; mem }) items)
+      calls
 
 let rec sb_batches b = function
   | [] -> []
@@ -1667,7 +1320,6 @@ let sb_child cfg =
   let batches =
     List.concat (List.init cfg.repeat (fun _ -> sb_batches cfg.batch queries))
   in
-  let cpu0 = ref 0.0 in
   let lats, t_end =
     sb_client ~pipeline:cfg.pipeline ~shm:cfg.shm
       ~barrier:(fun () ->
@@ -1679,16 +1331,10 @@ let sb_child cfg =
         print_string "READY\n";
         flush Stdlib.stdout;
         match input_line Stdlib.stdin with
-        | "GO" ->
-            let t = Unix.times () in
-            cpu0 := t.Unix.tms_utime +. t.Unix.tms_stime
+        | "GO" -> ()
         | _ | (exception End_of_file) -> exit 2)
       socket bytes batches
   in
-  (if Sys.getenv_opt "SB_DEBUG_CPU" <> None then
-     let t = Unix.times () in
-     Printf.eprintf "child cpu %.1fms\n%!"
-       ((t.Unix.tms_utime +. t.Unix.tms_stime -. !cpu0) *. 1000.));
   Printf.printf "END %Ld\n" t_end;
   Array.iter (fun l -> Printf.printf "%.1f " l) lats;
   print_newline ();
@@ -1752,12 +1398,7 @@ let sb_run ~clients ~pipeline ~batch ~shm ~repeat ~names socket =
       | l -> fail ("child sent " ^ String.escaped l ^ " instead of READY")
       | exception End_of_file -> fail "child died before READY")
     kids;
-  let now = Harness.Telemetry.now_ns in
-  let cpu0 =
-    let t = Unix.times () in
-    t.Unix.tms_utime +. t.Unix.tms_stime
-  in
-  let t0 = now () in
+  let t0 = Harness.Telemetry.now_ns () in
   Array.iter
     (fun (_, oc, _) ->
       output_string oc "GO\n";
@@ -1795,32 +1436,16 @@ let sb_run ~clients ~pipeline ~batch ~shm ~repeat ~names socket =
   let t_end =
     Array.fold_left (fun acc (_, e) -> max acc e) Int64.min_int parts
   in
-  (if Sys.getenv_opt "SB_DEBUG_CPU" <> None then
-     let t = Unix.times () in
-     Printf.eprintf "cell %dx%dx%d: wall %.1fms server-cpu %.1fms\n%!"
-       clients batch pipeline
-       (Int64.to_float (Int64.sub t_end t0) /. 1e6)
-       ((t.Unix.tms_utime +. t.Unix.tms_stime -. cpu0) *. 1000.));
   let lats = Array.concat (Array.to_list (Array.map fst parts)) in
   (lats, Int64.to_float (Int64.sub t_end t0))
 
-(* per-cell wall-time target (satellite of the shm work): every matrix
-   cell replays the stream enough times that its wall clock approaches
-   SERVBENCH_CELL_MS (default 100 ms), calibrated per (path, pipeline,
-   batch) with one in-process probe session.  A fixed frame count
-   can't serve both paths: at shm rates it is over in a couple of
-   milliseconds (scheduler skew dominates), at batch-1 wire rates it
-   would take seconds per cell. *)
-let sb_target_cell_ns () =
-  let ms =
-    match Sys.getenv_opt "SERVBENCH_CELL_MS" with
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some f when f > 0.0 -> f
-        | _ -> 100.0)
-    | None -> 100.0
-  in
-  ms *. 1e6
+(* Per-cell wall-time target: every matrix cell replays the stream
+   enough times that its wall clock approaches 100 ms, calibrated per
+   (path, pipeline, batch) with one in-process probe session.  A fixed
+   frame count can't serve both paths: at shm rates it is over in a
+   couple of milliseconds (scheduler skew dominates), at batch-1 wire
+   rates it would take seconds per cell. *)
+let sb_target_cell_ns = 100e6
 
 let sb_calibrate ~pipeline ~shm ~batch socket bytes queries =
   let batches = sb_batches batch queries in
@@ -1831,7 +1456,7 @@ let sb_calibrate ~pipeline ~shm ~batch socket bytes queries =
       socket bytes batches
   in
   let wall = Int64.to_float (Int64.sub t_end !t0) in
-  max 1 (min 512 (int_of_float (ceil (sb_target_cell_ns () /. max 1.0 wall))))
+  max 1 (min 512 (int_of_float (ceil (sb_target_cell_ns /. max 1.0 wall))))
 
 (* servbench: queries/sec and frame latency for 1..8 concurrent client
    sessions at several batch sizes, against the in-process baseline.
@@ -1842,6 +1467,9 @@ let sb_calibrate ~pipeline ~shm ~batch socket bytes queries =
 let servbench cfg =
   let names, entries, bytes, queries = sb_setup cfg in
   let nq = List.length queries in
+  let write_artifact =
+    open_artifact cfg ~mode:"servbench" ~default:"BENCH_servbench.json"
+  in
   (* server: external via --remote, or in-process on a temp socket *)
   let socket, shutdown =
     match cfg.remote with
@@ -1963,22 +1591,7 @@ let servbench cfg =
            path clients batch pipeline qps p50 p99))
     (List.rev !rows);
   Buffer.add_string b "]}";
-  let json = Buffer.contents b in
-  (match Harness.Telemetry.validate_json json with
-  | Ok () -> ()
-  | Error (msg, pos) ->
-      Printf.eprintf "servbench: generated malformed JSON at byte %d: %s\n"
-        pos msg;
-      exit 1);
-  let out = Option.value ~default:"BENCH_servbench.json" cfg.out in
-  let oc =
-    try open_out_bin out
-    with Sys_error msg ->
-      Printf.eprintf "--out: %s\n" msg;
-      exit 1
-  in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  Printf.eprintf "wrote %s\n" out;
+  write_artifact (Buffer.contents b);
   if cfg.stats then begin
     try
       let cl = Hli_server.Client.connect socket in
@@ -2020,136 +1633,35 @@ let remote_probe cfg =
     Fmt.epr "%a@." Diagnostics.pp d;
     exit (Diagnostics.exit_code d)
 
-(* ------------------------------------------------------------------ *)
-(* Microbenchmarks                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let w = Option.get (Workloads.Registry.find "101.tomcatv") in
-  let src = w.Workloads.Workload.source in
-  let prog = Srclang.Typecheck.program_of_string src in
-  let entries = Harness.Pipeline.build_hli_entries prog in
-  let hli = { Hli_core.Tables.entries } in
-  let bytes = Hli_core.Serialize.to_bytes hli in
-  let rtl0 = Backend.Lower.lower_program prog in
-  let fn = List.hd rtl0.Backend.Rtl.fns in
-  let entry =
-    List.find
-      (fun (e : Hli_core.Tables.hli_entry) ->
-        e.Hli_core.Tables.unit_name = fn.Backend.Rtl.fname)
-      entries
-  in
-  let idx = Hli_core.Query.build entry in
-  let item_arr = Array.of_list (Hli_core.Tables.all_items entry) in
-  let small_src =
-    {|
-double a[64];
-int main()
-{
-  int i;
-  double s;
-  s = 0.0;
-  for (i = 1; i < 64; i++)
-  {
-    a[i] = a[i] + a[i-1];
-    s = s + a[i];
-  }
-  print_double(s);
-  return 0;
-}
-|}
-  in
-  let small = Harness.Pipeline.compile small_src in
-  let tests =
-    [
-      Test.make ~name:"frontend:parse+typecheck"
-        (Staged.stage (fun () -> ignore (Srclang.Typecheck.program_of_string src)));
-      Test.make ~name:"frontend:tblconst"
-        (Staged.stage (fun () -> ignore (Harness.Pipeline.build_hli_entries prog)));
-      Test.make ~name:"hli:serialize"
-        (Staged.stage (fun () -> ignore (Hli_core.Serialize.to_bytes hli)));
-      Test.make ~name:"hli:deserialize"
-        (Staged.stage (fun () -> ignore (Hli_core.Serialize.of_bytes bytes)));
-      Test.make ~name:"backend:lower"
-        (Staged.stage (fun () -> ignore (Backend.Lower.lower_program prog)));
-      Test.make ~name:"hli:query-equiv-acc-x200"
-        (Staged.stage (fun () ->
-             let n = Array.length item_arr in
-             for k = 0 to 199 do
-               let a = item_arr.(k mod n) and b = item_arr.((k * 7 + 3) mod n) in
-               ignore (Hli_core.Query.get_equiv_acc idx a b)
-             done));
-      Test.make ~name:"backend:ddg+schedule"
-        (Staged.stage (fun () ->
-             let rtl = Backend.Lower.lower_program prog in
-             ignore
-               (Backend.Sched.schedule_program ~mode:Backend.Ddg.Gcc_only
-                  ~hli_of_fn:(fun _ -> None) ~mds:[ Backend.Machdesc.r10000 ]
-                  rtl)));
-      Test.make ~name:"machine:r4600-sim-small"
-        (Staged.stage (fun () ->
-             ignore
-               (Machine.Simulate.run Machine.Simulate.R4600
-                  (Harness.Pipeline.rtl_gcc_r4600 small))));
-      Test.make ~name:"machine:r10000-sim-small"
-        (Staged.stage (fun () ->
-             ignore
-               (Machine.Simulate.run Machine.Simulate.R10000
-                  (Harness.Pipeline.rtl_gcc_r10000 small))));
-    ]
-  in
-  print_endline "\n== Microbenchmarks (ns per run, OLS on monotonic clock) ==";
-  List.iter
-    (fun t ->
-      let instances = Toolkit.Instance.[ monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:60 ~quota:(Time.second 0.4) () in
-      let raw = Benchmark.all cfg instances t in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock raw
-      in
-      Hashtbl.iter
-        (fun name res ->
-          match Analyze.OLS.estimates res with
-          | Some [ est ] -> Printf.printf "%-34s %14.1f\n" name est
-          | Some _ | None -> Printf.printf "%-34s (no estimate)\n" name)
-        ols)
-    tests
-
 let () =
   let cfg = parse_args () in
-  install_signal_handlers ();
+  install_cleanups ();
   let pool =
     if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None
   in
   Fun.protect
     ~finally:(fun () -> Option.iter Pool.shutdown pool)
     (fun () ->
-      if cfg.mode = "tables" || cfg.mode = "all" then begin
-        ignore (reproduce_tables cfg pool);
-        (* ablations use fixed workload subsets; skip them when the
-           run was narrowed with --workloads (e.g. the smoke alias)
-           or is itself an ablated run *)
-        if cfg.workloads = None && cfg.ablation = "baseline" then begin
-          ablation_compile_section pool "merge-off"
-            [ "101.tomcatv"; "102.swim"; "034.mdljdp2"; "129.compress" ];
-          ablation_compile_section pool "routine-regions"
-            [ "101.tomcatv"; "102.swim"; "129.compress" ];
-          ablation_sim_section pool cfg.fuel "hli-only"
-            [ "101.tomcatv"; "034.mdljdp2" ];
-          ablation_sim_section pool cfg.fuel "lsq-off"
-            [ "034.mdljdp2"; "077.mdljsp2"; "102.swim" ];
-          ablation_passes ()
-        end
-      end;
-      if cfg.mode = "micro" || cfg.mode = "all" then micro ();
-      if cfg.mode = "querybench" then querybench cfg;
-      if cfg.mode = "serbench" then serbench cfg pool;
-      if cfg.mode = "servbench" then servbench cfg;
-      if cfg.mode = "servbench-child" then sb_child cfg;
-      if cfg.mode = "remote-probe" then remote_probe cfg;
-      if cfg.mode = "emit-hli" then emit_hli cfg;
-      if cfg.mode = "editstorm" then editstorm cfg;
-      if cfg.mode = "specbench" then specbench cfg pool)
+      match cfg.mode with
+      | "servbench" -> servbench cfg
+      | "servbench-child" -> sb_child cfg
+      | "remote-probe" -> remote_probe cfg
+      | "emit-hli" -> emit_hli cfg
+      | "editstorm" -> editstorm cfg
+      | "specbench" -> specbench cfg pool
+      | _ ->
+          reproduce_tables cfg pool;
+          (* ablations use fixed workload subsets; skip them when the
+             run was narrowed with --workloads (e.g. the smoke alias)
+             or is itself an ablated run *)
+          if cfg.workloads = None && cfg.ablation = "baseline" then begin
+            ablation_compile_section pool "merge-off"
+              [ "101.tomcatv"; "102.swim"; "034.mdljdp2"; "129.compress" ];
+            ablation_compile_section pool "routine-regions"
+              [ "101.tomcatv"; "102.swim"; "129.compress" ];
+            ablation_sim_section pool cfg.fuel "hli-only"
+              [ "101.tomcatv"; "034.mdljdp2" ];
+            ablation_sim_section pool cfg.fuel "lsq-off"
+              [ "034.mdljdp2"; "077.mdljsp2"; "102.swim" ];
+            ablation_passes ()
+          end)

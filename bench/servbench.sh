@@ -8,7 +8,8 @@
 #      telemetry dump carrying the "server" and "shm" objects;
 #   3. runs a quick servbench (client subprocesses against a
 #      Domain-spawned server) over both the wire and shm paths,
-#      validates the emitted hli-servbench-v2 JSON, and enforces
+#      validates the emitted hli-servbench-v2 JSON, pins its query
+#      stream at 370 queries per wc session, and enforces
 #      batched-throughput floors: $SERVBENCH_FLOOR q/s on the wire
 #      rows (default 530000 — 10x the PR 5 unbatched rate) and
 #      $SERVBENCH_SHM_FLOOR q/s on the shm rows (default 2500000 —
@@ -107,6 +108,13 @@ grep -q '"schema":"hli-servbench-v2"' "$tmp/bench.json" \
        exit 1; }
 grep -q '"path":"shm"' "$tmp/bench.json" \
   || { echo "servbench: FAIL — bench JSON lacks shm rows" >&2; exit 1; }
+# the query stream is pinned: wc's session holds 370 queries (all
+# equiv pairs over each unit's first 40 items, then REF/MOD of its
+# first 16 calls against them), so a change to the stream cannot pass
+# silently
+grep -q '"queries_per_session":370,' "$tmp/bench.json" \
+  || { echo "servbench: FAIL — wc's stream is not 370 queries per session" >&2
+       exit 1; }
 # rows: path clients batch pipeline qps p50 p99
 floor="${SERVBENCH_FLOOR:-530000}"
 best=$(awk '$1 == "wire" && $3 == 64 && $5 > m { m = $5 } END { printf "%d", m }' \

@@ -12,7 +12,9 @@
 #      (decode + structural validator), and
 #   4. a cold and a warm run through the on-disk HLI cache
 #      (--hli-cache) produce tables byte-identical to the uncached run,
-#      with the expected hit/miss counters in the telemetry dump.
+#      with the expected hit/miss counters in the telemetry dump,
+# and finally runs the ablation-config check.
+# Usage: smoke.sh MAIN HLI_DUMP ABLATION_SH
 set -eu
 
 # dune runs us inside _build with relative exe paths; make them invocable
@@ -67,7 +69,7 @@ fi
 echo "smoke: OK (parallel == sequential, also under --passes $PASSES; telemetry JSON valid)"
 
 # every workload's HLI file must decode and pass the structural
-# validator (the same checks hlic --lint-hli runs)
+# validator
 "$exe" emit-hli --out "$tmp/hli" > /dev/null
 for f in "$tmp/hli"/*.hli; do
   "$dump" --check "$f" > /dev/null \
@@ -103,11 +105,5 @@ grep -q '"hli_cache":{"hits":[1-9][0-9]*,"misses":0,"partial_hits":0,"trims":0}'
 
 echo "smoke: OK (HLI cache cold/warm byte-identical, counters present)"
 
-# the query-engine microbench and ablation-config checks ride along
-# when their scripts are passed (the @smoke dune rule passes both;
-# @querybench / @ablation run them alone)
-main="$1"
-shift 2
-for script in "$@"; do
-  sh "$script" "$main"
-done
+# the ablation-config check rides along (@ablation runs it alone)
+sh "$3" "$1"

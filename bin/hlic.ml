@@ -18,52 +18,38 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* --lint-hli: decode an HLI file and print every structural issue the
-   validator finds (hli_dump --check is the same checker from the dump
-   side).  Exit 0 clean, 4 on issues, per-phase code on decode errors. *)
-let lint_hli path =
-  match Hli_core.Serialize.read_file ~validate:false path with
-  | exception Diagnostics.Diagnostic d ->
-      Fmt.epr "%a@." Diagnostics.pp d;
-      Diagnostics.exit_code d
-  | exception Sys_error msg ->
-      Fmt.epr "error[E0001]: %s@." msg;
-      1
-  | f -> (
-      match Hli_core.Validate.check_file f with
-      | [] ->
-          Fmt.pr "%s: OK (%d unit(s), %d region(s))@." path
-            (List.length f.Hli_core.Tables.entries)
-            (List.fold_left
-               (fun acc e ->
-                 acc + List.length e.Hli_core.Tables.regions)
-               0 f.Hli_core.Tables.entries);
-          0
-      | issues ->
-          List.iter
-            (fun i ->
-              Fmt.epr "%s: error%s@." path
-                (Hli_core.Validate.issue_to_string i))
-            issues;
-          Fmt.epr "%s: %d structural issue(s)@." path (List.length issues);
-          4)
-
 let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
-    speculate list_passes jobs stats stats_json lint hli_cache hli_cache_max
-    remote pipeline shm =
+    speculate list_passes jobs stats stats_json hli_cache hli_cache_max remote
+    pipeline shm =
   if list_passes then begin
     print_string (Driver.Pass_manager.list_text ());
     0
   end
   else
-    match lint with
-    | Some path -> lint_hli path
-    | None -> (
     match src_path with
     | None ->
         Fmt.epr "error[E1000]: no source file (see hlic --help)@.";
         6
     | Some src_path -> (
+    (* open the --stats-json file before compiling: an unwritable path
+       then fails before any work, as in bench tables and hlid *)
+    match
+      match stats_json with
+      | Some path when path <> "-" -> Some (path, open_out_bin path)
+      | _ -> None
+    with
+    | exception Sys_error msg ->
+        Fmt.epr "error[E0001]: %s@." msg;
+        1
+    | stats_file -> (
+        (* a compile that ends in a diagnostic leaves no empty dump *)
+        let discard_stats () =
+          Option.iter
+            (fun (path, oc) ->
+              close_out_noerr oc;
+              try Sys.remove path with Sys_error _ -> ())
+            stats_file
+        in
         let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
         let tm = Harness.Telemetry.create () in
         Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool)
@@ -176,17 +162,17 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
               Buffer.add_string b "},";
               Buffer.add_string b (Harness.Telemetry.json_fragment tm);
               Buffer.add_char b '}';
-              if path = "-" then print_endline (Buffer.contents b)
-              else begin
-                let oc = open_out_bin path in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () -> output_string oc (Buffer.contents b));
-                Fmt.pr "wrote telemetry to %s@." path
-              end);
+              match stats_file with
+              | None -> print_endline (Buffer.contents b)
+              | Some (_, oc) ->
+                  Fun.protect
+                    ~finally:(fun () -> close_out oc)
+                    (fun () -> output_string oc (Buffer.contents b));
+                  Fmt.pr "wrote telemetry to %s@." path);
           0
         with
         | Diagnostics.Diagnostic d ->
+            discard_stats ();
             (* source-phase diagnostics get the file path; driver
                misuse (bad --passes/--ablation) is not about the file *)
             let d =
@@ -199,6 +185,7 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
             Fmt.epr "%a@." Diagnostics.pp d;
             Diagnostics.exit_code d
         | Sys_error msg ->
+            discard_stats ();
             Fmt.epr "error[E0001]: %s@." msg;
             1))
 
@@ -275,15 +262,6 @@ let stats_json_arg =
     & info [ "stats-json" ] ~docv:"PATH"
         ~doc:"write the telemetry JSON dump to $(docv) (\"-\" for stdout)")
 
-let lint_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "lint-hli" ] ~docv:"FILE"
-        ~doc:
-          "decode $(docv) and run the structural HLI validator instead of \
-           compiling; exits 4 when issues are found")
-
 let remote_arg =
   Arg.(
     value
@@ -342,7 +320,7 @@ let cmd =
     Term.(
       const run_hlic $ src_arg $ hli_flag $ machine_arg $ run_flag $ emit_arg
       $ dump_flag $ passes_arg $ ablation_arg $ speculate_arg
-      $ list_passes_flag $ jobs_arg $ stats_flag $ stats_json_arg $ lint_arg
+      $ list_passes_flag $ jobs_arg $ stats_flag $ stats_json_arg
       $ hli_cache_arg $ hli_cache_max_arg $ remote_arg $ pipeline_arg
       $ shm_flag)
 

@@ -30,8 +30,8 @@
     off the atomic-operation cost on the per-query hot path.
 
     The previous list-walking implementation survives verbatim as
-    {!Query_ref}, the slow reference oracle the differential tests
-    compare against. *)
+    [test/query_ref.ml], the slow reference oracle the differential
+    tests compare against. *)
 
 open Tables
 

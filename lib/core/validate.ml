@@ -12,8 +12,8 @@
     {!check_file} returns every problem found as an {!issue} (one
     E06xx code each, so tools can filter); {!validate} raises the first
     as a {!Diagnostics.Diagnostic}.  [Serialize.read_file] runs
-    {!validate} on load by default; [hli_dump --check] and
-    [hlic --lint-hli] print the full issue list.
+    {!validate} on load by default; [hli_dump --check] prints the full
+    issue list.
 
     Checks (codes):
     - E0621 line table not sorted by strictly increasing line number

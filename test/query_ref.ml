@@ -1,17 +1,18 @@
 (** Slow reference oracle for the HLI query engine.
 
-    This is the pre-index implementation of {!Query}, kept alive
+    This is the pre-index implementation of {!Hli_core.Query}, kept
     verbatim as a differential-testing oracle: it answers each query by
     walking subclass links with [List.assoc]/[List.mem_assoc] and by
     linearly scanning [entry.regions] for line containment, with no
     precomputation beyond the base hash tables and no memoization.
 
-    It deliberately shares {!Query}'s result types and bumps the same
-    per-kind [Atomic] counters, so a query stream replayed against both
+    It deliberately shares {!Hli_core.Query}'s result types and bumps
+    the same per-kind counters, so a query stream replayed against both
     engines must produce identical answers {e and} identical counter
-    totals (see [test/test_query_equiv.ml]).  Nothing outside the test
-    and bench trees should use this module. *)
+    totals (see [test_query_equiv.ml]).  It lives with the tests, its
+    only callers. *)
 
+open Hli_core
 open Tables
 
 type index = {

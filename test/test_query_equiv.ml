@@ -1,6 +1,6 @@
 (* Differential testing of the indexed, memoized query engine
    (Hli_core.Query) against the straight-line reference oracle
-   (Hli_core.Query_ref).  Both engines are handed the same entries —
+   (Query_ref).  Both engines are handed the same entries —
    the paper's Figure 2 program, two real workloads, and randomized
    kernels — and every basic query must agree answer-by-answer,
    including probes with ids the tables never mention.  A second group
@@ -9,7 +9,7 @@
    maintenance transactions. *)
 
 module Q = Hli_core.Query
-module R = Hli_core.Query_ref
+module R = Query_ref
 module T = Hli_core.Tables
 
 let equiv_result = Alcotest.testable Q.pp_equiv_result ( = )

@@ -145,13 +145,15 @@ let json_tests =
                 Harness.Telemetry.schema_version)
          with
         | Ok () -> ()
-        | Error msg -> Alcotest.failf "v2 dump rejected: %s" msg);
+        | Error msg -> Alcotest.failf "current dump rejected: %s" msg);
+        (* servbench.sh passes its hli-servbench-v2 artifact to
+           --validate-json *)
         (match
            Harness.Telemetry.check_schema
-             "{\"schema\":\"hli-querybench-v1\",\"workloads\":[]}"
+             "{\"schema\":\"hli-servbench-v2\",\"workloads\":[]}"
          with
         | Ok () -> ()
-        | Error msg -> Alcotest.failf "querybench schema rejected: %s" msg);
+        | Error msg -> Alcotest.failf "servbench schema rejected: %s" msg);
         match Harness.Telemetry.check_schema "{\"a\":1}" with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "schema-less JSON rejected: %s" msg);
