@@ -11,7 +11,9 @@
 #   2. validates the emitted BENCH_editstorm.json (structural check +
 #      the fields EXPERIMENTS.md documents), and
 #   3. arms EDITSTORM_FLOOR (default 5): the 1% storm's recompile must
-#      beat the cold build by at least that factor or the mode exits 1.
+#      beat the cold build by at least that factor or the mode exits 1,
+# then runs it again, ungated, over two workloads (8 functions): a
+# subset under 20 functions must pass the 1% row's re-analysis bound.
 set -eu
 
 # dune runs us inside _build with a relative exe path; make it invocable
@@ -39,4 +41,8 @@ for key in '"schema":"hli-editstorm-v1"' '"workloads":' '"functions":' \
     || { echo "editstorm: FAIL — $out lacks $key" >&2; exit 1; }
 done
 
-echo "editstorm: OK (${EDITSTORM_FLOOR:-5}x floor upheld, JSON valid)"
+env -u EDITSTORM_FLOOR "$exe" editstorm --workloads wc,129.compress \
+  --hli-cache "$tmp/subset-cache" --out "$tmp/subset.json" > "$tmp/subset.out" \
+  || { echo "editstorm: FAIL — the wc,129.compress subset run" >&2; exit 1; }
+
+echo "editstorm: OK (${EDITSTORM_FLOOR:-5}x floor upheld, JSON valid, subset passes)"

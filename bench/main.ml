@@ -903,12 +903,14 @@ let editstorm cfg =
         (frac, mutated_total, m2, p2, cold_ns, warm_ns, edit_ns, speedup))
       es_fractions
   in
-  (* acceptance: a ~1% storm must not re-analyze more than 5% of the
-     suite, and must beat the cold build by EDITSTORM_FLOOR when the
-     gate is armed (bench/editstorm.sh sets it) *)
+  (* acceptance: a ~1% storm must not re-analyze more than the larger
+     of its own size and 5% of the suite (it mutates at least one
+     function, which is over 5% of a suite under 20), and must beat the
+     cold build by EDITSTORM_FLOOR when the gate is armed
+     (bench/editstorm.sh sets it) *)
   (match rows with
-  | (frac, _, re, _, _, _, _, speedup) :: _ ->
-      if frac <= 0.011 && re * 20 > total then
+  | (frac, mutated, re, _, _, _, _, speedup) :: _ ->
+      if frac <= 0.011 && re * 20 > max (mutated * 20) total then
         es_fail "a %.0f%% storm re-analyzed %d/%d functions (> 5%%)"
           (100.0 *. frac) re total;
       (match Sys.getenv_opt "EDITSTORM_FLOOR" with
