@@ -1,4 +1,4 @@
-(** Execution-driven RTL simulator core.
+(** Execution-driven RTL simulator core and its timing models.
 
     Runs a decoded {!Code.code} against a flat byte-addressed memory.
     Every interpreter arm knows its instruction's class, so it calls the
@@ -18,6 +18,419 @@
 
 open Backend
 include Code
+
+(* ------------------------------------------------------------------ *)
+(* Timing models                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The models share the interpreter's compilation unit.  Dune's default
+   profile compiles every module [-opaque], so a call into another unit
+   is a [caml_applyN] through its module block; here each per-instruction
+   step is a direct call the compiler can inline (DESIGN.md, "Simulator
+   internals").  [pc] indexes the decoded program's tables, and the
+   decoder bounds it and every register id, so the tables and the
+   scoreboards are read unchecked. *)
+
+module Cache = struct
+  (** 2-way set-associative cache model with LRU replacement, used as
+      the L1 data cache (backed by an optional L2) of both machine
+      models.  With two ways, LRU order is one bit per set: the way to
+      evict next. *)
+
+  type level = {
+    sets : int;
+    line_shift : int;  (** log2 line bytes *)
+    set_shift : int;  (** log2 sets *)
+    tags : int array;  (** [2 * set + way] = tag, -1 empty *)
+    lru : int array;  (** set -> its least recently used way, 0 or 1 *)
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let log2 n =
+    let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+    let k = go 0 in
+    if 1 lsl k <> n then invalid_arg "Cache: sizes must be powers of two";
+    k
+
+  let make_level ~size_bytes ~ways ~line_bytes =
+    if ways <> 2 then invalid_arg "Cache: levels are 2-way";
+    let sets = max 1 (size_bytes / (2 * line_bytes)) in
+    {
+      sets;
+      line_shift = log2 line_bytes;
+      set_shift = log2 sets;
+      tags = Array.make (2 * sets) (-1);
+      (* a set's first miss fills way 0 *)
+      lru = Array.make sets 0;
+      hits = 0;
+      misses = 0;
+    }
+
+  (* true = hit.  Addresses are non-negative, so shifts and masks are the
+     line/set/tag divisions. *)
+  let[@inline] access_level l addr =
+    let line = addr lsr l.line_shift in
+    let set = line land (l.sets - 1) in
+    let tag = line lsr l.set_shift in
+    let tags = l.tags and way0 = 2 * set in
+    if tags.(way0) = tag then begin
+      l.lru.(set) <- 1;
+      l.hits <- l.hits + 1;
+      true
+    end
+    else if tags.(way0 + 1) = tag then begin
+      l.lru.(set) <- 0;
+      l.hits <- l.hits + 1;
+      true
+    end
+    else begin
+      let victim = l.lru.(set) in
+      tags.(way0 + victim) <- tag;
+      l.lru.(set) <- 1 - victim;
+      l.misses <- l.misses + 1;
+      false
+    end
+
+  type t = {
+    l1 : level;
+    l2 : level option;
+    l2_penalty : int;  (** extra cycles on L1 miss, L2 hit *)
+    mem_penalty : int;  (** extra cycles on L2 miss (or L1 miss, no L2) *)
+  }
+
+  (** Parameters of the R4600 board in the paper: 16 KB 2-way L1D, no L2,
+      64 MB DRAM. *)
+  let r4600 () =
+    {
+      l1 = make_level ~size_bytes:(16 * 1024) ~ways:2 ~line_bytes:32;
+      l2 = None;
+      l2_penalty = 0;
+      mem_penalty = 30;
+    }
+
+  (** R10000: 32 KB 2-way L1D, 2 MB unified L2. *)
+  let r10000 () =
+    {
+      l1 = make_level ~size_bytes:(32 * 1024) ~ways:2 ~line_bytes:32;
+      l2 = Some (make_level ~size_bytes:(2 * 1024 * 1024) ~ways:2 ~line_bytes:64);
+      l2_penalty = 8;
+      mem_penalty = 60;
+    }
+
+  (** Access the hierarchy; returns the extra latency beyond an L1 hit. *)
+  let[@inline] access t addr =
+    if access_level t.l1 addr then 0
+    else
+      match t.l2 with
+      | None -> t.mem_penalty
+      | Some l2 ->
+          if access_level l2 addr then t.l2_penalty
+          else t.l2_penalty + t.mem_penalty
+
+  let l1_stats t = (t.l1.hits, t.l1.misses)
+end
+
+module Inorder = struct
+  (** In-order single-issue pipeline model (MIPS R4600).
+
+      A scoreboard over the dynamic instruction stream: each instruction
+      issues at the earliest cycle where (a) the previous instruction has
+      issued (single issue), and (b) all its source registers are ready.
+      Loads incur the L1 latency plus any cache-miss penalty; taken
+      branches cost one bubble.  Because issue is strictly in order, a
+      poorly scheduled block serializes on load-use stalls — which is
+      exactly the effect HLI-enabled scheduling removes. *)
+
+  type t = {
+    cache : Cache.t;
+    srcs_start : int array;  (** the decoded program's, see {!Code.code} *)
+    srcs : int array;
+    dst : int array;
+    ready : int array;  (** globalized register -> cycle its value is ready *)
+    lat : int array;  (** pc -> result latency *)
+    misspec_penalty : int;
+    mutable last_issue : int;
+    mutable cycles : int;
+  }
+
+  let make ?(md = Backend.Machdesc.r4600) (code : Code.code) =
+    {
+      cache = Cache.r4600 ();
+      srcs_start = code.Code.srcs_start;
+      srcs = code.Code.srcs;
+      dst = code.Code.dst;
+      ready = Array.make code.Code.global_regs 0;
+      lat = Array.map (Backend.Machdesc.latency md) code.Code.src;
+      misspec_penalty = md.Backend.Machdesc.misspec_penalty;
+      last_issue = 0;
+      cycles = 0;
+    }
+
+  (* issue cycle of [pc]: after the previous instruction, once every
+     source is ready *)
+  let[@inline] issue t pc =
+    let ready = t.ready and srcs = t.srcs in
+    let at = ref (t.last_issue + 1) in
+    for k = Array.unsafe_get t.srcs_start pc to Array.unsafe_get t.srcs_start (pc + 1) - 1 do
+      let r = Array.unsafe_get ready (Array.unsafe_get srcs k) in
+      if r > !at then at := r
+    done;
+    !at
+
+  let[@inline] finish t done_at = if done_at > t.cycles then t.cycles <- done_at
+
+  (* an instruction whose result is ready [lat] cycles after it issues *)
+  let[@inline] compute t pc lat =
+    let issue = issue t pc in
+    let dst = Array.unsafe_get t.dst pc in
+    if dst >= 0 then Array.unsafe_set t.ready dst (issue + lat);
+    t.last_issue <- issue;
+    finish t (issue + lat)
+
+  let[@inline] alu t pc = compute t pc (Array.unsafe_get t.lat pc)
+
+  (* one scoreboard: the FP latencies are in [lat] *)
+  let[@inline] fpu t pc = alu t pc
+
+  let[@inline] load t pc addr = compute t pc (Array.unsafe_get t.lat pc + Cache.access t.cache addr)
+
+  (* a store that caught [misspec] misspeculated loads stalls the pipeline
+     for the recovery (re-fetch and re-execute each load) *)
+  let[@inline] store t pc addr misspec =
+    let issue = issue t pc in
+    let lat = Array.unsafe_get t.lat pc + Cache.access t.cache addr in
+    t.last_issue <- issue + (misspec * t.misspec_penalty);
+    finish t (issue + lat)
+
+  (* taken control transfers flush the fetch stage: one bubble *)
+  let[@inline] branch t pc taken =
+    let issue = issue t pc in
+    t.last_issue <- (if taken then issue + 1 else issue);
+    finish t (issue + Array.unsafe_get t.lat pc)
+
+  let cycles t = t.cycles
+end
+
+module Ooo = struct
+  (** Out-of-order superscalar model (MIPS R10000).
+
+      A window-based approximation of a 4-issue core: instructions
+      dispatch in order ([issue_width] per cycle) into a reorder buffer of
+      [Machdesc.window] entries, issue out of order when their operands
+      are ready and a function unit is free, and retire in order
+      ([issue_width] per cycle).
+
+      The load/store queue implements the rule the paper singles out as
+      the reason the R10000 profits more from HLI scheduling: {e a load is
+      not issued to the memory system until the addresses of all earlier
+      stores in the queue are known}.  A conservatively ordered static
+      schedule therefore delays address computations of stores — and every
+      younger load pays for it; the HLI schedule hoists loads above
+      stores, making their issue independent. *)
+
+  (* function units, indexes of [units]: integer ALUs 0-1, FP units 2-3,
+     memory port 4 *)
+  type t = {
+    cache : Cache.t;
+    window : int;
+    issue_width : int;
+    lsq_blocking : bool;
+    misspec_penalty : int;
+    srcs_start : int array;  (** the decoded program's, see {!Code.code} *)
+    srcs : int array;
+    dst : int array;
+    ready : int array;  (** globalized register -> cycle its value is ready *)
+    lat : int array;  (** pc -> result latency *)
+    rob_retire : int array;  (** ROB slot -> retire cycle of its occupant *)
+    mutable slot : int;  (** ROB slot of the next instruction: [seq mod window] *)
+    mutable seq : int;  (** instructions dispatched so far *)
+    (* in-flight stores, oldest first: a ring of [window] entries *)
+    st_seq : int array;
+    st_complete : int array;
+    st_retire : int array;
+    st_addr : int array;
+    mutable st_head : int;
+    mutable st_count : int;
+    mutable dispatch_cycle : int;
+    mutable dispatch_in_cycle : int;
+    mutable last_retire : int;
+    mutable retired_in_cycle : int;
+    units : int array;  (** next-free cycle per function unit *)
+    mutable lsq_stall_cycles : int;  (** diagnostic: issue delay due to LSQ *)
+  }
+
+  let make ?(md = Backend.Machdesc.r10000) (code : Code.code) =
+    let window = max 1 md.Backend.Machdesc.window in
+    {
+      cache = Cache.r10000 ();
+      window;
+      issue_width = md.Backend.Machdesc.issue_width;
+      lsq_blocking = md.Backend.Machdesc.lsq_blocking;
+      misspec_penalty = md.Backend.Machdesc.misspec_penalty;
+      srcs_start = code.Code.srcs_start;
+      srcs = code.Code.srcs;
+      dst = code.Code.dst;
+      ready = Array.make code.Code.global_regs 0;
+      lat = Array.map (Backend.Machdesc.latency md) code.Code.src;
+      rob_retire = Array.make window 0;
+      slot = 0;
+      seq = 0;
+      st_seq = Array.make window 0;
+      st_complete = Array.make window 0;
+      st_retire = Array.make window 0;
+      st_addr = Array.make window 0;
+      st_head = 0;
+      st_count = 0;
+      dispatch_cycle = 0;
+      dispatch_in_cycle = 0;
+      last_retire = 0;
+      retired_in_cycle = 0;
+      units = Array.make 5 0;
+      lsq_stall_cycles = 0;
+    }
+
+  let[@inline] imax (a : int) b = if a >= b then a else b
+
+  (* Forget stores no instruction from [seq] on can see: a load scans the
+     [window - 1] instructions before it, never instruction 0. *)
+  let expire t seq =
+    let lo = imax 1 (seq - t.window + 1) in
+    while t.st_count > 0 && t.st_seq.(t.st_head) < lo do
+      t.st_head <- (if t.st_head + 1 = t.window then 0 else t.st_head + 1);
+      t.st_count <- t.st_count - 1
+    done
+
+  (* LSQ rule: loads wait until all earlier in-flight stores have known
+     addresses; if an earlier store writes the same word, wait for its
+     completion (forwarding takes one extra cycle).  Stores still in
+     flight (not yet retired) gate the load: the R10000 does not issue a
+     load past a store whose independence is not yet established, so the
+     load waits until the earlier store has executed (or forwarded,
+     same-word case).  The wait is a max over those stores, so visiting
+     the store ring instead of every older ROB slot gives the same cycle. *)
+  let lsq_wait t addr operand_ready =
+    expire t t.seq;
+    let w = ref 0 and j = ref t.st_head in
+    for _ = 1 to t.st_count do
+      let k = !j in
+      if t.st_retire.(k) > operand_ready then begin
+        let c = t.st_complete.(k) in
+        let c = if t.st_addr.(k) land lnot 7 = addr land lnot 7 then c + 1 else c in
+        if c > !w then w := c
+      end;
+      j := if k + 1 = t.window then 0 else k + 1
+    done;
+    !w
+
+  (* After [expire], at most [window - 1] stores are live (DESIGN.md,
+     "Simulator internals"), so the tail index wraps at most once. *)
+  let push_store t ~complete ~retire addr =
+    expire t (t.seq + 1);
+    let k = t.st_head + t.st_count in
+    let k = if k >= t.window then k - t.window else k in
+    t.st_seq.(k) <- t.seq;
+    t.st_complete.(k) <- complete;
+    t.st_retire.(k) <- retire;
+    t.st_addr.(k) <- addr;
+    t.st_count <- t.st_count + 1
+
+  (* In-order dispatch, [issue_width] per cycle, once the ROB slot's
+     previous occupant has retired (the ROB starts all zeros, so the
+     first [window] instructions never wait for it); returns the cycle
+     [pc]'s operands are all ready, no earlier than its dispatch.  [slot]
+     is below [window], so the ROB is read unchecked. *)
+  let[@inline] operands t pc =
+    let n = t.dispatch_in_cycle in
+    let full = n >= t.issue_width in
+    let dispatch = if full then t.dispatch_cycle + 1 else t.dispatch_cycle in
+    let oldest_retire = Array.unsafe_get t.rob_retire t.slot in
+    let stalled = oldest_retire > dispatch in
+    let dispatch = if stalled then oldest_retire else dispatch in
+    t.dispatch_cycle <- dispatch;
+    t.dispatch_in_cycle <- (if full || stalled then 1 else n + 1);
+    let ready = t.ready and srcs = t.srcs in
+    let at = ref dispatch in
+    for k = Array.unsafe_get t.srcs_start pc to Array.unsafe_get t.srcs_start (pc + 1) - 1 do
+      let r = Array.unsafe_get ready (Array.unsafe_get srcs k) in
+      if r > !at then at := r
+    done;
+    !at
+
+  (* issue on unit [u] (0-4, so unchecked), no earlier than [can_issue] *)
+  let[@inline] issue_on t u can_issue =
+    let units = t.units in
+    let issue = imax can_issue (Array.unsafe_get units u) in
+    Array.unsafe_set units u (issue + 1);
+    issue
+
+  (* [pc]'s result is ready at [complete]; retire it in order,
+     [issue_width] per cycle, and return the retire cycle *)
+  let[@inline] retire_at t pc complete =
+    let dst = Array.unsafe_get t.dst pc in
+    if dst >= 0 then Array.unsafe_set t.ready dst complete;
+    let last = t.last_retire in
+    let retire =
+      if complete > last then begin
+        t.retired_in_cycle <- 1;
+        complete
+      end
+      else begin
+        let n = t.retired_in_cycle + 1 in
+        let full = n >= t.issue_width in
+        t.retired_in_cycle <- (if full then 0 else n);
+        if full then last + 1 else last
+      end
+    in
+    t.last_retire <- retire;
+    retire
+
+  (* the ROB slot of the instruction just dispatched frees at [retire] *)
+  let[@inline] commit t retire =
+    let slot = t.slot in
+    Array.unsafe_set t.rob_retire slot retire;
+    t.seq <- t.seq + 1;
+    t.slot <- (if slot + 1 = t.window then 0 else slot + 1)
+
+  (* a register-to-register instruction on the earlier-free unit of the
+     pair [u], [u + 1] (unit [u] on ties) *)
+  let[@inline] plain t pc u =
+    let units = t.units in
+    let u = if Array.unsafe_get units (u + 1) < Array.unsafe_get units u then u + 1 else u in
+    let issue = issue_on t u (operands t pc) in
+    commit t (retire_at t pc (issue + Array.unsafe_get t.lat pc))
+
+  let[@inline] alu t pc = plain t pc 0
+
+  let[@inline] fpu t pc = plain t pc 2
+
+  (* the model has no fetch stage: a transfer costs what an ALU op does *)
+  let[@inline] branch t pc (_taken : bool) = alu t pc
+
+  let load t pc addr =
+    let operand_ready = operands t pc in
+    let lsq_ready = if t.lsq_blocking then lsq_wait t addr operand_ready else 0 in
+    if lsq_ready > operand_ready then
+      t.lsq_stall_cycles <- t.lsq_stall_cycles + (lsq_ready - operand_ready);
+    let issue = issue_on t 4 (imax lsq_ready operand_ready) in
+    let complete = issue + Array.unsafe_get t.lat pc + Cache.access t.cache addr in
+    commit t (retire_at t pc complete)
+
+  (* a store that caught [misspec] misspeculated loads replays them from
+     the issue queue: dispatch restarts after the recovery window *)
+  let store t pc addr misspec =
+    let issue = issue_on t 4 (operands t pc) in
+    let complete = issue + Array.unsafe_get t.lat pc + Cache.access t.cache addr in
+    let retire = retire_at t pc complete in
+    if misspec > 0 then begin
+      t.dispatch_cycle <- imax t.dispatch_cycle (complete + (misspec * t.misspec_penalty));
+      t.dispatch_in_cycle <- 0
+    end;
+    push_store t ~complete ~retire addr;
+    commit t retire
+
+  let cycles t = t.last_retire
+end
 
 exception Runtime_error of string
 

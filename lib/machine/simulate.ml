@@ -27,12 +27,12 @@ let run ?(fuel = 400_000_000) ?md (machine : machine)
   let code = Exec.decode prog in
   match machine with
   | R4600 ->
-      let m = Inorder.make ?md code in
+      let m = Exec.Inorder.make ?md code in
       let res = Exec.run_code ~fuel ~model:(Exec.R4600 m) code in
-      let h, mi = Cache.l1_stats m.Inorder.cache in
+      let h, mi = Exec.Cache.l1_stats m.Exec.Inorder.cache in
       {
         machine;
-        cycles = Inorder.cycles m;
+        cycles = Exec.Inorder.cycles m;
         dyn_insns = res.Exec.dyn_count;
         output = res.Exec.output;
         ret = res.Exec.ret;
@@ -42,18 +42,18 @@ let run ?(fuel = 400_000_000) ?md (machine : machine)
         misspeculations = res.Exec.misspec;
       }
   | R10000 ->
-      let m = Ooo.make ?md code in
+      let m = Exec.Ooo.make ?md code in
       let res = Exec.run_code ~fuel ~model:(Exec.R10000 m) code in
-      let h, mi = Cache.l1_stats m.Ooo.cache in
+      let h, mi = Exec.Cache.l1_stats m.Exec.Ooo.cache in
       {
         machine;
-        cycles = Ooo.cycles m;
+        cycles = Exec.Ooo.cycles m;
         dyn_insns = res.Exec.dyn_count;
         output = res.Exec.output;
         ret = res.Exec.ret;
         l1_hits = h;
         l1_misses = mi;
-        lsq_stalls = m.Ooo.lsq_stall_cycles;
+        lsq_stalls = m.Exec.Ooo.lsq_stall_cycles;
         misspeculations = res.Exec.misspec;
       }
 
