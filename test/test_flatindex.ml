@@ -1,8 +1,9 @@
 (* HLIX (lib/core/flatindex.ml) correctness + corruption harness.
 
    1. Differential: for every workload entry, both queries answered
-      off the flat segment equal the in-process engine — equiv_acc and
-      call_acc over all sampled item pairs (absent ids included).
+      off the flat segment equal the reference oracle ([Query_ref], the
+      list-walking engine) — equiv_acc and call_acc over all sampled
+      item pairs (absent ids included).
    2. All-prefix truncation: every strict prefix of a segment must be
       rejected by [Flatindex.validate] with a precise E063x code
       (truncations land on E0632 — the stored total_len can never fit).
@@ -24,6 +25,7 @@ module Q = Hli_core.Query
 module F = Hli_core.Flatindex
 module S = Hli_core.Serialize
 module M = Hli_core.Maintain
+module R = Query_ref
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -70,10 +72,10 @@ let pp_equiv r = Format.asprintf "%a" Q.pp_equiv_result r
 let pp_call r = Format.asprintf "%a" Q.pp_call_acc r
 
 (* ------------------------------------------------------------------ *)
-(* 1: differential vs the engine                                       *)
+(* 1: differential vs the reference oracle                             *)
 (* ------------------------------------------------------------------ *)
 
-let differential name (e : T.hli_entry) idx seg =
+let differential name (e : T.hli_entry) ref_idx seg =
   let u = e.T.unit_name in
   (* sampled present ids plus ids the HLI has never seen *)
   let items = take 14 (items_of_entry e) @ [ 999_999_983; 424242 ] in
@@ -81,15 +83,15 @@ let differential name (e : T.hli_entry) idx seg =
     (fun a ->
       List.iter
         (fun b ->
-          let want = Q.get_equiv_acc idx a b
+          let want = R.get_equiv_acc ref_idx a b
           and got = F.get_equiv_acc seg a b in
           if want <> got then
-            fail "%s/%s equiv %d %d: engine %s, segment %s" name u a b
+            fail "%s/%s equiv %d %d: oracle %s, segment %s" name u a b
               (pp_equiv want) (pp_equiv got);
-          let want = Q.get_call_acc idx ~call:a ~mem:b
+          let want = R.get_call_acc ref_idx ~call:a ~mem:b
           and got = F.get_call_acc seg ~call:a ~mem:b in
           if want <> got then
-            fail "%s/%s call %d %d: engine %s, segment %s" name u a b
+            fail "%s/%s call %d %d: oracle %s, segment %s" name u a b
               (pp_call want) (pp_call got))
         items)
     items
@@ -117,7 +119,7 @@ let truncations name hash bytes counter =
     expect_rejected name (Printf.sprintf "truncation at %d" len) hash seg
   done
 
-let mutations name hash idx ~probe bytes ~muts counter gen_checked =
+let mutations name hash ref_idx ~probe bytes ~muts counter gen_checked =
   let n = Bytes.length bytes in
   (* targeted header positions first, then a budgeted random sweep *)
   let positions =
@@ -146,7 +148,7 @@ let mutations name hash idx ~probe bytes ~muts counter gen_checked =
             (fun a ->
               List.iter
                 (fun b ->
-                  if Q.get_equiv_acc idx a b <> F.get_equiv_acc seg a b then
+                  if R.get_equiv_acc ref_idx a b <> F.get_equiv_acc seg a b then
                     fail "%s: %s (gen word) changed an answer" name what)
                 probe)
             probe
@@ -189,11 +191,12 @@ let torture () =
   let _entry', idx1 = M.commit mt in
   let probes = Array.of_list (take 12 items) in
   let np = Array.length probes in
+  let ref_idx = R.build e in
   let oracle =
     Array.init np (fun i ->
         Array.init np (fun j ->
-            ( Q.get_equiv_acc idx0 probes.(i) probes.(j),
-              Q.get_call_acc idx0 ~call:probes.(i) ~mem:probes.(j) )))
+            ( R.get_equiv_acc ref_idx probes.(i) probes.(j),
+              R.get_call_acc ref_idx ~call:probes.(i) ~mem:probes.(j) )))
   in
   let stop = Atomic.make false in
   let total_retries = Atomic.make 0 in
@@ -301,7 +304,7 @@ let () =
               if c.S.c_code <> "E0634" then
                 fail "%s/%s: wrong hash rejected as %s, want E0634" name
                   e.T.unit_name c.S.c_code);
-          differential name e idx seg)
+          differential name e (R.build e) seg)
         entries;
       (* sweeps on the first (largest-coverage) entry per workload *)
       match entries with
@@ -309,7 +312,7 @@ let () =
           let idx = Q.build e in
           let bytes = F.build ~content_hash:hash idx in
           truncations name hash bytes truncs;
-          mutations name hash idx
+          mutations name hash (R.build e)
             ~probe:(take 4 (items_of_entry e))
             bytes
             ~muts:(max 32 (iters / 2))
