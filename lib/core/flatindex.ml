@@ -1,324 +1,134 @@
-(** HLIX — a position-independent, mmap-able flat image of a query
-    {!Query.index}.
+(** HLIX — the HLI query engine: one unit's entry laid out as a flat,
+    position-independent, mmap-able image.
 
-    One segment holds everything {!Query.get_equiv_acc} and
-    {!Query.get_call_acc} consult at query time — the two queries a
-    co-located back end answers off the mapping: per-item (region,
-    class) chains with the class kind and alias slot precomputed per
-    element, per-region alias bitsets, ancestor chains, callrefmod
-    tables and the line -> innermost-region map — as fixed-width
-    little-endian records behind a fixed header.  All
-    cross-references are byte offsets from the segment base (no
-    pointers), so the same bytes answer queries at any mapping
-    address in any process.
+    {!build} turns an [hli_entry] into an image that holds everything
+    the back end's three pair queries consult: per-item (region, class)
+    chains with the class kind and alias slot precomputed per element,
+    per-region alias probability cells, ancestor chains and callrefmod
+    tables, with each item's line, access type and innermost region in
+    its record.  {!Query} answers through it in process, adding its
+    memos and counters; hlid {!seal}s the same image with the source
+    container's content hash and a CRC and publishes it for co-located
+    clients to map ({!Hli_server.Shm}).  All cross-references are byte
+    offsets from the image base (no pointers), so the same bytes answer
+    at any mapping address in any process.
 
     Layout (all fields u32 LE unless noted; [NONE] = 0xffffffff):
 
     {v
-    header (96 bytes)
+    header (76 bytes)
        0  magic "HLIX"
-       4  version (= 3)
+       4  version (= 4)
        8  generation (u64; seqlock word, NOT covered by the CRC)
-      16  body CRC32 over bytes [20, total_len)
+      16  body CRC32 over bytes [20, total_len) (zero until sealed)
       20  total_len (bytes used, header included)
-      24  content hash (16 bytes; MD5 of the source HLI container)
-      40  n_items   44 n_regions   48 n_lines
-      52..84  section offsets: items, chain pool, regions, crm
-              records, class-id pool, alias pool, ups pool, lines
-      84..96  reserved (zero)
-    items     n_items x 16: id, line (NONE if absent), chain_off,
-              chain_len — sorted by id (binary search)
-    chain     elements x 20: region_idx (into the region table),
-              rid, cid, kind (0 definitely / 1 maybe / 2 absent),
-              alias slot of cid in rid's bitset (NONE if unmapped)
-    regions   n_regions x 32: rid, first_line (i32), last_line (i32),
-              crm_off, crm_cnt, ups_off, ups_cnt, alias_off — sorted
-              by rid, deduplicated last-wins like [Query.region_by_id]
+      24  content hash (16 bytes; MD5 of the source HLI container;
+          zero until sealed)
+      40  n_slots (item table size, a power of two)   44 n_regions
+      48..76  section offsets: items, chain pool, regions, crm
+              records, class-id pool, alias cells, ups pool
+    items     n_slots x 24, open addressing on the id (linear probing
+              from [slot_of id]): id (NONE = empty slot), line (NONE if
+              absent from the line table), access type (0 load / 1
+              store / 2 call / NONE), region index of the line's
+              innermost region (NONE), chain_off, chain_len
+    chain     elements x 20: region index, rid, cid, kind (0 definitely
+              / 1 maybe / 2 absent), alias slot of cid in the region's
+              cells (NONE if no alias entry lists it)
+    regions   n_regions x 32: rid, first_line, last_line, crm_off,
+              crm_cnt, ups_off, ups_cnt, alias_off — one per id, the
+              last listed wins, in entry order
     crm       records x 28: key_kind (0 call item / 1 sub-region),
               key_val (item id, or region index; NONE if the
-              sub-region id is unknown), refmod_all, ref_off,
-              ref_cnt, mod_off, mod_cnt — entry order preserved
-              (first covering entry wins, like the engine)
+              sub-region id is unknown), refmod_all, ref_off, ref_cnt,
+              mod_off, mod_cnt — entry order (the first covering entry
+              wins)
     cls       sorted u32 class-id runs (binary-search membership for
               the crm REF/MOD sets)
-    alias     per region: width, then the width*width bit matrix
-              verbatim from [Query.alias_bits] (padded to 4 bytes)
-    ups       u32 region-table indices (self first, root last)
-    lines     n_lines x 8: line, region index — sorted by line
+    alias     per region: width, then width x width u16 cells — 0xffff
+              when no alias entry lists both classes, else the
+              per-mille of the first entry that does (500 when it
+              carries none) — padded to 4 bytes
+    ups       u32 region indices (self first, root last)
     v}
 
-    The precomputed kind and slot per chain element make the hot
-    paths allocation-free: an equiv answer needs only the two chain
-    scans and one bit probe, with no hash lookups.
+    One walk, [decide], answers both the equiv query and its
+    probabilistic variant: two hashed item lookups, the two chain
+    scans and at most one cell load, with no allocation.
 
-    Readers treat the mapping as untrusted at all times: every load
-    is bounds-checked against the mapping and absurd counts raise
-    {!Torn} (never a crash, never an unbounded loop), so a segment
-    being rewritten in place under the seqlock protocol can only
-    produce a retry, not a wrong answer — callers re-check the
-    generation word after computing and retry/fall back on a
-    mismatch.  {!validate} checks magic/version/length/CRC/hash and
-    section geometry with precise E063x diagnostics:
+    Readers treat the bytes as untrusted at all times: every load is
+    bounds-checked against the image and absurd counts raise {!Torn}
+    (never a crash, never an unbounded loop), so a segment being
+    rewritten in place under the seqlock protocol can only produce a
+    retry, not a wrong answer — callers re-check the generation word
+    after computing and retry/fall back on a mismatch.  {!validate}
+    checks a sealed image's magic/version/length/CRC/hash and the
+    geometry of every section with precise E063x diagnostics:
 
     - E0630 bad magic            - E0631 unknown version
     - E0632 truncated segment    - E0633 body CRC mismatch
     - E0634 content-hash mismatch- E0635 malformed section geometry *)
 
 module S = Serialize
-module Q = Query
 open Tables
 
 type seg = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(** Result of the equivalent-access query, mirroring the paper's
+    [HLI_EquivAccType]. *)
+type equiv_result =
+  | Equiv_none  (** proven distinct: never the same location *)
+  | Equiv_same of equiv_kind  (** same class (definitely or maybe) *)
+  | Equiv_alias  (** distinct classes listed as aliased *)
+  | Equiv_unknown  (** at least one item is not represented in the HLI *)
+
+(** Result of the call REF/MOD query, mirroring [HLI_GetCallAcc]. *)
+type call_acc_result =
+  | Call_none
+  | Call_ref
+  | Call_mod
+  | Call_refmod
+  | Call_unknown
+
+(** Per-mille confidence assumed for a "maybe" answer when the HLI
+    carries no probability for the pair (the front end had no
+    evidence): an uninformative midpoint, so consumers that
+    speculate only above-midpoint thresholds never act on it. *)
+let default_maybe_prob = 500
+
 exception Torn
 
 let magic = "HLIX"
-let hlix_version = 3
-let header_size = 96
+let hlix_version = 4
+let header_size = 76
 let none = 0xffffffff
-let mask32 = 0xffffffff
+let no_alias = 0xffff
 
 (* header field offsets *)
 let o_gen = 8
 let o_crc = 16
 let o_len = 20
 let o_hash = 24
-let o_nitems = 40
+let o_nslots = 40
 let o_nregions = 44
-let o_nlines = 48
-let o_items = 52
-let o_chain = 56
-let o_regions = 60
-let o_crm = 64
-let o_cls = 68
-let o_alias = 72
-let o_ups = 76
-let o_lines = 80
+let o_items = 48
+let o_chain = 52
+let o_regions = 56
+let o_crm = 60
+let o_cls = 64
+let o_alias = 68
+let o_ups = 72
 
-(* ------------------------------------------------------------------ *)
-(* Builder                                                             *)
-(* ------------------------------------------------------------------ *)
+(* record sizes *)
+let item_size = 24
+let chain_size = 20
+let region_size = 32
+let crm_size = 28
 
-let pu32 b off v =
-  Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));
-  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
-
-(** Serialize [idx] into HLIX bytes (generation 0).  [content_hash]
-    is the 16-byte digest of the source HLI container the index was
-    built from; readers use it to pair a segment with the unit they
-    opened. *)
-let build ~content_hash (idx : Q.index) : Bytes.t =
-  if String.length content_hash <> 16 then
-    invalid_arg "Flatindex.build: content_hash must be 16 bytes";
-  (* canonical region set: one row per id, last occurrence wins,
-     exactly the engine's [region_by_id] *)
-  let regions =
-    Hashtbl.fold (fun _ r acc -> r :: acc) idx.Q.region_by_id []
-    |> List.sort (fun a b -> compare a.region_id b.region_id)
-    |> Array.of_list
-  in
-  let n_regions = Array.length regions in
-  let ridx = Hashtbl.create (max 16 (2 * n_regions)) in
-  Array.iteri (fun i r -> Hashtbl.replace ridx r.region_id i) regions;
-  (* items: union of the chain and line keysets (they differ: items
-     can appear in classes but not the line table and vice versa) *)
-  let iset = Hashtbl.create 256 in
-  Hashtbl.iter (fun id _ -> Hashtbl.replace iset id ()) idx.Q.chain_of_item;
-  Hashtbl.iter (fun id _ -> Hashtbl.replace iset id ()) idx.Q.line_of_item;
-  let items =
-    Hashtbl.fold (fun id () acc -> id :: acc) iset []
-    |> List.sort compare |> Array.of_list
-  in
-  let n_items = Array.length items in
-  let chains =
-    Array.map
-      (fun id ->
-        match Hashtbl.find_opt idx.Q.chain_of_item id with
-        | Some c -> c
-        | None -> [||])
-      items
-  in
-  let chain_total = Array.fold_left (fun a c -> a + Array.length c) 0 chains in
-  let upss =
-    Array.map
-      (fun r ->
-        match Hashtbl.find_opt idx.Q.regions_up_of r.region_id with
-        | Some a -> a
-        | None -> [||])
-      regions
-  in
-  let ups_total = Array.fold_left (fun a u -> a + Array.length u) 0 upss in
-  let crm_total =
-    Array.fold_left (fun a r -> a + List.length r.callrefmods) 0 regions
-  in
-  let cls_total =
-    Array.fold_left
-      (fun a r ->
-        List.fold_left
-          (fun a e -> a + List.length e.ref_classes + List.length e.mod_classes)
-          a r.callrefmods)
-      0 regions
-  in
-  let pad4 n = (n + 3) land lnot 3 in
-  let empty_alias =
-    { Q.ab_slot = Hashtbl.create 1; ab_width = 0; ab_bits = Bytes.create 0 }
-  in
-  let aliases =
-    Array.map
-      (fun r ->
-        match Hashtbl.find_opt idx.Q.alias_of_region r.region_id with
-        | Some ab -> ab
-        | None -> empty_alias)
-      regions
-  in
-  let alias_bytes =
-    Array.fold_left
-      (fun a ab -> a + 4 + pad4 (Bytes.length ab.Q.ab_bits))
-      0 aliases
-  in
-  let lines =
-    Hashtbl.fold
-      (fun line r acc -> (line, Hashtbl.find ridx r.region_id) :: acc)
-      idx.Q.innermost_at_line []
-    |> List.sort compare |> Array.of_list
-  in
-  let n_lines = Array.length lines in
-  (* section offsets *)
-  let off_items = header_size in
-  let off_chain = off_items + (16 * n_items) in
-  let off_regions = off_chain + (20 * chain_total) in
-  let off_crm = off_regions + (32 * n_regions) in
-  let off_cls = off_crm + (28 * crm_total) in
-  let off_alias = off_cls + (4 * cls_total) in
-  let off_ups = off_alias + alias_bytes in
-  let off_lines = off_ups + (4 * ups_total) in
-  let total = off_lines + (8 * n_lines) in
-  let b = Bytes.make total '\000' in
-  Bytes.blit_string magic 0 b 0 4;
-  pu32 b 4 hlix_version;
-  (* generation stays 0: the publisher stamps it *)
-  pu32 b o_len total;
-  Bytes.blit_string content_hash 0 b o_hash 16;
-  pu32 b o_nitems n_items;
-  pu32 b o_nregions n_regions;
-  pu32 b o_nlines n_lines;
-  pu32 b o_items off_items;
-  pu32 b o_chain off_chain;
-  pu32 b o_regions off_regions;
-  pu32 b o_crm off_crm;
-  pu32 b o_cls off_cls;
-  pu32 b o_alias off_alias;
-  pu32 b o_ups off_ups;
-  pu32 b o_lines off_lines;
-  (* items + chain pool *)
-  let chain_off = ref off_chain in
-  Array.iteri
-    (fun i id ->
-      let c = chains.(i) in
-      let ioff = off_items + (16 * i) in
-      pu32 b ioff id;
-      pu32 b (ioff + 4)
-        (match Hashtbl.find_opt idx.Q.line_of_item id with
-        | Some l -> l land mask32
-        | None -> none);
-      pu32 b (ioff + 8) !chain_off;
-      pu32 b (ioff + 12) (Array.length c);
-      Array.iter
-        (fun (rid, cid) ->
-          let e = !chain_off in
-          pu32 b e
-            (match Hashtbl.find_opt ridx rid with Some i -> i | None -> none);
-          pu32 b (e + 4) rid;
-          pu32 b (e + 8) cid;
-          pu32 b (e + 12)
-            (match Hashtbl.find_opt idx.Q.kind_of_class (rid, cid) with
-            | Some Definitely -> 0
-            | Some Maybe -> 1
-            | None -> 2);
-          pu32 b (e + 16)
-            (match Hashtbl.find_opt idx.Q.alias_of_region rid with
-            | Some ab -> (
-                match Hashtbl.find_opt ab.Q.ab_slot cid with
-                | Some s -> s
-                | None -> none)
-            | None -> none);
-          chain_off := e + 20)
-        c)
-    items;
-  assert (!chain_off = off_regions);
-  (* regions + crm + cls + alias + ups *)
-  let crm_off = ref off_crm
-  and cls_off = ref off_cls
-  and alias_off = ref off_alias
-  and ups_off = ref off_ups in
-  Array.iteri
-    (fun i r ->
-      let roff = off_regions + (32 * i) in
-      pu32 b roff r.region_id;
-      pu32 b (roff + 4) (r.first_line land mask32);
-      pu32 b (roff + 8) (r.last_line land mask32);
-      pu32 b (roff + 12) !crm_off;
-      pu32 b (roff + 16) (List.length r.callrefmods);
-      List.iter
-        (fun e ->
-          let eoff = !crm_off in
-          (match e.call_key with
-          | Key_call_item id ->
-              pu32 b eoff 0;
-              pu32 b (eoff + 4) id
-          | Key_sub_region sr ->
-              pu32 b eoff 1;
-              pu32 b (eoff + 4)
-                (match Hashtbl.find_opt ridx sr with
-                | Some i -> i
-                | None -> none));
-          pu32 b (eoff + 8) (if e.refmod_all then 1 else 0);
-          (* sorted runs so the reader binary-searches membership *)
-          let put_cls l =
-            let off0 = !cls_off in
-            List.iter
-              (fun c ->
-                pu32 b !cls_off c;
-                cls_off := !cls_off + 4)
-              (List.sort compare l);
-            (off0, List.length l)
-          in
-          let ro, rc = put_cls e.ref_classes in
-          let mo, mc = put_cls e.mod_classes in
-          pu32 b (eoff + 12) ro;
-          pu32 b (eoff + 16) rc;
-          pu32 b (eoff + 20) mo;
-          pu32 b (eoff + 24) mc;
-          crm_off := eoff + 28)
-        r.callrefmods;
-      pu32 b (roff + 20) !ups_off;
-      pu32 b (roff + 24) (Array.length upss.(i));
-      Array.iter
-        (fun ur ->
-          pu32 b !ups_off (Hashtbl.find ridx ur.region_id);
-          ups_off := !ups_off + 4)
-        upss.(i);
-      pu32 b (roff + 28) !alias_off;
-      let ab = aliases.(i) in
-      pu32 b !alias_off ab.Q.ab_width;
-      let bo = !alias_off + 4 in
-      Bytes.blit ab.Q.ab_bits 0 b bo (Bytes.length ab.Q.ab_bits);
-      alias_off := bo + pad4 (Bytes.length ab.Q.ab_bits))
-    regions;
-  assert (!crm_off = off_cls);
-  assert (!cls_off = off_alias);
-  assert (!alias_off = off_ups);
-  assert (!ups_off = off_lines);
-  Array.iteri
-    (fun i (line, ri) ->
-      pu32 b (off_lines + (8 * i)) (line land mask32);
-      pu32 b (off_lines + (8 * i) + 4) ri)
-    lines;
-  let crc = S.crc32 (Bytes.unsafe_to_string b) o_len (total - o_len) in
-  pu32 b o_crc crc;
-  b
+(* home slot of [id] in a table of [mask + 1] slots: a multiplicative
+   hash, so a dense run of ids spreads instead of forming one cluster
+   that every absent id would have to probe through *)
+let slot_of id mask = ((id * 0x9E3779B1) lsr 16) land mask
 
 (* ------------------------------------------------------------------ *)
 (* Raw loads (bounds-checked: garbage raises Torn, never a crash)      *)
@@ -330,22 +140,316 @@ let u8 (seg : seg) off =
   if off < 0 || off >= dim seg then raise Torn;
   Bigarray.Array1.unsafe_get seg off
 
-(* NB: [Bigarray.Array1.unsafe_get] must stay fully applied at every
-   site below — binding it to a shorter name demotes the primitive to
-   a generic C call and costs ~30x on the query hot path. *)
+(* one unaligned load per field: the compiler inlines these primitives
+   on any byte-element bigarray, not only [char] ones *)
+external get16 : seg -> int -> int = "%caml_bigstring_get16u"
+external get32 : seg -> int -> int32 = "%caml_bigstring_get32u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external big_endian : unit -> bool = "%big_endian"
+
+let u16 (seg : seg) off =
+  if off < 0 || off + 2 > Bigarray.Array1.dim seg then raise Torn;
+  if big_endian () then bswap16 (get16 seg off) else get16 seg off
+
 let u32 (seg : seg) off =
   if off < 0 || off + 4 > Bigarray.Array1.dim seg then raise Torn;
-  Bigarray.Array1.unsafe_get seg off
-  lor (Bigarray.Array1.unsafe_get seg (off + 1) lsl 8)
-  lor (Bigarray.Array1.unsafe_get seg (off + 2) lsl 16)
-  lor (Bigarray.Array1.unsafe_get seg (off + 3) lsl 24)
-
-let i32 (seg : seg) off =
-  let v = u32 seg off in
-  if v land 0x80000000 <> 0 then v - 0x100000000 else v
+  let v = get32 seg off in
+  Int32.to_int (if big_endian () then bswap32 v else v) land 0xffffffff
 
 (* ------------------------------------------------------------------ *)
-(* Header accessors                                                    *)
+(* Builder                                                             *)
+(* ------------------------------------------------------------------ *)
+
+external set16 : seg -> int -> int -> unit = "%caml_bigstring_set16"
+external set32 : seg -> int -> int32 -> unit = "%caml_bigstring_set32"
+
+let pu32 (seg : seg) off v =
+  if v < 0 || v > none then
+    invalid_arg (Printf.sprintf "Flatindex.build: %d does not fit a u32 field" v);
+  let v = Int32.of_int v in
+  set32 seg off (if big_endian () then bswap32 v else v)
+
+let pu16 (seg : seg) off v = set16 seg off (if big_endian () then bswap16 v else v)
+
+(** The image of [entry] (generation 0, unsealed) and the item ids
+    the entry lists more than once — twice in the line table, or as a
+    member of two equivalence classes — sorted, each once.  The image
+    keeps the last occurrence. *)
+let build (entry : hli_entry) : seg * int list =
+  let dups = ref [] in
+  (* regions: one per id, the last listed wins, kept in entry order *)
+  let by_id = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace by_id r.region_id r) entry.regions;
+  let regions =
+    Array.of_list
+      (List.filter (fun r -> Hashtbl.find by_id r.region_id == r) entry.regions)
+  in
+  let n_regions = Array.length regions in
+  let ridx = Hashtbl.create 16 in
+  Array.iteri (fun i r -> Hashtbl.replace ridx r.region_id i) regions;
+  let ridx_or_none rid = Option.value ~default:none (Hashtbl.find_opt ridx rid) in
+  (* innermost class of each item (last wins) and the subclass links *)
+  let direct = Hashtbl.create 64 and class_up = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun c ->
+          List.iter
+            (function
+              | Member_item id ->
+                  if Hashtbl.mem direct id then dups := id :: !dups;
+                  Hashtbl.replace direct id (r.region_id, c.class_id)
+              | Member_subclass { sub_region; cls } ->
+                  Hashtbl.replace class_up (sub_region, cls) (r.region_id, c.class_id))
+            c.members)
+        r.eq_classes)
+    entry.regions;
+  (* line, access type and the line's innermost region (last wins);
+     the first region in entry order wins a span-length tie *)
+  let innermost line =
+    List.fold_left
+      (fun best r ->
+        if line >= r.first_line && line <= r.last_line then
+          match best with
+          | Some b when r.last_line - r.first_line < b.last_line - b.first_line -> Some r
+          | None -> Some r
+          | _ -> best
+        else best)
+      None entry.regions
+  in
+  let lines = Hashtbl.create 64 in
+  List.iter
+    (fun le ->
+      if le.items <> [] then begin
+        let r0 =
+          match innermost le.line_no with
+          | Some r -> Hashtbl.find ridx r.region_id
+          | None -> none
+        in
+        List.iter
+          (fun it ->
+            if Hashtbl.mem lines it.item_id then dups := it.item_id :: !dups;
+            Hashtbl.replace lines it.item_id (le.line_no, it.acc, r0))
+          le.items
+      end)
+    entry.line_table;
+  (* each item's (region, class) chain, innermost first; capped at the
+     number of subclass links so a cyclic relation terminates *)
+  let max_chain = Hashtbl.length class_up + 1 in
+  let rec walk acc n rc =
+    let acc = rc :: acc in
+    if n >= max_chain then List.rev acc
+    else
+      match Hashtbl.find_opt class_up rc with
+      | Some up -> walk acc (n + 1) up
+      | None -> List.rev acc
+  in
+  let items = ref [] and chain_total = ref 0 in
+  let add id =
+    let chain = match Hashtbl.find_opt direct id with Some rc -> walk [] 1 rc | None -> [] in
+    chain_total := !chain_total + List.length chain;
+    items := (id, chain) :: !items
+  in
+  Hashtbl.iter (fun id _ -> add id) direct;
+  Hashtbl.iter (fun id _ -> if not (Hashtbl.mem direct id) then add id) lines;
+  (* (region, class) -> kind: the first class with the id in the
+     region wins *)
+  let kinds = Hashtbl.create 64 in
+  Array.iter
+    (fun r ->
+      List.iter
+        (fun c ->
+          if not (Hashtbl.mem kinds (r.region_id, c.class_id)) then
+            Hashtbl.replace kinds (r.region_id, c.class_id) c.kind)
+        r.eq_classes)
+    regions;
+  (* per region: class id -> slot in its alias cells *)
+  let slots =
+    Array.map
+      (fun r ->
+        let h = Hashtbl.create 8 in
+        List.iter
+          (fun ae ->
+            List.iter
+              (fun c -> if not (Hashtbl.mem h c) then Hashtbl.replace h c (Hashtbl.length h))
+              ae.alias_classes)
+          r.aliases;
+        h)
+      regions
+  in
+  (* ancestor chains as region indices, capped against parent cycles *)
+  let ups =
+    Array.map
+      (fun r ->
+        let rec up acc n r =
+          let acc = Hashtbl.find ridx r.region_id :: acc in
+          match r.parent with
+          | Some p when n < n_regions -> (
+              match Hashtbl.find_opt by_id p with
+              | Some pr -> up acc (n + 1) pr
+              | None -> List.rev acc)
+          | _ -> List.rev acc
+        in
+        up [] 1 r)
+      regions
+  in
+  let n_items = List.length !items in
+  let rec pow2 k = if k >= 2 * n_items then k else pow2 (2 * k) in
+  let n_slots = pow2 1 in
+  let sum f = Array.fold_left (fun a r -> a + f r) 0 regions in
+  let crm_total = sum (fun r -> List.length r.callrefmods) in
+  let cls_total =
+    sum (fun r ->
+        List.fold_left
+          (fun a e -> a + List.length e.ref_classes + List.length e.mod_classes)
+          0 r.callrefmods)
+  in
+  let cells_bytes w = (2 * w * w + 3) land lnot 3 in
+  let alias_bytes = Array.fold_left (fun a h -> a + 4 + cells_bytes (Hashtbl.length h)) 0 slots in
+  let ups_total = Array.fold_left (fun a u -> a + List.length u) 0 ups in
+  let off_items = header_size in
+  let off_chain = off_items + (item_size * n_slots) in
+  let off_regions = off_chain + (chain_size * !chain_total) in
+  let off_crm = off_regions + (region_size * n_regions) in
+  let off_cls = off_crm + (crm_size * crm_total) in
+  let off_alias = off_cls + (4 * cls_total) in
+  let off_ups = off_alias + alias_bytes in
+  let total = off_ups + (4 * ups_total) in
+  let seg = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout total in
+  Bigarray.Array1.fill seg 0;
+  String.iteri (fun i c -> seg.{i} <- Char.code c) magic;
+  pu32 seg 4 hlix_version;
+  pu32 seg o_len total;
+  pu32 seg o_nslots n_slots;
+  pu32 seg o_nregions n_regions;
+  List.iteri
+    (fun i off -> pu32 seg (o_items + (4 * i)) off)
+    [ off_items; off_chain; off_regions; off_crm; off_cls; off_alias; off_ups ];
+  (* items + chain pool *)
+  for s = 0 to n_slots - 1 do
+    pu32 seg (off_items + (item_size * s)) none
+  done;
+  let chain_off = ref off_chain in
+  List.iter
+    (fun (id, chain) ->
+      let s = ref (slot_of id (n_slots - 1)) in
+      while u32 seg (off_items + (item_size * !s)) <> none do
+        s := (!s + 1) land (n_slots - 1)
+      done;
+      let ioff = off_items + (item_size * !s) in
+      if id = none then invalid_arg "Flatindex.build: item id 0xffffffff";
+      pu32 seg ioff id;
+      (match Hashtbl.find_opt lines id with
+      | Some (line, acc, r0) ->
+          pu32 seg (ioff + 4) line;
+          pu32 seg (ioff + 8) (match acc with Acc_load -> 0 | Acc_store -> 1 | Acc_call -> 2);
+          pu32 seg (ioff + 12) r0
+      | None ->
+          pu32 seg (ioff + 4) none;
+          pu32 seg (ioff + 8) none;
+          pu32 seg (ioff + 12) none);
+      pu32 seg (ioff + 16) !chain_off;
+      pu32 seg (ioff + 20) (List.length chain);
+      List.iter
+        (fun (rid, cid) ->
+          let e = !chain_off and ri = ridx_or_none rid in
+          pu32 seg e ri;
+          pu32 seg (e + 4) rid;
+          pu32 seg (e + 8) cid;
+          pu32 seg (e + 12)
+            (match Hashtbl.find_opt kinds (rid, cid) with
+            | Some Definitely -> 0
+            | Some Maybe -> 1
+            | None -> 2);
+          pu32 seg (e + 16)
+            (if ri = none then none
+             else Option.value ~default:none (Hashtbl.find_opt slots.(ri) cid));
+          chain_off := e + chain_size)
+        chain)
+    !items;
+  assert (!chain_off = off_regions);
+  (* regions + crm + cls + alias + ups *)
+  let crm_off = ref off_crm
+  and cls_off = ref off_cls
+  and alias_off = ref off_alias
+  and ups_off = ref off_ups in
+  Array.iteri
+    (fun i r ->
+      let roff = off_regions + (region_size * i) in
+      pu32 seg roff r.region_id;
+      pu32 seg (roff + 4) r.first_line;
+      pu32 seg (roff + 8) r.last_line;
+      pu32 seg (roff + 12) !crm_off;
+      pu32 seg (roff + 16) (List.length r.callrefmods);
+      List.iter
+        (fun e ->
+          let eoff = !crm_off in
+          (match e.call_key with
+          | Key_call_item id ->
+              pu32 seg eoff 0;
+              pu32 seg (eoff + 4) id
+          | Key_sub_region sr ->
+              pu32 seg eoff 1;
+              pu32 seg (eoff + 4) (ridx_or_none sr));
+          pu32 seg (eoff + 8) (if e.refmod_all then 1 else 0);
+          let put_cls l =
+            let off0 = !cls_off in
+            List.iter
+              (fun c ->
+                pu32 seg !cls_off c;
+                cls_off := !cls_off + 4)
+              (List.sort compare l);
+            (off0, List.length l)
+          in
+          let ro, rc = put_cls e.ref_classes in
+          let mo, mc = put_cls e.mod_classes in
+          pu32 seg (eoff + 12) ro;
+          pu32 seg (eoff + 16) rc;
+          pu32 seg (eoff + 20) mo;
+          pu32 seg (eoff + 24) mc;
+          crm_off := eoff + crm_size)
+        r.callrefmods;
+      pu32 seg (roff + 20) !ups_off;
+      pu32 seg (roff + 24) (List.length ups.(i));
+      List.iter
+        (fun u ->
+          pu32 seg !ups_off u;
+          ups_off := !ups_off + 4)
+        ups.(i);
+      (* cells: the first entry listing both classes sets the pair *)
+      let aoff = !alias_off and h = slots.(i) in
+      let w = Hashtbl.length h in
+      pu32 seg (roff + 28) aoff;
+      pu32 seg aoff w;
+      for c = 0 to (w * w) - 1 do
+        pu16 seg (aoff + 4 + (2 * c)) no_alias
+      done;
+      List.iter
+        (fun ae ->
+          let p = Option.value ~default:default_maybe_prob ae.alias_prob in
+          if p < 0 || p >= no_alias then
+            invalid_arg (Printf.sprintf "Flatindex.build: alias probability %d" p);
+          let ss = List.map (Hashtbl.find h) ae.alias_classes in
+          List.iter
+            (fun x ->
+              List.iter
+                (fun y ->
+                  let c = aoff + 4 + (2 * ((x * w) + y)) in
+                  if seg.{c} lor (seg.{c + 1} lsl 8) = no_alias then pu16 seg c p)
+                ss)
+            ss)
+        r.aliases;
+      alias_off := aoff + 4 + cells_bytes w)
+    regions;
+  assert (!crm_off = off_cls);
+  assert (!cls_off = off_alias);
+  assert (!alias_off = off_ups);
+  assert (!ups_off = total);
+  (seg, List.sort_uniq compare !dups)
+
+(* ------------------------------------------------------------------ *)
+(* Header accessors and sealing                                        *)
 (* ------------------------------------------------------------------ *)
 
 (** Seqlock generation word.  Even = stable, odd = rebuild in
@@ -366,8 +470,23 @@ let total_len (seg : seg) = u32 seg o_len
 let content_hash (seg : seg) =
   String.init 16 (fun i -> Char.chr (u8 seg (o_hash + i)))
 
-(** Wrap HLIX bytes (e.g. fresh from {!build}) as a segment without
-    going through a file — tests and in-process probes. *)
+(* CRC32 of [o_len, len): everything except magic/version, the
+   seqlock word and the CRC field itself *)
+let body_crc (seg : seg) len =
+  if len < o_len || len > dim seg then raise Torn;
+  S.crc32 (String.init (len - o_len) (fun i -> Char.unsafe_chr seg.{o_len + i})) 0 (len - o_len)
+
+(** Stamp [content_hash] (the 16-byte digest of the source HLI
+    container) and the body CRC into the image at the start of [seg]
+    — a publication step: in-process images stay unsealed. *)
+let seal ~content_hash (seg : seg) =
+  if String.length content_hash <> 16 then
+    invalid_arg "Flatindex.seal: content_hash must be 16 bytes";
+  String.iteri (fun i c -> seg.{o_hash + i} <- Char.code c) content_hash;
+  pu32 seg o_crc (body_crc seg (total_len seg))
+
+(** Wrap HLIX bytes as a segment without going through a file — tests
+    and in-process probes. *)
 let seg_of_bytes (b : Bytes.t) : seg =
   let n = Bytes.length b in
   let seg =
@@ -382,13 +501,15 @@ let seg_of_bytes (b : Bytes.t) : seg =
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Full segment check: magic (E0630), version (E0631), length
-    (E0632), body CRC over [20, total_len) (E0633), content hash
-    against [expect_hash] (E0634), and section geometry —
-    monotone section offsets consistent with the header counts
-    (E0635).  The generation word is deliberately outside the CRC;
-    call this once per mapping and once per observed generation
-    change, not per query. *)
+(** Full check of a sealed segment: magic (E0630), version (E0631),
+    length (E0632), body CRC over [20, total_len) (E0633), content hash
+    against [expect_hash] (E0634), and the geometry of every section
+    (E0635): monotone section offsets, section sizes that agree with
+    the header counts and record sizes, a power-of-two item table, and
+    every item's chain and every region's crm records, ancestors and
+    alias cells inside their sections.  The generation word is
+    deliberately outside the CRC; call this once per mapping and once
+    per observed generation change, not per query. *)
 let validate ~expect_hash (seg : seg) =
   let n = dim seg in
   if n < header_size then
@@ -407,50 +528,53 @@ let validate ~expect_hash (seg : seg) =
     S.corrupt ~at:o_len ~code:"E0632"
       "HLIX total_len %d outside [%d, %d] (truncated segment?)" len header_size
       n;
-  (* CRC over [o_len, len): everything except magic/version (checked
-     above), the seqlock word and the CRC field itself *)
-  let body = Bytes.create (len - o_len) in
-  for i = 0 to len - o_len - 1 do
-    Bytes.unsafe_set body i
-      (Char.unsafe_chr (Bigarray.Array1.unsafe_get seg (o_len + i)))
-  done;
-  let crc = S.crc32 (Bytes.unsafe_to_string body) 0 (len - o_len) in
+  let crc = body_crc seg len in
   if crc <> u32 seg o_crc then
     S.corrupt ~at:o_crc ~code:"E0633"
       "HLIX body CRC mismatch: stored %08x, computed %08x" (u32 seg o_crc) crc;
   if content_hash seg <> expect_hash then
     S.corrupt ~at:o_hash ~code:"E0634"
       "HLIX content hash does not match the opened HLI container";
-  let n_items = u32 seg o_nitems
-  and n_regions = u32 seg o_nregions
-  and n_lines = u32 seg o_nlines in
-  let offs =
-    [
-      u32 seg o_items; u32 seg o_chain; u32 seg o_regions; u32 seg o_crm;
-      u32 seg o_cls; u32 seg o_alias; u32 seg o_ups; u32 seg o_lines;
-    ]
+  let bad fmt = S.corrupt ~code:"E0635" ("HLIX " ^^ fmt) in
+  let sec = Array.init 8 (fun i -> if i = 7 then len else u32 seg (o_items + (4 * i))) in
+  for i = 0 to 6 do
+    if sec.(i) < (if i = 0 then header_size else sec.(i - 1)) || sec.(i) > sec.(i + 1) then
+      bad "section offsets not monotone within %d" len
+  done;
+  let size i = sec.(i + 1) - sec.(i) in
+  let n_slots = u32 seg o_nslots and n_regions = u32 seg o_nregions in
+  if n_slots = 0 || n_slots land (n_slots - 1) <> 0 || size 0 <> item_size * n_slots then
+    bad "item table is not %d power-of-two slots" n_slots;
+  if size 2 <> region_size * n_regions then
+    bad "region section size disagrees with n_regions";
+  List.iter
+    (fun (i, rec_size, what) ->
+      if size i mod rec_size <> 0 then bad "%s section is not whole records" what)
+    [ (1, chain_size, "chain"); (3, crm_size, "crm"); (4, 4, "class-id"); (6, 4, "ups") ];
+  (* [off, off + cnt * rec_size) must lie inside section [i] *)
+  let inside i off cnt rec_size what =
+    if off < sec.(i) || cnt > size i || off + (cnt * rec_size) > sec.(i + 1) then
+      bad "%s outside its section" what
   in
-  let rec monotone prev = function
-    | [] -> prev <= len
-    | o :: rest -> prev <= o && monotone o rest
-  in
-  if not (monotone header_size offs) then
-    S.corrupt ~code:"E0635" "HLIX section offsets not monotone within %d" len;
-  let sec i = List.nth offs i in
-  if sec 1 - sec 0 <> 16 * n_items then
-    S.corrupt ~code:"E0635" "HLIX item section size disagrees with n_items";
-  if sec 3 - sec 2 <> 32 * n_regions then
-    S.corrupt ~code:"E0635" "HLIX region section size disagrees with n_regions";
-  if len - sec 7 <> 8 * n_lines then
-    S.corrupt ~code:"E0635" "HLIX line section size disagrees with n_lines"
+  for s = 0 to n_slots - 1 do
+    let ioff = sec.(0) + (item_size * s) in
+    if u32 seg ioff <> none then
+      inside 1 (u32 seg (ioff + 16)) (u32 seg (ioff + 20)) chain_size "item chain"
+  done;
+  for r = 0 to n_regions - 1 do
+    let roff = sec.(2) + (region_size * r) in
+    inside 3 (u32 seg (roff + 12)) (u32 seg (roff + 16)) crm_size "crm records";
+    inside 6 (u32 seg (roff + 20)) (u32 seg (roff + 24)) 4 "ancestor chain";
+    let aoff = u32 seg (roff + 28) in
+    inside 5 aoff 1 4 "alias width";
+    let w = u32 seg aoff in
+    if w > no_alias then bad "alias width %d" w;
+    inside 5 (aoff + 4) (w * w) 2 "alias cells"
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* preallocated results: the hot path returns these without allocating *)
-let equiv_same_def = Q.Equiv_same Definitely
-let equiv_same_maybe = Q.Equiv_same Maybe
 
 (* cap any count read from the mapping: a table can't hold more
    records than the mapping has bytes, so anything bigger is torn *)
@@ -458,24 +582,29 @@ let capped seg count rec_size =
   if count < 0 || count * rec_size > dim seg then raise Torn;
   count
 
-(* binary search the item table for [id]; -1 when absent.  Torn data
-   may break sortedness — that yields a wrong slot, never a crash or
-   unbounded loop, and the caller's generation re-check rejects it. *)
+(* byte offset of [id]'s item record, -1 when absent.  The probe is
+   bounded by the slot count, so a torn table cannot loop. *)
 let find_item (seg : seg) id =
-  let n = capped seg (u32 seg o_nitems) 16 in
-  let base = u32 seg o_items in
-  let lo = ref 0 and hi = ref n and res = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let v = u32 seg (base + (16 * mid)) in
-    if v = id then begin
-      res := mid;
-      lo := !hi
-    end
-    else if v < id then lo := mid + 1
-    else hi := mid
-  done;
-  !res
+  if id < 0 || id >= none then -1
+  else begin
+    let n = capped seg (u32 seg o_nslots) item_size in
+    let base = u32 seg o_items and mask = n - 1 in
+    let s = ref (slot_of id mask) and k = ref 0 and res = ref (-2) in
+    while !res = -2 do
+      if !k >= n then res := -1
+      else begin
+        let off = base + (item_size * !s) in
+        let v = u32 seg off in
+        if v = id then res := off
+        else if v = none then res := -1
+        else begin
+          s := (!s + 1) land mask;
+          incr k
+        end
+      end
+    done;
+    !res
+  end
 
 (* membership probe of a sorted u32 run *)
 let cls_mem (seg : seg) off cnt v =
@@ -493,179 +622,192 @@ let cls_mem (seg : seg) off cnt v =
   done;
   !found
 
-(* bit (sa, sb) of the region's alias record at [aoff] *)
-let alias_bit (seg : seg) aoff width sa sb =
-  if sa < 0 || sb < 0 || sa >= width || sb >= width then false
-  else
-    let bits = aoff + 4 in
-    let i = (sa * width) + sb in
-    u8 seg (bits + (i lsr 3)) land (1 lsl (i land 7)) <> 0
+(* cell (sa, sb) of region [ri]'s alias cells *)
+let alias_cell (seg : seg) ri sa sb =
+  let aoff = u32 seg (u32 seg o_regions + (region_size * capped seg ri region_size) + 28) in
+  let w = u32 seg aoff in
+  if sa >= w || sb >= w then no_alias else u16 seg (aoff + 4 + (2 * ((sa * w) + sb)))
 
-(** Mirror of {!Query.get_equiv_acc}'s uncached decision, off the
-    mapping.  Raises {!Torn} on any out-of-bounds load (segment being
-    rewritten); never allocates on a successful path. *)
-let get_equiv_acc (seg : seg) item_a item_b =
+(* [decide]'s answer codes, packed above the per-mille *)
+let code_none = 1 lsl 16
+let code_same_def = 2 lsl 16
+let code_same_maybe = 3 lsl 16
+let code_alias = 4 lsl 16
+
+(* The equiv decision and its per-mille, packed ([0] = unknown, no
+   evidence): the innermost region present in both items' chains,
+   scanning a's chain outward — the chains are region paths, so this
+   is the lowest common region of the two items.  Same class there
+   answers by its kind, distinct classes by their alias cell. *)
+let decide (seg : seg) item_a item_b =
   let ia = find_item seg item_a and ib = find_item seg item_b in
-  if ia < 0 || ib < 0 then Q.Equiv_unknown
-  else
-    let base = u32 seg o_items in
-    let ca_off = u32 seg (base + (16 * ia) + 8)
-    and ca_len = capped seg (u32 seg (base + (16 * ia) + 12)) 20
-    and cb_off = u32 seg (base + (16 * ib) + 8)
-    and cb_len = capped seg (u32 seg (base + (16 * ib) + 12)) 20 in
-    if ca_len = 0 || cb_len = 0 then Q.Equiv_unknown
-    else begin
-      (* innermost region present in both chains, scanning a's chain
-         outward — identical walk order to the engine *)
-      let result = ref Q.Equiv_unknown and decided = ref false in
-      let i = ref 0 in
-      while (not !decided) && !i < ca_len do
-        let ea = ca_off + (20 * !i) in
-        let rid = u32 seg (ea + 4) in
-        let j = ref 0 and jm = ref (-1) in
-        while !jm < 0 && !j < cb_len do
-          if u32 seg (cb_off + (20 * !j) + 4) = rid then jm := !j;
-          incr j
-        done;
-        if !jm >= 0 then begin
-          decided := true;
-          let eb = cb_off + (20 * !jm) in
-          let ca = u32 seg (ea + 8) and cb = u32 seg (eb + 8) in
-          if ca = cb then
-            result :=
-              (match u32 seg (ea + 12) with
-              | 0 -> equiv_same_def
-              | 1 -> equiv_same_maybe
-              | _ -> Q.Equiv_unknown)
-          else begin
-            let ridx = u32 seg ea in
-            if ridx = none then result := Q.Equiv_unknown
-            else begin
-              let sa = u32 seg (ea + 16) and sb = u32 seg (eb + 16) in
-              if sa = none || sb = none then result := Q.Equiv_none
-              else begin
-                let roff =
-                  u32 seg o_regions + (32 * capped seg ridx 32)
-                in
-                let aoff = u32 seg (roff + 28) in
-                let width = capped seg (u32 seg aoff) 8 in
-                result :=
-                  (if alias_bit seg aoff width sa sb then Q.Equiv_alias
-                   else Q.Equiv_none)
-              end
-            end
-          end
-        end;
-        incr i
+  if ia < 0 || ib < 0 then 0
+  else begin
+    let ca_off = u32 seg (ia + 16)
+    and ca_len = capped seg (u32 seg (ia + 20)) chain_size
+    and cb_off = u32 seg (ib + 16)
+    and cb_len = capped seg (u32 seg (ib + 20)) chain_size in
+    let res = ref 0 and i = ref 0 in
+    while !i < ca_len do
+      let ea = ca_off + (chain_size * !i) in
+      let rid = u32 seg (ea + 4) in
+      let j = ref 0 and eb = ref (-1) in
+      while !eb < 0 && !j < cb_len do
+        let e = cb_off + (chain_size * !j) in
+        if u32 seg (e + 4) = rid then eb := e;
+        incr j
       done;
-      !result
-    end
+      if !eb < 0 then incr i
+      else begin
+        i := ca_len;
+        let eb = !eb in
+        res :=
+          if u32 seg (ea + 8) = u32 seg (eb + 8) then (
+            match u32 seg (ea + 12) with
+            | 0 -> code_same_def lor 1000
+            | 1 -> code_same_maybe lor default_maybe_prob
+            | _ -> 0)
+          else
+            let ri = u32 seg ea in
+            if ri = none then 0
+            else
+              let sa = u32 seg (ea + 16) and sb = u32 seg (eb + 16) in
+              let cell = if sa = none || sb = none then no_alias else alias_cell seg ri sa sb in
+              if cell = no_alias then code_none lor 1000 else code_alias lor cell
+      end
+    done;
+    !res
+  end
 
-(* exact-line probe of the sorted lines section; -1 when absent *)
-let find_line (seg : seg) line =
-  let n = capped seg (u32 seg o_nlines) 8 in
-  let base = u32 seg o_lines in
-  let lo = ref 0 and hi = ref n and res = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let v = u32 seg (base + (8 * mid)) in
-    if v = line then begin
-      res := u32 seg (base + (8 * mid) + 4);
-      lo := !hi
-    end
-    else if v < line then lo := mid + 1
-    else hi := mid
-  done;
-  !res
+let equiv_of_code d =
+  match d lsr 16 with
+  | 1 -> Equiv_none
+  | 2 -> Equiv_same Definitely
+  | 3 -> Equiv_same Maybe
+  | 4 -> Equiv_alias
+  | _ -> Equiv_unknown
 
-(* first chain element of item slot [islot] whose rid equals [rid];
-   the class id there, or -1 — the engine's [class_at] *)
-let class_at (seg : seg) islot rid =
-  let base = u32 seg o_items in
-  let c_off = u32 seg (base + (16 * islot) + 8)
-  and c_len = capped seg (u32 seg (base + (16 * islot) + 12)) 20 in
+(** Do two items possibly access the same memory location {e within one
+    iteration} of every loop enclosing both?  Raises {!Torn} on any
+    out-of-bounds load (segment being rewritten); never allocates. *)
+let get_equiv_acc (seg : seg) item_a item_b = equiv_of_code (decide seg item_a item_b)
+
+(** {!get_equiv_acc} with a per-mille confidence attached: how likely
+    the two items really do touch the same location ([Equiv_same] /
+    [Equiv_alias]), or how certain the separation is ([Equiv_none] is
+    proven, so 1000; [Equiv_unknown] carries no evidence, so 0). *)
+let get_equiv_prob (seg : seg) item_a item_b =
+  let d = decide seg item_a item_b in
+  (equiv_of_code d, d land 0xffff)
+
+(* the class of the first chain element of the item record at [ioff]
+   whose region is [rid], or -1 *)
+let class_in (seg : seg) ioff rid =
+  let c_off = u32 seg (ioff + 16)
+  and c_len = capped seg (u32 seg (ioff + 20)) chain_size in
   let i = ref 0 and res = ref (-1) in
   while !res < 0 && !i < c_len do
-    if u32 seg (c_off + (20 * !i) + 4) = rid then
-      res := u32 seg (c_off + (20 * !i) + 8);
+    let e = c_off + (chain_size * !i) in
+    if u32 seg (e + 4) = rid then res := u32 seg (e + 8);
     incr i
   done;
   !res
 
-(** Mirror of {!Query.get_call_acc}'s uncached decision: resolve the
-    call item's line to its innermost region, then walk the
-    precomputed ancestor chain looking for the first callrefmod entry
-    covering the call. *)
+(** May the call item [call] reference or modify the location of memory
+    item [mem]?  Resolves the call's line to its innermost region, then
+    walks that region's ancestors for the first callrefmod entry
+    covering the call (either as an immediate call item or via a
+    sub-region entry). *)
 let get_call_acc (seg : seg) ~call ~mem =
   let ic = find_item seg call in
-  if ic < 0 then Q.Call_unknown
+  if ic < 0 then Call_unknown
   else
-    let base = u32 seg o_items in
-    let call_line = u32 seg (base + (16 * ic) + 4) in
-    if call_line = none then Q.Call_unknown
-    else
-      let r0 = find_line seg call_line in
-      if r0 < 0 then Q.Call_unknown
-      else begin
-        let im = find_item seg mem in
-        let rbase = u32 seg o_regions in
-        let r0off = rbase + (32 * capped seg r0 32) in
-        let ups_off = u32 seg (r0off + 20)
-        and ups_cnt = capped seg (u32 seg (r0off + 24)) 4 in
-        let result = ref Q.Call_unknown and decided = ref false in
-        let i = ref 0 in
-        while (not !decided) && !i < ups_cnt do
-          let uidx = capped seg (u32 seg (ups_off + (4 * !i))) 32 in
-          let roff = rbase + (32 * uidx) in
-          let rid = u32 seg roff in
-          let crm_off = u32 seg (roff + 12)
-          and crm_cnt = capped seg (u32 seg (roff + 16)) 28 in
-          (* first covering entry, in table order *)
-          let e = ref (-1) and j = ref 0 in
-          while !e < 0 && !j < crm_cnt do
-            let eoff = crm_off + (28 * !j) in
-            let covers =
-              match u32 seg eoff with
-              | 0 -> u32 seg (eoff + 4) = call
-              | _ ->
-                  let sr = u32 seg (eoff + 4) in
-                  sr <> none
-                  &&
-                  let soff = rbase + (32 * capped seg sr 32) in
-                  call_line >= i32 seg (soff + 4)
-                  && call_line <= i32 seg (soff + 8)
-            in
-            if covers then e := eoff;
-            incr j
-          done;
-          (if !e >= 0 then
-             let eoff = !e in
-             let refmod_all = u32 seg (eoff + 8) <> 0 in
-             let mc = if im < 0 then -1 else class_at seg im rid in
-             if mc < 0 then begin
-               (* call covered but mem not representable here *)
-               if refmod_all then begin
-                 decided := true;
-                 result := Q.Call_refmod
-               end
-             end
-             else begin
-               decided := true;
-               if refmod_all then result := Q.Call_refmod
-               else
-                 let r =
-                   cls_mem seg (u32 seg (eoff + 12)) (u32 seg (eoff + 16)) mc
-                 and m =
-                   cls_mem seg (u32 seg (eoff + 20)) (u32 seg (eoff + 24)) mc
-                 in
-                 result :=
-                   (match (r, m) with
-                   | false, false -> Q.Call_none
-                   | true, false -> Q.Call_ref
-                   | false, true -> Q.Call_mod
-                   | true, true -> Q.Call_refmod)
-             end);
-          incr i
+    let call_line = u32 seg (ic + 4) and r0 = u32 seg (ic + 12) in
+    if call_line = none || r0 = none then Call_unknown
+    else begin
+      let im = find_item seg mem in
+      let rbase = u32 seg o_regions in
+      let r0off = rbase + (region_size * capped seg r0 region_size) in
+      let ups_off = u32 seg (r0off + 20)
+      and ups_cnt = capped seg (u32 seg (r0off + 24)) 4 in
+      let result = ref Call_unknown and i = ref 0 in
+      while !i < ups_cnt do
+        let roff = rbase + (region_size * capped seg (u32 seg (ups_off + (4 * !i))) region_size) in
+        let crm_off = u32 seg (roff + 12)
+        and crm_cnt = capped seg (u32 seg (roff + 16)) crm_size in
+        (* first covering entry, in table order *)
+        let e = ref (-1) and j = ref 0 in
+        while !e < 0 && !j < crm_cnt do
+          let eoff = crm_off + (crm_size * !j) in
+          let covers =
+            match u32 seg eoff with
+            | 0 -> u32 seg (eoff + 4) = call
+            | _ ->
+                let sr = u32 seg (eoff + 4) in
+                sr <> none
+                &&
+                let soff = rbase + (region_size * capped seg sr region_size) in
+                call_line >= u32 seg (soff + 4) && call_line <= u32 seg (soff + 8)
+          in
+          if covers then e := eoff;
+          incr j
         done;
-        !result
-      end
+        incr i;
+        if !e >= 0 then begin
+          let eoff = !e in
+          if u32 seg (eoff + 8) <> 0 then begin
+            result := Call_refmod;
+            i := ups_cnt
+          end
+          else
+            (* a covering entry decides only if it represents [mem] *)
+            let mc = if im < 0 then -1 else class_in seg im (u32 seg roff) in
+            if mc >= 0 then begin
+              i := ups_cnt;
+              result :=
+                match
+                  ( cls_mem seg (u32 seg (eoff + 12)) (u32 seg (eoff + 16)) mc,
+                    cls_mem seg (u32 seg (eoff + 20)) (u32 seg (eoff + 24)) mc )
+                with
+                | false, false -> Call_none
+                | true, false -> Call_ref
+                | false, true -> Call_mod
+                | true, true -> Call_refmod
+            end
+        end
+      done;
+      !result
+    end
+
+(* ------------------------------------------------------------------ *)
+(* Item lookups for maintenance                                        *)
+(* ------------------------------------------------------------------ *)
+
+let item_field seg item field =
+  let ioff = find_item seg item in
+  if ioff < 0 then none else u32 seg (ioff + field)
+
+let line_of_item seg item =
+  match item_field seg item 4 with l when l = none -> None | l -> Some l
+
+let access_type seg item =
+  match item_field seg item 8 with
+  | 0 -> Some Acc_load
+  | 1 -> Some Acc_store
+  | 2 -> Some Acc_call
+  | _ -> None
+
+(** Innermost [(region, class)] directly containing [item]. *)
+let direct_class seg item =
+  let ioff = find_item seg item in
+  if ioff < 0 || u32 seg (ioff + 20) = 0 then None
+  else
+    let e = u32 seg (ioff + 16) in
+    Some (u32 seg (e + 4), u32 seg (e + 8))
+
+(** The class representing [item] in region [rid]: the first entry
+    with that region along the item's chain. *)
+let class_at seg ~rid item =
+  let ioff = find_item seg item in
+  if ioff < 0 then None
+  else match class_in seg ioff rid with -1 -> None | c -> Some c

@@ -201,7 +201,7 @@ let gen_item m ~like ~line =
   let acc = Option.value ~default:Acc_load (Query.access_type idx like) in
   let id = next_free_id m in
   update_line_table m (fun lt -> insert_in_line_table lt ~line ~item:id ~acc);
-  (match Hashtbl.find_opt idx.Query.direct_class like with
+  (match Flatindex.direct_class idx.Query.image like with
   | Some (rid, cid) ->
       update_regions m (fun r ->
           if r.region_id <> rid then r
@@ -226,7 +226,7 @@ let gen_item m ~like ~line =
 let move_item_outward m ~item ~target_rid =
   let idx = index m in
   match
-    (Hashtbl.find_opt idx.Query.direct_class item, Query.class_at idx ~rid:target_rid item)
+    (Flatindex.direct_class idx.Query.image item, Query.class_at idx ~rid:target_rid item)
   with
   | Some (cur_rid, cur_cid), Some target_cid when cur_rid <> target_rid ->
       (* remove from the inner class *)

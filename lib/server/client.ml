@@ -3,8 +3,8 @@
     One {!t} is one server session (one socket, one opened HLI file).
     It carries the back-end session's four queries (equiv, equiv-prob,
     call, hoist-target) and its maintenance calls.  Each query is one
-    [Batch] frame, or in shm mode an equiv or call lookup off the
-    unit's mapped HLIX segment; nothing is memoized client-side, so
+    [Batch] frame, or in shm mode an equiv, equiv-prob or call lookup
+    off the unit's mapped HLIX segment; nothing is memoized client-side, so
     every answer is the server session's [Maintain.queried] answer.
 
     Pipelining rides on the server's ordering guarantee: replies come
@@ -526,8 +526,8 @@ let with_seg cl u (f : F.seg -> 'a) : 'a option =
         end
 
 (** Answer one query off the mapped segment, [None] = use the wire.
-    Segments carry no probabilities, and hoist tracks maintained state
-    server-side, so prob and hoist queries always use the wire. *)
+    Hoist tracks maintained state server-side, so hoist queries always
+    use the wire. *)
 let shm_query cl (q : P.query) : P.answer option =
   match q with
   | P.Q_equiv { u; a; b } ->
@@ -538,7 +538,11 @@ let shm_query cl (q : P.query) : P.answer option =
       Option.map
         (fun r -> P.A_call r)
         (with_seg cl u (fun seg -> F.get_call_acc seg ~call ~mem))
-  | P.Q_prob _ | P.Q_hoist_target _ -> None
+  | P.Q_prob { u; a; b } ->
+      Option.map
+        (fun r -> P.A_prob r)
+        (with_seg cl u (fun seg -> F.get_equiv_prob seg a b))
+  | P.Q_hoist_target _ -> None
 
 let shm_active cl u = cl.shm && Hashtbl.mem cl.shm_units u
 
@@ -559,9 +563,12 @@ let call_acc cl ~u ~call ~mem =
       | _ -> net_raise "E1105" "answer kind mismatch (call)")
 
 let equiv_prob cl ~u a b =
-  match one cl (P.Q_prob { u; a; b }) with
-  | P.A_prob r -> r
-  | _ -> net_raise "E1105" "answer kind mismatch (equiv_prob)"
+  match with_seg cl u (fun seg -> F.get_equiv_prob seg a b) with
+  | Some r -> r
+  | None -> (
+      match one cl (P.Q_prob { u; a; b }) with
+      | P.A_prob r -> r
+      | _ -> net_raise "E1105" "answer kind mismatch (equiv_prob)")
 
 let hoist_target cl ~u item =
   match one cl (P.Q_hoist_target { u; item }) with

@@ -3,8 +3,8 @@
     It carries the back-end session's four queries (equiv, equiv-prob,
     call, hoist-target) and its maintenance calls, the functions
     [Harness.Remote] wraps into a [Backend.Hli_import.session].  Each
-    query is one [Batch] frame, or in shm mode an equiv or call lookup
-    off the unit's mapped HLIX segment.  Nothing is memoized
+    query is one [Batch] frame, or in shm mode an equiv, equiv-prob or
+    call lookup off the unit's mapped HLIX segment.  Nothing is memoized
     client-side: every answer is the server session's, read from the
     index as of the unit's last [refresh] barrier.
 
@@ -93,8 +93,8 @@ val equiv_prob :
   t -> u:string -> int -> int -> Hli_core.Query.equiv_result * int
 (** Confidence-weighted equiv: the engine's [get_equiv_prob] — the
     equiv answer plus a per-mille confidence from the HLI3 probability
-    sections.  Always answered on the wire (HLIX segments don't carry
-    alias probabilities). *)
+    sections.  In shm mode it is answered off the segment, like
+    {!equiv_acc}. *)
 
 (** {2 Shared-memory fast path} *)
 
@@ -102,7 +102,7 @@ val shm_query : t -> Protocol.query -> Protocol.answer option
 (** Answer one query off the unit's mapped HLIX segment, [None] = not
     answerable off shm (shm off, no segment, seqlock retries
     exhausted, or an uncommitted maintenance window) — send it over
-    the wire instead.  Prob and hoist queries always return [None].
+    the wire instead.  Hoist queries always return [None].
     Never returns a wrong answer: lookups are accepted only under an
     even, unchanged generation, and images are CRC/content-hash
     revalidated whenever the generation moves. *)

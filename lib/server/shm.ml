@@ -1,12 +1,13 @@
 (** HLIX segment publisher — the server side of the shared-memory
     query fast path.
 
-    One {!pub} is one published segment file: an mmap'd HLIX image of
-    a unit's query index that co-located clients map read-only and
-    query without touching the socket.
+    One {!pub} is one published segment file: a unit's query index's
+    own HLIX image, sealed with its content hash and CRC, that
+    co-located clients map read-only and query without touching the
+    socket.
 
-    Publication is atomic: the segment is built into a temp file in
-    the target directory, mapped, stamped with an even generation,
+    Publication is atomic: the image is copied into a temp file in
+    the target directory, sealed, stamped with an even generation,
     and [rename(2)]d into place — a reader can never observe a
     half-written file at the advertised path.
 
@@ -39,18 +40,19 @@ let map_rw fd cap : F.seg =
   Bigarray.array1_of_genarray
     (Unix.map_file fd Bigarray.int8_unsigned Bigarray.c_layout true [| cap |])
 
-let blit_range (b : Bytes.t) (seg : F.seg) lo hi =
-  for i = lo to hi - 1 do
-    Bigarray.Array1.unsafe_set seg i (Char.code (Bytes.unsafe_get b i))
-  done
+(* copy [img]'s bytes [lo, hi) into the mapping *)
+let blit_range (img : F.seg) (map : F.seg) lo hi =
+  let sub a = Bigarray.Array1.sub a lo (hi - lo) in
+  Bigarray.Array1.blit (sub img) (sub map)
 
-(** Build [idx]'s HLIX image and publish it as [dir]/[name].hlix
-    (atomic tmp+rename), keeping the file mapped read-write for
-    in-place rebuilds.  [hash] is the 16-byte digest of the source
-    HLI container. *)
-let publish ~dir ~name ~hash idx : pub =
-  let bytes = F.build ~content_hash:hash idx in
-  let cap = round_cap (Bytes.length bytes) in
+(** Publish [idx]'s own HLIX image as [dir]/[name].hlix (atomic
+    tmp+rename), sealed with [hash] (the 16-byte digest of the source
+    HLI container), and keep the file mapped read-write for in-place
+    rebuilds. *)
+let publish ~dir ~name ~hash (idx : Hli_core.Query.index) : pub =
+  let img = idx.Hli_core.Query.image in
+  let len = Bigarray.Array1.dim img in
+  let cap = round_cap len in
   let path = Filename.concat dir (name ^ ".hlix") in
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd =
@@ -59,7 +61,8 @@ let publish ~dir ~name ~hash idx : pub =
   (try
      Unix.ftruncate fd cap;
      let map = map_rw fd cap in
-     blit_range bytes map 0 (Bytes.length bytes);
+     blit_range img map 0 len;
+     F.seal ~content_hash:hash map;
      F.set_generation map 2;
      Unix.rename tmp path;
      { p_path = path; p_fd = fd; p_map = map; p_cap = cap; p_gen = 2 }
@@ -68,15 +71,14 @@ let publish ~dir ~name ~hash idx : pub =
      (try Unix.unlink tmp with Unix.Unix_error _ -> ());
      raise e)
 
-(** Seqlock in-place rebuild: generation odd -> rewrite the body
-    around the generation word -> generation even (+2).  Readers that
-    sample the generation before and after a lookup can never accept
-    a torn image. *)
-let rebuild pub ~hash idx =
-  let odd = pub.p_gen + 1 in
-  F.set_generation pub.p_map odd;
-  let bytes = F.build ~content_hash:hash idx in
-  let len = Bytes.length bytes in
+(** Seqlock in-place rebuild to [idx]'s image: generation odd ->
+    rewrite and reseal the body around the generation word ->
+    generation even (+2).  Readers that sample the generation before
+    and after a lookup can never accept a torn image. *)
+let rebuild pub ~hash (idx : Hli_core.Query.index) =
+  let img = idx.Hli_core.Query.image in
+  let len = Bigarray.Array1.dim img in
+  F.set_generation pub.p_map (pub.p_gen + 1);
   if len > pub.p_cap then begin
     let cap = round_cap len in
     Unix.ftruncate pub.p_fd cap;
@@ -86,8 +88,9 @@ let rebuild pub ~hash idx =
     pub.p_map <- m;
     pub.p_cap <- cap
   end;
-  blit_range bytes pub.p_map 0 F.o_gen;
-  blit_range bytes pub.p_map (F.o_gen + 8) len;
+  blit_range img pub.p_map 0 F.o_gen;
+  blit_range img pub.p_map (F.o_gen + 8) len;
+  F.seal ~content_hash:hash pub.p_map;
   F.set_generation pub.p_map (pub.p_gen + 2);
   pub.p_gen <- pub.p_gen + 2
 

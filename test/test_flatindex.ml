@@ -1,9 +1,10 @@
 (* HLIX (lib/core/flatindex.ml) correctness + corruption harness.
 
-   1. Differential: for every workload entry, both queries answered
-      off the flat segment equal the reference oracle ([Query_ref], the
-      list-walking engine) — equiv_acc and call_acc over all sampled
-      item pairs (absent ids included).
+   1. Differential: for every workload entry, the three queries
+      answered off the flat segment equal the reference oracle
+      ([Query_ref], the list-walking engine) — equiv_acc, equiv_prob
+      and call_acc over all sampled item pairs (absent ids included).
+      A segment of any other HLIX version is rejected with E0631.
    2. All-prefix truncation: every strict prefix of a segment must be
       rejected by [Flatindex.validate] with a precise E063x code
       (truncations land on E0632 — the stored total_len can never fit).
@@ -71,6 +72,15 @@ let take n xs =
 let pp_equiv r = Format.asprintf "%a" Q.pp_equiv_result r
 let pp_call r = Format.asprintf "%a" Q.pp_call_acc r
 
+(* the entry's image, sealed as hlid publishes it *)
+let sealed hash e =
+  let seg, _dups = F.build e in
+  F.seal ~content_hash:hash seg;
+  seg
+
+let bytes_of_seg (seg : F.seg) =
+  Bytes.init (Bigarray.Array1.dim seg) (fun i -> Char.chr seg.{i})
+
 (* ------------------------------------------------------------------ *)
 (* 1: differential vs the reference oracle                             *)
 (* ------------------------------------------------------------------ *)
@@ -88,6 +98,11 @@ let differential name (e : T.hli_entry) ref_idx seg =
           if want <> got then
             fail "%s/%s equiv %d %d: oracle %s, segment %s" name u a b
               (pp_equiv want) (pp_equiv got);
+          let (wr, wp) as want = R.get_equiv_prob ref_idx a b
+          and ((gr, gp) as got) = F.get_equiv_prob seg a b in
+          if want <> got then
+            fail "%s/%s equiv_prob %d %d: oracle %s/%d, segment %s/%d" name u
+              a b (pp_equiv wr) wp (pp_equiv gr) gp;
           let want = R.get_call_acc ref_idx ~call:a ~mem:b
           and got = F.get_call_acc seg ~call:a ~mem:b in
           if want <> got then
@@ -289,9 +304,7 @@ let () =
       let hash = Digest.string wire in
       List.iter
         (fun (e : T.hli_entry) ->
-          let idx = Q.build e in
-          let bytes = F.build ~content_hash:hash idx in
-          let seg = F.seg_of_bytes bytes in
+          let seg = sealed hash e in
           (match F.validate ~expect_hash:hash seg with
           | () -> ()
           | exception ex ->
@@ -304,13 +317,21 @@ let () =
               if c.S.c_code <> "E0634" then
                 fail "%s/%s: wrong hash rejected as %s, want E0634" name
                   e.T.unit_name c.S.c_code);
+          (* the version gate: a version-3 image is refused *)
+          let v3 = F.seg_of_bytes (bytes_of_seg seg) in
+          v3.{4} <- 3;
+          (match F.validate ~expect_hash:hash v3 with
+          | () -> fail "%s/%s: version-3 segment accepted" name e.T.unit_name
+          | exception S.Corrupt c ->
+              if c.S.c_code <> "E0631" then
+                fail "%s/%s: version-3 segment rejected as %s, want E0631" name
+                  e.T.unit_name c.S.c_code);
           differential name e (R.build e) seg)
         entries;
       (* sweeps on the first (largest-coverage) entry per workload *)
       match entries with
       | e :: _ ->
-          let idx = Q.build e in
-          let bytes = F.build ~content_hash:hash idx in
+          let bytes = bytes_of_seg (sealed hash e) in
           truncations name hash bytes truncs;
           mutations name hash (R.build e)
             ~probe:(take 4 (items_of_entry e))

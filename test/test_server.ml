@@ -370,6 +370,47 @@ let shm_tests =
                           "post-refresh lookups served off shm"
                           mid.C.wire_fallbacks after.C.wire_fallbacks)))
         | [] -> Alcotest.fail "workload has no items");
+    Alcotest.test_case "shm answers equiv_prob off the segment, the wire\
+                        inside a maintenance window" `Quick (fun () ->
+        let entries = entries_of_workload "034.mdljdp2" in
+        let pairs e =
+          let items = take 10 (items_of_entry e) @ [ 999_999_983 ] in
+          List.concat_map (fun a -> List.map (fun b -> (a, b)) items) items
+        in
+        let check_probs cl e pairs =
+          let u = e.T.unit_name and r = Query_ref.build e in
+          List.iter
+            (fun (a, b) ->
+              Alcotest.check prob_result
+                (Printf.sprintf "%s equiv_prob %d %d" u a b)
+                (Query_ref.get_equiv_prob r a b)
+                (C.equiv_prob cl ~u a b))
+            pairs
+        in
+        with_shm_dir (fun dir ->
+            with_server ~shm_dir:dir (fun path _srv ->
+                with_client ~shm:true path (fun cl ->
+                    ignore (C.open_hli_bytes cl (wire_of entries));
+                    let before = C.shm_stats () in
+                    List.iter (fun e -> check_probs cl e (pairs e)) entries;
+                    Alcotest.(check int)
+                      "no wire fallbacks" before.C.wire_fallbacks
+                      (C.shm_stats ()).C.wire_fallbacks;
+                    Alcotest.(check int)
+                      "hlid answered no equiv_prob" 0
+                      (json_int "\"equiv_prob\":" (C.server_stats cl));
+                    (* a notify opens the window: the same answers (the
+                       queried index is the pre-edit one) come from hlid *)
+                    let e = List.find (fun e -> items_of_entry e <> []) entries in
+                    let u = e.T.unit_name in
+                    ignore
+                      (C.notify_gen cl ~u ~like:(List.hd (items_of_entry e)) ~line:5);
+                    let window = take 7 (pairs e) in
+                    check_probs cl e window;
+                    Alcotest.(check int)
+                      "window queries answered by hlid" (List.length window)
+                      (json_int "\"equiv_prob\":" (C.server_stats cl));
+                    C.refresh cl ~u))));
     Alcotest.test_case "corrupt segment falls back to the wire" `Quick
       (fun () ->
         let entries = Lazy.force wc_entries in
