@@ -102,8 +102,9 @@ let analyze (prog : Tast.program) (pt : Pointsto.result) : t =
   done;
   { summaries; pointsto = pt }
 
-(** Effect of calling [name]: the function's summary, or the empty
-    summary for pure builtins; [All]/[All] for unknown functions. *)
+(** Effect of calling [name]: the function's summary, the empty
+    summary for a builtin (none touches user memory; see {!Builtins}),
+    and [All]/[All] for unknown functions. *)
 let call_effect (t : t) name : summary =
   match Hashtbl.find_opt t.summaries name with
   | Some s -> s
