@@ -5,8 +5,6 @@ open Srclang
 type t = {
   callees : (string, string list) Hashtbl.t;
       (** user functions called by each function (deduplicated) *)
-  builtin_calls : (string, string list) Hashtbl.t;
-      (** builtin functions called by each function *)
   callers : (string, string list) Hashtbl.t;
 }
 
@@ -20,16 +18,12 @@ let calls_in_func (f : Tast.func) : string list =
 let dedup l = List.sort_uniq compare l
 
 let build (prog : Tast.program) : t =
-  let callees = Hashtbl.create 16
-  and builtin_calls = Hashtbl.create 16
-  and callers = Hashtbl.create 16 in
+  let callees = Hashtbl.create 16 and callers = Hashtbl.create 16 in
   let is_user name = Option.is_some (Tast.find_func prog name) in
   List.iter
     (fun (f : Tast.func) ->
-      let all = calls_in_func f in
-      let user, builtin = List.partition is_user all in
+      let user = List.filter is_user (calls_in_func f) in
       Hashtbl.replace callees f.Tast.name (dedup user);
-      Hashtbl.replace builtin_calls f.Tast.name (dedup builtin);
       List.iter
         (fun callee ->
           let prev = Option.value ~default:[] (Hashtbl.find_opt callers callee) in
@@ -37,13 +31,10 @@ let build (prog : Tast.program) : t =
             Hashtbl.replace callers callee (f.Tast.name :: prev))
         (dedup user))
     prog.Tast.funcs;
-  { callees; builtin_calls; callers }
+  { callees; callers }
 
 let callees t name = Option.value ~default:[] (Hashtbl.find_opt t.callees name)
 let callers t name = Option.value ~default:[] (Hashtbl.find_opt t.callers name)
-
-let builtins_called t name =
-  Option.value ~default:[] (Hashtbl.find_opt t.builtin_calls name)
 
 (** Every user function reachable from [name] through calls, sorted by
     name ([name] itself included only when it is recursive).  This is

@@ -234,10 +234,3 @@ let analyze (prog : Tast.program) : result =
       constrs
   done;
   res
-
-let pp_target ppf = function
-  | Universe -> Fmt.string ppf "<universe>"
-  | Syms set ->
-      Fmt.pf ppf "{%a}"
-        Fmt.(list ~sep:comma Symbol.pp)
-        (Symbol.Set.elements set)

@@ -36,14 +36,6 @@ let fresh_stats () =
     spec_checks = 0;
   }
 
-let add_stats a b =
-  a.total <- a.total + b.total;
-  a.gcc_yes <- a.gcc_yes + b.gcc_yes;
-  a.hli_yes <- a.hli_yes + b.hli_yes;
-  a.combined_yes <- a.combined_yes + b.combined_yes;
-  a.spec_edges_dropped <- a.spec_edges_dropped + b.spec_edges_dropped;
-  a.spec_checks <- a.spec_checks + b.spec_checks
-
 (** The latency of an edge that waits for its producer's result: a RAW
     register edge, or a store-to-load edge.  {!Sched.schedule_block}
     resolves it with {!Machdesc.latency} of the edge's source; every

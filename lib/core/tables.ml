@@ -145,11 +145,6 @@ let items_of_line entry line =
 let all_items entry =
   List.concat_map (fun le -> List.map (fun it -> it.item_id) le.items) entry.line_table
 
-let acc_to_string = function
-  | Acc_load -> "load"
-  | Acc_store -> "store"
-  | Acc_call -> "call"
-
 let pp_member ppf = function
   | Member_item id -> Fmt.pf ppf "i%d" id
   | Member_subclass { sub_region; cls } -> Fmt.pf ppf "R%d.c%d" sub_region cls

@@ -93,21 +93,6 @@ let severity_name = function
   | Warning -> "warning"
   | Error -> "error"
 
-let phase_name = function
-  | Lex -> "lex"
-  | Parse -> "parse"
-  | Typecheck -> "typecheck"
-  | Analysis -> "analysis"
-  | Hligen -> "hligen"
-  | Lower -> "lower"
-  | Import -> "hli-import"
-  | Opt p -> "pass:" ^ p
-  | Sched -> "sched"
-  | Sim -> "sim"
-  | Driver -> "driver"
-  | Io -> "io"
-  | Net -> "net"
-
 (** [file:line:col: severity[CODE]: message]; position segments are
     omitted when unknown. *)
 let pp ppf (d : t) =

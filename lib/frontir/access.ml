@@ -25,16 +25,6 @@ type t = {
   is_store : bool;
 }
 
-let base_symbol t =
-  match t.base with
-  | Direct s -> Some s
-  | Through_ptr _ | Unknown_ptr | Stack_arg _ | Incoming_arg _ -> None
-
-let pointer_symbol t =
-  match t.base with
-  | Through_ptr p -> Some p
-  | Direct _ | Unknown_ptr | Stack_arg _ | Incoming_arg _ -> None
-
 (** Descriptor for an lvalue that is known to be a memory access.
     [is_store] distinguishes the final read/write of the location. *)
 let of_lvalue ~is_store (lv : Tast.lvalue) : t =

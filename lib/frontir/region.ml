@@ -60,20 +60,6 @@ let rec unit_region r =
 (** All regions in the subtree rooted at [r], preorder. *)
 let rec all r = r :: List.concat_map all r.subs
 
-let find_by_id root rid = List.find_opt (fun r -> r.rid = rid) (all root)
-
-(** Innermost region in the subtree of [root] whose line span contains
-    [line].  Falls back to [root]. *)
-let innermost_containing root line =
-  let rec go r =
-    match
-      List.find_opt (fun s -> line >= s.first_line && line <= s.last_line) r.subs
-    with
-    | Some s -> go s
-    | None -> r
-  in
-  go root
-
 (** Is [inner] equal to or nested (transitively) inside [outer]? *)
 let rec is_within ~outer inner =
   inner.rid = outer.rid

@@ -50,13 +50,6 @@ let is_global t = t.storage = Global
 let pp ppf t =
   Fmt.pf ppf "%s#%d" t.name t.id
 
-let pp_full ppf t =
-  let sto =
-    match t.storage with Global -> "global" | Local -> "local" | Param -> "param"
-  in
-  Fmt.pf ppf "%s#%d : %a (%s%s)" t.name t.id Types.pp t.ty sto
-    (if t.addr_taken then ", &taken" else "")
-
 module Map = Map.Make (struct
   type nonrec t = t
 

@@ -168,6 +168,3 @@ and pp_lvalue ppf lv =
   | Lvar s -> Symbol.pp ppf s
   | Lindex (base, idx) -> Fmt.pf ppf "%a[%a]" pp_lvalue base pp_expr idx
   | Lderef e -> Fmt.pf ppf "*(%a)" pp_expr e
-
-let expr_to_string e = Fmt.str "%a" pp_expr e
-let lvalue_to_string lv = Fmt.str "%a" pp_lvalue lv

@@ -43,7 +43,6 @@ let is_arith = function
   | Tint | Tdouble -> true
   | Tvoid | Tptr _ | Tarray _ -> false
 
-let is_array = function Tarray _ -> true | _ -> false
 let is_pointer = function Tptr _ -> true | _ -> false
 
 (** Array-of-T decays to pointer-to-T in expression contexts, as in C. *)
