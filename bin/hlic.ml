@@ -84,18 +84,18 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
               Fmt.pr "wrote %s (%d bytes)@." out
                 (Hli_core.Serialize.container_bytes c.Harness.Pipeline.hli)
           | None -> ());
-          let md_is_4600 = machine = "r4600" in
-          let rtl =
-            match (use_hli, md_is_4600) with
-            | true, true -> Harness.Pipeline.rtl_hli_r4600 c
-            | true, false -> Harness.Pipeline.rtl_hli_r10000 c
-            | false, true -> Harness.Pipeline.rtl_gcc_r4600 c
-            | false, false -> Harness.Pipeline.rtl_gcc_r10000 c
+          let v =
+            {
+              Driver.Variant.alias =
+                (if use_hli then Backend.Ddg.With_hli else Backend.Ddg.Gcc_only);
+              machine = (if machine = "r4600" then Driver.Variant.R4600 else R10000);
+            }
           in
+          let scheduled = Harness.Pipeline.scheduled_of c v in
           if dump_rtl then
             List.iter
               (fun fn -> Fmt.pr "%a@." Backend.Rtl.pp_fn fn)
-              rtl.Backend.Rtl.fns;
+              scheduled.Driver.Pass.s_rtl.Backend.Rtl.fns;
           List.iter
             (fun n ->
               Fmt.pr "%s: %s@." n.Driver.Pass.n_pass n.Driver.Pass.n_text)
@@ -112,26 +112,18 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
             Fmt.pr "speculation: edges_dropped=%d checks=%d@."
               s.Backend.Ddg.spec_edges_dropped s.Backend.Ddg.spec_checks;
           if run then begin
-            let m =
-              if md_is_4600 then Machine.Simulate.R4600
-              else Machine.Simulate.R10000
-            in
-            let md = Driver.Variant.machdesc_of ablation
-                (Driver.Variant.{ alias = Backend.Ddg.Gcc_only;
-                                  machine = (if md_is_4600 then R4600 else R10000) })
-            in
             let r =
-              Harness.Telemetry.span ~tm "machine.simulate" (fun () ->
-                  Machine.Simulate.run ~md m rtl)
+              Driver.Pass_manager.simulate
+                (Driver.Pass.ctx ~spanf:(Harness.Pipeline.spanf ~tm ()) ~variant:v ~ablation ())
+                scheduled
             in
+            let name = Machine.Simulate.machine_name (Driver.Variant.sim_machine v.machine) in
             Fmt.pr "%s" r.Machine.Simulate.output;
-            Fmt.pr "[%s] %d cycles, %d instructions, L1 %d/%d hits/misses@."
-              (Machine.Simulate.machine_name m)
+            Fmt.pr "[%s] %d cycles, %d instructions, L1 %d/%d hits/misses@." name
               r.Machine.Simulate.cycles r.Machine.Simulate.dyn_insns
               r.Machine.Simulate.l1_hits r.Machine.Simulate.l1_misses;
             if r.Machine.Simulate.misspeculations > 0 then
-              Fmt.pr "[%s] %d misspeculation(s) recovered@."
-                (Machine.Simulate.machine_name m)
+              Fmt.pr "[%s] %d misspeculation(s) recovered@." name
                 r.Machine.Simulate.misspeculations
           end;
           if stats then begin
