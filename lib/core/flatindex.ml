@@ -161,6 +161,30 @@ let u32 (seg : seg) off =
 (* Builder                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Int- and pair-keyed tables: the generic [Hashtbl] hashes and compares
+   every key through the polymorphic runtime primitives, a measurable
+   cost per build and per memo lookup.  A multiplicative mix is enough;
+   bucket selection uses the low bits of the hash, and multiplication
+   only propagates entropy upward, so the high half of the key (the
+   first id of a key {!Query} packs from two) is folded down first. *)
+let mix x =
+  let x = x lxor (x lsr 21) in
+  x * 0x9E3779B1 land max_int
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash = mix
+end)
+
+module Ptbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash ((a, b) : t) = mix ((a * 0x9E3779B1) + b)
+end)
+
 external set16 : seg -> int -> int -> unit = "%caml_bigstring_set16"
 external set32 : seg -> int -> int32 -> unit = "%caml_bigstring_set32"
 
@@ -179,18 +203,18 @@ let pu16 (seg : seg) off v = set16 seg off (if big_endian () then bswap16 v else
 let build (entry : hli_entry) : seg * int list =
   let dups = ref [] in
   (* regions: one per id, the last listed wins, kept in entry order *)
-  let by_id = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace by_id r.region_id r) entry.regions;
+  let by_id = Itbl.create 16 in
+  List.iter (fun r -> Itbl.replace by_id r.region_id r) entry.regions;
   let regions =
     Array.of_list
-      (List.filter (fun r -> Hashtbl.find by_id r.region_id == r) entry.regions)
+      (List.filter (fun r -> Itbl.find by_id r.region_id == r) entry.regions)
   in
   let n_regions = Array.length regions in
-  let ridx = Hashtbl.create 16 in
-  Array.iteri (fun i r -> Hashtbl.replace ridx r.region_id i) regions;
-  let ridx_or_none rid = Option.value ~default:none (Hashtbl.find_opt ridx rid) in
+  let ridx = Itbl.create 16 in
+  Array.iteri (fun i r -> Itbl.replace ridx r.region_id i) regions;
+  let ridx_or_none rid = Option.value ~default:none (Itbl.find_opt ridx rid) in
   (* innermost class of each item (last wins) and the subclass links *)
-  let direct = Hashtbl.create 64 and class_up = Hashtbl.create 16 in
+  let direct = Itbl.create 64 and class_up = Ptbl.create 16 in
   List.iter
     (fun r ->
       List.iter
@@ -198,10 +222,10 @@ let build (entry : hli_entry) : seg * int list =
           List.iter
             (function
               | Member_item id ->
-                  if Hashtbl.mem direct id then dups := id :: !dups;
-                  Hashtbl.replace direct id (r.region_id, c.class_id)
+                  if Itbl.mem direct id then dups := id :: !dups;
+                  Itbl.replace direct id (r.region_id, c.class_id)
               | Member_subclass { sub_region; cls } ->
-                  Hashtbl.replace class_up (sub_region, cls) (r.region_id, c.class_id))
+                  Ptbl.replace class_up (sub_region, cls) (r.region_id, c.class_id))
             c.members)
         r.eq_classes)
     entry.regions;
@@ -218,61 +242,61 @@ let build (entry : hli_entry) : seg * int list =
         else best)
       None entry.regions
   in
-  let lines = Hashtbl.create 64 in
+  let lines = Itbl.create 64 in
   List.iter
     (fun le ->
       if le.items <> [] then begin
         let r0 =
           match innermost le.line_no with
-          | Some r -> Hashtbl.find ridx r.region_id
+          | Some r -> Itbl.find ridx r.region_id
           | None -> none
         in
         List.iter
           (fun it ->
-            if Hashtbl.mem lines it.item_id then dups := it.item_id :: !dups;
-            Hashtbl.replace lines it.item_id (le.line_no, it.acc, r0))
+            if Itbl.mem lines it.item_id then dups := it.item_id :: !dups;
+            Itbl.replace lines it.item_id (le.line_no, it.acc, r0))
           le.items
       end)
     entry.line_table;
   (* each item's (region, class) chain, innermost first; capped at the
      number of subclass links so a cyclic relation terminates *)
-  let max_chain = Hashtbl.length class_up + 1 in
+  let max_chain = Ptbl.length class_up + 1 in
   let rec walk acc n rc =
     let acc = rc :: acc in
     if n >= max_chain then List.rev acc
     else
-      match Hashtbl.find_opt class_up rc with
+      match Ptbl.find_opt class_up rc with
       | Some up -> walk acc (n + 1) up
       | None -> List.rev acc
   in
   let items = ref [] and chain_total = ref 0 in
   let add id =
-    let chain = match Hashtbl.find_opt direct id with Some rc -> walk [] 1 rc | None -> [] in
+    let chain = match Itbl.find_opt direct id with Some rc -> walk [] 1 rc | None -> [] in
     chain_total := !chain_total + List.length chain;
     items := (id, chain) :: !items
   in
-  Hashtbl.iter (fun id _ -> add id) direct;
-  Hashtbl.iter (fun id _ -> if not (Hashtbl.mem direct id) then add id) lines;
+  Itbl.iter (fun id _ -> add id) direct;
+  Itbl.iter (fun id _ -> if not (Itbl.mem direct id) then add id) lines;
   (* (region, class) -> kind: the first class with the id in the
      region wins *)
-  let kinds = Hashtbl.create 64 in
+  let kinds = Ptbl.create 64 in
   Array.iter
     (fun r ->
       List.iter
         (fun c ->
-          if not (Hashtbl.mem kinds (r.region_id, c.class_id)) then
-            Hashtbl.replace kinds (r.region_id, c.class_id) c.kind)
+          if not (Ptbl.mem kinds (r.region_id, c.class_id)) then
+            Ptbl.replace kinds (r.region_id, c.class_id) c.kind)
         r.eq_classes)
     regions;
   (* per region: class id -> slot in its alias cells *)
   let slots =
     Array.map
       (fun r ->
-        let h = Hashtbl.create 8 in
+        let h = Itbl.create 8 in
         List.iter
           (fun ae ->
             List.iter
-              (fun c -> if not (Hashtbl.mem h c) then Hashtbl.replace h c (Hashtbl.length h))
+              (fun c -> if not (Itbl.mem h c) then Itbl.replace h c (Itbl.length h))
               ae.alias_classes)
           r.aliases;
         h)
@@ -283,10 +307,10 @@ let build (entry : hli_entry) : seg * int list =
     Array.map
       (fun r ->
         let rec up acc n r =
-          let acc = Hashtbl.find ridx r.region_id :: acc in
+          let acc = Itbl.find ridx r.region_id :: acc in
           match r.parent with
           | Some p when n < n_regions -> (
-              match Hashtbl.find_opt by_id p with
+              match Itbl.find_opt by_id p with
               | Some pr -> up acc (n + 1) pr
               | None -> List.rev acc)
           | _ -> List.rev acc
@@ -306,7 +330,7 @@ let build (entry : hli_entry) : seg * int list =
           0 r.callrefmods)
   in
   let cells_bytes w = (2 * w * w + 3) land lnot 3 in
-  let alias_bytes = Array.fold_left (fun a h -> a + 4 + cells_bytes (Hashtbl.length h)) 0 slots in
+  let alias_bytes = Array.fold_left (fun a h -> a + 4 + cells_bytes (Itbl.length h)) 0 slots in
   let ups_total = Array.fold_left (fun a u -> a + List.length u) 0 ups in
   let off_items = header_size in
   let off_chain = off_items + (item_size * n_slots) in
@@ -340,7 +364,7 @@ let build (entry : hli_entry) : seg * int list =
       let ioff = off_items + (item_size * !s) in
       if id = none then invalid_arg "Flatindex.build: item id 0xffffffff";
       pu32 seg ioff id;
-      (match Hashtbl.find_opt lines id with
+      (match Itbl.find_opt lines id with
       | Some (line, acc, r0) ->
           pu32 seg (ioff + 4) line;
           pu32 seg (ioff + 8) (match acc with Acc_load -> 0 | Acc_store -> 1 | Acc_call -> 2);
@@ -358,13 +382,13 @@ let build (entry : hli_entry) : seg * int list =
           pu32 seg (e + 4) rid;
           pu32 seg (e + 8) cid;
           pu32 seg (e + 12)
-            (match Hashtbl.find_opt kinds (rid, cid) with
+            (match Ptbl.find_opt kinds (rid, cid) with
             | Some Definitely -> 0
             | Some Maybe -> 1
             | None -> 2);
           pu32 seg (e + 16)
             (if ri = none then none
-             else Option.value ~default:none (Hashtbl.find_opt slots.(ri) cid));
+             else Option.value ~default:none (Itbl.find_opt slots.(ri) cid));
           chain_off := e + chain_size)
         chain)
     !items;
@@ -419,7 +443,7 @@ let build (entry : hli_entry) : seg * int list =
         ups.(i);
       (* cells: the first entry listing both classes sets the pair *)
       let aoff = !alias_off and h = slots.(i) in
-      let w = Hashtbl.length h in
+      let w = Itbl.length h in
       pu32 seg (roff + 28) aoff;
       pu32 seg aoff w;
       for c = 0 to (w * w) - 1 do
@@ -430,7 +454,7 @@ let build (entry : hli_entry) : seg * int list =
           let p = Option.value ~default:default_maybe_prob ae.alias_prob in
           if p < 0 || p >= no_alias then
             invalid_arg (Printf.sprintf "Flatindex.build: alias probability %d" p);
-          let ss = List.map (Hashtbl.find h) ae.alias_classes in
+          let ss = List.map (Itbl.find h) ae.alias_classes in
           List.iter
             (fun x ->
               List.iter

@@ -203,24 +203,6 @@ let default_maybe_prob = F.default_maybe_prob
 (* The index                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Specialized int-keyed hash table for the memo caches: the generic
-   [Hashtbl] hashes every key through the polymorphic runtime hash,
-   which is a measurable per-query cost; a multiplicative mix of the
-   packed pair key is enough (the low bits of the pack are one item id,
-   so identity hashing would collide pathologically). *)
-module Imemo = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-
-  (* bucket selection uses the low bits of the hash, and multiplication
-     only propagates entropy upward — fold the high half (the first
-     packed id) down before mixing *)
-  let hash x =
-    let x = x lxor (x lsr 21) in
-    x * 0x9E3779B1 land max_int
-end)
-
 type index = {
   entry : hli_entry;
   image : F.seg;  (** the unit's HLIX image, unsealed *)
@@ -229,10 +211,11 @@ type index = {
      these as a warning *)
   dup_items : int list;
   (* --- memo tables (per index; single-domain) --- *)
-  (* keyed by two item ids packed into one int (see [memo_key]) *)
-  equiv_memo : equiv_result Imemo.t;
-  call_memo : call_acc_result Imemo.t;
-  prob_memo : (equiv_result * int) Imemo.t;
+  (* keyed by two item ids packed into one int (see [memo_key]); the
+     table's hash mixes the high half down, so packed keys spread *)
+  equiv_memo : equiv_result F.Itbl.t;
+  call_memo : call_acc_result F.Itbl.t;
+  prob_memo : (equiv_result * int) F.Itbl.t;
 }
 
 (* Pack an id pair into one int key: cheaper to hash than a tuple and
@@ -253,9 +236,9 @@ let build (entry : hli_entry) : index =
     entry;
     image;
     dup_items;
-    equiv_memo = Imemo.create 256;
-    call_memo = Imemo.create 64;
-    prob_memo = Imemo.create 64;
+    equiv_memo = F.Itbl.create 256;
+    call_memo = F.Itbl.create 64;
+    prob_memo = F.Itbl.create 64;
   }
 
 (** Item ids that occurred more than once in the line table or in the
@@ -271,15 +254,15 @@ let duplicate_items idx = idx.dup_items
 let invalidate idx =
   let s = shard () in
   s.s_invalidations <- s.s_invalidations + 1;
-  Imemo.reset idx.equiv_memo;
-  Imemo.reset idx.call_memo;
-  Imemo.reset idx.prob_memo
+  F.Itbl.reset idx.equiv_memo;
+  F.Itbl.reset idx.call_memo;
+  F.Itbl.reset idx.prob_memo
 
 (** Number of memoized answers currently held (tests use this to prove
     invalidation). *)
 let memo_size idx =
-  Imemo.length idx.equiv_memo + Imemo.length idx.call_memo
-  + Imemo.length idx.prob_memo
+  F.Itbl.length idx.equiv_memo + F.Itbl.length idx.call_memo
+  + F.Itbl.length idx.prob_memo
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -310,14 +293,14 @@ let get_equiv_acc idx item_a item_b =
   let s = shard () in
   s.s_equiv_acc <- s.s_equiv_acc + 1;
   let key = pair_key item_a item_b in
-  match if key < 0 then raise Not_found else Imemo.find idx.equiv_memo key with
-  | r ->
+  match if key < 0 then None else F.Itbl.find_opt idx.equiv_memo key with
+  | Some r ->
       s.s_equiv_hits <- s.s_equiv_hits + 1;
       r
-  | exception Not_found ->
+  | None ->
       s.s_equiv_misses <- s.s_equiv_misses + 1;
       let r = F.get_equiv_acc idx.image item_a item_b in
-      if key >= 0 then Imemo.replace idx.equiv_memo key r;
+      if key >= 0 then F.Itbl.replace idx.equiv_memo key r;
       r
 
 (** {!get_equiv_acc} with a per-mille confidence attached (see
@@ -329,11 +312,11 @@ let get_equiv_prob idx item_a item_b =
   let s = shard () in
   s.s_equiv_prob <- s.s_equiv_prob + 1;
   let key = pair_key item_a item_b in
-  match if key < 0 then raise Not_found else Imemo.find idx.prob_memo key with
-  | r -> r
-  | exception Not_found ->
+  match if key < 0 then None else F.Itbl.find_opt idx.prob_memo key with
+  | Some r -> r
+  | None ->
       let r = F.get_equiv_prob idx.image item_a item_b in
-      if key >= 0 then Imemo.replace idx.prob_memo key r;
+      if key >= 0 then F.Itbl.replace idx.prob_memo key r;
       r
 
 (** May the call item [call] reference or modify the location of memory
@@ -343,14 +326,14 @@ let get_call_acc idx ~call ~mem =
   let s = shard () in
   s.s_call_acc <- s.s_call_acc + 1;
   let key = if memo_packable call mem then memo_key call mem else -1 in
-  match if key < 0 then raise Not_found else Imemo.find idx.call_memo key with
-  | r ->
+  match if key < 0 then None else F.Itbl.find_opt idx.call_memo key with
+  | Some r ->
       s.s_call_hits <- s.s_call_hits + 1;
       r
-  | exception Not_found ->
+  | None ->
       s.s_call_misses <- s.s_call_misses + 1;
       let r = F.get_call_acc idx.image ~call ~mem in
-      if key >= 0 then Imemo.replace idx.call_memo key r;
+      if key >= 0 then F.Itbl.replace idx.call_memo key r;
       r
 
 (* the region with id [rid]: the last one listed, as the image keeps *)
