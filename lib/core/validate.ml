@@ -25,7 +25,9 @@
     - E0627 LCDD endpoint names an unknown class of its region
     - E0628 call REF/MOD entry names an unknown region or class
     - E0629 duplicate unit name in the file
-    - E0636 probability section value outside per-mille range 0..1000 *)
+    - E0636 probability section value outside per-mille range 0..1000
+    - E0637 item, region or class id or line number outside
+      0..0xfffffffe, the range of the query image's u32 fields *)
 
 open Tables
 
@@ -50,6 +52,34 @@ let check_entry (e : hli_entry) : issue list =
       (fun m -> issues := { i_code = code; i_unit = e.unit_name; i_msg = m } :: !issues)
       fmt
   in
+  (* every id and line number must fit the query image ({!Flatindex}) *)
+  let u32 what v =
+    if v < 0 || v >= 0xffffffff then add "E0637" "%s %d outside 0..0xfffffffe" what v
+  in
+  List.iter
+    (fun le ->
+      u32 "line" le.line_no;
+      List.iter (fun it -> u32 "item id" it.item_id) le.items)
+    e.line_table;
+  List.iter
+    (fun r ->
+      u32 "region id" r.region_id;
+      u32 "line" r.first_line;
+      u32 "line" r.last_line;
+      List.iter
+        (fun c ->
+          u32 "class id" c.class_id;
+          List.iter
+            (function Member_item id -> u32 "item id" id | Member_subclass _ -> ())
+            c.members)
+        r.eq_classes;
+      List.iter
+        (fun cm ->
+          match cm.call_key with
+          | Key_call_item id -> u32 "item id" id
+          | Key_sub_region _ -> ())
+        r.callrefmods)
+    e.regions;
   (* line table: strictly increasing line numbers *)
   let rec check_lines = function
     | a :: (b :: _ as rest) ->

@@ -509,6 +509,29 @@ let boundary_tests =
         Alcotest.(check string) "encoder raises E0601" "E0601"
           (diag_code (fun () ->
                Testgen.Old_hli1.to_bytes (file [ lcdd (Some (-1)) ]))));
+    Alcotest.test_case "ids beyond the query image's u32 fields are E0637"
+      `Quick (fun () ->
+        let e = fig2_entry () in
+        let huge = 1 lsl 40 in
+        let bump_item le =
+          { le with T.items = List.map (fun it -> { it with T.item_id = huge }) le.T.items }
+        in
+        List.iter
+          (fun (what, e) ->
+            Alcotest.(check (list string)) what [ "E0637" ]
+              (List.sort_uniq compare
+                 (List.map
+                    (fun i -> i.Hli_core.Validate.i_code)
+                    (Hli_core.Validate.check_file { T.entries = [ e ] }))))
+          [
+            ("item id", { e with T.line_table = List.map bump_item e.T.line_table });
+            ( "region line",
+              { e with T.regions = List.map (fun r -> { r with T.last_line = huge }) e.T.regions } );
+          ];
+        Alcotest.(check (list string)) "figure 2 is clean" []
+          (List.map
+             (fun i -> i.Hli_core.Validate.i_code)
+             (Hli_core.Validate.check_file { T.entries = [ e ] })));
     Alcotest.test_case "post-unroll=4 entry round-trips losslessly" `Quick
       (fun () ->
         let e = fig2_entry () in
