@@ -12,7 +12,10 @@
       the serializer fuzz suite): any flipped byte outside the seqlock
       generation word must surface as E0630..E0635; flips inside the
       generation word leave the content intact, so validation must
-      still pass and answers must still match the oracle.
+      still pass and answers must still match the oracle.  A flip
+      inside the body is always caught by the CRC, so sealed images
+      with a bad item table, section offset or alias record check the
+      geometry checks (E0635) directly.
    4. Seqlock torture: one writer domain rebuilding a published
       segment in a storm of Maintain commits while reader domains
       hammer the mapping with generation-checked lookups — every
@@ -171,6 +174,25 @@ let mutations name hash ref_idx ~probe bytes ~muts counter gen_checked =
         else expect_rejected name what hash seg
       end)
     positions
+
+(* resealed images whose geometry is wrong must be precise E0635 *)
+let geometry name hash bytes =
+  let u32 off = Int32.to_int (Bytes.get_int32_le bytes off) in
+  let broken what off v =
+    let b = Bytes.copy bytes in
+    Bytes.set_int32_le b off (Int32.of_int v);
+    let seg = F.seg_of_bytes b in
+    F.seal ~content_hash:hash seg;
+    match F.validate ~expect_hash:hash seg with
+    | () -> fail "%s: %s validated" name what
+    | exception S.Corrupt c ->
+        if c.S.c_code <> "E0635" then
+          fail "%s: %s rejected as %s, want E0635" name what c.S.c_code
+  in
+  broken "a 3-slot item table" F.o_nslots 3;
+  broken "a chain section overlapping the items" F.o_chain (u32 F.o_chain - 4);
+  if u32 F.o_nregions > 0 then
+    broken "an alias record outside its section" (u32 F.o_regions + 28) 0
 
 (* ------------------------------------------------------------------ *)
 (* 4: seqlock torture — writer rebuild storm vs generation-checked     *)
@@ -333,6 +355,7 @@ let () =
       | e :: _ ->
           let bytes = bytes_of_seg (sealed hash e) in
           truncations name hash bytes truncs;
+          geometry name hash bytes;
           mutations name hash (R.build e)
             ~probe:(take 4 (items_of_entry e))
             bytes
