@@ -205,7 +205,7 @@ let default_maybe_prob = F.default_maybe_prob
 
 type index = {
   entry : hli_entry;
-  image : F.seg;  (** the unit's HLIX image, unsealed *)
+  image : F.seg;  (* the unit's HLIX image, unsealed *)
   (* item ids seen more than once in the line table or in equivalence
      classes — the image keeps the last occurrence; importers surface
      these as a warning *)
