@@ -78,7 +78,14 @@ type desc =
   | Ret of operand option
 
 type insn = {
-  uid : int;  (** unique within the function; monotone in program order *)
+  uid : int;
+      (** unique within the function.  Ascending in program order among
+          a block's memory references, the pairs the speculation checks
+          compare; not over every instruction: LICM moves hoisted
+          instructions, which keep their loop-body uids, ahead of the
+          preheader's terminator, and unroll puts fresh-uid copies
+          ahead of the latch's.  Program order is the prefix's block
+          order, never uid order. *)
   desc : desc;
   line : int;  (** source line (0 when synthesized) *)
   mutable item : int option;  (** mapped HLI item (memory refs and calls) *)
