@@ -90,8 +90,8 @@ let () =
     s_hli.Backend.Cse.loads_eliminated s_hli.Backend.Cse.call_purges
     s_hli.Backend.Cse.call_survivals;
   (* both variants must still compute the same answer *)
-  let r1 = Machine.Simulate.run_functional rtl_gcc in
-  let r2 = Machine.Simulate.run_functional rtl_hli in
+  let r1 = Machine.Exec.run rtl_gcc in
+  let r2 = Machine.Exec.run rtl_hli in
   assert (r1.Machine.Exec.output = r2.Machine.Exec.output);
   Fmt.pr "output (both variants): %s" r1.Machine.Exec.output;
   Fmt.pr "dynamic instructions: %d without HLI, %d with@."

@@ -51,7 +51,7 @@ let () =
     Hli_core.Tables.pp_entry entry;
   (* baseline semantics *)
   let rtl0 = Backend.Lower.lower_program prog in
-  let base = Machine.Simulate.run_functional rtl0 in
+  let base = Machine.Exec.run rtl0 in
   (* unroll by 4 with maintenance *)
   let rtl = Backend.Lower.lower_program prog in
   let fn = Option.get (Backend.Rtl.find_fn rtl "recur") in
@@ -76,7 +76,7 @@ let () =
           rtl.Backend.Rtl.fns;
     }
   in
-  let opt = Machine.Simulate.run_functional rtl in
+  let opt = Machine.Exec.run rtl in
   assert (base.Machine.Exec.output = opt.Machine.Exec.output);
   Fmt.pr "output unchanged: %s" base.Machine.Exec.output;
   Fmt.pr "dynamic instructions %d -> %d (loop overhead removed)@."

@@ -33,6 +33,9 @@ type mapped = {
 
 type scheduled = {
   s_rtl : Backend.Rtl.program;
+  s_prefix : Backend.Rtl.program;
+      (** the alias mode's prefix ([m_rtl]), whose instruction records
+          every machine's schedule shares *)
   s_stats : Backend.Ddg.stats;
   s_unmapped : int;
   s_duplicates : int;

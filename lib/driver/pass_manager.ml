@@ -314,6 +314,7 @@ let run_schedule ctx (m : mapped) : schedules =
           ( machine,
             {
               s_rtl = rtl;
+              s_prefix = m.m_rtl;
               s_stats = stats;
               s_unmapped = m.m_unmapped;
               s_duplicates = m.m_duplicates;
@@ -329,3 +330,33 @@ let simulate ctx (s : scheduled) : Machine.Simulate.report =
       let md = Variant.machdesc_of ctx.ablation v in
       Machine.Simulate.run ~fuel:ctx.fuel ~md (Variant.sim_machine v.machine)
         s.s_rtl)
+
+(** A group of variants timed in one interpretation of [prefix]: the
+    schedules that {!Machine.Simulate.member} admitted, with their
+    variants. *)
+type group = {
+  g_prefix : Backend.Rtl.program;
+  g_members : (Variant.t * Machine.Simulate.member) list;
+}
+
+(** [s] as a member of a group over [prefix] in the context's ablation,
+    if it can join one. *)
+let member ctx ~prefix (v : Variant.t) (s : scheduled) =
+  Machine.Simulate.member ~prefix
+    ~md:(Variant.machdesc_of ctx.ablation v)
+    (Variant.sim_machine v.machine) s.s_rtl
+
+(** Simulate a group in one interpretation, in one [machine.simulate]
+    span: one report per member, in order.  A schedule that breaks an
+    order of the prefix (the static check) or inverts an overlapping
+    access pair (the address oracle) raises E0901 naming its variant. *)
+let simulate_group ctx (g : group) : (Variant.t * Machine.Simulate.report) list =
+  ctx.span.spanf "machine.simulate" (fun () ->
+      match
+        Machine.Simulate.run_group ~fuel:ctx.fuel ~prefix:g.g_prefix (List.map snd g.g_members)
+      with
+      | reports -> List.map2 (fun (v, _) r -> (v, r)) g.g_members reports
+      | exception Machine.Simulate.Violation x ->
+          Diagnostics.error ~code:"E0901" ~phase:Diagnostics.Sim "%s %s"
+            (Variant.name (fst (List.nth g.g_members x.Machine.Simulate.member)))
+            (Machine.Simulate.describe x))
