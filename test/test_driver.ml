@@ -4,7 +4,9 @@
    the shape of a compile (one back-end prefix and one DDG build per
    alias mode, scheduled for both machines, each dependence pair
    queried once, E1010 when a prefix context is asked for its machine,
-   E0901 when any variant's output differs from the first's), and a
+   E0901 when any variant's output differs from the first's), E0901
+   from a group's static check and address oracle on hand-built
+   schedules, and a
    golden check that the default pipeline's Table 1/2 output is
    byte-identical to the output recorded before the pass-manager
    refactor (test/golden_tables.txt). *)
@@ -246,6 +248,100 @@ let pipeline_tests =
           ]);
   ]
 
+(* Hand-built groups: [v]'s schedule of [main] with instruction [y]
+   moved to just before [x], for the first pair of a block that [pick]
+   accepts ([x] ahead of [y]).  The other variants keep their
+   schedules, so the edited one still joins their group, whose checks
+   must catch it. *)
+let reschedule (c : Harness.Pipeline.compiled) v pick =
+  let s = List.assoc v c.Harness.Pipeline.variants in
+  let found = ref None in
+  let edit (b : Backend.Rtl.block) =
+    let a = Array.of_list b.Backend.Rtl.insns in
+    let n = Array.length a in
+    for j = n - 1 downto 0 do
+      for k = n - 1 downto j + 1 do
+        if pick a.(j) a.(k) then found := Some (b.Backend.Rtl.bid, a.(j), a.(k))
+      done
+    done;
+    match !found with
+    | Some (bid, x, y) when bid = b.Backend.Rtl.bid ->
+        let rest = List.filter (fun i -> i != y) b.Backend.Rtl.insns in
+        {
+          b with
+          Backend.Rtl.insns = List.concat_map (fun i -> if i == x then [ y; x ] else [ i ]) rest;
+        }
+    | _ -> b
+  in
+  let fns =
+    List.map
+      (fun (f : Backend.Rtl.fn) ->
+        if f.Backend.Rtl.fname <> "main" || !found <> None then f
+        else
+          let blocks = Array.map edit f.Backend.Rtl.blocks in
+          if !found = None then f else { f with Backend.Rtl.blocks })
+      s.Driver.Pass.s_rtl.Backend.Rtl.fns
+  in
+  match !found with
+  | None -> Alcotest.fail "no such pair in main"
+  | Some (_, x, y) ->
+      let s = { s with Driver.Pass.s_rtl = { s.Driver.Pass.s_rtl with Backend.Rtl.fns } } in
+      ( {
+          c with
+          Harness.Pipeline.variants =
+            List.map (fun (w, t) -> (w, if w = v then s else t)) c.Harness.Pipeline.variants;
+        },
+        x,
+        y )
+
+let hli_r4600 = { Driver.Variant.alias = Backend.Ddg.With_hli; machine = Driver.Variant.R4600 }
+
+(* [pick] a pair in [src]'s hli/r4600 schedule, invert it, and expect
+   E0901 naming the variant, both instructions and what [check] found *)
+let caught name src pick ~check =
+  Alcotest.test_case name `Quick (fun () ->
+      let c = Harness.Pipeline.compile ~config:uncached src in
+      let c, x, y = reschedule c hli_r4600 pick in
+      let named (i : Backend.Rtl.insn) =
+        Printf.sprintf "uid %d (line %d)" i.Backend.Rtl.uid i.Backend.Rtl.line
+      in
+      let has sub m =
+        let n = String.length m and k = String.length sub in
+        let rec go i = i + k <= n && (String.sub m i k = sub || go (i + 1)) in
+        go 0
+      in
+      match Harness.Pipeline.measure c with
+      | exception Diagnostics.Diagnostic d ->
+          let m = d.Diagnostics.message in
+          Alcotest.(check string) "code" "E0901" d.Diagnostics.code;
+          List.iter
+            (fun sub -> Alcotest.(check bool) (sub ^ " in: " ^ m) true (has sub m))
+            [ "hli/r4600 "; named x; named y; check ]
+      | _ -> Alcotest.fail "no E0901")
+
+let group_tests =
+  [
+    caught "a member that swaps a RAW register pair is caught"
+      "int g;\nint main() {\n  int a;\n  a = g * 3;\n  print_int(a + g);\n  return 0;\n}\n"
+      (fun x y ->
+        match Backend.Rtl.def x with
+        | Some r -> List.mem r (Backend.Rtl.uses y)
+        | None -> false)
+      ~check:"breaks a register dependence in main";
+    caught "a member that swaps a store and a load of one address is caught"
+      "int g;\nint main() {\n  g = 5;\n  print_int(g);\n  return 0;\n}\n"
+      (fun x y ->
+        Backend.Rtl.is_store x && Backend.Rtl.is_load y
+        && Backend.Rtl.mem_of_insn x = Backend.Rtl.mem_of_insn y)
+      ~check:"reorders overlapping accesses in main";
+    caught "a member that hoists a load above a call storing to it is caught"
+      "int g;\nvoid set() {\n  g = 7;\n}\nint main() {\n  int a;\n  set();\n  a = g;\n  print_int(a);\n  return 0;\n}\n"
+      (fun x y ->
+        (match x.Backend.Rtl.desc with Backend.Rtl.Call ("set", _, _) -> true | _ -> false)
+        && Backend.Rtl.is_load y)
+      ~check:"moves an access across a call that overlaps it in main";
+  ]
+
 (* The front end's spans and HLI-cache counters over one compile of a
    four-function program: uncached, cold, warm, and after an edit to one
    function that leaves the others' fingerprints alone. *)
@@ -360,6 +456,7 @@ let () =
       ("specs", spec_tests);
       ("registry", registry_tests);
       ("pipeline", pipeline_tests);
+      ("group", group_tests);
       ("frontend", frontend_tests);
       ("golden", golden_tests);
     ]

@@ -11,7 +11,10 @@
    its own domain, pipeline 8; speculation sends Q_prob queries), and
    a third time with the equiv and call queries answered off the
    hlid's shm segments; each of those rows must equal the local line, and the shm
-   leg must have mapped a segment.
+   leg must have mapped a segment.  Every compile also passes the
+   static order check that a simulated group runs
+   ([Simulate.check_order]: each schedule keeps its prefix's register
+   dependences, branches and calls in order).
    Nothing is simulated, so every row runs under runtest.
 
      test_schedgolden.exe           check every row
@@ -59,12 +62,17 @@ let rtl_md5 (p : Backend.Rtl.program) =
   List.map (Fmt.str "%a@." Backend.Rtl.pp_fn) p.Backend.Rtl.fns
   |> String.concat "" |> Digest.string |> Digest.to_hex
 
-(* Compile [prog] under [config] and render one line per variant. *)
+(* Compile [prog] under [config], check every schedule's order against
+   its prefix, and render one line per variant. *)
 let lines name config prog =
   let w = Option.get (Workloads.Registry.find prog) in
   let c = P.compile ~config w.Workloads.Workload.source in
   List.map
     (fun (v, (s : Driver.Pass.scheduled)) ->
+      (match Machine.Simulate.check_order ~prefix:s.Driver.Pass.s_prefix s.Driver.Pass.s_rtl with
+      | () -> ()
+      | exception Machine.Simulate.Violation x ->
+          failwith (V.name v ^ " " ^ Machine.Simulate.describe x));
       let st = s.Driver.Pass.s_stats in
       Printf.sprintf "%s %s %s %s %d %d %d %d %d %d" name prog (V.name v)
         (rtl_md5 s.Driver.Pass.s_rtl)
