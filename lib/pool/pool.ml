@@ -12,8 +12,10 @@
       [List.map] — the deterministic reference path the tests compare
       against.
     - {!map} is re-entrant: a task may itself call {!map} on the same
-      pool (the pipeline parallelizes its four variants while the
-      table driver parallelizes workloads).  While waiting for its own
+      pool (the pipeline parallelizes its two alias modes' back ends,
+      and its simulations — one task per group of schedules timed in
+      one interpretation, one per lone variant — while the table
+      driver parallelizes workloads).  While waiting for its own
       batch, a submitter {e helps}: it drains whatever task is queued,
       so nested batches can never deadlock the fixed-size pool.
     - Every task runs to completion even when a sibling raises; the
