@@ -114,6 +114,7 @@ type code = {
   ki : int array;  (** integer constants *)
   kf : float array;  (** float constants *)
   inits : (int * Srclang.Tast.ginit) list;  (** global initializers by address *)
+  globals_end : int;  (** first address above the globals; no frame reaches below it *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +134,7 @@ let layout_globals (prog : Rtl.program) =
         Option.map (fun i -> (addr, i)) init)
       prog.Rtl.globals
   in
-  (tbl, inits)
+  (tbl, inits, !next)
 
 let builtin_of_name = function
   | "sqrt" -> Some Sqrt
@@ -173,7 +174,7 @@ let decode (prog : Rtl.program) : code =
       Hashtbl.replace base_of_name f.Rtl.fname !total;
       total := !total + f.Rtl.vreg_count)
     rfns;
-  let addr_of, inits = layout_globals prog in
+  let addr_of, inits, globals_end = layout_globals prog in
   (* argument slots: the most arguments any call site passes a callee *)
   let nargs = Array.make nfns 0 in
   Array.iter
@@ -391,4 +392,5 @@ let decode (prog : Rtl.program) : code =
     ki = Array.of_list (List.rev !ki);
     kf = Array.of_list (List.rev !kf);
     inits;
+    globals_end;
   }
