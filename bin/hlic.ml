@@ -113,9 +113,15 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
               s.Backend.Ddg.spec_edges_dropped s.Backend.Ddg.spec_checks;
           if run then begin
             let r =
-              Driver.Pass_manager.simulate
-                (Driver.Pass.ctx ~spanf:(Harness.Pipeline.spanf ~tm ()) ~variant:v ~ablation ())
-                scheduled
+              try
+                Driver.Pass_manager.simulate
+                  (Driver.Pass.ctx ~spanf:(Harness.Pipeline.spanf ~tm ()) ~variant:v ~ablation ())
+                  scheduled
+              with
+              | Machine.Exec.Runtime_error msg ->
+                  Diagnostics.error ~code:"E0902" ~phase:Diagnostics.Sim "runtime error: %s" msg
+              | Machine.Exec.Out_of_fuel ->
+                  Diagnostics.error ~code:"E0903" ~phase:Diagnostics.Sim "out of fuel"
             in
             let name = Machine.Simulate.machine_name (Driver.Variant.sim_machine v.machine) in
             Fmt.pr "%s" r.Machine.Simulate.output;

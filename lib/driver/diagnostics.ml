@@ -30,6 +30,12 @@
       tree, class/alias/LCDD/REF-MOD id resolution, duplicate units)
     - [E0636] probability section value outside per-mille range 0..1000
 
+    The simulation block [E09xx]:
+    - [E0901] a schedule changed program output, or broke an order of
+      its group's prefix (the static check or the address oracle)
+    - [E0902] the simulated program's runtime error ([hlic --run])
+    - [E0903] the simulated program ran out of fuel ([hlic --run])
+
     The wire-protocol block [E11xx] is subdivided (see
     [lib/server/protocol.ml]; DESIGN.md has the byte-level spec):
     - [E1101] unknown frame tag       - [E1102] truncated frame
