@@ -21,7 +21,10 @@
     - Every task runs to completion even when a sibling raises; the
       first exception (in submission order) is re-raised to the
       submitter once the batch is done, matching what a sequential run
-      would have reported. *)
+      would have reported.
+    - A live pool holds its worker domains' cores in a process-wide
+      budget ({!take_core}); the simulator starts a helper domain only
+      on a core that no pool holds. *)
 
 type job = unit -> unit
 
@@ -65,6 +68,21 @@ let default_jobs () =
   Option.iter (fun d -> Fmt.epr "%a@." Diagnostics.pp d) warning;
   jobs
 
+(* Domains at work: the main one, every live pool's workers and the
+   simulator's helpers.  [Domain.recommended_domain_count ()] honours
+   the process's CPU affinity, so under [taskset -c 1] no core is ever
+   spare. *)
+let busy = Atomic.make 1
+
+(** Take a spare core for a helper domain: [false] when the domains at
+    work already fill every core.  Give it back with {!give_core}. *)
+let rec take_core () =
+  let n = Atomic.get busy in
+  n < Domain.recommended_domain_count ()
+  && (Atomic.compare_and_set busy n (n + 1) || take_core ())
+
+let give_core () = Atomic.decr busy
+
 let rec worker_loop t =
   Mutex.lock t.mutex;
   let rec next () =
@@ -98,6 +116,7 @@ let create ~jobs =
     }
   in
   t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  ignore (Atomic.fetch_and_add busy (List.length t.workers));
   t
 
 let size t = 1 + List.length t.workers
@@ -131,6 +150,7 @@ let shutdown t =
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex;
   List.iter Domain.join t.workers;
+  ignore (Atomic.fetch_and_add busy (-List.length t.workers));
   t.workers <- []
 
 (** [map t f xs] applies [f] to every element of [xs] on the pool and

@@ -1,7 +1,7 @@
 (* Tests for the harness domain pool: ordering determinism, the
    sequential ~jobs:1 reference path, exception propagation, nested
-   (re-entrant) batches, and end-to-end parallel-vs-sequential
-   equality of a table row. *)
+   (re-entrant) batches, the core budget a live pool holds, and
+   end-to-end parallel-vs-sequential equality of a table row. *)
 
 let with_pool jobs f =
   let p = Pool.create ~jobs in
@@ -128,6 +128,18 @@ let pool_tests =
             Alcotest.(check bool)
               "empty is silent" true
               (snd (Pool.default_jobs_checked ()) = None)));
+    Alcotest.test_case "a pool holding every core leaves none spare" `Quick (fun () ->
+        let spare () =
+          Pool.take_core ()
+          && begin
+               Pool.give_core ();
+               true
+             end
+        in
+        let cores = Domain.recommended_domain_count () in
+        Alcotest.(check bool) "a spare core before" (cores > 1) (spare ());
+        with_pool cores (fun _ -> Alcotest.(check bool) "none while it lives" false (spare ()));
+        Alcotest.(check bool) "the spare core is back" (cores > 1) (spare ()));
     Alcotest.test_case "submit runs fire-and-forget jobs" `Quick (fun () ->
         (* jobs=1: inline, synchronous *)
         with_pool 1 (fun p ->
