@@ -4,7 +4,10 @@
 # Runs two small workloads through bench/main.exe both sequentially
 # (-j 1) and on a 4-domain pool, then checks that
 #   1. the Table 1/2 output is byte-identical between the two runs,
-#      with and without --passes cse,licm,unroll=4,
+#      with and without --passes cse,licm,unroll=4 (on a machine with
+#      a spare core, -j 1 walks each group's schedules on a helper
+#      domain and the pool leaves no core spare, so this also compares
+#      the helper path with the helper-less one),
 #   2. the --stats-json telemetry dump is well-formed JSON
 #      (validated with the harness's own structural checker, since the
 #      container has no external JSON tooling),
