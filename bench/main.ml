@@ -25,19 +25,13 @@
                                                  HLI cache; the incremental
                                                  recompile curve,
                                                  BENCH_editstorm.json)
-             dune exec bench/main.exe -- specbench
-                                                 (speculative-scheduling
-                                                 threshold sweep: DDG edges
-                                                 dropped, misspeculation rate
-                                                 and speedup over the
-                                                 non-speculative HLI schedule
-                                                 per workload,
-                                                 BENCH_speculate.json)
 
    Flags (tables mode):
      -j N                 domain-pool size (default: HLI_JOBS env, else
                           Domain.recommended_domain_count; -j 1 is the
-                          sequential reference path)
+                          sequential reference path): workloads run on
+                          a pool of min N and their count, one
+                          workload per task
      --workloads a,b,c    run only the named workloads (skips ablations;
                           also selects the other modes' workloads)
      --fuel N             per-run simulation budget, 0 = unlimited
@@ -47,18 +41,12 @@
      --ablation NAME      run under a DESIGN.md §5 ablation config
                           (baseline, merge-off, routine-regions,
                           hli-only, lsq-off)
-     --speculate THRESH   schedule speculatively: drop maybe-class
-                          store-to-load DDG edges whose HLI confidence
-                          is below THRESH per mille (0..1000), with
-                          run-time checks and recovery; composes onto
-                          --ablation (specbench sweeps this axis
-                          itself and rejects the flag)
      --list-passes        list the optional passes and the span order, exit
      --hli-cache DIR      on-disk HLI cache directory for the compile
                           stage (default: HLI_CACHE env; unset disables
                           caching; also editstorm's cache directory)
      --stats              print the per-stage telemetry table
-     --stats-json PATH    write the hli-telemetry-v9 JSON dump ("-" for
+     --stats-json PATH    write the hli-telemetry-v10 JSON dump ("-" for
                           stdout)
      --remote SOCKET      hlid socket: With_hli variants import, query
                           and maintain HLI over the wire (tables stay
@@ -81,7 +69,7 @@
                           version is rejected, naming both versions),
                           then the structural JSON check; exit 1 on
                           either (used by bench/smoke.sh)
-     --out PATH           servbench / editstorm / specbench output file
+     --out PATH           servbench / editstorm output file
                           (default its BENCH_*.json) / emit-hli output
                           directory (default _hli) *)
 
@@ -104,17 +92,14 @@ type cfg = {
   shm : bool;  (** map published HLIX segments (--shm) *)
   batch : int;  (** queries per frame (servbench-child only) *)
   repeat : int;  (** stream replay count (servbench-child only) *)
-  speculate : int option;
-      (** per-mille speculation threshold (--speculate); composes onto
-          --ablation for tables mode, None = non-speculative *)
 }
 
 let usage () =
   prerr_endline
     "usage: main.exe \
-     [tables|servbench|remote-probe|emit-hli|editstorm|specbench] \
+     [tables|servbench|remote-probe|emit-hli|editstorm] \
      [-j N] [--fuel N] [--workloads a,b,c] [--passes SPEC] [--ablation NAME] \
-     [--speculate THRESH] [--list-passes] [--stats] [--stats-json PATH] \
+     [--list-passes] [--stats] [--stats-json PATH] \
      [--validate-json PATH] [--hli-cache DIR] [--out PATH] [--remote SOCKET] \
      [--pipeline N] [--shm]";
   exit 2
@@ -163,7 +148,7 @@ let install_cleanups () =
   try Sys.set_signal Sys.sigterm (Sys.Signal_handle (handle 15))
   with Invalid_argument _ | Sys_error _ -> ()
 
-(* The --out artifact of servbench, editstorm and specbench.  A mode
+(* The --out artifact of servbench and editstorm.  A mode
    opens it before its run, so an unwritable path fails before any
    work.  The JSON is validated, written to <out>.tmp and renamed over
    <out>, so a failed or interrupted run leaves the committed
@@ -213,13 +198,12 @@ let parse_args () =
         shm = false;
         batch = 64;
         repeat = 1;
-        speculate = None;
       }
   in
   let rec loop = function
     | [] -> ()
     | ( "tables" | "servbench" | "servbench-child" | "remote-probe" | "emit-hli"
-      | "editstorm" | "specbench" ) as m
+      | "editstorm" ) as m
       :: rest ->
         cfg := { !cfg with mode = m };
         loop rest
@@ -252,13 +236,6 @@ let parse_args () =
     | "--ablation" :: name :: rest ->
         cfg := { !cfg with ablation = name };
         loop rest
-    | "--speculate" :: n :: rest -> (
-        (* per-mille threshold; composes onto --ablation *)
-        match int_of_string_opt n with
-        | Some t when t >= 0 && t <= 1000 ->
-            cfg := { !cfg with speculate = Some t };
-            loop rest
-        | _ -> usage ())
     | "--list-passes" :: _ ->
         print_string (Driver.Pass_manager.list_text ());
         exit 0
@@ -338,11 +315,11 @@ let parse_args () =
 (* Table reproductions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* resolve --passes/--ablation/--speculate into a pipeline config;
-   exits with the diagnostic's code on a bad spec, name or threshold *)
+(* resolve --passes/--ablation into a pipeline config; exits with the
+   diagnostic's code on a bad spec or name *)
 let pipeline_config cfg =
   try
-    let ablation = Driver.Variant.resolve ?speculate:cfg.speculate cfg.ablation in
+    let ablation = Driver.Variant.resolve cfg.ablation in
     { Harness.Pipeline.specs = Driver.Pass_manager.parse_specs cfg.passes;
       ablation;
       hli_cache = cfg.hli_cache;
@@ -377,7 +354,18 @@ let workload_of_name ~mode name =
       Printf.eprintf "%s: unknown workload %s\n" mode name;
       exit 1
 
-let reproduce_tables cfg pool =
+(* [f] over a pool for mapping [n] workloads, one per task: min -j n
+   domains, or none at all when that is one, so a lone workload's group
+   simulations find the spare core for their walks *)
+let with_pool cfg n f =
+  let jobs = min cfg.jobs n in
+  if jobs <= 1 then f None
+  else begin
+    let pool = Pool.create ~jobs in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Some pool))
+  end
+
+let reproduce_tables cfg =
   let config = pipeline_config cfg in
   (* fail fast on an unwritable --stats-json path, before the (long) run *)
   let stats_oc =
@@ -398,9 +386,10 @@ let reproduce_tables cfg pool =
     Fmt.epr "ablation: %s (%s)@." config.Harness.Pipeline.ablation.Driver.Variant.ab_name
       config.Harness.Pipeline.ablation.Driver.Variant.ab_doc;
   let rows =
-    Harness.Tables.run_all ~fuel:cfg.fuel ~config ?pool
-      ~progress:(fun w -> Fmt.epr "running %s...@." w.Workloads.Workload.name)
-      ws
+    with_pool cfg (List.length ws) (fun pool ->
+        Harness.Tables.run_all ~fuel:cfg.fuel ~config ?pool
+          ~progress:(fun w -> Fmt.epr "running %s...@." w.Workloads.Workload.name)
+          ws)
   in
   print_string (Harness.Tables.print_tables rows);
   if cfg.stats then print_string ("\n" ^ Harness.Tables.stats_table rows);
@@ -448,43 +437,50 @@ let find_ablation name =
 let ablated_config name =
   { Harness.Pipeline.default_config with ablation = find_ablation name }
 
-let ablation_compile_section pool name workloads =
+let ablation_compile_section cfg name workloads =
   let ab = find_ablation name in
   Printf.printf "\n== Ablation: %s — %s ==\n" ab.Driver.Variant.ab_name
     ab.Driver.Variant.ab_doc;
   Printf.printf "%-14s %12s %12s %10s %10s\n" "Benchmark" "HLI(B) base"
     "HLI(B) abl" "red% base" "red% abl";
   let red s = 100.0 *. Harness.Tables.reduction s in
-  List.iter
-    (fun wname ->
-      let w = Option.get (Workloads.Registry.find wname) in
-      let src = w.Workloads.Workload.source in
-      let c1 = Harness.Pipeline.compile ?pool src in
-      let c2 = Harness.Pipeline.compile ~config:(ablated_config name) ?pool src in
+  let compiled =
+    with_pool cfg (List.length workloads) (fun pool ->
+        Pool.map_opt pool
+          (fun wname ->
+            let w = Option.get (Workloads.Registry.find wname) in
+            let src = w.Workloads.Workload.source in
+            ( Harness.Pipeline.compile src,
+              Harness.Pipeline.compile ~config:(ablated_config name) src ))
+          workloads)
+  in
+  List.iter2
+    (fun wname (c1, c2) ->
       Printf.printf "%-14s %12d %12d %9.0f%% %9.0f%%\n" wname
         c1.Harness.Pipeline.hli_bytes c2.Harness.Pipeline.hli_bytes
         (red c1.Harness.Pipeline.stats)
         (red c2.Harness.Pipeline.stats))
-    workloads
+    workloads compiled
 
-let ablation_sim_section pool sim_fuel name workloads =
+let ablation_sim_section cfg name workloads =
   let ab = find_ablation name in
   Printf.printf "\n== Ablation: %s — %s ==\n" ab.Driver.Variant.ab_name
     ab.Driver.Variant.ab_doc;
   Printf.printf "%-14s %12s %12s %12s %12s\n" "Benchmark" "R4600 base"
     "R4600 abl" "R10000 base" "R10000 abl";
-  List.iter
-    (fun wname ->
-      let w = Option.get (Workloads.Registry.find wname) in
-      let r1 = Harness.Tables.run_workload ~fuel:sim_fuel ?pool w in
-      let r2 =
-        Harness.Tables.run_workload ~fuel:sim_fuel
-          ~config:(ablated_config name) ?pool w
-      in
-      Printf.printf "%-14s %12.3f %12.3f %12.3f %12.3f\n" wname
+  let ws = List.map (fun n -> Option.get (Workloads.Registry.find n)) workloads in
+  let base, abl =
+    with_pool cfg (List.length ws) (fun pool ->
+        let base = Harness.Tables.run_all ~fuel:cfg.fuel ?pool ws in
+        (base, Harness.Tables.run_all ~fuel:cfg.fuel ~config:(ablated_config name) ?pool ws))
+  in
+  List.iter2
+    (fun (r1 : Harness.Tables.row) (r2 : Harness.Tables.row) ->
+      Printf.printf "%-14s %12.3f %12.3f %12.3f %12.3f\n"
+        r1.Harness.Tables.w.Workloads.Workload.name
         r1.Harness.Tables.sp_r4600 r2.Harness.Tables.sp_r4600
         r1.Harness.Tables.sp_r10000 r2.Harness.Tables.sp_r10000)
-    workloads
+    base abl
 
 (* Ablation 3: the CSE and LICM passes with and without HLI (Figure 4
    and the loop-invariant-removal discussion of Section 3.2.2). *)
@@ -948,199 +944,6 @@ let editstorm cfg =
   write_artifact (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
-(* Speculation sweep (BENCH_speculate.json)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* For every workload: compile and simulate the non-speculative
-   baseline once, then re-run the full variant matrix at each
-   --speculate threshold of the sweep, recording DDG edges dropped,
-   run-time checks inserted, misspeculation recoveries and the speedup
-   of the speculative HLI schedule over the non-speculative one (per
-   machine, HLI-variant cycles against HLI-variant cycles — the
-   gcc-only baselines never speculate).  Threshold 0 can never drop an
-   edge (no per-mille confidence is below 0), so its cycle counts must
-   equal the baseline's exactly; a difference means the byte-identity
-   guarantee of [speculate = None] is broken and the bench fails.
-   The artifact is BENCH_speculate.json (hli-specbench-v1);
-   bench/specbench.sh validates it and gates the misspeculation rate
-   at the default threshold. *)
-
-let spec_thresholds = [ 0; 250; 500; 750; 1000 ]
-
-type spec_cell = {
-  sc_t : int;  (** per-mille threshold *)
-  sc_dropped : int;  (** DDG edges dropped (stats variant) *)
-  sc_checks : int;  (** speculative loads flagged (stats variant) *)
-  sc_misspec : int;  (** recoveries, summed over both HLI variants *)
-  sc_rate : float;  (** misspeculations per dynamic instruction *)
-  sc_c4 : int;  (** HLI-variant R4600 cycles *)
-  sc_c10 : int;  (** HLI-variant R10000 cycles *)
-  sc_s4 : float;  (** speedup over the non-speculative HLI schedule *)
-  sc_s10 : float;
-}
-
-let spec_fail_reason = function
-  | Diagnostics.Diagnostic d -> Diagnostics.to_string d
-  | Machine.Exec.Out_of_fuel -> "out of fuel"
-  | Machine.Exec.Runtime_error m -> "runtime error: " ^ m
-  | e -> Printexc.to_string e
-
-let specbench cfg pool =
-  let ws = selected_workloads cfg in
-  let base_ablation =
-    (pipeline_config cfg).Harness.Pipeline.ablation
-  in
-  if base_ablation.Driver.Variant.speculate <> None then begin
-    (* the sweep owns the threshold axis *)
-    Printf.eprintf "specbench: --speculate is implied by the sweep\n";
-    exit 2
-  end;
-  let write_artifact =
-    open_artifact cfg ~mode:"specbench" ~default:"BENCH_speculate.json"
-  in
-  let run_at w speculate =
-    let ablation =
-      match speculate with
-      | None -> base_ablation
-      | Some t -> Driver.Variant.with_speculate t base_ablation
-    in
-    let config = { (pipeline_config cfg) with Harness.Pipeline.ablation } in
-    let c = Harness.Pipeline.compile ~config ?pool w.Workloads.Workload.source in
-    let m = Harness.Pipeline.measure ~fuel:cfg.fuel ?pool c in
-    (c, m)
-  in
-  let speedup base opt = if base = 0 || opt = 0 then 1.0
-    else float_of_int base /. float_of_int opt
-  in
-  Printf.printf "== Speculative scheduling sweep (per-mille thresholds) ==\n";
-  Printf.printf "%-14s %6s %8s %7s %8s %9s %8s %8s\n" "Benchmark" "thresh"
-    "dropped" "checks" "misspec" "rate" "sp4600" "sp10000";
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let name = w.Workloads.Workload.name in
-        Fmt.epr "specbench: %s...@." name;
-        match run_at w None with
-        | exception
-            ((Diagnostics.Diagnostic _ | Machine.Exec.Out_of_fuel
-             | Machine.Exec.Runtime_error _) as e) ->
-            let reason = spec_fail_reason e in
-            Printf.printf "%-14s (skipped: %s)\n" name reason;
-            (name, 0, 0, 0, Error reason)
-        | _, m0 ->
-            let b4 = Harness.Pipeline.r4600_hli m0 in
-            let b10 = Harness.Pipeline.r10000_hli m0 in
-            let cells =
-              List.filter_map
-                (fun t ->
-                  match run_at w (Some t) with
-                  | exception
-                      ((Diagnostics.Diagnostic _ | Machine.Exec.Out_of_fuel
-                       | Machine.Exec.Runtime_error _) as e) ->
-                      Printf.printf "%-14s %6d (failed: %s)\n" name t
-                        (spec_fail_reason e);
-                      None
-                  | c, m ->
-                      let r4 = Harness.Pipeline.r4600_hli m in
-                      let r10 = Harness.Pipeline.r10000_hli m in
-                      let misspec =
-                        r4.Machine.Simulate.misspeculations
-                        + r10.Machine.Simulate.misspeculations
-                      in
-                      let dyn =
-                        r4.Machine.Simulate.dyn_insns
-                        + r10.Machine.Simulate.dyn_insns
-                      in
-                      let s = c.Harness.Pipeline.stats in
-                      if
-                        t = 0
-                        && (r4.Machine.Simulate.cycles
-                            <> b4.Machine.Simulate.cycles
-                           || r10.Machine.Simulate.cycles
-                              <> b10.Machine.Simulate.cycles)
-                      then begin
-                        Printf.eprintf
-                          "specbench: FAIL — %s at threshold 0 differs from \
-                           the non-speculative run (r4600 %d vs %d, r10000 \
-                           %d vs %d cycles)\n"
-                          name r4.Machine.Simulate.cycles
-                          b4.Machine.Simulate.cycles
-                          r10.Machine.Simulate.cycles
-                          b10.Machine.Simulate.cycles;
-                        exit 1
-                      end;
-                      let cell =
-                        {
-                          sc_t = t;
-                          sc_dropped = s.Backend.Ddg.spec_edges_dropped;
-                          sc_checks = s.Backend.Ddg.spec_checks;
-                          sc_misspec = misspec;
-                          sc_rate =
-                            (if dyn = 0 then 0.0
-                             else float_of_int misspec /. float_of_int dyn);
-                          sc_c4 = r4.Machine.Simulate.cycles;
-                          sc_c10 = r10.Machine.Simulate.cycles;
-                          sc_s4 =
-                            speedup b4.Machine.Simulate.cycles
-                              r4.Machine.Simulate.cycles;
-                          sc_s10 =
-                            speedup b10.Machine.Simulate.cycles
-                              r10.Machine.Simulate.cycles;
-                        }
-                      in
-                      Printf.printf
-                        "%-14s %6d %8d %7d %8d %9.6f %8.3f %8.3f\n" name t
-                        cell.sc_dropped cell.sc_checks cell.sc_misspec
-                        cell.sc_rate cell.sc_s4 cell.sc_s10;
-                      Some cell)
-                spec_thresholds
-            in
-            ( name,
-              (Harness.Pipeline.r4600_gcc m0).Machine.Simulate.dyn_insns,
-              b4.Machine.Simulate.cycles,
-              b10.Machine.Simulate.cycles,
-              Ok cells ))
-      ws
-  in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"hli-specbench-v1\",\"thresholds\":[%s],\
-                     \"workloads\":["
-       (String.concat "," (List.map string_of_int spec_thresholds)));
-  List.iteri
-    (fun i (name, dyn, c4, c10, cells) ->
-      if i > 0 then Buffer.add_char b ',';
-      match cells with
-      | Error reason ->
-          Buffer.add_string b
-            (Printf.sprintf "{\"name\":\"%s\",\"failure\":\"%s\"}"
-               (Harness.Telemetry.json_escape name)
-               (Harness.Telemetry.json_escape reason))
-      | Ok cells ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"dyn_insns\":%d,\
-                \"base\":{\"cycles_r4600\":%d,\"cycles_r10000\":%d},\"sweep\":["
-               (Harness.Telemetry.json_escape name)
-               dyn c4 c10);
-          List.iteri
-            (fun j c ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf
-                   "{\"threshold\":%d,\"edges_dropped\":%d,\"checks\":%d,\
-                    \"misspeculations\":%d,\"misspec_rate\":%.6f,\
-                    \"cycles_r4600\":%d,\"cycles_r10000\":%d,\
-                    \"speedup_r4600\":%.3f,\"speedup_r10000\":%.3f}"
-                   c.sc_t c.sc_dropped c.sc_checks c.sc_misspec c.sc_rate
-                   c.sc_c4 c.sc_c10 c.sc_s4 c.sc_s10))
-            cells;
-          Buffer.add_string b "]}")
-    rows;
-  Buffer.add_string b "]}";
-  write_artifact (Buffer.contents b)
-
-(* ------------------------------------------------------------------ *)
 (* Server benchmark (servbench) and the remote-probe fault client      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1198,7 +1001,7 @@ let sb_local_run idxs (qs : SP.query list) =
           ignore (Hli_core.Query.get_equiv_acc (idx_of u) a b)
       | SP.Q_call { u; call; mem } ->
           ignore (Hli_core.Query.get_call_acc (idx_of u) ~call ~mem)
-      | SP.Q_prob _ | SP.Q_hoist_target _ -> ())
+      | SP.Q_hoist_target _ -> ())
     qs
 
 let sb_percentile sorted p =
@@ -1638,32 +1441,23 @@ let remote_probe cfg =
 let () =
   let cfg = parse_args () in
   install_cleanups ();
-  let pool =
-    if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Pool.shutdown pool)
-    (fun () ->
-      match cfg.mode with
-      | "servbench" -> servbench cfg
-      | "servbench-child" -> sb_child cfg
-      | "remote-probe" -> remote_probe cfg
-      | "emit-hli" -> emit_hli cfg
-      | "editstorm" -> editstorm cfg
-      | "specbench" -> specbench cfg pool
-      | _ ->
-          reproduce_tables cfg pool;
-          (* ablations use fixed workload subsets; skip them when the
-             run was narrowed with --workloads (e.g. the smoke alias)
-             or is itself an ablated run *)
-          if cfg.workloads = None && cfg.ablation = "baseline" then begin
-            ablation_compile_section pool "merge-off"
-              [ "101.tomcatv"; "102.swim"; "034.mdljdp2"; "129.compress" ];
-            ablation_compile_section pool "routine-regions"
-              [ "101.tomcatv"; "102.swim"; "129.compress" ];
-            ablation_sim_section pool cfg.fuel "hli-only"
-              [ "101.tomcatv"; "034.mdljdp2" ];
-            ablation_sim_section pool cfg.fuel "lsq-off"
-              [ "034.mdljdp2"; "077.mdljsp2"; "102.swim" ];
-            ablation_passes ()
-          end)
+  match cfg.mode with
+  | "servbench" -> servbench cfg
+  | "servbench-child" -> sb_child cfg
+  | "remote-probe" -> remote_probe cfg
+  | "emit-hli" -> emit_hli cfg
+  | "editstorm" -> editstorm cfg
+  | _ ->
+      reproduce_tables cfg;
+      (* ablations use fixed workload subsets; skip them when the run
+         was narrowed with --workloads (e.g. the smoke alias) or is
+         itself an ablated run *)
+      if cfg.workloads = None && cfg.ablation = "baseline" then begin
+        ablation_compile_section cfg "merge-off"
+          [ "101.tomcatv"; "102.swim"; "034.mdljdp2"; "129.compress" ];
+        ablation_compile_section cfg "routine-regions"
+          [ "101.tomcatv"; "102.swim"; "129.compress" ];
+        ablation_sim_section cfg "hli-only" [ "101.tomcatv"; "034.mdljdp2" ];
+        ablation_sim_section cfg "lsq-off" [ "034.mdljdp2"; "077.mdljsp2"; "102.swim" ];
+        ablation_passes ()
+      end

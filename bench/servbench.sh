@@ -15,8 +15,13 @@
 #      $SERVBENCH_SHM_FLOOR q/s on the shm rows (default 2500000 —
 #      half the recorded mmap'd-lookup rate, so box noise cannot
 #      flake either gate);
-#   4. kills the server with SIGKILL mid-probe and requires the client
-#      to exit nonzero with a precise E11xx code, without hanging.
+#   4. starts a second hlid with --stats-json, serves one remote tables
+#      run from it and stops it with SIGTERM: it must exit 0 and leave
+#      a dump that --validate-json accepts (at this binary's
+#      hli-telemetry version, which it names otherwise);
+#   5. kills the first server with SIGKILL mid-probe and requires the
+#      client to exit nonzero with a precise E11xx code, without
+#      hanging.
 set -eu
 
 exe="$1"
@@ -34,8 +39,10 @@ tmp="${TMPDIR:-/tmp}/hli-servbench-$$"
 mkdir -p "$tmp"
 sock="$tmp/hlid.sock"
 hlid_pid=""
+term_pid=""
 cleanup() {
   [ -n "$hlid_pid" ] && kill -9 "$hlid_pid" 2>/dev/null || true
+  [ -n "$term_pid" ] && kill -9 "$term_pid" 2>/dev/null || true
   rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -134,7 +141,29 @@ if [ "${shm_best:-0}" -lt "$shm_floor" ]; then
 fi
 echo "servbench: OK (servbench ran, JSON valid, best batched wire $best q/s >= $floor, shm $shm_best q/s >= $shm_floor)"
 
-# 4: kill the server mid-session; the probe must exit on its own,
+# 4: SIGTERM drains the sessions and flushes hlid's own telemetry
+# dump, which must carry the harness's schema tag
+term_sock="$tmp/hlid-term.sock"
+"$hlid" --socket "$term_sock" -j 2 --stats-json "$tmp/hlid.json" \
+  2>>"$tmp/hlid-term.log" &
+term_pid=$!
+i=0
+while [ ! -S "$term_sock" ] && [ $i -lt 50 ]; do
+  sleep 0.1
+  i=$((i + 1))
+done
+[ -S "$term_sock" ] || { echo "servbench: FAIL — $term_sock did not come up" >&2; exit 1; }
+"$exe" tables --workloads wc --fuel $FUEL -j 2 --remote "$term_sock" \
+  > "$tmp/term.out" 2>/dev/null
+kill -TERM "$term_pid"
+wait "$term_pid" || { echo "servbench: FAIL — hlid did not exit cleanly on SIGTERM" >&2; exit 1; }
+term_pid=""
+"$exe" --validate-json "$tmp/hlid.json" > /dev/null \
+  || { echo "servbench: FAIL — hlid --stats-json dump rejected by --validate-json" >&2
+       exit 1; }
+echo "servbench: OK (hlid stopped by SIGTERM exited 0; its --stats-json dump is valid)"
+
+# 5: kill the server mid-session; the probe must exit on its own,
 # nonzero, with a protocol E-code on stderr — bounded, never a hang
 (
   set +e

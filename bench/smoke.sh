@@ -2,12 +2,13 @@
 # CI smoke check for the parallel workload harness (dune alias @smoke).
 #
 # Runs two small workloads through bench/main.exe both sequentially
-# (-j 1) and on a 4-domain pool, then checks that
+# (-j 1) and with -j 4, which maps them over a pool of two domains (one
+# per workload), then checks that
 #   1. the Table 1/2 output is byte-identical between the two runs,
-#      with and without --passes cse,licm,unroll=4 (on a machine with
-#      a spare core, -j 1 walks each group's schedules on a helper
-#      domain and the pool leaves no core spare, so this also compares
-#      the helper path with the helper-less one),
+#      with and without --passes cse,licm,unroll=4 (with a spare core,
+#      -j 1 walks each group's schedules on a helper domain; on a
+#      two-core machine the pool of two leaves no core spare, so there
+#      this also compares the helper path with the helper-less one),
 #   2. the --stats-json telemetry dump is well-formed JSON
 #      (validated with the harness's own structural checker, since the
 #      container has no external JSON tooling),
@@ -50,8 +51,8 @@ if ! cmp -s "$tmp/seq.out" "$tmp/par.out"; then
 fi
 
 # the same under the optional passes, whose back-end prefix (lower
-# through unroll) runs once per alias mode on a pool domain and is
-# shared by both machines' schedules
+# through unroll) runs once per alias mode and is shared by both
+# machines' schedules
 PASSES="cse,licm,unroll=4"
 "$exe" tables --workloads "$WORKLOADS" -j 1 --passes "$PASSES" \
   > "$tmp/seq-passes.out" 2>/dev/null

@@ -19,8 +19,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
-    speculate list_passes jobs stats stats_json hli_cache hli_cache_max remote
-    pipeline shm =
+    list_passes stats stats_json hli_cache hli_cache_max remote pipeline shm =
   if list_passes then begin
     print_string (Driver.Pass_manager.list_text ());
     0
@@ -50,13 +49,10 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
               try Sys.remove path with Sys_error _ -> ())
             stats_file
         in
-        let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
         let tm = Harness.Telemetry.create () in
-        Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool)
-        @@ fun () ->
         try
           let src = read_file src_path in
-          let ablation = Driver.Variant.resolve ?speculate ablation in
+          let ablation = Driver.Variant.resolve ablation in
           let config =
             {
               Harness.Pipeline.specs = Driver.Pass_manager.parse_specs passes;
@@ -76,7 +72,7 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
             }
           in
           let c =
-            Harness.Pipeline.compile ~config ~src_file:src_path ?pool ~tm src
+            Harness.Pipeline.compile ~config ~src_file:src_path ~tm src
           in
           (match emit_hli with
           | Some out ->
@@ -108,9 +104,6 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
             "dependence queries: total=%d gcc_yes=%d hli_yes=%d combined_yes=%d@."
             s.Backend.Ddg.total s.Backend.Ddg.gcc_yes s.Backend.Ddg.hli_yes
             s.Backend.Ddg.combined_yes;
-          if ablation.Driver.Variant.speculate <> None then
-            Fmt.pr "speculation: edges_dropped=%d checks=%d@."
-              s.Backend.Ddg.spec_edges_dropped s.Backend.Ddg.spec_checks;
           if run then begin
             let r =
               try
@@ -127,10 +120,7 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
             Fmt.pr "%s" r.Machine.Simulate.output;
             Fmt.pr "[%s] %d cycles, %d instructions, L1 %d/%d hits/misses@." name
               r.Machine.Simulate.cycles r.Machine.Simulate.dyn_insns
-              r.Machine.Simulate.l1_hits r.Machine.Simulate.l1_misses;
-            if r.Machine.Simulate.misspeculations > 0 then
-              Fmt.pr "[%s] %d misspeculation(s) recovered@." name
-                r.Machine.Simulate.misspeculations
+              r.Machine.Simulate.l1_hits r.Machine.Simulate.l1_misses
           end;
           if stats then begin
             Fmt.pr "== per-stage telemetry ==@.%a" Harness.Telemetry.pp_table tm;
@@ -222,33 +212,11 @@ let ablation_arg =
         ~doc:"ablation configuration (baseline, merge-off, \
               routine-regions, hli-only, lsq-off)")
 
-let speculate_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "speculate" ] ~docv:"THRESH"
-        ~doc:
-          "speculative scheduling: drop maybe-class store-to-load \
-           dependences whose HLI confidence is below $(docv) per mille \
-           (0..1000) from the DDG, inserting run-time checks with \
-           recovery; composes with $(b,--ablation).  Unset keeps \
-           schedules byte-identical to the non-speculative compiler")
-
 let list_passes_flag =
   Arg.(
     value & flag
     & info [ "list-passes" ]
         ~doc:"list the optional passes and the span order, and exit")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int (Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "domain-pool size for the four pipeline variants (default: \
-           \\$(b,HLI_JOBS) env, else the recommended domain count; 1 is \
-           fully sequential)")
 
 let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc:"print per-stage telemetry and HLI query counters")
@@ -317,8 +285,8 @@ let cmd =
   Cmd.v (Cmd.info "hlic" ~doc)
     Term.(
       const run_hlic $ src_arg $ hli_flag $ machine_arg $ run_flag $ emit_arg
-      $ dump_flag $ passes_arg $ ablation_arg $ speculate_arg
-      $ list_passes_flag $ jobs_arg $ stats_flag $ stats_json_arg
+      $ dump_flag $ passes_arg $ ablation_arg $ list_passes_flag
+      $ stats_flag $ stats_json_arg
       $ hli_cache_arg $ hli_cache_max_arg $ remote_arg $ pipeline_arg
       $ shm_flag)
 

@@ -2,8 +2,8 @@
 
    Loads nothing at startup: each client session ships an HLI file
    (Open_hli, or Open_delta against entries an earlier session
-   shipped), then issues the back end's equiv, equiv-prob, REF/MOD
-   and hoist-target queries and its maintenance notifications over
+   shipped), then issues the back end's equiv, REF/MOD and
+   hoist-target queries and its maintenance notifications over
    the framed wire protocol (lib/server/protocol.ml; DESIGN.md has
    the byte-level spec).  The server is event-driven: one poller domain
    reads and decodes frames in place over per-connection reused

@@ -19,11 +19,6 @@ type stats = {
   mutable gcc_yes : int;
   mutable hli_yes : int;
   mutable combined_yes : int;
-  mutable spec_edges_dropped : int;
-      (** store-to-load edges removed under [--speculate] *)
-  mutable spec_checks : int;
-      (** loads marked speculative (one check each, at the original
-          position) *)
 }
 
 let fresh_stats () =
@@ -32,15 +27,13 @@ let fresh_stats () =
     gcc_yes = 0;
     hli_yes = 0;
     combined_yes = 0;
-    spec_edges_dropped = 0;
-    spec_checks = 0;
   }
 
 (** The latency of an edge that waits for its producer's result: a RAW
     register edge, or a store-to-load edge.  {!Sched.schedule_block}
     resolves it with {!Machdesc.latency} of the edge's source; every
     other edge latency is a fixed cycle count (WAW 1, WAR 0; memory,
-    call, control and speculation-check edges 1), so the graph itself
+    call and control edges 1), so the graph itself
     does not depend on the machine. *)
 let producer = -1
 
@@ -96,26 +89,6 @@ let call_mem_dependent ~mode ~hli (call : insn) (mem : insn) : bool =
     | Gcc_only, _ | _, None -> true (* GCC fences all memory at calls *)
     | With_hli, Some h -> Hli_import.call_conflicts h ~call ~mem
 
-(* Speculation eligibility of a store->load pair the final decision
-   called dependent: the HLI must answer a maybe-class result (a
-   definite answer, an unknown one, or an unmapped instruction is never
-   speculated over) with a per-mille alias likelihood below the
-   threshold. *)
-let speculatable ~(hli : Hli_import.t option) ~thresh (a : insn) (b : insn) :
-    bool =
-  is_store a && is_load b
-  && match hli with
-     | None -> false
-     | Some h -> (
-         match Hli_import.equiv_prob h a b with
-         | (Hli_core.Query.Equiv_same Hli_core.Tables.Maybe
-           | Hli_core.Query.Equiv_alias), p ->
-             p < thresh
-         | (Hli_core.Query.Equiv_none
-           | Hli_core.Query.Equiv_same _
-           | Hli_core.Query.Equiv_unknown), _ ->
-             false)
-
 (* What an instruction can depend on, beyond registers: only branches,
    calls and memory references take part in the pairwise pass. *)
 type kind = K_plain | K_load | K_store | K_call | K_branch
@@ -134,23 +107,12 @@ let kind_of (i : insn) =
     latency is the producer's carry {!producer}, so one build serves
     the schedules of both machines.
 
-    [speculate] (a per-mille threshold, With_hli variants only) turns on
-    speculative disambiguation: a store-to-load dependence whose HLI
-    answer is maybe-class with confidence below the threshold is
-    dropped, so the load may hoist above the store (the IA-64
-    [ld.s]/[chk.s] shape).  The check stays at the original position:
-    the load's register consumers gain an edge from the store, and the
-    load itself is flagged {!Rtl.insn.spec} so the interpreter re-loads
-    (and the timing models charge [Machdesc.misspec_penalty]) when the
-    addresses actually collide at run time.
-
     Each instruction is classified once; register dependences live in
     arrays indexed by register; and the pairwise pass visits, for each
     [j], only the earlier [k] whose kinds can make the pair dependent,
     in ascending [k].  The (j, k) order of the GCC and HLI queries is
     therefore that of the full triangle. *)
-let build ~mode ?(combine_gcc = true) ?speculate
-    ~(hli : Hli_import.t option) ~stats (block_insns : insn list) : graph =
+let build ~mode ?(combine_gcc = true) ~(hli : Hli_import.t option) ~stats (block_insns : insn list) : graph =
   let insns = Array.of_list block_insns in
   let n = Array.length insns in
   let kind = Array.make n K_plain in
@@ -158,9 +120,6 @@ let build ~mode ?(combine_gcc = true) ?speculate
   let nregs = ref 0 in
   for j = 0 to n - 1 do
     let i = insns.(j) in
-    (* the speculation marks are this build's decision: drop any an
-       earlier build over the same instructions left *)
-    i.spec <- false;
     kind.(j) <- kind_of i;
     uses.(j) <- Rtl.uses i;
     nregs := List.fold_left (fun top r -> Int.max top (r + 1)) !nregs uses.(j);
@@ -217,25 +176,7 @@ let build ~mode ?(combine_gcc = true) ?speculate
           mem_pair_dependent ~mode ~combine_gcc ~hli ~stats a b
       | K_plain, _ | _, K_plain | K_load, K_load -> false
     in
-    let speculated =
-      dependent
-      && (match (speculate, mode) with
-         | Some thresh, With_hli -> speculatable ~hli ~thresh a b
-         | _ -> false)
-    in
-    if speculated then begin
-      stats.spec_edges_dropped <- stats.spec_edges_dropped + 1;
-      if not b.spec then begin
-        b.spec <- true;
-        stats.spec_checks <- stats.spec_checks + 1
-      end;
-      (* the check at the load's original position: its register
-         consumers wait for the store it hoisted above (register edges
-         are all built by the first loop, so succs.(j) is exactly the
-         consumer set here) *)
-      List.iter (fun (c, _) -> add_edge k c 1) succs.(j)
-    end
-    else if dependent then
+    if dependent then
       (* a load waits for the store's latency, everything else 1 *)
       add_edge k j
         (match (kind.(k), kind.(j)) with K_store, K_load -> producer | _ -> 1)

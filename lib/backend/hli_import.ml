@@ -22,8 +22,6 @@ open Rtl
     last [barrier], which the driver calls at the end of every pass. *)
 type session = {
   equiv_acc : int -> int -> Hli_core.Query.equiv_result;
-  equiv_prob : int -> int -> Hli_core.Query.equiv_result * int;
-      (** the equiv answer plus its per-mille confidence *)
   call_acc : call:int -> mem:int -> Hli_core.Query.call_acc_result;
   delete_item : int -> unit;
   gen_item : like:int -> line:int -> int;
@@ -41,7 +39,6 @@ let local (m : Hli_core.Maintain.t) : session =
   let module Q = Hli_core.Query in
   {
     equiv_acc = (fun a b -> Q.get_equiv_acc (M.queried m) a b);
-    equiv_prob = (fun a b -> Q.get_equiv_prob (M.queried m) a b);
     call_acc = (fun ~call ~mem -> Q.get_call_acc (M.queried m) ~call ~mem);
     delete_item = M.delete_item m;
     gen_item = M.gen_item m;
@@ -158,15 +155,6 @@ let equiv_acc (t : t) (a : insn) (b : insn) : Hli_core.Query.equiv_result =
   match (a.item, b.item) with
   | Some ia, Some ib -> t.session.equiv_acc ia ib
   | _ -> Hli_core.Query.Equiv_unknown
-
-(** {!equiv_acc} plus its per-mille confidence.  Unmapped
-    instructions answer [(Equiv_unknown, 0)] — no evidence, no
-    confidence, so a speculative scheduler never drops their edges. *)
-let equiv_prob (t : t) (a : insn) (b : insn) :
-    Hli_core.Query.equiv_result * int =
-  match (a.item, b.item) with
-  | Some ia, Some ib -> t.session.equiv_prob ia ib
-  | _ -> (Hli_core.Query.Equiv_unknown, 0)
 
 (** Does the HLI prove these two references independent (no edge
     needed)? *)

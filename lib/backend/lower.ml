@@ -60,7 +60,7 @@ let fresh_label env =
   l
 
 let emit env ?(line = 0) desc =
-  let i = { Rtl.uid = env.uid; desc; line; item = None; spec = false } in
+  let i = { Rtl.uid = env.uid; desc; line; item = None } in
   env.uid <- env.uid + 1;
   env.cur_insns <- i :: env.cur_insns
 

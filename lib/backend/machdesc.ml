@@ -16,10 +16,6 @@ type t = {
   call_fixed : int;  (** fixed overhead charged per call *)
   lsq_blocking : bool;
       (** loads wait for all earlier stores' addresses (R10000 LSQ rule) *)
-  misspec_penalty : int;
-      (** recovery cost, in cycles, when a speculative load turns out to
-          conflict with a store it was hoisted above (charged per
-          re-executed load at the detecting store) *)
 }
 
 (** MIPS R4600: single-issue, in-order, five-stage pipeline. *)
@@ -37,7 +33,6 @@ let r4600 =
     load_lat = 2;
     call_fixed = 2;
     lsq_blocking = false;
-    misspec_penalty = 4;  (* refetch through the five-stage pipeline *)
   }
 
 (** MIPS R10000: four-issue, out-of-order, with a load/store queue in
@@ -57,8 +52,6 @@ let r10000 =
     load_lat = 2;
     call_fixed = 2;
     lsq_blocking = true;
-    misspec_penalty = 9;  (* replay from the issue queue, like a
-                             branch mispredict *)
   }
 
 (** Result latency of an instruction (cycles until its value is

@@ -80,8 +80,7 @@ type desc =
 type insn = {
   uid : int;
       (** unique within the function.  Ascending in program order among
-          a block's memory references, the pairs the speculation checks
-          compare; not over every instruction: LICM moves hoisted
+          a block's memory references; not over every instruction: LICM moves hoisted
           instructions, which keep their loop-body uids, ahead of the
           preheader's terminator, and unroll puts fresh-uid copies
           ahead of the latch's.  Program order is the prefix's block
@@ -89,12 +88,6 @@ type insn = {
   desc : desc;
   line : int;  (** source line (0 when synthesized) *)
   mutable item : int option;  (** mapped HLI item (memory refs and calls) *)
-  mutable spec : bool;
-      (** speculative load: the DDG dropped a below-threshold
-          store-to-load edge, so this load may execute ahead of a store
-          it possibly aliases; a check at the original position recovers
-          (re-loads) on a dynamic conflict.  Set by [Ddg.build] under
-          [--speculate], always false otherwise *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -238,7 +231,6 @@ let pp_insn ppf i =
   let item =
     match i.item with Some n -> Fmt.str " {i%d}" n | None -> ""
   in
-  let item = if i.spec then item ^ " {spec}" else item in
   (match i.desc with
   | Li (d, op) -> Fmt.pf ppf "r%d <- %a" d pp_operand op
   | Alu (op, d, a, b) ->

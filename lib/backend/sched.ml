@@ -121,17 +121,15 @@ let schedule_block ~(md : Machdesc.t) (g : Ddg.graph) : insn list =
 (** Schedule [p] for every machine of [mds], block by block: each
     block's DDG is built once, in the given alias mode, and
     list-scheduled for every machine before the next block is built, so
-    only one block's graph is alive at a time.  The GCC and HLI queries,
-    their statistics and the speculation marks ([speculate] is the
-    per-mille threshold, see {!Ddg.build}) are therefore one machine's
-    worth.
+    only one block's graph is alive at a time.  The GCC and HLI queries
+    and their statistics are therefore one machine's worth.
 
     Returns one program per machine, in [mds] order, and the query
     statistics.  Each program has fresh function and block records that
     share [p]'s instruction records; [p]'s blocks keep their order.
     Nothing writes an instruction record after the build, so the
     sharing is safe. *)
-let schedule_program ~mode ?(combine_gcc = true) ?speculate ~hli_of_fn
+let schedule_program ~mode ?(combine_gcc = true) ~hli_of_fn
     ~(mds : Machdesc.t list) (p : program) : program list * Ddg.stats =
   let stats = Ddg.fresh_stats () in
   let schedule_fn (fn : fn) =
@@ -139,7 +137,7 @@ let schedule_program ~mode ?(combine_gcc = true) ?speculate ~hli_of_fn
     let blocks = List.map (fun _ -> Array.copy fn.blocks) mds in
     Array.iteri
       (fun k (b : block) ->
-        let g = Ddg.build ~mode ~combine_gcc ?speculate ~hli ~stats b.insns in
+        let g = Ddg.build ~mode ~combine_gcc ~hli ~stats b.insns in
         List.iter2
           (fun md bs -> bs.(k) <- { b with insns = schedule_block ~md g })
           mds blocks)

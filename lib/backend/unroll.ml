@@ -244,7 +244,6 @@ let run_fn ?hli ~factor (fn : fn) : fn * stats =
                       desc = Alu (Add, iv_k, Reg iv, Imm (k * step));
                       line = 0;
                       item = None;
-                      spec = false;
                     }
                   in
                   iv_init
@@ -294,7 +293,6 @@ let run_fn ?hli ~factor (fn : fn) : fn * stats =
                   desc = Alu (Add, iv, Reg iv, Imm (factor * step));
                   line = 0;
                   item = None;
-                  spec = false;
                 }
               in
               body.insns <- copies @ [ new_step ] @ terminator

@@ -716,14 +716,6 @@ let equiv_of_code d =
     out-of-bounds load (segment being rewritten); never allocates. *)
 let get_equiv_acc (seg : seg) item_a item_b = equiv_of_code (decide seg item_a item_b)
 
-(** {!get_equiv_acc} with a per-mille confidence attached: how likely
-    the two items really do touch the same location ([Equiv_same] /
-    [Equiv_alias]), or how certain the separation is ([Equiv_none] is
-    proven, so 1000; [Equiv_unknown] carries no evidence, so 0). *)
-let get_equiv_prob (seg : seg) item_a item_b =
-  let d = decide seg item_a item_b in
-  (equiv_of_code d, d land 0xffff)
-
 (* the class of the first chain element of the item record at [ioff]
    whose region is [rid], or -1 *)
 let class_in (seg : seg) ioff rid =

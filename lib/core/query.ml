@@ -7,8 +7,7 @@
     as an HLIX image, the one query engine — the same image hlid seals
     and publishes for shm clients.
 
-    The three pair queries ({!get_equiv_acc}, {!get_equiv_prob} and
-    {!get_call_acc}) answer through the image's readers and are
+    The two pair queries ({!get_equiv_acc} and {!get_call_acc}) answer through the image's readers and are
     memoized on the item pair.  Memo tables are dropped by
     {!invalidate}, which every {!Maintain} edit calls on the index its
     session's queries read.  Per-kind query counters are bumped once
@@ -52,7 +51,6 @@ type query_kind =
   | Q_lcdd
   | Q_call_acc
   | Q_region_of_item
-  | Q_equiv_prob
 
 type shard = {
   mutable s_equiv_acc : int;
@@ -60,7 +58,6 @@ type shard = {
   mutable s_lcdd : int;
   mutable s_call_acc : int;
   mutable s_region_of_item : int;
-  mutable s_equiv_prob : int;
   mutable s_equiv_hits : int;
   mutable s_equiv_misses : int;
   mutable s_call_hits : int;
@@ -81,7 +78,6 @@ let shard_key =
           s_lcdd = 0;
           s_call_acc = 0;
           s_region_of_item = 0;
-          s_equiv_prob = 0;
           s_equiv_hits = 0;
           s_equiv_misses = 0;
           s_call_hits = 0;
@@ -111,7 +107,6 @@ let count_query k =
   | Q_lcdd -> s.s_lcdd <- s.s_lcdd + 1
   | Q_call_acc -> s.s_call_acc <- s.s_call_acc + 1
   | Q_region_of_item -> s.s_region_of_item <- s.s_region_of_item + 1
-  | Q_equiv_prob -> s.s_equiv_prob <- s.s_equiv_prob + 1
 
 let query_kind_name = function
   | Q_equiv_acc -> "equiv_acc"
@@ -119,10 +114,9 @@ let query_kind_name = function
   | Q_lcdd -> "lcdd"
   | Q_call_acc -> "call_acc"
   | Q_region_of_item -> "region_of_item"
-  | Q_equiv_prob -> "equiv_prob"
 
 let all_query_kinds =
-  [ Q_equiv_acc; Q_alias; Q_lcdd; Q_call_acc; Q_region_of_item; Q_equiv_prob ]
+  [ Q_equiv_acc; Q_alias; Q_lcdd; Q_call_acc; Q_region_of_item ]
 
 let field_of_kind k (s : shard) =
   match k with
@@ -131,7 +125,6 @@ let field_of_kind k (s : shard) =
   | Q_lcdd -> s.s_lcdd
   | Q_call_acc -> s.s_call_acc
   | Q_region_of_item -> s.s_region_of_item
-  | Q_equiv_prob -> s.s_equiv_prob
 
 (** Snapshot of all per-kind counters, in a fixed order. *)
 let query_counters () =
@@ -145,8 +138,7 @@ let reset_query_counters () =
       s.s_alias <- 0;
       s.s_lcdd <- 0;
       s.s_call_acc <- 0;
-      s.s_region_of_item <- 0;
-      s.s_equiv_prob <- 0)
+      s.s_region_of_item <- 0)
     !shards;
   Mutex.unlock shards_mutex
 
@@ -155,7 +147,7 @@ let reset_query_counters () =
 (* ------------------------------------------------------------------ *)
 
 (** Snapshot of the memo/index counters, in a fixed order (these feed
-    the [hli-telemetry-v9] [query_cache] object and the [--stats] hit
+    the [hli-telemetry-v10] [query_cache] object and the [--stats] hit
     rate rows). *)
 let cache_counters () =
   [
@@ -215,7 +207,6 @@ type index = {
      table's hash mixes the high half down, so packed keys spread *)
   equiv_memo : equiv_result F.Itbl.t;
   call_memo : call_acc_result F.Itbl.t;
-  prob_memo : (equiv_result * int) F.Itbl.t;
 }
 
 (* Pack an id pair into one int key: cheaper to hash than a tuple and
@@ -238,7 +229,6 @@ let build (entry : hli_entry) : index =
     dup_items;
     equiv_memo = F.Itbl.create 256;
     call_memo = F.Itbl.create 64;
-    prob_memo = F.Itbl.create 64;
   }
 
 (** Item ids that occurred more than once in the line table or in the
@@ -255,14 +245,11 @@ let invalidate idx =
   let s = shard () in
   s.s_invalidations <- s.s_invalidations + 1;
   F.Itbl.reset idx.equiv_memo;
-  F.Itbl.reset idx.call_memo;
-  F.Itbl.reset idx.prob_memo
+  F.Itbl.reset idx.call_memo
 
 (** Number of memoized answers currently held (tests use this to prove
     invalidation). *)
-let memo_size idx =
-  F.Itbl.length idx.equiv_memo + F.Itbl.length idx.call_memo
-  + F.Itbl.length idx.prob_memo
+let memo_size idx = F.Itbl.length idx.equiv_memo + F.Itbl.length idx.call_memo
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -301,22 +288,6 @@ let get_equiv_acc idx item_a item_b =
       s.s_equiv_misses <- s.s_equiv_misses + 1;
       let r = F.get_equiv_acc idx.image item_a item_b in
       if key >= 0 then F.Itbl.replace idx.equiv_memo key r;
-      r
-
-(** {!get_equiv_acc} with a per-mille confidence attached (see
-    {!Flatindex.get_equiv_prob}); the answer component always equals
-    [get_equiv_acc] on the same pair.  Memoized on the unordered item
-    pair; the [Q_equiv_prob] counter is bumped on every call, hit or
-    miss. *)
-let get_equiv_prob idx item_a item_b =
-  let s = shard () in
-  s.s_equiv_prob <- s.s_equiv_prob + 1;
-  let key = pair_key item_a item_b in
-  match if key < 0 then None else F.Itbl.find_opt idx.prob_memo key with
-  | Some r -> r
-  | None ->
-      let r = F.get_equiv_prob idx.image item_a item_b in
-      if key >= 0 then F.Itbl.replace idx.prob_memo key r;
       r
 
 (** May the call item [call] reference or modify the location of memory

@@ -306,7 +306,6 @@ let run_schedule ctx (m : mapped) : schedules =
       let rtls, stats =
         Backend.Sched.schedule_program ~mode:alias
           ~combine_gcc:ctx.ablation.Variant.combine_gcc
-          ?speculate:ctx.ablation.Variant.speculate
           ~hli_of_fn:(Hashtbl.find_opt m.m_maps) ~mds m.m_rtl
       in
       List.map2
@@ -331,20 +330,26 @@ let simulate ctx (s : scheduled) : Machine.Simulate.report =
       Machine.Simulate.run ~fuel:ctx.fuel ~md (Variant.sim_machine v.machine)
         s.s_rtl)
 
-(** A group of variants timed in one interpretation of [prefix]: the
-    schedules that {!Machine.Simulate.member} admitted, with their
-    variants. *)
+(** A group of variants timed in one interpretation of [prefix]: their
+    schedules as {!Machine.Simulate.member}s. *)
 type group = {
   g_prefix : Backend.Rtl.program;
   g_members : (Variant.t * Machine.Simulate.member) list;
 }
 
-(** [s] as a member of a group over [prefix] in the context's ablation,
-    if it can join one. *)
+(** [s] as a member of a group over [prefix] in the context's ablation.
+    A schedule whose blocks are not permutations of the prefix's raises
+    E0901 naming its variant. *)
 let member ctx ~prefix (v : Variant.t) (s : scheduled) =
-  Machine.Simulate.member ~prefix
-    ~md:(Variant.machdesc_of ctx.ablation v)
-    (Variant.sim_machine v.machine) s.s_rtl
+  match
+    Machine.Simulate.member ~prefix
+      ~md:(Variant.machdesc_of ctx.ablation v)
+      (Variant.sim_machine v.machine) s.s_rtl
+  with
+  | m -> m
+  | exception Invalid_argument _ ->
+      Diagnostics.error ~code:"E0901" ~phase:Diagnostics.Sim
+        "%s schedule is not a permutation of its prefix" (Variant.name v)
 
 (** Simulate a group in one interpretation, in one [machine.simulate]
     span: one report per member, in order.  A schedule that breaks an

@@ -61,13 +61,6 @@ type ablation = {
       (** DDG edge decision is [gcc && hli]; [false] trusts the HLI
           answer alone *)
   lsq_blocking : bool;  (** R10000 LSQ load-blocking rule *)
-  speculate : int option;
-      (** per-mille speculation threshold ([--speculate]): maybe-class
-          store-to-load dependences with HLI confidence below it are
-          dropped from the DDG, with check/recovery at run time
-          ({!Backend.Ddg.build}).  [None] — the default everywhere —
-          keeps schedules and simulations byte-identical to the
-          non-speculative compiler *)
 }
 
 let baseline =
@@ -78,7 +71,6 @@ let baseline =
     routine_only_regions = false;
     combine_gcc = true;
     lsq_blocking = true;
-    speculate = None;
   }
 
 let ablations =
@@ -109,38 +101,20 @@ let ablations =
     };
   ]
 
-(** [ab] with speculative scheduling at per-mille threshold [t] — the
-    [--speculate] CLI flag composes this onto whatever ablation is
-    selected. *)
-let with_speculate t ab =
-  {
-    ab with
-    ab_name = (if ab.ab_name = "baseline" then "" else ab.ab_name ^ "+")
-              ^ Printf.sprintf "speculate=%d" t;
-    speculate = Some t;
-  }
-
 let find_ablation n =
   List.find_opt (fun a -> a.ab_name = n) (baseline :: ablations)
 
 let ablation_names = List.map (fun a -> a.ab_name) ablations
 
-(** The [--ablation NAME] and [--speculate T] flags as one ablation;
-    raises E1006 for an unknown name and for a threshold outside the
-    per-mille range 0..1000. *)
-let resolve ?speculate name =
-  let err fmt = Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver fmt in
-  let ab =
-    match find_ablation name with
-    | Some a -> a
-    | None ->
-        err "unknown ablation %S (known: %s)" name
-          (String.concat ", " ("baseline" :: ablation_names))
-  in
-  match speculate with
-  | None -> ab
-  | Some t when t >= 0 && t <= 1000 -> with_speculate t ab
-  | Some t -> err "--speculate threshold %d out of range (per-mille, 0..1000)" t
+(** The [--ablation NAME] flag as an ablation; raises E1006 for an
+    unknown name. *)
+let resolve name =
+  match find_ablation name with
+  | Some a -> a
+  | None ->
+      Diagnostics.error ~code:"E1006" ~phase:Diagnostics.Driver
+        "unknown ablation %S (known: %s)" name
+        (String.concat ", " ("baseline" :: ablation_names))
 
 (** TBLCONST options this ablation implies. *)
 let tblconst_options ab =

@@ -7,9 +7,11 @@
     alias mode; and [ddg_schedule] runs once per alias mode too, in the
     prefix's context: it builds each block's DDG once and
     list-schedules it for every machine, giving every variant of
-    {!Driver.Variant.matrix}.  With a {!Pool} the two alias modes build
-    and schedule concurrently, each on its own domain.  Each step runs
-    in its telemetry span ({!Driver.Pass_manager.span_names}).
+    {!Driver.Variant.matrix}.  The alias modes run in turn.  Each step
+    runs in its telemetry span ({!Driver.Pass_manager.span_names}).
+    Parallelism is the caller's: {!Tables.run_all} maps whole workloads
+    over a {!Pool}, and a group simulation walks its schedules on a
+    spare core when there is one.
 
     Sharing the prefix and the DDG is sound because neither can tell
     the machines apart: their context carries the alias mode but no
@@ -95,8 +97,8 @@ let config_of_passes ?(ablation = Driver.Variant.baseline) passes =
    fingerprints + the program's pointer-constraint digest) plus the
    TBLCONST options and the container format revision (a format bump
    must invalidate every old entry).  Only the TBLCONST options enter
-   the key: an ablation or [--speculate] that changes only the back end
-   shares the entries of the paper configuration.  An edit to one
+   the key: an ablation that changes only the back end shares the
+   entries of the paper configuration.  An edit to one
    function therefore re-analyzes only that function and the callers
    whose fingerprints it feeds; every other function's entry is spliced
    back from disk byte-identically.
@@ -136,7 +138,7 @@ let rec mkdir_p dir =
    evicts least-recently-used entries rather than oldest-written.
    Counted per function into the workload's telemetry record
    ([hli_cache_hits]/[hli_cache_misses], surfaced by --stats and the
-   hli-telemetry-v9 JSON dump). *)
+   hli-telemetry-v10 JSON dump). *)
 let cache_lookup ?tm dir ~opts ~unit_name fp =
   let path = cache_path dir ~opts fp in
   match
@@ -369,7 +371,7 @@ let with_session config socket wire f =
     Table 2's measurement stream comes from exactly one pass (the
     {!Driver.Variant.stats_variant}, whose [stats] this record
     carries). *)
-let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
+let compile ?(config = default_config) ?src_file ?tm (src : string) :
     compiled =
   let spanf = spanf ?tm () in
   let h = frontend ~config ?src_file ?tm src in
@@ -393,9 +395,7 @@ let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
           (fun remote -> run ~remote ())
     | _ -> run ()
   in
-  let scheduled =
-    List.concat (Pool.map_opt pool backend Driver.Variant.aliases)
-  in
+  let scheduled = List.concat_map backend Driver.Variant.aliases in
   let variants =
     List.map (fun v -> (v, List.assoc v scheduled)) Driver.Variant.matrix
   in
@@ -440,18 +440,13 @@ let r10000_gcc m =
 let r10000_hli m =
   report_of m (variant ~alias:Backend.Ddg.With_hli ~machine:Driver.Variant.R10000)
 
-(* A pool task of [measure]: a group's one interpretation, or a lone
-   variant. *)
-type task =
-  | Group of Driver.Pass_manager.group
-  | Lone of Driver.Variant.t * Driver.Pass.scheduled
-
 (* Group the variants by prefix, in matrix order.  A variant's group is
    that of the first prefix whose blocks hold its own prefix's
    instructions in the same order (so the gcc and hli prefixes merge
-   when identical); it joins if {!Machine.Simulate.member} admits it,
-   and runs alone otherwise.  A group of one runs alone. *)
-let tasks ctx (c : compiled) =
+   when identical).  Every variant joins its group; one whose schedule
+   is not a permutation of that prefix raises E0901
+   ({!Driver.Pass_manager.member}). *)
+let groups ctx (c : compiled) =
   let prefixes = ref [] in
   let group_prefix own =
     match List.find_opt (fun p -> p == own || Machine.Simulate.same_blocks p own) !prefixes with
@@ -464,39 +459,28 @@ let tasks ctx (c : compiled) =
     List.map
       (fun (v, (s : Driver.Pass.scheduled)) ->
         let p = group_prefix s.Driver.Pass.s_prefix in
-        (p, v, s, Driver.Pass_manager.member ctx ~prefix:p v s))
+        (p, (v, Driver.Pass_manager.member ctx ~prefix:p v s)))
       c.variants
   in
-  List.concat_map
+  List.map
     (fun p ->
-      let mine = List.filter (fun (q, _, _, _) -> q == p) entries in
-      let lone (_, v, s, _) = Lone (v, s) in
-      match List.filter_map (fun (_, v, _, m) -> Option.map (fun m -> (v, m)) m) mine with
-      | _ :: _ :: _ as joined ->
-          Group { Driver.Pass_manager.g_prefix = p; g_members = joined }
-          :: List.map lone (List.filter (fun (_, _, _, m) -> Option.is_none m) mine)
-      | _ -> List.map lone mine)
+      {
+        Driver.Pass_manager.g_prefix = p;
+        g_members = List.filter_map (fun (q, m) -> if q == p then Some m else None) entries;
+      })
     !prefixes
 
-(** Simulate every variant ([pool]: concurrently, one task per group or
-    lone variant).  Schedules of one prefix are timed together in one
-    interpretation, whose static check and address oracle stand in for
-    an output comparison inside the group; across groups and lone
-    variants, checks that every variant's binary produces byte-identical
-    output — across alias modes and machines alike, since each machine
-    gets its own schedule (scheduling must not change semantics). *)
-let measure ?(fuel = 400_000_000) ?pool ?tm (c : compiled) : measured =
+(** Simulate every variant, one group of schedules at a time.
+    Schedules of one prefix are timed together in one interpretation,
+    whose static check and address oracle stand in for an output
+    comparison inside the group; across groups, checks that every
+    variant's binary produces byte-identical output — across alias
+    modes and machines alike, since each machine gets its own schedule
+    (scheduling must not change semantics). *)
+let measure ?(fuel = 400_000_000) ?tm (c : compiled) : measured =
   let spanf = spanf ?tm () in
   let ctx = Driver.Pass.ctx ~spanf ~ablation:c.config.ablation ~fuel () in
-  let run = function
-    | Group g -> Driver.Pass_manager.simulate_group ctx g
-    | Lone (v, s) ->
-        let ctx =
-          Driver.Pass.ctx ~spanf ~variant:v ~ablation:c.config.ablation ~fuel ()
-        in
-        [ (v, Driver.Pass_manager.simulate ctx s) ]
-  in
-  let by_variant = List.concat (Pool.map_opt pool run (tasks ctx c)) in
+  let by_variant = List.concat_map (Driver.Pass_manager.simulate_group ctx) (groups ctx c) in
   let reports = List.map (fun (v, _) -> (v, List.assoc v by_variant)) c.variants in
   (match reports with
   | [] -> ()

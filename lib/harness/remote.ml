@@ -19,7 +19,6 @@ let hooks_of_client (cl : C.t) (opened : (string * int list) list) :
       let session =
         {
           Backend.Hli_import.equiv_acc = (fun a b -> C.equiv_acc cl ~u a b);
-          equiv_prob = (fun a b -> C.equiv_prob cl ~u a b);
           call_acc = (fun ~call ~mem -> C.call_acc cl ~u ~call ~mem);
           delete_item = (fun item -> C.notify_delete cl ~u item);
           gen_item = (fun ~like ~line -> C.notify_gen cl ~u ~like ~line);

@@ -5,9 +5,9 @@
     {!Diagnostics.Diagnostic}) yields a partial row carrying a failure
     annotation instead of aborting the whole reproduction run; for a
     simulation failure its compile-side columns are still valid.
-    {!run_all} fans the workloads out across an optional {!Pool} — the
-    row list (and thus the printed tables) is byte-identical to a
-    sequential run. *)
+    {!run_all} fans the workloads out across an optional {!Pool}, the
+    harness's one level of parallelism — the row list (and thus the
+    printed tables) is byte-identical to a sequential run. *)
 
 type row = {
   w : Workloads.Workload.t;
@@ -20,9 +20,6 @@ type row = {
   unmapped : int;  (** memory refs the HLI mapping could not cover *)
   duplicates : int;  (** duplicate HLI item ids found while indexing *)
   dropped : int;  (** HLI entries whose unit has no RTL function *)
-  misspec : int;
-      (** misspeculation recoveries, summed over the simulated variants
-          (0 unless the config schedules with [--speculate]) *)
   failure : string option;
       (** [Some reason] when compilation or simulation aborted;
           speedups are then 1.0 placeholders and excluded from the
@@ -31,7 +28,7 @@ type row = {
 }
 
 let run_workload ?(fuel = 400_000_000) ?(config = Pipeline.default_config)
-    ?pool ?tm (w : Workloads.Workload.t) : row =
+    ?tm (w : Workloads.Workload.t) : row =
   let tm = match tm with Some t -> t | None -> Telemetry.create () in
   let base =
     {
@@ -45,12 +42,11 @@ let run_workload ?(fuel = 400_000_000) ?(config = Pipeline.default_config)
       unmapped = 0;
       duplicates = 0;
       dropped = 0;
-      misspec = 0;
       failure = None;
       tm;
     }
   in
-  match Pipeline.compile ~config ?pool ~tm w.Workloads.Workload.source with
+  match Pipeline.compile ~config ~tm w.Workloads.Workload.source with
   | exception Diagnostics.Diagnostic d ->
       { base with failure = Some (Diagnostics.to_string d) }
   | c -> (
@@ -64,7 +60,7 @@ let run_workload ?(fuel = 400_000_000) ?(config = Pipeline.default_config)
           dropped = c.Pipeline.map_dropped;
         }
       in
-      match Pipeline.measure ~fuel ?pool ~tm c with
+      match Pipeline.measure ~fuel ~tm c with
       | m ->
           {
             base with
@@ -75,11 +71,6 @@ let run_workload ?(fuel = 400_000_000) ?(config = Pipeline.default_config)
               Pipeline.speedup ~base:(Pipeline.r10000_gcc m)
                 ~opt:(Pipeline.r10000_hli m);
             dyn_insns = (Pipeline.r4600_gcc m).Machine.Simulate.dyn_insns;
-            misspec =
-              List.fold_left
-                (fun acc (_, (r : Machine.Simulate.report)) ->
-                  acc + r.Machine.Simulate.misspeculations)
-                0 m.Pipeline.reports;
           }
       | exception Machine.Exec.Out_of_fuel ->
           { base with failure = Some "out of fuel" }
@@ -89,16 +80,17 @@ let run_workload ?(fuel = 400_000_000) ?(config = Pipeline.default_config)
           { base with failure = Some (Diagnostics.to_string d) })
 
 (** Run a list of workloads, optionally fanning them out across
-    [pool]; results come back in input order.  [progress] is called as
-    each workload starts (on the running domain, so under a pool the
-    call order is nondeterministic — keep it on stderr). *)
+    [pool], one workload per task; results come back in input order.
+    [progress] is called as each workload starts (on the running domain,
+    so under a pool the call order is nondeterministic — keep it on
+    stderr). *)
 let run_all ?fuel ?config ?pool
     ?(progress = fun (_ : Workloads.Workload.t) -> ())
     (ws : Workloads.Workload.t list) : row list =
   Pool.map_opt pool
     (fun w ->
       progress w;
-      run_workload ?fuel ?config ?pool w)
+      run_workload ?fuel ?config w)
     ws
 
 let reduction (s : Backend.Ddg.stats) =
@@ -285,8 +277,8 @@ let stats_table (rows : row list) =
 
 (** Machine-readable dump, schema {!Telemetry.schema_version} (its doc
     lists what each version added).  Per workload: failure annotation,
-    unmapped, duplicate and dropped counts, dependence-query stats, the
-    [speculation] object and the {!Telemetry} spans/counters.  Process
+    unmapped, duplicate and dropped counts, dependence-query stats and
+    the {!Telemetry} spans/counters.  Process
     wide: the per-kind HLI query counters, the [query_cache] counters,
     the aggregate [hli_cache] object (zeros without a cache directory),
     [server] — the hlid telemetry JSON of a [--remote] run, given as
@@ -325,7 +317,7 @@ let stats_json ?server ?shm (rows : row list) =
       let s = r.stats in
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":\"%s\",\"failure\":%s,\"unmapped\":%d,\"duplicates\":%d,\"dropped\":%d,\"dep_queries\":{\"total\":%d,\"gcc_yes\":%d,\"hli_yes\":%d,\"combined_yes\":%d},\"speculation\":{\"edges_dropped\":%d,\"checks\":%d,\"misspeculations\":%d},%s}"
+           "{\"name\":\"%s\",\"failure\":%s,\"unmapped\":%d,\"duplicates\":%d,\"dropped\":%d,\"dep_queries\":{\"total\":%d,\"gcc_yes\":%d,\"hli_yes\":%d,\"combined_yes\":%d},%s}"
            (Telemetry.json_escape r.w.Workloads.Workload.name)
            (match r.failure with
            | None -> "null"
@@ -333,8 +325,6 @@ let stats_json ?server ?shm (rows : row list) =
            r.unmapped r.duplicates r.dropped s.Backend.Ddg.total
            s.Backend.Ddg.gcc_yes
            s.Backend.Ddg.hli_yes s.Backend.Ddg.combined_yes
-           s.Backend.Ddg.spec_edges_dropped s.Backend.Ddg.spec_checks
-           r.misspec
            (Telemetry.json_fragment r.tm)))
     rows;
   Buffer.add_string b "]}";

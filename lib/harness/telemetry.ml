@@ -176,8 +176,11 @@ let to_json (t : t) = "{" ^ json_fragment t ^ "}"
     observed in simulation; v9 cut the [server] object's [queries] to
     the back end's four kinds (its [alias], [lcdd] and
     [region_of_item] counters are gone), and its [batches] now counts
-    the probability queries' frames too, since they ride in [Batch]. *)
-let schema_version = "hli-telemetry-v9"
+    the probability queries' frames too, since they ride in [Batch];
+    v10 removed what v8 added — the [equiv_prob] counters, in
+    [hli_queries] and in [server]'s [queries], and the per-workload
+    [speculation] object — with the speculative scheduler. *)
+let schema_version = "hli-telemetry-v10"
 
 (* first "schema" key in the dump (the emitters put it first) and its
    string value, scanned tolerantly so a pretty-printed dump still

@@ -32,10 +32,6 @@ type mem = {
   index : int;  (** index register, or -1 *)
   scale : int;
   size : int;
-  uid : int;
-      (** source uid: the speculation checks compare a load's and a
-          store's, which are in program order ({!Backend.Rtl.insn}) *)
-  spec : bool;  (** speculative load (logged for the store checks) *)
 }
 
 type builtin =
@@ -91,7 +87,6 @@ type fn = {
   nregs : int;  (** register slots of an activation *)
   nargs : int;  (** argument slots after the registers *)
   frame_size : int;
-  has_spec : bool;  (** contains speculative loads *)
 }
 
 (** A decoded program.  [insns], [src], [dst] and the [srcs] slices are
@@ -154,7 +149,7 @@ let builtin_of_name = function
 exception Undecodable of string
 
 (* stand-in source instruction of the synthetic [Fall]/[Trap] pcs *)
-let no_insn = { Rtl.uid = -1; desc = Rtl.Ret None; line = 0; item = None; spec = false }
+let no_insn = { Rtl.uid = -1; desc = Rtl.Ret None; line = 0; item = None }
 
 (** Decode [prog] once; the result serves any number of runs. *)
 let decode (prog : Rtl.program) : code =
@@ -266,7 +261,7 @@ let decode (prog : Rtl.program) : code =
           if l >= 0 && l < Array.length block_pc.(k) then block_pc.(k).(l)
           else bad_target
         in
-        let mem (m : Rtl.mem) (i : Rtl.insn) =
+        let mem (m : Rtl.mem) =
           let base, off =
             match m.Rtl.mbase with
             | Rtl.Bsym s -> (
@@ -286,8 +281,6 @@ let decode (prog : Rtl.program) : code =
             index = (match m.Rtl.mindex with Some r -> reg r | None -> -1);
             scale = m.Rtl.mscale;
             size = m.Rtl.msize;
-            uid = i.Rtl.uid;
-            spec = i.Rtl.spec;
           }
         in
         let mov d op = if is_flt d then Mov_f (d, fop op) else Mov_i (d, iop op) in
@@ -304,11 +297,11 @@ let decode (prog : Rtl.program) : code =
               | None -> raise (Undecodable "unallocated global"))
           | Rtl.Laf (d, off) -> Laf (idst d, off)
           | Rtl.Load (d, m) ->
-              if m.Rtl.mclass = Rtl.Rint then Load_i (idst d, mem m i)
-              else Load_f (fdst d, mem m i)
+              if m.Rtl.mclass = Rtl.Rint then Load_i (idst d, mem m)
+              else Load_f (fdst d, mem m)
           | Rtl.Store (m, v) ->
-              if m.Rtl.mclass = Rtl.Rint then Store_i (mem m i, iop v)
-              else Store_f (mem m i, fop v)
+              if m.Rtl.mclass = Rtl.Rint then Store_i (mem m, iop v)
+              else Store_f (mem m, fop v)
           | Rtl.Cvt_i2f (d, s) -> Cvt_i2f (reg d, reg s)
           | Rtl.Cvt_f2i (d, s) -> Cvt_f2i (reg d, reg s)
           | Rtl.Getarg (_, a) when a < 0 -> raise (Undecodable "bad argument index")
@@ -341,7 +334,6 @@ let decode (prog : Rtl.program) : code =
           | Rtl.Ret None -> Ret_i (const_i 0)
           | Rtl.Ret (Some op) -> if flt_valued op then Ret_f (fop op) else Ret_i (iop op)
         in
-        let has_spec = ref false in
         Array.iteri
           (fun b (blk : Rtl.block) ->
             List.iteri
@@ -352,8 +344,7 @@ let decode (prog : Rtl.program) : code =
                 | d ->
                     insns.(pc) <- d;
                     srcs_l.(pc) <- List.map (fun r -> rbase + r) (Rtl.uses i);
-                    dst.(pc) <- (match Rtl.def i with Some r -> rbase + r | None -> -1);
-                    if Rtl.is_load i && i.Rtl.spec then has_spec := true
+                    dst.(pc) <- (match Rtl.def i with Some r -> rbase + r | None -> -1)
                 | exception Undecodable msg -> insns.(pc) <- Trap msg)
               blk.Rtl.insns;
             insns.(block_pc.(k).(b) + List.length blk.Rtl.insns) <- Fall)
@@ -370,7 +361,6 @@ let decode (prog : Rtl.program) : code =
           nregs;
           nargs = nargs.(k);
           frame_size = f.Rtl.frame_size;
-          has_spec = !has_spec;
         })
       rfns
   in

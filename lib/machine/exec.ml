@@ -155,7 +155,6 @@ module Inorder = struct
     dst : int array;
     ready : int array;  (** globalized register -> cycle its value is ready *)
     lat : int array;  (** pc -> result latency *)
-    misspec_penalty : int;
     mutable last_issue : int;
     mutable cycles : int;
   }
@@ -168,7 +167,6 @@ module Inorder = struct
       dst = code.Code.dst;
       ready = Array.make code.Code.global_regs 0;
       lat = Array.map (Backend.Machdesc.latency md) code.Code.src;
-      misspec_penalty = md.Backend.Machdesc.misspec_penalty;
       last_issue = 0;
       cycles = 0;
     }
@@ -201,12 +199,10 @@ module Inorder = struct
 
   let[@inline] load t pc addr = compute t pc (Array.unsafe_get t.lat pc + Cache.access t.cache addr)
 
-  (* a store that caught [misspec] misspeculated loads stalls the pipeline
-     for the recovery (re-fetch and re-execute each load) *)
-  let[@inline] store t pc addr misspec =
+  let[@inline] store t pc addr =
     let issue = issue t pc in
     let lat = Array.unsafe_get t.lat pc + Cache.access t.cache addr in
-    t.last_issue <- issue + (misspec * t.misspec_penalty);
+    t.last_issue <- issue;
     finish t (issue + lat)
 
   (* taken control transfers flush the fetch stage: one bubble *)
@@ -242,7 +238,6 @@ module Ooo = struct
     window : int;
     issue_width : int;
     lsq_blocking : bool;
-    misspec_penalty : int;
     srcs_start : int array;  (** the decoded program's, see {!Code.code} *)
     srcs : int array;
     dst : int array;
@@ -273,7 +268,6 @@ module Ooo = struct
       window;
       issue_width = md.Backend.Machdesc.issue_width;
       lsq_blocking = md.Backend.Machdesc.lsq_blocking;
-      misspec_penalty = md.Backend.Machdesc.misspec_penalty;
       srcs_start = code.Code.srcs_start;
       srcs = code.Code.srcs;
       dst = code.Code.dst;
@@ -422,16 +416,10 @@ module Ooo = struct
     let complete = issue + Array.unsafe_get t.lat pc + Cache.access t.cache addr in
     commit t (retire_at t pc complete)
 
-  (* a store that caught [misspec] misspeculated loads replays them from
-     the issue queue: dispatch restarts after the recovery window *)
-  let store t pc addr misspec =
+  let store t pc addr =
     let issue = issue_on t 4 (operands t pc) in
     let complete = issue + Array.unsafe_get t.lat pc + Cache.access t.cache addr in
     let retire = retire_at t pc complete in
-    if misspec > 0 then begin
-      t.dispatch_cycle <- imax t.dispatch_cycle (complete + (misspec * t.misspec_penalty));
-      t.dispatch_in_cycle <- 0
-    end;
     push_store t ~complete ~retire addr;
     commit t retire
 
@@ -532,7 +520,6 @@ type result = {
   ret : int;
   output : string;
   dyn_count : int;  (** executed instructions *)
-  misspec : int;  (** misspeculation recoveries performed *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -586,7 +573,7 @@ let walk_r4600 (m : Inorder.t) w g =
       | '\001' -> Inorder.alu m q
       | '\002' -> Inorder.fpu m q
       | '\003' -> Inorder.load m q (Array.unsafe_get snap (sb + Array.unsafe_get slot q))
-      | '\004' -> Inorder.store m q (Array.unsafe_get snap (sb + Array.unsafe_get slot q)) 0
+      | '\004' -> Inorder.store m q (Array.unsafe_get snap (sb + Array.unsafe_get slot q))
       | '\005' -> Inorder.branch m q (q = stop && x land f_taken <> 0)
       | _ -> ()
     done;
@@ -609,7 +596,7 @@ let walk_r10000 (m : Ooo.t) w g =
       | '\001' -> Ooo.alu m q
       | '\002' -> Ooo.fpu m q
       | '\003' -> Ooo.load m q (Array.unsafe_get snap (sb + Array.unsafe_get slot q))
-      | '\004' -> Ooo.store m q (Array.unsafe_get snap (sb + Array.unsafe_get slot q)) 0
+      | '\004' -> Ooo.store m q (Array.unsafe_get snap (sb + Array.unsafe_get slot q))
       | '\005' -> Ooo.branch m q (q = stop && x land f_taken <> 0)
       | _ -> ()
     done;
@@ -938,17 +925,8 @@ type state = {
   mutable rand_state : int;
   limit : int;  (** instruction budget ([max_int]: unlimited) *)
   mutable executed : int;
-  mutable misspec : int;  (** misspeculation recoveries across the run *)
   model : model;
-  mutable specs : int array;
-      (** the speculation log, [spec_stride] ints per entry: raw
-          destination register, load uid, captured address, size,
-          1 if the load moves a float.  Each activation owns the
-          entries from its base to [spec_top]. *)
-  mutable spec_top : int;
 }
-
-let spec_stride = 5
 
 let out_of_range addr =
   raise (Runtime_error (Printf.sprintf "address out of range: 0x%x" addr))
@@ -1010,8 +988,6 @@ let[@inline] iset st rb d v =
 let[@inline] fset st rb d x =
   if d >= 0 then fr_set st (rb + d) x else ir_set st (rb - 1 - d) (int_of_float x)
 
-let[@inline] raw d = if d >= 0 then d else -1 - d
-
 let[@inline] addr_of st ~rb ~fp ~sp m =
   let b =
     match m.base with
@@ -1059,13 +1035,12 @@ let[@inline] emit_load st ~win pc addr size =
       Array.unsafe_set g.wslots (win + pc) addr;
       if g.nwatch > 0 then check_watch g addr size false
 
-(* [misspec]: speculative loads this store caught (and re-loaded) *)
-let[@inline] emit_store st ~win pc addr size misspec =
+let[@inline] emit_store st ~win pc addr size =
   count st;
   match st.model with
   | Functional -> ()
-  | R4600 m -> Inorder.store m pc addr misspec
-  | R10000 m -> Ooo.store m pc addr misspec
+  | R4600 m -> Inorder.store m pc addr
+  | R10000 m -> Ooo.store m pc addr
   | Group g ->
       Array.unsafe_set g.wslots (win + pc) addr;
       if g.nwatch > 0 then check_watch g addr size true
@@ -1111,55 +1086,6 @@ let open_window st (f : fn) =
 
 let close_window st (f : fn) ~win =
   match st.model with Functional | R4600 _ | R10000 _ -> () | Group g -> g.wtop <- win + f.first
-
-(* Registers hold a dead speculative value once redefined: drop the
-   activation's log entry for [r] (there is at most one). *)
-let prune st sbase r =
-  let s = st.specs in
-  let rec go e =
-    if e < st.spec_top then
-      if s.(e) = r then begin
-        let last = st.spec_top - spec_stride in
-        Array.blit s last s e spec_stride;
-        st.spec_top <- last
-      end
-      else go (e + spec_stride)
-  in
-  go sbase
-
-let log_spec st r (m : mem) addr ~flt =
-  if st.spec_top + spec_stride > Array.length st.specs then begin
-    let bigger = Array.make (2 * Array.length st.specs) 0 in
-    Array.blit st.specs 0 bigger 0 st.spec_top;
-    st.specs <- bigger
-  end;
-  let s = st.specs and e = st.spec_top in
-  s.(e) <- r;
-  s.(e + 1) <- m.uid;
-  s.(e + 2) <- addr;
-  s.(e + 3) <- m.size;
-  s.(e + 4) <- (if flt then 1 else 0);
-  st.spec_top <- e + spec_stride
-
-(* The check of every speculative load hoisted above this store
-   (originally-later loads only: a block's memory references are in uid
-   order, see {!Backend.Rtl.insn})
-   fires on an address overlap — recovery re-executes the load.
-   Returns the number of recoveries. *)
-let check_specs st sbase rb (m : mem) addr =
-  let s = st.specs and n = ref 0 in
-  let e = ref sbase in
-  while !e < st.spec_top do
-    let r = s.(!e) and a0 = s.(!e + 2) in
-    if s.(!e + 1) > m.uid && a0 < addr + m.size && addr < a0 + s.(!e + 3) then begin
-      incr n;
-      if s.(!e + 4) = 1 then fr_set st (rb + r) (load_flt st a0)
-      else ir_set st (rb + r) (load_int st a0)
-    end;
-    e := !e + spec_stride
-  done;
-  st.misspec <- st.misspec + !n;
-  !n
 
 let[@inline] ret_int st v =
   st.ret_i <- v;
@@ -1246,8 +1172,6 @@ let rec exec_fn st (f : fn) ~sp ~rb =
   let fp = sp - f.frame_size in
   if fp - argout_bytes < st.code.globals_end then raise (Runtime_error "stack overflow");
   let code = st.code.insns in
-  let spec = f.has_spec in
-  let sbase = st.spec_top in
   let win = open_window st f in
   let pc = ref f.entry in
   while !pc >= 0 do
@@ -1255,84 +1179,65 @@ let rec exec_fn st (f : fn) ~sp ~rb =
     pc := here + 1;
     match Array.unsafe_get code here with
     | Mov_i (d, o) ->
-        if spec then prune st sbase d;
         ir_set st (rb + d) (iget st rb o);
         emit_alu st here
     | Mov_f (d, o) ->
-        if spec then prune st sbase d;
         fr_set st (rb + d) (fget st rb o);
         emit_alu st here
     | Laf (d, off) ->
-        if spec then prune st sbase (raw d);
         iset st rb d (fp + off);
         emit_alu st here
     | Alu (op, d, a, b) ->
         let v = alu op (iget st rb a) (iget st rb b) in
-        if spec then prune st sbase (raw d);
         iset st rb d v;
         emit_alu st here
     | Falu (op, d, a, b) ->
-        if spec then prune st sbase (raw d);
         falu st rb op d (fget st rb a) (fget st rb b);
         emit_fpu st here
     | Load_i (d, m) ->
         let addr = addr_of st ~rb ~fp ~sp m in
         let v = load_int st addr in
-        if spec then prune st sbase (raw d);
         iset st rb d v;
-        emit_load st ~win here addr m.size;
-        if m.spec then log_spec st (raw d) m addr ~flt:false
+        emit_load st ~win here addr m.size
     | Load_f (d, m) ->
         let addr = addr_of st ~rb ~fp ~sp m in
         let x = load_flt st addr in
-        if spec then prune st sbase (raw d);
         fset st rb d x;
-        emit_load st ~win here addr m.size;
-        if m.spec then log_spec st (raw d) m addr ~flt:true
+        emit_load st ~win here addr m.size
     | Store_i (m, o) ->
         let addr = addr_of st ~rb ~fp ~sp m in
         store_int st addr (iget st rb o);
-        let n = if st.spec_top > sbase then check_specs st sbase rb m addr else 0 in
-        emit_store st ~win here addr m.size n
+        emit_store st ~win here addr m.size
     | Store_f (m, o) ->
         let addr = addr_of st ~rb ~fp ~sp m in
         store_flt st addr (fget st rb o);
-        let n = if st.spec_top > sbase then check_specs st sbase rb m addr else 0 in
-        emit_store st ~win here addr m.size n
+        emit_store st ~win here addr m.size
     | Cvt_i2f (d, s) ->
-        if spec then prune st sbase d;
         fr_set st (rb + d) (float_of_int (ir_get st (rb + s)));
         emit_fpu st here
     | Cvt_f2i (d, s) ->
-        if spec then prune st sbase d;
         ir_set st (rb + d) (int_of_float (fr_get st (rb + s)));
         emit_fpu st here
     | Call c ->
         call st f c ~here ~fp ~rb ~win;
         if c.ret_reg >= 0 then begin
-          if spec then prune st sbase c.ret_reg;
           if c.ret_flt then fr_set st (rb + c.ret_reg) st.ret_f.(0)
           else ir_set st (rb + c.ret_reg) st.ret_i
         end
     | Br_eqz (r, t) ->
         if ir_get st (rb + r) = 0 then begin
           emit_taken st ~win here f_taken;
-          (* speculation never crosses a block: the DDG that dropped
-             the edges is block-local *)
-          st.spec_top <- sbase;
           pc := t
         end
         else emit_branch st here
     | Br_nez (r, t) ->
         if ir_get st (rb + r) <> 0 then begin
           emit_taken st ~win here f_taken;
-          st.spec_top <- sbase;
           pc := t
         end
         else emit_branch st here
     | Jmp t ->
         emit_taken st ~win here f_taken;
-        st.spec_top <- sbase;
         pc := t
     | Ret_i o ->
         emit_taken st ~win here (f_taken lor f_ret);
@@ -1350,8 +1255,7 @@ let rec exec_fn st (f : fn) ~sp ~rb =
         pc := -1
     | Trap msg -> raise (Runtime_error msg)
   done;
-  close_window st f ~win;
-  st.spec_top <- sbase
+  close_window st f ~win
 
 (* Arguments are evaluated, the call counted, then the callee runs.  The
    arguments go just above the caller's window: into a callee's argument
@@ -1429,10 +1333,7 @@ let run_code ?(fuel = 400_000_000) ?(model = Functional) (code : code) : result 
       rand_state = 123456789;
       limit = (if fuel > 0 then fuel else max_int);
       executed = 0;
-      misspec = 0;
       model;
-      specs = Array.make (8 * spec_stride) 0;
-      spec_top = 0;
     }
   in
   List.iter
@@ -1453,12 +1354,7 @@ let run_code ?(fuel = 400_000_000) ?(model = Functional) (code : code) : result 
           run ();
           publish g;
           finish g));
-  {
-    ret = st.ret_i;
-    output = Buffer.contents st.out;
-    dyn_count = st.executed;
-    misspec = st.misspec;
-  }
+  { ret = st.ret_i; output = Buffer.contents st.out; dyn_count = st.executed }
 
 (** Decode and run [prog] without a timing model (see {!run_code}). *)
 let run ?fuel (prog : Rtl.program) : result = run_code ?fuel (decode prog)

@@ -14,8 +14,10 @@ type report = {
   l1_misses : int;
   lsq_stalls : int;  (** 0 on the in-order machine *)
   misspeculations : int;
-      (** speculative-load recoveries (0 unless scheduled with
-          [--speculate]) *)
+      (** always 0: the speculative scheduler that set it is gone.  The
+          field stays because [bench/e2e] reports it as
+          [machine.misspeculations] and pins it in [reference.txt]; it
+          goes with those readers. *)
 }
 
 let machine_name = function R4600 -> "R4600" | R10000 -> "R10000"
@@ -44,7 +46,7 @@ let report machine model (res : Exec.result) =
     l1_hits;
     l1_misses;
     lsq_stalls;
-    misspeculations = res.Exec.misspec;
+    misspeculations = 0;
   }
 
 (** [md] overrides the machine description (default: the machine's own
@@ -87,7 +89,6 @@ let same_insn (a : Rtl.insn) (b : Rtl.insn) =
   a == b
   || a.Rtl.uid = b.Rtl.uid
      && a.Rtl.line = b.Rtl.line
-     && a.Rtl.spec = b.Rtl.spec
      && compare a.Rtl.desc b.Rtl.desc = 0
 
 (** [same_blocks a b]: every block of [a] holds [b]'s instructions, in
@@ -224,19 +225,13 @@ type member = {
   m_rtl : Rtl.program;
 }
 
-let has_spec (p : Rtl.program) =
-  List.exists
-    (fun (f : Rtl.fn) ->
-      Array.exists (fun (b : Rtl.block) -> List.exists (fun (i : Rtl.insn) -> i.Rtl.spec) b.Rtl.insns) f.Rtl.blocks)
-    p.Rtl.fns
-
-(** [rtl] joins [prefix]'s group when it has no speculative load and
-    every block is a permutation of the prefix's with identical
-    instructions, HLI item tags aside. *)
+(** [rtl] as a member of [prefix]'s group: every block must be a
+    permutation of the prefix's with identical instructions, HLI item
+    tags aside; raises [Invalid_argument] otherwise. *)
 let member ~prefix ?md machine rtl =
-  if has_spec rtl then None
-  else
-    Option.map (fun ps -> { m_machine = machine; m_md = md; m_perms = ps; m_rtl = rtl }) (perms ~prefix rtl)
+  match perms ~prefix rtl with
+  | Some ps -> { m_machine = machine; m_md = md; m_perms = ps; m_rtl = rtl }
+  | None -> invalid_arg "Simulate.member: not a permutation of the prefix"
 
 (* The canonical order of one prefix block over the schedules [sched]
    (each as [pos]): user calls in their order; before each, everything

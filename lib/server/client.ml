@@ -1,10 +1,10 @@
 (** Blocking hlid client, with optional request pipelining.
 
     One {!t} is one server session (one socket, one opened HLI file).
-    It carries the back-end session's four queries (equiv, equiv-prob,
-    call, hoist-target) and its maintenance calls.  Each query is one
-    [Batch] frame, or in shm mode an equiv, equiv-prob or call lookup
-    off the unit's mapped HLIX segment; nothing is memoized client-side, so
+    It carries the back-end session's three queries (equiv, call,
+    hoist-target) and its maintenance calls.  Each query is one
+    [Batch] frame, or in shm mode an equiv or call lookup off the
+    unit's mapped HLIX segment; nothing is memoized client-side, so
     every answer is the server session's [Maintain.queried] answer.
 
     Pipelining rides on the server's ordering guarantee: replies come
@@ -95,7 +95,7 @@ let shm_stats () =
     segment_bytes = Atomic.get sc_bytes;
   }
 
-(* canonical rendering of the telemetry "shm" object (hli-telemetry-v9) *)
+(* canonical rendering of the telemetry "shm" object (hli-telemetry-v10) *)
 let shm_stats_json () =
   let s = shm_stats () in
   Printf.sprintf
@@ -538,10 +538,6 @@ let shm_query cl (q : P.query) : P.answer option =
       Option.map
         (fun r -> P.A_call r)
         (with_seg cl u (fun seg -> F.get_call_acc seg ~call ~mem))
-  | P.Q_prob { u; a; b } ->
-      Option.map
-        (fun r -> P.A_prob r)
-        (with_seg cl u (fun seg -> F.get_equiv_prob seg a b))
   | P.Q_hoist_target _ -> None
 
 let shm_active cl u = cl.shm && Hashtbl.mem cl.shm_units u
@@ -561,14 +557,6 @@ let call_acc cl ~u ~call ~mem =
       match one cl (P.Q_call { u; call; mem }) with
       | P.A_call r -> r
       | _ -> net_raise "E1105" "answer kind mismatch (call)")
-
-let equiv_prob cl ~u a b =
-  match with_seg cl u (fun seg -> F.get_equiv_prob seg a b) with
-  | Some r -> r
-  | None -> (
-      match one cl (P.Q_prob { u; a; b }) with
-      | P.A_prob r -> r
-      | _ -> net_raise "E1105" "answer kind mismatch (equiv_prob)")
 
 let hoist_target cl ~u item =
   match one cl (P.Q_hoist_target { u; item }) with

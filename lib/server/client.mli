@@ -1,10 +1,10 @@
 (** Blocking hlid client: one value is one server session.
 
-    It carries the back-end session's four queries (equiv, equiv-prob,
-    call, hoist-target) and its maintenance calls, the functions
+    It carries the back-end session's three queries (equiv, call,
+    hoist-target) and its maintenance calls, the functions
     [Harness.Remote] wraps into a [Backend.Hli_import.session].  Each
-    query is one [Batch] frame, or in shm mode an equiv, equiv-prob or
-    call lookup off the unit's mapped HLIX segment.  Nothing is memoized
+    query is one [Batch] frame, or in shm mode an equiv or call lookup
+    off the unit's mapped HLIX segment.  Nothing is memoized
     client-side: every answer is the server session's, read from the
     index as of the unit's last [refresh] barrier.
 
@@ -89,13 +89,6 @@ val hoist_target : t -> u:string -> int -> int option
     [Maintain.hoist_target]; always on the wire, since it reads the
     maintained entry. *)
 
-val equiv_prob :
-  t -> u:string -> int -> int -> Hli_core.Query.equiv_result * int
-(** Confidence-weighted equiv: the engine's [get_equiv_prob] — the
-    equiv answer plus a per-mille confidence from the HLI3 probability
-    sections.  In shm mode it is answered off the segment, like
-    {!equiv_acc}. *)
-
 (** {2 Shared-memory fast path} *)
 
 val shm_query : t -> Protocol.query -> Protocol.answer option
@@ -122,7 +115,7 @@ type shm_stats = {
 val shm_stats : unit -> shm_stats
 
 val shm_stats_json : unit -> string
-(** The counters rendered as the canonical hli-telemetry-v9 ["shm"]
+(** The counters rendered as the canonical hli-telemetry-v10 ["shm"]
     JSON object. *)
 
 (** {2 Maintenance notifications} — each opens the named unit's

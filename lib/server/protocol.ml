@@ -35,8 +35,9 @@ module Q = Hli_core.Query
    negotiation: a Hello at any other version is answered E1111.  Bump
    it whenever a frame's layout changes (v7: the four back-end query
    kinds only, probability queries ride in Batch, tags renumbered
-   densely). *)
-let protocol_version = 7
+   densely; v8: the probability query is gone, hoist-target's query
+   and answer tags move from 3 to 2). *)
+let protocol_version = 8
 
 (** Bound on a frame's payload length, checked {e before} the payload
     is read or allocated. *)
@@ -53,8 +54,6 @@ let err ?at code fmt = S.corrupt ?at ~code fmt
 type query =
   | Q_equiv of { u : string; a : int; b : int }
   | Q_call of { u : string; call : int; mem : int }
-  | Q_prob of { u : string; a : int; b : int }
-      (** confidence-weighted equiv: the engine's [get_equiv_prob] *)
   | Q_hoist_target of { u : string; item : int }
       (** LICM's hoist decision ([Maintain.hoist_target]): the parent
           region of the item's region in the {e maintained} entry,
@@ -63,7 +62,6 @@ type query =
 type answer =
   | A_equiv of Q.equiv_result
   | A_call of Q.call_acc_result
-  | A_prob of (Q.equiv_result * int)  (** result, per-mille confidence *)
   | A_hoist_target of int option
 
 type request =
@@ -132,13 +130,8 @@ let put_query buf = function
       S.put_string buf u;
       S.put_varint buf call;
       S.put_varint buf mem
-  | Q_prob { u; a; b } ->
-      Buffer.add_char buf '\002';
-      S.put_string buf u;
-      S.put_varint buf a;
-      S.put_varint buf b
   | Q_hoist_target { u; item } ->
-      Buffer.add_char buf '\003';
+      Buffer.add_char buf '\002';
       S.put_string buf u;
       S.put_varint buf item
 
@@ -167,12 +160,8 @@ let put_answer buf = function
   | A_call r ->
       Buffer.add_char buf '\001';
       put_call buf r
-  | A_prob (r, p) ->
-      Buffer.add_char buf '\002';
-      put_equiv buf r;
-      S.put_varint buf p
   | A_hoist_target o ->
-      Buffer.add_char buf '\003';
+      Buffer.add_char buf '\002';
       S.put_opt buf S.put_varint o
 
 (* (id, per-copy ids) pairs of Maintain.unroll_result *)
@@ -329,11 +318,6 @@ let get_query ?(get_u = S.get_string) cur =
       Q_call { u; call; mem }
   | 2 ->
       let u = get_u cur in
-      let a = S.get_varint cur in
-      let b = S.get_varint cur in
-      Q_prob { u; a; b }
-  | 3 ->
-      let u = get_u cur in
       let item = S.get_varint cur in
       Q_hoist_target { u; item }
   | n -> err ~at:(cur.S.pos - 1) "E1105" "bad query tag %d" n
@@ -395,10 +379,7 @@ let get_answer cur =
   match S.byte cur with
   | 0 -> A_equiv (get_equiv cur)
   | 1 -> A_call (get_call cur)
-  | 2 ->
-      let r = get_equiv cur in
-      A_prob (r, S.get_varint cur)
-  | 3 -> A_hoist_target (S.get_opt cur S.get_varint)
+  | 2 -> A_hoist_target (S.get_opt cur S.get_varint)
   | n -> err ~at:(cur.S.pos - 1) "E1105" "bad answer tag %d" n
 
 let get_ipairs cur =

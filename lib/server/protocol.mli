@@ -21,20 +21,16 @@ val default_timeout : float
 (** Default per-frame progress timeout, seconds. *)
 
 (** One query of a {!Batch}; [u] names the opened unit.  These are
-    the back-end session's four queries ([Hli_import.session]). *)
+    the back-end session's three queries ([Hli_import.session]). *)
 type query =
   | Q_equiv of { u : string; a : int; b : int }
   | Q_call of { u : string; call : int; mem : int }
-  | Q_prob of { u : string; a : int; b : int }
-      (** confidence-weighted equiv: the engine's [get_equiv_prob] *)
   | Q_hoist_target of { u : string; item : int }
 
 (** Positional answers of an {!R_results}, mirroring {!query}. *)
 type answer =
   | A_equiv of Hli_core.Query.equiv_result
   | A_call of Hli_core.Query.call_acc_result
-  | A_prob of (Hli_core.Query.equiv_result * int)
-      (** result and per-mille confidence *)
   | A_hoist_target of int option
 
 type request =

@@ -67,7 +67,7 @@ let default_config ~socket_path =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry (hli-telemetry-v9 "server" object)                        *)
+(* Telemetry (hli-telemetry-v10 "server" object)                        *)
 (* ------------------------------------------------------------------ *)
 
 let lat_cap = 8192
@@ -83,7 +83,6 @@ type stats = {
   mutable st_q_equiv : int;
   mutable st_q_call : int;
   mutable st_q_hoist : int;
-  mutable st_q_prob : int;
   mutable st_maintenance : int;
   mutable st_rejected : int;
   mutable st_timeouts : int;
@@ -113,7 +112,6 @@ let fresh_stats () =
     st_q_equiv = 0;
     st_q_call = 0;
     st_q_hoist = 0;
-    st_q_prob = 0;
     st_maintenance = 0;
     st_rejected = 0;
     st_timeouts = 0;
@@ -242,7 +240,7 @@ let percentile_ns sorted p =
     int_of_float (sorted.(max 0 i) *. 1e9)
 
 (** The server-side telemetry object embedded as the ["server"] field
-    of an hli-telemetry-v9 dump (and answered to a [Stats] frame). *)
+    of an hli-telemetry-v10 dump (and answered to a [Stats] frame). *)
 let stats_json t =
   locked t @@ fun () ->
   let s = t.st in
@@ -254,7 +252,7 @@ let stats_json t =
        "{\"sessions\":%d,\"active\":%d,\"frames\":%d,\"rejected_frames\":%d,\
         \"timed_out_frames\":%d,\"batches\":%d,\"batch_max\":%d,\
         \"maintenance_ops\":%d,\"queries\":{\"total\":%d,\"equiv_acc\":%d,\
-        \"call_acc\":%d,\"hoist_target\":%d,\"equiv_prob\":%d},\"latency_ns\":{\"samples\":%d,\"p50\":%d,\
+        \"call_acc\":%d,\"hoist_target\":%d},\"latency_ns\":{\"samples\":%d,\"p50\":%d,\
         \"p99\":%d},\"shm\":{\"publishes\":%d,\"rebuilds\":%d,\
         \"stale_swept\":%d},\"delta\":{\"opens\":%d,\"entries_reused\":%d,\
         \"entries_filled\":%d},\"store\":{\"bytes\":%d,\"entries\":%d},\
@@ -262,7 +260,7 @@ let stats_json t =
         \"per_session\":["
        s.st_sessions s.st_active s.st_frames s.st_rejected s.st_timeouts
        s.st_batches s.st_batch_max s.st_maintenance s.st_queries s.st_q_equiv
-       s.st_q_call s.st_q_hoist s.st_q_prob s.st_lat_n
+       s.st_q_call s.st_q_hoist s.st_lat_n
        (percentile_ns sorted 0.50)
        (percentile_ns sorted 0.99)
        s.st_shm_publishes s.st_shm_rebuilds s.st_shm_stale_swept
@@ -285,7 +283,6 @@ let stats_json t =
 let q_unit = function
   | P.Q_equiv { u; _ }
   | P.Q_call { u; _ }
-  | P.Q_prob { u; _ }
   | P.Q_hoist_target { u; _ } ->
       u
 
@@ -305,7 +302,6 @@ let answer_query_in us q : P.answer =
   match q with
   | P.Q_equiv { a; b; _ } -> P.A_equiv (Q.get_equiv_acc idx a b)
   | P.Q_call { call; mem; _ } -> P.A_call (Q.get_call_acc idx ~call ~mem)
-  | P.Q_prob { a; b; _ } -> P.A_prob (Q.get_equiv_prob idx a b)
   | P.Q_hoist_target { item; _ } ->
       P.A_hoist_target (M.hoist_target us.us_mt item)
 
@@ -370,7 +366,6 @@ let open_file t (c : conn) ~hash (f : T.hli_file) : P.response =
 let bump_query_kind st = function
   | P.Q_equiv _ -> st.st_q_equiv <- st.st_q_equiv + 1
   | P.Q_call _ -> st.st_q_call <- st.st_q_call + 1
-  | P.Q_prob _ -> st.st_q_prob <- st.st_q_prob + 1
   | P.Q_hoist_target _ -> st.st_q_hoist <- st.st_q_hoist + 1
 
 (* split + decode + validate + open a full container, and seed the

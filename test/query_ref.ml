@@ -128,43 +128,6 @@ let get_equiv_acc idx item_a item_b : Query.equiv_result =
           | None -> Query.Equiv_unknown)
   end
 
-(* probability of the alias pair: the first alias entry listing both
-   classes wins, like [classes_aliased]'s scan order *)
-let alias_prob_of (r : region_entry) a b =
-  match
-    List.find_opt
-      (fun ae -> List.mem a ae.alias_classes && List.mem b ae.alias_classes)
-      r.aliases
-  with
-  | Some { alias_prob = Some p; _ } -> p
-  | Some { alias_prob = None; _ } | None -> Query.default_maybe_prob
-
-let get_equiv_prob idx item_a item_b : Query.equiv_result * int =
-  Query.count_query Query.Q_equiv_prob;
-  let chain_a = class_chain idx item_a and chain_b = class_chain idx item_b in
-  if chain_a = [] || chain_b = [] then (Query.Equiv_unknown, 0)
-  else begin
-    let common =
-      List.find_opt (fun (r, _) -> List.mem_assoc r chain_b) chain_a
-    in
-    match common with
-    | None -> (Query.Equiv_unknown, 0)
-    | Some (rid, ca) -> (
-        let cb = List.assoc rid chain_b in
-        if ca = cb then
-          match class_kind idx ~rid ca with
-          | Some Definitely -> (Query.Equiv_same Definitely, 1000)
-          | Some Maybe -> (Query.Equiv_same Maybe, Query.default_maybe_prob)
-          | None -> (Query.Equiv_unknown, 0)
-        else
-          match region idx rid with
-          | Some r ->
-              if classes_aliased r ca cb then
-                (Query.Equiv_alias, alias_prob_of r ca cb)
-              else (Query.Equiv_none, 1000)
-          | None -> (Query.Equiv_unknown, 0))
-  end
-
 let get_alias idx ~rid cls_a cls_b =
   Query.count_query Query.Q_alias;
   match region idx rid with

@@ -121,7 +121,7 @@ int main()
 }
 |}
 
-let compile_src ?speculate mode src =
+let compile_src mode src =
   let prog = Srclang.Typecheck.program_of_string src in
   let entries = Harness.Pipeline.build_hli_entries prog in
   let rtl = Lower.lower_program prog in
@@ -134,7 +134,7 @@ let compile_src ?speculate mode src =
       | None -> ())
     entries;
   match
-    Sched.schedule_program ~mode ?speculate
+    Sched.schedule_program ~mode
       ~hli_of_fn:(fun n -> Hashtbl.find_opt maps n)
       ~mds:[ Machdesc.r10000 ] rtl
   with
@@ -282,7 +282,7 @@ let graph_of kinds edges : Ddg.graph =
     Array.of_list
       (List.mapi
          (fun uid k ->
-           { Rtl.uid; desc = node_descs.(k); line = 0; item = None; spec = false })
+           { Rtl.uid; desc = node_descs.(k); line = 0; item = None })
          kinds)
   in
   { Ddg.insns; preds; succs }
@@ -356,75 +356,6 @@ let sched_tests =
         Alcotest.(check (list int)) "order" [ 0; 2; 3; 1 ] (issue_order r4600 g);
         Alcotest.(check (list int)) "oracle" (reference_schedule ~md:r4600 g)
           (issue_order r4600 g));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Speculative scheduling (--speculate)                                *)
-(* ------------------------------------------------------------------ *)
-
-let workload_src name =
-  let w =
-    List.find (fun w -> w.Workloads.Workload.name = name) Workloads.Registry.all
-  in
-  w.Workloads.Workload.source
-
-let spec_flag_count (rtl : Rtl.program) =
-  List.fold_left
-    (fun acc fn ->
-      Array.fold_left
-        (fun acc (b : Rtl.block) ->
-          List.fold_left
-            (fun acc (i : Rtl.insn) -> if i.Rtl.spec then acc + 1 else acc)
-            acc b.Rtl.insns)
-        acc fn.Rtl.blocks)
-    0 rtl.Rtl.fns
-
-(* 034.mdljdp2 is one of the two workloads with maybe-class
-   store-to-load edges whose alias confidence lands in [0.5, 0.75):
-   they survive the default threshold and drop only at 0.75+.  The
-   exact counts pin the probability analysis end to end. *)
-let speculation_tests =
-  [
-    Alcotest.test_case "threshold 1.0 drops mdljdp2's maybe edges" `Quick
-      (fun () ->
-        let rtl, s =
-          compile_src ~speculate:1000 Ddg.With_hli (workload_src "034.mdljdp2")
-        in
-        Alcotest.(check int) "edges dropped" 3 s.Ddg.spec_edges_dropped;
-        Alcotest.(check int) "checks" 3 s.Ddg.spec_checks;
-        Alcotest.(check int) "flagged loads" 3 (spec_flag_count rtl));
-    Alcotest.test_case "confident edges survive the default threshold" `Quick
-      (fun () ->
-        let rtl, s =
-          compile_src ~speculate:500 Ddg.With_hli (workload_src "034.mdljdp2")
-        in
-        Alcotest.(check int) "edges dropped" 0 s.Ddg.spec_edges_dropped;
-        Alcotest.(check int) "flagged loads" 0 (spec_flag_count rtl));
-    Alcotest.test_case "threshold 0 is the identity" `Quick (fun () ->
-        let rtl, s =
-          compile_src ~speculate:0 Ddg.With_hli (workload_src "034.mdljdp2")
-        in
-        Alcotest.(check int) "edges dropped" 0 s.Ddg.spec_edges_dropped;
-        Alcotest.(check int) "checks" 0 s.Ddg.spec_checks;
-        Alcotest.(check int) "flagged loads" 0 (spec_flag_count rtl));
-    Alcotest.test_case "rescheduling without --speculate clears flags" `Quick
-      (fun () ->
-        (* spec marks are each build's decision: a later build over the
-           same instructions must not inherit them *)
-        let rtl, _ =
-          compile_src ~speculate:1000 Ddg.With_hli (workload_src "034.mdljdp2")
-        in
-        Alcotest.(check bool) "flags set" true (spec_flag_count rtl > 0);
-        List.iter
-          (fun (fn : Rtl.fn) ->
-            Array.iter
-              (fun (b : Rtl.block) ->
-                ignore
-                  (Ddg.build ~mode:Ddg.With_hli ~hli:None
-                     ~stats:(Ddg.fresh_stats ()) b.Rtl.insns))
-              fn.Rtl.blocks)
-          rtl.Rtl.fns;
-        Alcotest.(check int) "flags cleared" 0 (spec_flag_count rtl));
   ]
 
 (* lowering sanity: loop metadata matches region numbering *)
@@ -747,7 +678,7 @@ let cse_fn blocks =
         List.map
           (fun (desc, item) ->
             incr uid;
-            { Rtl.uid = !uid; desc; line = 1; item; spec = false })
+            { Rtl.uid = !uid; desc; line = 1; item })
           descs;
       succs = [];
       preds = [];
@@ -778,7 +709,6 @@ let logging_hli seed =
           log := Printf.sprintf "equiv %d %d" a b :: !log;
           pick (0, a, b)
             Hli_core.Query.[ Equiv_none; Equiv_alias; Equiv_unknown ]);
-      equiv_prob = (fun _ _ -> Alcotest.fail "CSE asked for a probability");
       call_acc =
         (fun ~call ~mem ->
           log := Printf.sprintf "call %d %d" call mem :: !log;
@@ -938,8 +868,8 @@ module Old_ddg = struct
   open Rtl
   open Ddg
 
-  let build ~mode ?(combine_gcc = true) ?speculate
-      ~(hli : Hli_import.t option) ~(md : Machdesc.t) ~stats
+  let build ~mode ?(combine_gcc = true) ~(hli : Hli_import.t option)
+      ~(md : Machdesc.t) ~stats
       (block_insns : insn list) : graph =
     let insns = Array.of_list block_insns in
     let n = Array.length insns in
@@ -948,9 +878,6 @@ module Old_ddg = struct
     let nregs = ref 0 in
     for j = 0 to n - 1 do
       let i = insns.(j) in
-      (* speculation marks are per-schedule: never inherit them from a
-         previous variant's build over the same RTL *)
-      i.spec <- false;
       kind.(j) <- kind_of i;
       lat.(j) <- Machdesc.latency md i;
       uses.(j) <- Rtl.uses i;
@@ -1008,25 +935,7 @@ module Old_ddg = struct
             mem_pair_dependent ~mode ~combine_gcc ~hli ~stats a b
         | K_plain, _ | _, K_plain | K_load, K_load -> false
       in
-      let speculated =
-        dependent
-        && (match (speculate, mode) with
-           | Some thresh, With_hli -> speculatable ~hli ~thresh a b
-           | _ -> false)
-      in
-      if speculated then begin
-        stats.spec_edges_dropped <- stats.spec_edges_dropped + 1;
-        if not b.spec then begin
-          b.spec <- true;
-          stats.spec_checks <- stats.spec_checks + 1
-        end;
-        (* the check at the load's original position: its register
-           consumers wait for the store it hoisted above (register edges
-           are all built by the first loop, so succs.(j) is exactly the
-           consumer set here) *)
-        List.iter (fun (c, _) -> add_edge k c 1) succs.(j)
-      end
-      else if dependent then
+      if dependent then
         (* a load waits for the store's latency, everything else 1 *)
         add_edge k j (match (kind.(k), kind.(j)) with K_store, K_load -> lat.(k) | _ -> 1)
     in
@@ -1074,21 +983,15 @@ let resolved md (g : Ddg.graph) =
 
 (* One block: the machine-independent graph, resolved on each machine,
    equals that machine's old graph edge for edge and in order, with the
-   same query counts and speculation marks. *)
-let same_as_old ~mode ?combine_gcc ?speculate ~hli insns =
-  let marks () = List.map (fun (i : Rtl.insn) -> i.Rtl.spec) insns in
+   same query counts. *)
+let same_as_old ~mode ?combine_gcc ~hli insns =
   let stats = Ddg.fresh_stats () in
-  let g = Ddg.build ~mode ?combine_gcc ?speculate ~hli ~stats insns in
-  let spec = marks () in
+  let g = Ddg.build ~mode ?combine_gcc ~hli ~stats insns in
   List.for_all
     (fun md ->
       let old_stats = Ddg.fresh_stats () in
-      let old =
-        Old_ddg.build ~mode ?combine_gcc ?speculate ~hli ~md ~stats:old_stats
-          insns
-      in
-      resolved md g = (old.Ddg.preds, old.Ddg.succs)
-      && old_stats = stats && marks () = spec)
+      let old = Old_ddg.build ~mode ?combine_gcc ~hli ~md ~stats:old_stats insns in
+      resolved md g = (old.Ddg.preds, old.Ddg.succs) && old_stats = stats)
     [ Machdesc.r4600; Machdesc.r10000 ]
 
 (* every block of every function, after the back-end prefix of each
@@ -1117,8 +1020,7 @@ let split_workload_case (w : Workloads.Workload.t) =
                            (Driver.Variant.alias_name alias) fn.Rtl.fname b.Rtl.bid)
                         true
                         (same_as_old ~mode:alias
-                           ~combine_gcc:ablation.Driver.Variant.combine_gcc
-                           ?speculate:ablation.Driver.Variant.speculate ~hli
+                           ~combine_gcc:ablation.Driver.Variant.combine_gcc ~hli
                            b.Rtl.insns))
                     fn.Rtl.blocks)
                 m.Driver.Pass.m_rtl.Rtl.fns)
@@ -1126,11 +1028,9 @@ let split_workload_case (w : Workloads.Workload.t) =
         [
           ([], Driver.Variant.baseline);
           (Driver.Pass_manager.parse_specs "cse,licm,unroll=4", Driver.Variant.baseline);
-          ([], Driver.Variant.with_speculate 1000 Driver.Variant.baseline);
         ])
 
-(* HLI answers hashed from a seed and the items, probabilities
-   included, so random blocks exercise speculation *)
+(* HLI answers hashed from a seed and the items *)
 let hashed_hli seed =
   let pick n xs = List.nth xs (Hashtbl.hash (seed, n) mod List.length xs) in
   let equiv a b =
@@ -1141,7 +1041,6 @@ let hashed_hli seed =
   let session =
     {
       Hli_import.equiv_acc = equiv;
-      equiv_prob = (fun a b -> (equiv a b, Hashtbl.hash (seed, 1, a, b) mod 1001));
       call_acc =
         (fun ~call ~mem ->
           pick (2, call, mem)
@@ -1164,7 +1063,7 @@ let gen_ddg_case = QCheck.Gen.(triple gen_cse_block (int_bound 2) (int_bound 100
 let ddg_block (descs, branches, _) =
   let term = [ (Rtl.Br_eqz (0, 1), None); (Rtl.Jmp 2, None) ] in
   List.mapi
-    (fun uid (desc, item) -> { Rtl.uid; desc; line = 1; item; spec = false })
+    (fun uid (desc, item) -> { Rtl.uid; desc; line = 1; item })
     (descs @ List.filteri (fun k _ -> k < branches) term)
 
 let print_ddg_case ((_, _, seed) as case) =
@@ -1179,13 +1078,11 @@ let split_tests =
        (fun ((_, _, seed) as case) ->
          let insns = ddg_block case in
          List.for_all
-           (fun (mode, hli, speculate) -> same_as_old ~mode ?speculate ~hli insns)
+           (fun (mode, hli) -> same_as_old ~mode ~hli insns)
            [
-             (Ddg.Gcc_only, None, None);
-             (Ddg.With_hli, None, None);
-             (Ddg.With_hli, Some (hashed_hli seed), None);
-             (Ddg.With_hli, Some (hashed_hli seed), Some 500);
-             (Ddg.With_hli, Some (hashed_hli seed), Some 1000);
+             (Ddg.Gcc_only, None);
+             (Ddg.With_hli, None);
+             (Ddg.With_hli, Some (hashed_hli seed));
            ]))
   :: List.map split_workload_case Workloads.Registry.all
 
@@ -1199,6 +1096,5 @@ let () =
       ("cse", cse_tests);
       ("licm", licm_tests);
       ("machine-split", split_tests);
-      ("speculation", speculation_tests);
       ("loops", loop_meta_tests);
     ]

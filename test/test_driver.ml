@@ -1,12 +1,13 @@
 (* Driver-layer tests: --passes spec parsing and round-tripping, the
-   --ablation/--speculate resolver, the optional-pass table and the
+   --ablation resolver, the optional-pass table and the
    telemetry span names, the front end's spans and HLI-cache counters,
    the shape of a compile (one back-end prefix and one DDG build per
    alias mode, scheduled for both machines, each dependence pair
    queried once, E1010 when a prefix context is asked for its machine,
    E0901 when any variant's output differs from the first's), E0901
    from a group's static check and address oracle on hand-built
-   schedules, the helper domain that walks a group's members (reports
+   schedules and for a schedule that is not a permutation of its
+   prefix, the helper domain that walks a group's members (reports
    equal to lone simulations, its join however a run stops), and a
    golden check that the default pipeline's Table 1/2 output is
    byte-identical to the output recorded before the pass-manager
@@ -74,22 +75,6 @@ let spec_tests =
         Driver.Pass_manager.parse_specs "licm,cse");
     check_code "unknown ablation is E1006" "E1006" (fun () ->
         Driver.Variant.resolve "frobnicate");
-    Alcotest.test_case "speculate threshold outside 0..1000 is E1006" `Quick
-      (fun () ->
-        List.iter
-          (fun t ->
-            Alcotest.(check (option string))
-              (string_of_int t) (Some "E1006")
-              (diag_code (fun () ->
-                   Driver.Variant.resolve ~speculate:t "baseline")))
-          [ -1; 1001 ]);
-    Alcotest.test_case "speculate composes onto an ablation" `Quick (fun () ->
-        let ab = Driver.Variant.resolve ~speculate:500 "merge-off" in
-        Alcotest.(check string)
-          "name" "merge-off+speculate=500" ab.Driver.Variant.ab_name;
-        Alcotest.(check (option int))
-          "threshold" (Some 500) ab.Driver.Variant.speculate;
-        Alcotest.(check bool) "merge off" false ab.Driver.Variant.merge_classes);
   ]
 
 let registry_tests =
@@ -341,6 +326,48 @@ let group_tests =
         (match x.Backend.Rtl.desc with Backend.Rtl.Call ("set", _, _) -> true | _ -> false)
         && Backend.Rtl.is_load y)
       ~check:"moves an access across a call that overlaps it in main";
+    Alcotest.test_case "a member that is not a permutation of its prefix is E0901"
+      `Quick (fun () ->
+        (* hli/r4600's first instruction of main under a fresh uid: the
+           same program, so the same output, but no longer a reordering
+           of the prefix's blocks *)
+        let c =
+          Harness.Pipeline.compile ~config:uncached
+            "int g;\nint main() {\n  g = 5;\n  print_int(g);\n  return 0;\n}\n"
+        in
+        let s = List.assoc hli_r4600 c.Harness.Pipeline.variants in
+        let renumber (f : Backend.Rtl.fn) =
+          if f.Backend.Rtl.fname <> "main" then f
+          else
+            let blocks = Array.copy f.Backend.Rtl.blocks in
+            (match blocks.(f.Backend.Rtl.entry).Backend.Rtl.insns with
+            | i :: rest ->
+                blocks.(f.Backend.Rtl.entry) <-
+                  {
+                    (blocks.(f.Backend.Rtl.entry)) with
+                    Backend.Rtl.insns = { i with Backend.Rtl.uid = i.Backend.Rtl.uid + 1000 } :: rest;
+                  }
+            | [] -> Alcotest.fail "main's entry block is empty");
+            { f with Backend.Rtl.blocks }
+        in
+        let rtl = s.Driver.Pass.s_rtl in
+        let s =
+          { s with Driver.Pass.s_rtl = { rtl with Backend.Rtl.fns = List.map renumber rtl.Backend.Rtl.fns } }
+        in
+        let c =
+          {
+            c with
+            Harness.Pipeline.variants =
+              List.map (fun (w, t) -> (w, if w = hli_r4600 then s else t)) c.Harness.Pipeline.variants;
+          }
+        in
+        match Harness.Pipeline.measure c with
+        | exception Diagnostics.Diagnostic d ->
+            Alcotest.(check (pair string string))
+              "diagnostic"
+              ("E0901", "hli/r4600 schedule is not a permutation of its prefix")
+              (d.Diagnostics.code, d.Diagnostics.message)
+        | _ -> Alcotest.fail "no E0901");
   ]
 
 (* A group's walks on a helper domain.  Each loop iteration ends a

@@ -1,9 +1,9 @@
 (* HLIX (lib/core/flatindex.ml) correctness + corruption harness.
 
-   1. Differential: for every workload entry, the three queries
+   1. Differential: for every workload entry, the two pair queries
       answered off the flat segment equal the reference oracle
-      ([Query_ref], the list-walking engine) — equiv_acc, equiv_prob
-      and call_acc over all sampled item pairs (absent ids included).
+      ([Query_ref], the list-walking engine) — equiv_acc and call_acc
+      over all sampled item pairs (absent ids included).
       A segment of any other HLIX version is rejected with E0631.
    2. All-prefix truncation: every strict prefix of a segment must be
       rejected by [Flatindex.validate] with a precise E063x code
@@ -101,11 +101,6 @@ let differential name (e : T.hli_entry) ref_idx seg =
           if want <> got then
             fail "%s/%s equiv %d %d: oracle %s, segment %s" name u a b
               (pp_equiv want) (pp_equiv got);
-          let (wr, wp) as want = R.get_equiv_prob ref_idx a b
-          and ((gr, gp) as got) = F.get_equiv_prob seg a b in
-          if want <> got then
-            fail "%s/%s equiv_prob %d %d: oracle %s/%d, segment %s/%d" name u
-              a b (pp_equiv wr) wp (pp_equiv gr) gp;
           let want = R.get_call_acc ref_idx ~call:a ~mem:b
           and got = F.get_call_acc seg ~call:a ~mem:b in
           if want <> got then

@@ -911,7 +911,7 @@ let cache_tests =
     Alcotest.test_case "back-end ablations share the front-end entries"
       `Quick (fun () ->
         (* the key holds the TBLCONST options, not the ablation name:
-           --speculate, lsq-off and hli-only change only the back end *)
+           lsq-off and hli-only change only the back end *)
         with_cache_dir (fun dir ->
             ignore (Harness.Pipeline.compile ~config:(cache_config dir) (cache_src 1));
             let before = cache_files dir in
@@ -930,7 +930,6 @@ let cache_tests =
                 Alcotest.(check (list string))
                   (name ^ ": no entries written") before (cache_files dir))
               [
-                Driver.Variant.resolve ~speculate:1000 "baseline";
                 Driver.Variant.resolve "lsq-off";
                 Driver.Variant.resolve "hli-only";
               ]));

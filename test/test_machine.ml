@@ -216,8 +216,8 @@ int main()
 let straight_rtl descs =
   let open Backend in
   let insns =
-    List.mapi (fun uid desc -> { Rtl.uid; desc; line = 0; item = None; spec = false }) descs
-    @ [ { Rtl.uid = 99; desc = Rtl.Ret (Some (Rtl.Imm 0)); line = 0; item = None; spec = false } ]
+    List.mapi (fun uid desc -> { Rtl.uid; desc; line = 0; item = None }) descs
+    @ [ { Rtl.uid = 99; desc = Rtl.Ret (Some (Rtl.Imm 0)); line = 0; item = None } ]
   in
   {
     Rtl.fns =
@@ -359,131 +359,6 @@ let fuel_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Speculative-load recovery (--speculate)                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A hand-built function in the shape the scheduler emits under
-   [--speculate]: a load hoisted above a store it may alias, with
-   [Rtl.insn.spec] set and the load's uid greater than the store's
-   (uid order is original program order).  The store's implicit check
-   must re-load the destination register and count a misspeculation
-   exactly when the addresses collide at run time. *)
-let spec_rtl ?(nloads = 1) ~store_off ~overwrite () =
-  let open Backend in
-  let g =
-    Srclang.Symbol.fresh ~name:"g"
-      ~ty:(Srclang.Types.Tarray (Srclang.Types.Tint, 4))
-      ~storage:Srclang.Symbol.Global
-  in
-  let mem off =
-    {
-      Rtl.mbase = Rtl.Bsym g;
-      moffset = off;
-      mindex = None;
-      mscale = 1;
-      msize = 4;
-      mclass = Rtl.Rint;
-    }
-  in
-  let insn ?(spec = false) uid desc =
-    { Rtl.uid; desc; line = 0; item = None; spec }
-  in
-  let insns =
-    [ insn 0 (Rtl.Store (mem 0, Rtl.Imm 1)) ]
-    (* g[0]'s loads originally sat below the uid-2 store; the
-       scheduler hoisted them here and flagged them speculative *)
-    @ List.init nloads (fun k -> insn ~spec:true (3 + k) (Rtl.Load (1 + k, mem 0)))
-    @ (if overwrite then [ insn 90 (Rtl.Li (1, Rtl.Imm 7)) ] else [])
-    @ [
-        insn 2 (Rtl.Store (mem store_off, Rtl.Imm 42));
-        insn 4 (Rtl.Call ("print_int", [ Rtl.Reg 1 ], None));
-      ]
-    (* a tail long enough that the check's issue-stage stall (not the
-       cold-cache miss on the first store) sets the final cycle count *)
-    @ List.init 32 (fun k -> insn (100 + k) (Rtl.Li (0, Rtl.Imm k)))
-    @ [ insn 5 (Rtl.Ret (Some (Rtl.Imm 0))) ]
-  in
-  let block = { Rtl.bid = 0; insns; succs = []; preds = [] } in
-  {
-    Rtl.fns =
-      [
-        {
-          Rtl.fname = "main";
-          params = [];
-          ret_class = Some Rtl.Rint;
-          blocks = [| block |];
-          entry = 0;
-          frame_size = 0;
-          argout_size = 0;
-          vreg_count = nloads + 1;
-          vreg_class = Array.make (nloads + 1) Rtl.Rint;
-          loops = [];
-        };
-      ];
-    globals = [ (g, None) ];
-  }
-
-let speculation_tests =
-  [
-    Alcotest.test_case "colliding store recovers the load" `Quick (fun () ->
-        let r = Machine.Exec.run (spec_rtl ~store_off:0 ~overwrite:false ()) in
-        Alcotest.(check string)
-          "recovered value" "42"
-          (String.trim r.Machine.Exec.output);
-        Alcotest.(check int) "misspeculations" 1 r.Machine.Exec.misspec);
-    Alcotest.test_case "disjoint store leaves the load alone" `Quick (fun () ->
-        let r = Machine.Exec.run (spec_rtl ~store_off:4 ~overwrite:false ()) in
-        Alcotest.(check string)
-          "speculated value" "1"
-          (String.trim r.Machine.Exec.output);
-        Alcotest.(check int) "misspeculations" 0 r.Machine.Exec.misspec);
-    Alcotest.test_case "overwritten register prunes the check" `Quick (fun () ->
-        (* once the destination register is redefined the speculative
-           value is dead: no recovery may clobber the new definition *)
-        let r = Machine.Exec.run (spec_rtl ~store_off:0 ~overwrite:true ()) in
-        Alcotest.(check string)
-          "redefined value" "7"
-          (String.trim r.Machine.Exec.output);
-        Alcotest.(check int) "misspeculations" 0 r.Machine.Exec.misspec);
-    Alcotest.test_case "timing models surface the recovery count" `Quick
-      (fun () ->
-        List.iter
-          (fun (m, hit_cycles, miss_cycles) ->
-            (* several hoisted loads so the recovery window is longer
-               than the cold-miss shadow of the first store — the
-               penalty must show up in the cycle count, not just the
-               counter *)
-            let hit =
-              Machine.Simulate.run m
-                (spec_rtl ~nloads:8 ~store_off:0 ~overwrite:false ())
-            in
-            let miss =
-              Machine.Simulate.run m
-                (spec_rtl ~nloads:8 ~store_off:4 ~overwrite:false ())
-            in
-            Alcotest.(check int)
-              (Machine.Simulate.machine_name m ^ " misspeculations")
-              8 hit.Machine.Simulate.misspeculations;
-            Alcotest.(check int)
-              (Machine.Simulate.machine_name m ^ " clean run")
-              0 miss.Machine.Simulate.misspeculations;
-            (* identical instruction streams: the penalty alone must
-               separate the two runs *)
-            Alcotest.(check bool)
-              (Machine.Simulate.machine_name m ^ " penalty charged")
-              true
-              (hit.Machine.Simulate.cycles > miss.Machine.Simulate.cycles);
-            (* the exact cycles pin where the recovery is charged from
-               (the R10000 restarts dispatch off the store's completion,
-               not its issue) *)
-            Alcotest.(check (pair int int))
-              (Machine.Simulate.machine_name m ^ " hit/miss cycles")
-              (hit_cycles, miss_cycles)
-              (hit.Machine.Simulate.cycles, miss.Machine.Simulate.cycles))
-          [ (Machine.Simulate.R4600, 77, 45); (Machine.Simulate.R10000, 99, 80) ]);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Behaviour the pre-decoder could silently change                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -493,7 +368,7 @@ let lower src = Backend.Lower.lower_program (Srclang.Typecheck.program_of_string
    neither a function nor a builtin. *)
 let unknown_callee_rtl ~flag =
   let open Backend in
-  let insn uid desc = { Rtl.uid; desc; line = 0; item = None; spec = false } in
+  let insn uid desc = { Rtl.uid; desc; line = 0; item = None } in
   let b0 =
     [
       insn 0 (Rtl.Li (0, Rtl.Imm flag));
@@ -755,21 +630,21 @@ int main()
             ~config:{ Harness.Pipeline.default_config with hli_cache = None }
             w.Workloads.Workload.source
         in
-        let sequential = (Harness.Pipeline.measure c).Harness.Pipeline.reports in
-        let pool = Pool.create ~jobs:4 in
+        let measure () = (Harness.Pipeline.measure c).Harness.Pipeline.reports in
+        let sequential = measure () in
+        let pool = Pool.create ~jobs:2 in
         Fun.protect
           ~finally:(fun () -> Pool.shutdown pool)
           (fun () ->
-            let pooled () =
-              (Harness.Pipeline.measure ~pool c).Harness.Pipeline.reports
-            in
-            let on_pool f = Pool.map pool (fun _ -> f ()) [ 1; 2; 3; 4 ] in
-            let first = pooled () in
+            let on_pool f = Pool.map pool (fun _ -> f ()) [ 1; 2 ] in
+            let same = List.for_all (( = ) sequential) in
+            (* whole measures side by side, one per domain *)
+            let first = on_pool measure in
             (* whichever domains ran these now hold dirty images *)
             ignore (on_pool (fun () -> Machine.Exec.run (lower dirty_src)));
-            let second = pooled () in
-            Alcotest.(check bool) "first pooled = sequential" true (first = sequential);
-            Alcotest.(check bool) "second pooled = sequential" true (second = sequential);
+            let second = on_pool measure in
+            Alcotest.(check bool) "first pooled = sequential" true (same first);
+            Alcotest.(check bool) "second pooled = sequential" true (same second);
             List.iter
               (Alcotest.(check string) "probe on a worker" "0\n0")
               (on_pool probe)));
@@ -782,6 +657,5 @@ let () =
       ("cache", cache_tests);
       ("timing", timing_tests);
       ("fuel", fuel_tests);
-      ("speculation", speculation_tests);
       ("decoder", decoder_tests);
     ]

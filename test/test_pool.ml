@@ -164,22 +164,24 @@ let pool_tests =
             Alcotest.(check int) "all ran" 32 (Atomic.get ran)));
   ]
 
-(* The acceptance property at workload granularity: a row computed
-   through a pool renders byte-identically to the sequential one. *)
+(* The acceptance property at workload granularity: rows computed
+   with the workloads mapped over a pool render byte-identically to the
+   sequential ones. *)
 let integration_tests =
   [
     Alcotest.test_case "parallel row == sequential row" `Slow (fun () ->
-        let w = Option.get (Workloads.Registry.find "wc") in
-        let seq = Harness.Tables.run_workload w in
-        let par =
-          with_pool 4 (fun p -> Harness.Tables.run_workload ~pool:p w)
-        in
-        Alcotest.(check string)
-          "table1" (Harness.Tables.table1_row seq)
-          (Harness.Tables.table1_row par);
-        Alcotest.(check string)
-          "table2" (Harness.Tables.table2_row seq)
-          (Harness.Tables.table2_row par));
+        let ws = List.map (fun n -> Option.get (Workloads.Registry.find n)) [ "wc"; "023.eqntott" ] in
+        let seq = Harness.Tables.run_all ws in
+        let par = with_pool 2 (fun p -> Harness.Tables.run_all ~pool:p ws) in
+        List.iter2
+          (fun seq par ->
+            Alcotest.(check string)
+              "table1" (Harness.Tables.table1_row seq)
+              (Harness.Tables.table1_row par);
+            Alcotest.(check string)
+              "table2" (Harness.Tables.table2_row seq)
+              (Harness.Tables.table2_row par))
+          seq par);
     Alcotest.test_case "out-of-fuel yields an annotated partial row" `Quick
       (fun () ->
         let w = Option.get (Workloads.Registry.find "wc") in

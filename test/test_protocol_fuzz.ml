@@ -93,8 +93,7 @@ let exemplar_requests : (string * P.request) list =
         [
           P.Q_equiv { u = "u"; a = 1; b = 2 };
           P.Q_call { u = "u"; call = 3; mem = 1 };
-          P.Q_prob { u = "u"; a = 2; b = 2 };
-          P.Q_prob { u = "u"; a = 3; b = 99991 };
+          P.Q_equiv { u = "u"; a = 3; b = 99991 };
           P.Q_hoist_target { u = "u"; item = 1 };
         ] );
     ("notify_delete", P.Notify_delete { u = "u"; item = 1 });
@@ -131,11 +130,9 @@ let exemplar_responses : (string * P.response) list =
           P.A_equiv Hli_core.Query.Equiv_none;
           P.A_equiv (Hli_core.Query.Equiv_same Hli_core.Tables.Maybe);
           P.A_call Hli_core.Query.Call_refmod;
-          P.A_prob (Hli_core.Query.Equiv_none, 1000);
-          P.A_prob (Hli_core.Query.Equiv_same Hli_core.Tables.Maybe, 500);
-          P.A_prob (Hli_core.Query.Equiv_same Hli_core.Tables.Definitely, 1000);
-          P.A_prob (Hli_core.Query.Equiv_alias, 850);
-          P.A_prob (Hli_core.Query.Equiv_unknown, 0);
+          P.A_equiv (Hli_core.Query.Equiv_same Hli_core.Tables.Definitely);
+          P.A_equiv Hli_core.Query.Equiv_alias;
+          P.A_equiv Hli_core.Query.Equiv_unknown;
           P.A_hoist_target (Some 1);
           P.A_hoist_target None;
         ] );

@@ -16,9 +16,6 @@ let equiv_result = Alcotest.testable Q.pp_equiv_result ( = )
 let call_acc = Alcotest.testable Q.pp_call_acc ( = )
 let lcdd_result = Alcotest.(option (list (testable T.pp_lcdd ( = ))))
 
-(* (answer, per-mille confidence) pairs from the probabilistic query *)
-let prob_result = Alcotest.pair equiv_result Alcotest.int
-
 (* the paper's Figure 2 program (same source as test_hli.ml) *)
 let fig2 =
   {|
@@ -86,13 +83,7 @@ let diff_entry ?(cap = 28) (e : T.hli_entry) =
         (fun b ->
           Alcotest.check equiv_result
             (Printf.sprintf "equiv_acc %d %d" a b)
-            (R.get_equiv_acc ri a b) (Q.get_equiv_acc qi a b);
-          (* the probabilistic variant must agree on BOTH components:
-             same answer as the plain query and the same per-mille
-             confidence *)
-          Alcotest.check prob_result
-            (Printf.sprintf "equiv_prob %d %d" a b)
-            (R.get_equiv_prob ri a b) (Q.get_equiv_prob qi a b))
+            (R.get_equiv_acc ri a b) (Q.get_equiv_acc qi a b))
         probe)
     probe;
   List.iter
@@ -235,33 +226,6 @@ let differential_tests =
             List.iter (diff_entry ~cap:18)
               (entries_of_source w.Workloads.Workload.source))
           [ "wc"; "103.su2cor" ]);
-    Alcotest.test_case
-      "all 14 workloads: (answer, confidence) parity on every pair" `Quick
-      (fun () ->
-        (* the full suite at a smaller pair cap: every unit of every
-           workload, both components of every probabilistic answer *)
-        List.iter
-          (fun (w : Workloads.Workload.t) ->
-            List.iter
-              (fun e ->
-                let qi = Q.build e and ri = R.build e in
-                let items =
-                  take 10 (List.sort_uniq compare (T.all_items e))
-                in
-                let probe = items @ [ 99991 ] in
-                List.iter
-                  (fun a ->
-                    List.iter
-                      (fun b ->
-                        Alcotest.check prob_result
-                          (Printf.sprintf "%s equiv_prob %d %d"
-                             w.Workloads.Workload.name a b)
-                          (R.get_equiv_prob ri a b)
-                          (Q.get_equiv_prob qi a b))
-                      probe)
-                  probe)
-              (entries_of_source w.Workloads.Workload.source))
-          Workloads.Registry.all);
   ]
 
 let random_props =
@@ -283,7 +247,6 @@ let counter_parity_test =
       let items = take 10 (List.sort_uniq compare (T.all_items e)) in
       let stream (type a) (build : T.hli_entry -> a)
           (equiv : a -> int -> int -> Q.equiv_result)
-          (equiv_prob : a -> int -> int -> Q.equiv_result * int)
           (call : a -> call:int -> mem:int -> Q.call_acc_result)
           (alias : a -> rid:int -> int -> int -> bool)
           (lcdd : a -> rid:int -> int -> int -> T.lcdd_entry list option)
@@ -298,7 +261,6 @@ let counter_parity_test =
               List.iter
                 (fun b ->
                   ignore (equiv idx a b);
-                  ignore (equiv_prob idx a b);
                   ignore (call idx ~call:a ~mem:b);
                   ignore (alias idx ~rid:2 a b);
                   ignore (lcdd idx ~rid:2 a b))
@@ -308,14 +270,14 @@ let counter_parity_test =
         Q.query_counters ()
       in
       let memoized =
-        stream Q.build Q.get_equiv_acc Q.get_equiv_prob
+        stream Q.build Q.get_equiv_acc
           (fun i ~call ~mem -> Q.get_call_acc i ~call ~mem)
           (fun i ~rid a b -> Q.get_alias i ~rid a b)
           (fun i ~rid a b -> Q.get_lcdd i ~rid a b)
           Q.get_region_of_item
       in
       let reference =
-        stream R.build R.get_equiv_acc R.get_equiv_prob
+        stream R.build R.get_equiv_acc
           (fun i ~call ~mem -> R.get_call_acc i ~call ~mem)
           (fun i ~rid a b -> R.get_alias i ~rid a b)
           (fun i ~rid a b -> R.get_lcdd i ~rid a b)
@@ -329,9 +291,7 @@ let counter_parity_test =
       (* and the stream really exercised the memo *)
       let n = List.length items in
       Alcotest.(check int) "equiv_acc total" (3 * n * n)
-        (List.assoc "equiv_acc" memoized);
-      Alcotest.(check int) "equiv_prob total" (3 * n * n)
-        (List.assoc "equiv_prob" memoized))
+        (List.assoc "equiv_acc" memoized))
 
 let maintenance_tests =
   [

@@ -1,17 +1,14 @@
 (* Schedule golden (golden_sched.txt).
 
    One line per configuration x workload x variant pins the md5 of the
-   scheduled RTL (every function through [Rtl.pp_fn], which prints the
-   speculative-load marks) and the six DDG query counters.  The rows
-   cover all 14 workloads under the paper configuration, with the
-   cse,licm,unroll=4 optional passes and under the hli-only ablation,
-   plus the two workloads that carry speculable edges at
-   [--speculate 1000].  The cse,licm,unroll=4 and speculate=1000 groups
-   run a second time with their HLI served over the wire (an hlid on
-   its own domain, pipeline 8; speculation sends Q_prob queries), and
-   a third time with the equiv and call queries answered off the
-   hlid's shm segments; each of those rows must equal the local line, and the shm
-   leg must have mapped a segment.  Every compile also passes the
+   scheduled RTL (every function through [Rtl.pp_fn]) and the six DDG
+   query counters.  The rows cover all 14 workloads under the paper
+   configuration, with the cse,licm,unroll=4 optional passes and under
+   the hli-only ablation.  The cse,licm,unroll=4 group runs a second
+   time with its HLI served over the wire (an hlid on its own domain,
+   pipeline 8), and a third time with the equiv and call queries
+   answered off the hlid's shm segments; each of those rows must equal
+   the local line, and the shm leg must have mapped a segment.  Every compile also passes the
    static order check that a simulated group runs
    ([Simulate.check_order]: each schedule keeps its prefix's register
    dependences, branches and calls in order).
@@ -46,17 +43,10 @@ let groups =
         hli_cache = None;
       },
       all_programs );
-    ( "speculate=1000",
-      {
-        P.default_config with
-        ablation = V.with_speculate 1000 V.baseline;
-        hli_cache = None;
-      },
-      [ "034.mdljdp2"; "077.mdljsp2" ] );
   ]
 
 (* the groups also compiled against an hlid *)
-let wire_groups = [ "cse,licm,unroll=4"; "speculate=1000" ]
+let wire_groups = [ "cse,licm,unroll=4" ]
 
 let rtl_md5 (p : Backend.Rtl.program) =
   List.map (Fmt.str "%a@." Backend.Rtl.pp_fn) p.Backend.Rtl.fns
@@ -74,10 +64,9 @@ let lines name config prog =
       | exception Machine.Simulate.Violation x ->
           failwith (V.name v ^ " " ^ Machine.Simulate.describe x));
       let st = s.Driver.Pass.s_stats in
-      Printf.sprintf "%s %s %s %s %d %d %d %d %d %d" name prog (V.name v)
+      Printf.sprintf "%s %s %s %s %d %d %d %d 0 0" name prog (V.name v)
         (rtl_md5 s.Driver.Pass.s_rtl)
-        st.D.total st.D.gcc_yes st.D.hli_yes st.D.combined_yes
-        st.D.spec_edges_dropped st.D.spec_checks)
+        st.D.total st.D.gcc_yes st.D.hli_yes st.D.combined_yes)
     c.P.variants
 
 let rec rm_rf p =

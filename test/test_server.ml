@@ -13,8 +13,7 @@
      mid-session, bad unroll factor) surfaces as its precise E-code,
      with no hang;
    - handshake: a Hello at the one protocol version is served, any
-     other version is answered E1111; Q_prob answers equal the
-     engine's;
+     other version is answered E1111;
    - pipelining: N-in-flight batches correlate positionally against
      the oracle, out-of-sequence replies are rejected (E1105), a
      server killed mid-pipeline fails fast with E1110 — no hang, no
@@ -32,7 +31,6 @@ module S = Hli_core.Serialize
 
 let equiv_result = Alcotest.testable Q.pp_equiv_result ( = )
 let call_acc = Alcotest.testable Q.pp_call_acc ( = )
-let prob_result = Alcotest.pair equiv_result Alcotest.int
 
 let socket_counter = ref 0
 
@@ -106,11 +104,7 @@ let check_unit_against_local cl (e : T.hli_entry) =
           Alcotest.check call_acc
             (Printf.sprintf "%s call %d %d" u a b)
             (Q.get_call_acc idx ~call:a ~mem:b)
-            (C.call_acc cl ~u ~call:a ~mem:b);
-          Alcotest.check prob_result
-            (Printf.sprintf "%s equiv_prob %d %d" u a b)
-            (Q.get_equiv_prob idx a b)
-            (C.equiv_prob cl ~u a b))
+            (C.call_acc cl ~u ~call:a ~mem:b))
         items)
     items
 
@@ -370,47 +364,6 @@ let shm_tests =
                           "post-refresh lookups served off shm"
                           mid.C.wire_fallbacks after.C.wire_fallbacks)))
         | [] -> Alcotest.fail "workload has no items");
-    Alcotest.test_case "shm answers equiv_prob off the segment, the wire\
-                        inside a maintenance window" `Quick (fun () ->
-        let entries = entries_of_workload "034.mdljdp2" in
-        let pairs e =
-          let items = take 10 (items_of_entry e) @ [ 999_999_983 ] in
-          List.concat_map (fun a -> List.map (fun b -> (a, b)) items) items
-        in
-        let check_probs cl e pairs =
-          let u = e.T.unit_name and r = Query_ref.build e in
-          List.iter
-            (fun (a, b) ->
-              Alcotest.check prob_result
-                (Printf.sprintf "%s equiv_prob %d %d" u a b)
-                (Query_ref.get_equiv_prob r a b)
-                (C.equiv_prob cl ~u a b))
-            pairs
-        in
-        with_shm_dir (fun dir ->
-            with_server ~shm_dir:dir (fun path _srv ->
-                with_client ~shm:true path (fun cl ->
-                    ignore (C.open_hli_bytes cl (wire_of entries));
-                    let before = C.shm_stats () in
-                    List.iter (fun e -> check_probs cl e (pairs e)) entries;
-                    Alcotest.(check int)
-                      "no wire fallbacks" before.C.wire_fallbacks
-                      (C.shm_stats ()).C.wire_fallbacks;
-                    Alcotest.(check int)
-                      "hlid answered no equiv_prob" 0
-                      (json_int "\"equiv_prob\":" (C.server_stats cl));
-                    (* a notify opens the window: the same answers (the
-                       queried index is the pre-edit one) come from hlid *)
-                    let e = List.find (fun e -> items_of_entry e <> []) entries in
-                    let u = e.T.unit_name in
-                    ignore
-                      (C.notify_gen cl ~u ~like:(List.hd (items_of_entry e)) ~line:5);
-                    let window = take 7 (pairs e) in
-                    check_probs cl e window;
-                    Alcotest.(check int)
-                      "window queries answered by hlid" (List.length window)
-                      (json_int "\"equiv_prob\":" (C.server_stats cl));
-                    C.refresh cl ~u))));
     Alcotest.test_case "corrupt segment falls back to the wire" `Quick
       (fun () ->
         let entries = Lazy.force wc_entries in
@@ -612,41 +565,16 @@ let handshake_tests =
       ("future client is rejected (E1111)", P.protocol_version + 1, "E1111");
     ]
   @ [
-    Alcotest.test_case "Q_prob answers equal the engine" `Quick (fun () ->
-        let entries = Lazy.force wc_entries in
-        let e = List.hd entries in
-        let u = e.T.unit_name in
+    (* v8 dropped v7's probability query: a v7 peer is turned away,
+       and the message names both versions *)
+    Alcotest.test_case "v7 client is rejected by name (E1111)" `Quick (fun () ->
         with_server (fun path _srv ->
-            raw_session path (fun send recv ->
-                send (P.Hello { version = P.protocol_version });
-                (match recv () with
-                | P.R_hello _ -> ()
-                | _ -> Alcotest.fail "expected R_hello");
-                send (P.Open_hli (wire_of entries));
-                (match recv () with
-                | P.R_opened _ -> ()
-                | _ -> Alcotest.fail "expected R_opened");
-                let idx = Q.build e in
-                let pairs =
-                  match take 5 (items_of_entry e) with
-                  | a :: rest -> (a, a) :: List.map (fun b -> (a, b)) rest
-                  | [] -> Alcotest.fail "workload has no items"
-                in
-                send
-                  (P.Batch
-                     (List.map (fun (a, b) -> P.Q_prob { u; a; b }) pairs));
-                match recv () with
-                | P.R_results answers ->
-                    List.iter2
-                      (fun (a, b) ans ->
-                        match ans with
-                        | P.A_prob ans ->
-                            Alcotest.check prob_result
-                              (Printf.sprintf "prob %d %d" a b)
-                              (Q.get_equiv_prob idx a b) ans
-                        | _ -> Alcotest.fail "expected an A_prob answer")
-                      pairs answers
-                | _ -> Alcotest.fail "expected R_results")));
+            match hello_at path 7 with
+            | P.R_error { e_code; e_msg } ->
+                Alcotest.(check string) "code" "E1111" e_code;
+                Alcotest.(check string)
+                  "message" "protocol version mismatch: client 7, server 8" e_msg
+            | _ -> Alcotest.fail "expected E1111"));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -4,8 +4,7 @@
    output digest and every simulated statistic: cycles, dynamic
    instructions, L1 hits and misses, LSQ stall cycles and
    misspeculations.  The rows cover all 14 workloads under the paper
-   configuration, the two workloads that carry speculable edges at
-   [--speculate 1000], one workload with the LSQ rule off, and all 14
+   configuration, one workload with the LSQ rule off, and all 14
    workloads again with the cse,licm,unroll=4 optional passes.
 
      test_simgolden.exe           the cheap subset (runtest)
@@ -30,9 +29,6 @@ let with_ablation ab = { P.default_config with ablation = ab; hli_cache = None }
 let groups =
   [
     ("baseline", with_ablation V.baseline, all_programs);
-    ( "speculate=1000",
-      with_ablation (V.with_speculate 1000 V.baseline),
-      [ "034.mdljdp2"; "077.mdljsp2" ] );
     ("lsq-off", with_ablation (Option.get (V.find_ablation "lsq-off")), [ "023.eqntott" ]);
     ( "cse,licm,unroll=4",
       { (P.config_of_passes "cse,licm,unroll=4") with hli_cache = None },
@@ -43,10 +39,10 @@ let cheap = [ "023.eqntott"; "077.mdljsp2"; "141.apsi" ]
 
 (* Compile [prog] under [config], simulate all four variants at full
    fuel, and render one line per variant. *)
-let lines ?pool name config prog =
+let lines name config prog =
   let w = Option.get (Workloads.Registry.find prog) in
   let c = P.compile ~config w.Workloads.Workload.source in
-  let m = P.measure ?pool c in
+  let m = P.measure c in
   List.map
     (fun (v, (r : R.report)) ->
       Printf.sprintf "%s %s %s %s %d %d %d %d %d %d" name prog (V.name v)
@@ -77,12 +73,9 @@ let () =
   | [ _; "--write" ] ->
       let pool = Pool.create ~jobs:2 in
       print_endline header;
-      List.iter
-        (fun (name, config, progs) ->
-          List.iter
-            (fun p -> List.iter print_endline (lines ~pool name config p))
-            progs)
-        groups;
+      List.concat_map (fun (name, config, progs) -> List.map (fun p -> (name, config, p)) progs) groups
+      |> Pool.map pool (fun (name, config, p) -> lines name config p)
+      |> List.iter (List.iter print_endline);
       Pool.shutdown pool
   | [ exe; "--full" ] ->
       Alcotest.run ~argv:[| exe |] "simgolden" [ ("rows", cases ~full:true) ]

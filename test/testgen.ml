@@ -197,8 +197,6 @@ let gen_query : P.query QCheck.Gen.t =
          int_range 0 500 >>= fun b -> return (P.Q_equiv { u; a; b }));
         (int_range 0 500 >>= fun call ->
          int_range 0 500 >>= fun mem -> return (P.Q_call { u; call; mem }));
-        (int_range 0 500 >>= fun a ->
-         int_range 0 500 >>= fun b -> return (P.Q_prob { u; a; b }));
         map (fun item -> P.Q_hoist_target { u; item }) (int_range 0 500);
       ])
 
