@@ -1,7 +1,7 @@
 (* Schedule golden (golden_sched.txt).
 
    One line per configuration x workload x variant pins the md5 of the
-   scheduled RTL (every function through [Rtl.pp_fn]) and the six DDG
+   scheduled RTL (every function through [Rtl.pp_fn]) and the four DDG
    query counters.  The rows cover all 14 workloads under the paper
    configuration, with the cse,licm,unroll=4 optional passes and under
    the hli-only ablation.  The cse,licm,unroll=4 group runs a second
@@ -24,8 +24,7 @@ module D = Backend.Ddg
 let golden_file = "golden_sched.txt"
 
 let header =
-  "# config program variant rtl_md5 total gcc_yes hli_yes combined_yes \
-   spec_edges_dropped spec_checks"
+  "# config program variant rtl_md5 total gcc_yes hli_yes combined_yes"
 
 let all_programs = List.map (fun w -> w.Workloads.Workload.name) Workloads.Registry.all
 
@@ -64,7 +63,7 @@ let lines name config prog =
       | exception Machine.Simulate.Violation x ->
           failwith (V.name v ^ " " ^ Machine.Simulate.describe x));
       let st = s.Driver.Pass.s_stats in
-      Printf.sprintf "%s %s %s %s %d %d %d %d 0 0" name prog (V.name v)
+      Printf.sprintf "%s %s %s %s %d %d %d %d" name prog (V.name v)
         (rtl_md5 s.Driver.Pass.s_rtl)
         st.D.total st.D.gcc_yes st.D.hli_yes st.D.combined_yes)
     c.P.variants

@@ -2,8 +2,7 @@
 
    One line per configuration x workload x variant pins the program
    output digest and every simulated statistic: cycles, dynamic
-   instructions, L1 hits and misses, LSQ stall cycles and
-   misspeculations.  The rows cover all 14 workloads under the paper
+   instructions, L1 hits and misses and LSQ stall cycles.  The rows cover all 14 workloads under the paper
    configuration, one workload with the LSQ rule off, and all 14
    workloads again with the cse,licm,unroll=4 optional passes.
 
@@ -19,7 +18,7 @@ let golden_file = "golden_sim.txt"
 
 let header =
   "# config program variant output_md5 cycles dyn_insns l1_hits l1_misses \
-   lsq_stalls misspeculations"
+   lsq_stalls"
 
 let all_programs = List.map (fun w -> w.Workloads.Workload.name) Workloads.Registry.all
 
@@ -45,10 +44,9 @@ let lines name config prog =
   let m = P.measure c in
   List.map
     (fun (v, (r : R.report)) ->
-      Printf.sprintf "%s %s %s %s %d %d %d %d %d %d" name prog (V.name v)
+      Printf.sprintf "%s %s %s %s %d %d %d %d %d" name prog (V.name v)
         (Digest.to_hex (Digest.string r.R.output))
-        r.R.cycles r.R.dyn_insns r.R.l1_hits r.R.l1_misses r.R.lsq_stalls
-        r.R.misspeculations)
+        r.R.cycles r.R.dyn_insns r.R.l1_hits r.R.l1_misses r.R.lsq_stalls)
     m.P.reports
 
 let cases ~full =
