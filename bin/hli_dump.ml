@@ -1,4 +1,4 @@
-(* hli_dump — inspect a serialized HLI file (an HLI3 container).
+(* hli_dump — inspect a serialized HLI file (an HLI4 container).
 
    Prints the line table and region tables of every program unit;
    --verify checks the binary round-trip, --check runs the structural

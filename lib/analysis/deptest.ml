@@ -73,38 +73,6 @@ let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 let gcd_list = function [] -> 0 | x :: rest -> List.fold_left gcd (abs x) rest
 
 (* ------------------------------------------------------------------ *)
-(* Dependence likelihood (HLI3 probability sections)                   *)
-(* ------------------------------------------------------------------ *)
-
-(** Per-mille likelihood assumed for a "maybe" dependence when the
-    affine tests left no measurable slack (wild symbols, non-affine
-    subscripts, symbolic bounds): an uninformative midpoint. *)
-let default_dep_prob = 500
-
-(* Likelihood that a maybe dimension really carries a dependence, from
-   the slack {!analyze_dim}'s deciding tests left: [g] is the GCD of
-   the dependence equation's coefficients and [span] the width of the
-   Banerjee range when one was computed.  The two filters that
-   {e almost} proved independence become evidence:
-
-   - GCD: solutions of the Diophantine equation form a lattice with
-     spacing [g]; having passed [g | r], roughly one in [g] index
-     combinations can still land on the solution plane -> [1000 / g].
-   - Banerjee: with constant bounds the equation value sweeps
-     [mn..mx]; a dependence needs an exact zero, so the wider the
-     straddle the less likely -> [1000 / (mx - mn + 1)].
-
-   Independent pieces of evidence multiply (per-mille fixed point);
-   no evidence at all yields {!default_dep_prob}. *)
-let dim_dep_prob ~g ~span =
-  let gcd_p = if g > 1 then Some (max 1 (1000 / g)) else None in
-  match (span, gcd_p) with
-  | None, None -> default_dep_prob
-  | Some w, None -> max 1 (1000 / w)
-  | None, Some p -> p
-  | Some w, Some p -> max 1 (max 1 (1000 / w) * p / 1000)
-
-(* ------------------------------------------------------------------ *)
 (* Per-dimension analysis                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -113,9 +81,7 @@ type dim_result =
   | Dim_independent
   | Dim_any_distance  (* dimension does not constrain the distance *)
   | Dim_distance of int  (* dependence only possible at this exact distance *)
-  | Dim_maybe of int
-      (* may be dependent, distance not determined; the per-mille
-         likelihood that it is *)
+  | Dim_maybe  (* may be dependent, distance not determined *)
 
 (* Analyze the dependence equation fa(i, v...) = fb(i', v'...) with
    i' = i + delta for unknown ivar-value difference delta, where the
@@ -146,10 +112,10 @@ let analyze_dim ~ctx ~invariant (fa : Affine.t) (fb : Affine.t) : dim_result =
     || List.exists (fun v -> not (invariant v)) (Affine.symbols rb)
   in
   let rest = Affine.sub ra rb in
-  if has_wild then Dim_maybe default_dep_prob
+  if has_wild then Dim_maybe
   else if not (Affine.is_const rest) then
     (* invariant symbols with unequal coefficients: symbolic difference *)
-    Dim_maybe default_dep_prob
+    Dim_maybe
   else begin
     let r = rest.Affine.const in
     let inner_coeffs = inner_a @ List.map (fun c -> -c) inner_b in
@@ -172,7 +138,7 @@ let analyze_dim ~ctx ~invariant (fa : Affine.t) (fb : Affine.t) : dim_result =
               end
         | _ ->
             if r = 0 then Dim_independent
-            else Dim_maybe (dim_dep_prob ~g:(abs ca) ~span:None)
+            else Dim_maybe
     end
     else begin
       (* General SIV/MIV over unknowns i, delta, and renamed inner ivars:
@@ -211,9 +177,9 @@ let analyze_dim ~ctx ~invariant (fa : Affine.t) (fb : Affine.t) : dim_result =
                   let mn = List.fold_left min max_int cs
                   and mx = List.fold_left max min_int cs in
                   if mn > 0 || mx < 0 then Dim_independent
-                  else Dim_maybe (dim_dep_prob ~g ~span:(Some (mx - mn + 1)))
+                  else Dim_maybe
             end
-        | _ -> Dim_maybe (dim_dep_prob ~g ~span:None)
+        | _ -> Dim_maybe
       end
     end
   end
@@ -227,32 +193,26 @@ let affine_subscripts (a : Frontir.Access.t) =
 
 (** Loop-carried dependence test between two accesses to the {e same}
     base (the caller has already established base identity or aliasing).
-    Tests the direction "a at an earlier iteration, b at a later one".
-
-    The outcome comes with its per-mille likelihood (the HLI3
-    probability section): definite outcomes map to 1000, proven
-    independence to 0, and "maybe" outcomes to the product of each
-    dimension's slack evidence (all dimensions must carry the
-    dependence at once). *)
-let carried_with_prob ~ctx ~invariant (a : Frontir.Access.t)
-    (b : Frontir.Access.t) : outcome * int =
+    Tests the direction "a at an earlier iteration, b at a later one". *)
+let carried ~ctx ~invariant (a : Frontir.Access.t) (b : Frontir.Access.t) :
+    outcome =
   let subs_a = affine_subscripts a and subs_b = affine_subscripts b in
   if List.length subs_a <> List.length subs_b then
     (* differently-shaped views of the same memory: give up *)
-    (Unknown, default_dep_prob)
+    Unknown
   else if subs_a = [] then
     (* scalar location: every iteration touches it; minimal distance 1 *)
-    (Dependent { distance = Some 1; definite = true }, 1000)
+    Dependent { distance = Some 1; definite = true }
   else begin
     let dims =
       List.map2
         (fun fa fb ->
           match (fa, fb) with
           | Some fa, Some fb -> analyze_dim ~ctx ~invariant fa fb
-          | _ -> Dim_maybe default_dep_prob)
+          | _ -> Dim_maybe)
         subs_a subs_b
     in
-    if List.mem Dim_independent dims then (Independent, 0)
+    if List.mem Dim_independent dims then Independent
     else begin
       (* Combine exact distances: contradictions mean independence. *)
       let distances =
@@ -263,33 +223,17 @@ let carried_with_prob ~ctx ~invariant (a : Frontir.Access.t)
           (function Dim_distance _ | Dim_any_distance -> true | _ -> false)
           dims
       in
-      let maybe distance =
-        let p =
-          List.fold_left
-            (fun acc d ->
-              match d with
-              | Dim_maybe p -> acc * p / 1000
-              | Dim_independent | Dim_distance _ | Dim_any_distance -> acc)
-            1000 dims
-        in
-        (Dependent { distance; definite = false }, max 1 p)
-      in
       match distances with
       | [] ->
           if List.for_all (fun d -> d = Dim_any_distance) dims then
-            (Dependent { distance = Some 1; definite = true }, 1000)
-          else maybe None
+            Dependent { distance = Some 1; definite = true }
+          else Dependent { distance = None; definite = false }
       | d :: rest ->
           if List.for_all (fun x -> x = d) rest then
-            if all_exact_or_free then
-              (Dependent { distance = Some d; definite = true }, 1000)
-            else maybe (Some d)
-          else (Independent, 0)
+            Dependent { distance = Some d; definite = all_exact_or_free }
+          else Independent
     end
   end
-
-(** {!carried_with_prob}'s outcome alone. *)
-let carried ~ctx ~invariant a b = fst (carried_with_prob ~ctx ~invariant a b)
 
 (** Do the two accesses refer to the same location {e within one
     iteration} (all enclosing induction variables at equal values)?

@@ -47,38 +47,6 @@ let ptrs_may_alias res p q =
   | Universe, _ | _, Universe -> true
   | Syms a, Syms b -> not (Symbol.Set.is_empty (Symbol.Set.inter a b))
 
-(* ------------------------------------------------------------------ *)
-(* Per-mille alias likelihoods (HLI3 probability sections)             *)
-(* ------------------------------------------------------------------ *)
-
-(** Per-mille likelihood charged to a [Universe] pointer: the analysis
-    lost track of it entirely, so the alias must be assumed but is
-    treated as unlikely to be any one specific location. *)
-let universe_prob = 100
-
-(** Per-mille likelihood that pointer [p] really does point at [s]:
-    uniform spread over its points-to set, [1000 / |pts|].  [0] when
-    [s] is provably not a target. *)
-let may_point_at_prob res p s =
-  match points_to res p with
-  | Universe -> universe_prob
-  | Syms set ->
-      if Symbol.Set.mem s set then 1000 / max 1 (Symbol.Set.cardinal set)
-      else 0
-
-(** Per-mille likelihood that two pointers overlap: the Jaccard index
-    of their points-to sets ([|inter| / |union|], per-mille).  [0] when
-    the sets are disjoint. *)
-let ptrs_alias_prob res p q =
-  match (points_to res p, points_to res q) with
-  | Universe, _ | _, Universe -> universe_prob
-  | Syms a, Syms b ->
-      let inter = Symbol.Set.cardinal (Symbol.Set.inter a b) in
-      if inter = 0 then 0
-      else
-        let union = Symbol.Set.cardinal (Symbol.Set.union a b) in
-        max 1 (1000 * inter / max 1 union)
-
 let escaped res s = Symbol.Set.mem s !(res.escaped)
 
 (* ------------------------------------------------------------------ *)

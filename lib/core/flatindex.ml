@@ -4,7 +4,7 @@
     {!build} turns an [hli_entry] into an image that holds everything
     the back end's three pair queries consult: per-item (region, class)
     chains with the class kind and alias slot precomputed per element,
-    per-region alias probability cells, ancestor chains and callrefmod
+    per-region alias bit matrices, ancestor chains and callrefmod
     tables, with each item's line, access type and innermost region in
     its record.  {!Query} answers through it in process, adding its
     memos and counters; hlid {!seal}s the same image with the source
@@ -18,7 +18,7 @@
     {v
     header (76 bytes)
        0  magic "HLIX"
-       4  version (= 4)
+       4  version (= 5)
        8  generation (u64; seqlock word, NOT covered by the CRC)
       16  body CRC32 over bytes [20, total_len) (zero until sealed)
       20  total_len (bytes used, header included)
@@ -45,16 +45,15 @@
               wins)
     cls       sorted u32 class-id runs (binary-search membership for
               the crm REF/MOD sets)
-    alias     per region: width, then width x width u16 cells — 0xffff
-              when no alias entry lists both classes, else the
-              per-mille of the first entry that does (500 when it
-              carries none) — padded to 4 bytes
+    alias     per region: width (at most 0xffff), then a width x width
+              bit matrix, row-major, bit k in byte k / 8 at weight
+              2^(k mod 8) — set when an alias entry lists both classes —
+              padded to 4 bytes
     ups       u32 region indices (self first, root last)
     v}
 
-    One walk, [decide], answers both the equiv query and its
-    probabilistic variant: two hashed item lookups, the two chain
-    scans and at most one cell load, with no allocation.
+    One walk answers the equiv query: two hashed item lookups, the two
+    chain scans and at most one bit load, with no allocation.
 
     Readers treat the bytes as untrusted at all times: every load is
     bounds-checked against the image and absurd counts raise {!Torn}
@@ -90,19 +89,13 @@ type call_acc_result =
   | Call_refmod
   | Call_unknown
 
-(** Per-mille confidence assumed for a "maybe" answer when the HLI
-    carries no probability for the pair (the front end had no
-    evidence): an uninformative midpoint, so consumers that
-    speculate only above-midpoint thresholds never act on it. *)
-let default_maybe_prob = 500
-
 exception Torn
 
 let magic = "HLIX"
-let hlix_version = 4
+let hlix_version = 5
 let header_size = 76
 let none = 0xffffffff
-let no_alias = 0xffff
+let max_width = 0xffff
 
 (* header field offsets *)
 let o_gen = 8
@@ -142,15 +135,9 @@ let u8 (seg : seg) off =
 
 (* one unaligned load per field: the compiler inlines these primitives
    on any byte-element bigarray, not only [char] ones *)
-external get16 : seg -> int -> int = "%caml_bigstring_get16u"
 external get32 : seg -> int -> int32 = "%caml_bigstring_get32u"
-external bswap16 : int -> int = "%bswap16"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 external big_endian : unit -> bool = "%big_endian"
-
-let u16 (seg : seg) off =
-  if off < 0 || off + 2 > Bigarray.Array1.dim seg then raise Torn;
-  if big_endian () then bswap16 (get16 seg off) else get16 seg off
 
 let u32 (seg : seg) off =
   if off < 0 || off + 4 > Bigarray.Array1.dim seg then raise Torn;
@@ -185,7 +172,6 @@ module Ptbl = Hashtbl.Make (struct
   let hash ((a, b) : t) = mix ((a * 0x9E3779B1) + b)
 end)
 
-external set16 : seg -> int -> int -> unit = "%caml_bigstring_set16"
 external set32 : seg -> int -> int32 -> unit = "%caml_bigstring_set32"
 
 let pu32 (seg : seg) off v =
@@ -194,7 +180,6 @@ let pu32 (seg : seg) off v =
   let v = Int32.of_int v in
   set32 seg off (if big_endian () then bswap32 v else v)
 
-let pu16 (seg : seg) off v = set16 seg off (if big_endian () then bswap16 v else v)
 
 (** The image of [entry] (generation 0, unsealed) and the item ids
     the entry lists more than once — twice in the line table, or as a
@@ -329,7 +314,7 @@ let build (entry : hli_entry) : seg * int list =
           (fun a e -> a + List.length e.ref_classes + List.length e.mod_classes)
           0 r.callrefmods)
   in
-  let cells_bytes w = (2 * w * w + 3) land lnot 3 in
+  let cells_bytes w = (((w * w) + 7) / 8 + 3) land lnot 3 in
   let alias_bytes = Array.fold_left (fun a h -> a + 4 + cells_bytes (Itbl.length h)) 0 slots in
   let ups_total = Array.fold_left (fun a u -> a + List.length u) 0 ups in
   let off_items = header_size in
@@ -441,26 +426,23 @@ let build (entry : hli_entry) : seg * int list =
           pu32 seg !ups_off u;
           ups_off := !ups_off + 4)
         ups.(i);
-      (* cells: the first entry listing both classes sets the pair *)
+      (* the bit of every pair of classes an entry lists (the image
+         starts zeroed) *)
       let aoff = !alias_off and h = slots.(i) in
       let w = Itbl.length h in
+      if w > max_width then invalid_arg (Printf.sprintf "Flatindex.build: alias width %d" w);
       pu32 seg (roff + 28) aoff;
       pu32 seg aoff w;
-      for c = 0 to (w * w) - 1 do
-        pu16 seg (aoff + 4 + (2 * c)) no_alias
-      done;
       List.iter
         (fun ae ->
-          let p = Option.value ~default:default_maybe_prob ae.alias_prob in
-          if p < 0 || p >= no_alias then
-            invalid_arg (Printf.sprintf "Flatindex.build: alias probability %d" p);
           let ss = List.map (Itbl.find h) ae.alias_classes in
           List.iter
             (fun x ->
               List.iter
                 (fun y ->
-                  let c = aoff + 4 + (2 * ((x * w) + y)) in
-                  if seg.{c} lor (seg.{c + 1} lsl 8) = no_alias then pu16 seg c p)
+                  let k = (x * w) + y in
+                  let c = aoff + 4 + (k lsr 3) in
+                  seg.{c} <- seg.{c} lor (1 lsl (k land 7)))
                 ss)
             ss)
         r.aliases;
@@ -592,8 +574,8 @@ let validate ~expect_hash (seg : seg) =
     let aoff = u32 seg (roff + 28) in
     inside 5 aoff 1 4 "alias width";
     let w = u32 seg aoff in
-    if w > no_alias then bad "alias width %d" w;
-    inside 5 (aoff + 4) (w * w) 2 "alias cells"
+    if w > max_width then bad "alias width %d" w;
+    inside 5 (aoff + 4) (((w * w) + 7) / 8) 1 "alias bits"
   done
 
 (* ------------------------------------------------------------------ *)
@@ -646,32 +628,31 @@ let cls_mem (seg : seg) off cnt v =
   done;
   !found
 
-(* cell (sa, sb) of region [ri]'s alias cells *)
-let alias_cell (seg : seg) ri sa sb =
+(* is bit (sa, sb) of region [ri]'s alias matrix set? *)
+let aliased (seg : seg) ri sa sb =
   let aoff = u32 seg (u32 seg o_regions + (region_size * capped seg ri region_size) + 28) in
   let w = u32 seg aoff in
-  if sa >= w || sb >= w then no_alias else u16 seg (aoff + 4 + (2 * ((sa * w) + sb)))
+  sa < w && sb < w
+  &&
+  let k = (sa * w) + sb in
+  u8 seg (aoff + 4 + (k lsr 3)) land (1 lsl (k land 7)) <> 0
 
-(* [decide]'s answer codes, packed above the per-mille *)
-let code_none = 1 lsl 16
-let code_same_def = 2 lsl 16
-let code_same_maybe = 3 lsl 16
-let code_alias = 4 lsl 16
-
-(* The equiv decision and its per-mille, packed ([0] = unknown, no
-   evidence): the innermost region present in both items' chains,
-   scanning a's chain outward — the chains are region paths, so this
-   is the lowest common region of the two items.  Same class there
-   answers by its kind, distinct classes by their alias cell. *)
-let decide (seg : seg) item_a item_b =
+(** Do two items possibly access the same memory location {e within one
+    iteration} of every loop enclosing both?  The innermost region
+    present in both items' chains decides, scanning a's chain outward —
+    the chains are region paths, so this is the lowest common region of
+    the two items.  Same class there answers by its kind, distinct
+    classes by their alias bit.  Raises {!Torn} on any
+    out-of-bounds load (segment being rewritten); never allocates. *)
+let get_equiv_acc (seg : seg) item_a item_b =
   let ia = find_item seg item_a and ib = find_item seg item_b in
-  if ia < 0 || ib < 0 then 0
+  if ia < 0 || ib < 0 then Equiv_unknown
   else begin
     let ca_off = u32 seg (ia + 16)
     and ca_len = capped seg (u32 seg (ia + 20)) chain_size
     and cb_off = u32 seg (ib + 16)
     and cb_len = capped seg (u32 seg (ib + 20)) chain_size in
-    let res = ref 0 and i = ref 0 in
+    let res = ref Equiv_unknown and i = ref 0 in
     while !i < ca_len do
       let ea = ca_off + (chain_size * !i) in
       let rid = u32 seg (ea + 4) in
@@ -688,33 +669,20 @@ let decide (seg : seg) item_a item_b =
         res :=
           if u32 seg (ea + 8) = u32 seg (eb + 8) then (
             match u32 seg (ea + 12) with
-            | 0 -> code_same_def lor 1000
-            | 1 -> code_same_maybe lor default_maybe_prob
-            | _ -> 0)
+            | 0 -> Equiv_same Definitely
+            | 1 -> Equiv_same Maybe
+            | _ -> Equiv_unknown)
           else
             let ri = u32 seg ea in
-            if ri = none then 0
+            if ri = none then Equiv_unknown
             else
               let sa = u32 seg (ea + 16) and sb = u32 seg (eb + 16) in
-              let cell = if sa = none || sb = none then no_alias else alias_cell seg ri sa sb in
-              if cell = no_alias then code_none lor 1000 else code_alias lor cell
+              if sa <> none && sb <> none && aliased seg ri sa sb then Equiv_alias
+              else Equiv_none
       end
     done;
     !res
   end
-
-let equiv_of_code d =
-  match d lsr 16 with
-  | 1 -> Equiv_none
-  | 2 -> Equiv_same Definitely
-  | 3 -> Equiv_same Maybe
-  | 4 -> Equiv_alias
-  | _ -> Equiv_unknown
-
-(** Do two items possibly access the same memory location {e within one
-    iteration} of every loop enclosing both?  Raises {!Torn} on any
-    out-of-bounds load (segment being rewritten); never allocates. *)
-let get_equiv_acc (seg : seg) item_a item_b = equiv_of_code (decide seg item_a item_b)
 
 (* the class of the first chain element of the item record at [ioff]
    whose region is [rid], or -1 *)

@@ -154,7 +154,7 @@ let delete_item m item =
                 List.filter_map
                   (fun a ->
                     let cs = List.filter (fun c -> not (drop_cls c)) a.alias_classes in
-                    if List.length cs >= 2 then Some { a with alias_classes = cs }
+                    if List.length cs >= 2 then Some { alias_classes = cs }
                     else None)
                   r.aliases;
               lcdds =
@@ -387,7 +387,6 @@ let unroll m ~rid ~factor =
                   lcdd_dst = class_copy l.lcdd_dst j;
                   lcdd_dep = Dep_maybe;
                   lcdd_distance = None;
-                  lcdd_prob = l.lcdd_prob;
                 }
                 :: !new_lcdds;
               if i <> j then
@@ -395,7 +394,6 @@ let unroll m ~rid ~factor =
                   {
                     alias_classes =
                       [ class_copy l.lcdd_src i; class_copy l.lcdd_dst j ];
-                    alias_prob = l.lcdd_prob;
                   }
                   :: !new_aliases
             done
@@ -410,7 +408,6 @@ let unroll m ~rid ~factor =
                 {
                   alias_classes =
                     [ class_copy l.lcdd_src i; class_copy l.lcdd_dst target ];
-                  alias_prob = l.lcdd_prob;
                 }
                 :: !new_aliases
             else
@@ -420,7 +417,6 @@ let unroll m ~rid ~factor =
                   lcdd_dst = class_copy l.lcdd_dst (target mod factor);
                   lcdd_dep = l.lcdd_dep;
                   lcdd_distance = Some (target / factor);
-                  lcdd_prob = l.lcdd_prob;
                 }
                 :: !new_lcdds
           done)
@@ -431,7 +427,7 @@ let unroll m ~rid ~factor =
     List.concat_map
       (fun a ->
         List.init factor (fun k ->
-            { a with alias_classes = List.map (fun c -> class_copy c k) a.alias_classes }))
+            { alias_classes = List.map (fun c -> class_copy c k) a.alias_classes }))
       !new_aliases
   in
   update_regions m (fun reg ->

@@ -189,8 +189,6 @@ type call_acc_result = F.call_acc_result =
   | Call_refmod
   | Call_unknown
 
-let default_maybe_prob = F.default_maybe_prob
-
 (* ------------------------------------------------------------------ *)
 (* The index                                                           *)
 (* ------------------------------------------------------------------ *)

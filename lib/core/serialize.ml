@@ -1,7 +1,9 @@
-(** Binary (de)serialization of HLI files: the HLI3 container.
+(** Binary (de)serialization of HLI files: the HLI4 container.
 
     The paper defines the logical layout (its Figure 1) but not a byte
-    format; HLI3 is the one container this repository reads and writes.
+    format; HLI4 is the one container this repository reads and writes
+    (HLI3, its predecessor, also carried a per-mille probability on
+    every alias and LCDD entry; it is rejected by name).
     Integers are LEB128 varints and strings are length-prefixed.  The
     file is a front-end/back-end {e interface} that must not trust its
     producer, so:
@@ -17,8 +19,6 @@
     - each entry is length-prefixed and followed by a CRC32 of its
       payload, so truncation and bit-rot are reported per entry instead
       of decoding into garbage tables.
-
-    Alias and LCDD entries carry an optional per-mille probability.
 
     [of_bytes (to_bytes f) = f] holds for {e every} value of
     {!Tables.hli_file} (property-tested, including [Some 0] boundary
@@ -54,7 +54,7 @@ let diagnostic_of_corruption ?file c =
     (if c.c_at >= 0 then Printf.sprintf "%s (at byte %d)" c.c_msg c.c_at
      else c.c_msg)
 
-let magic = "HLI3"
+let magic = "HLI4"
 
 (** Version tag of the container {!to_bytes} writes; part of the HLI
     cache key so a format revision invalidates stale cache entries. *)
@@ -213,16 +213,13 @@ let put_class buf c =
   put_string buf c.desc;
   put_list buf put_member c.members
 
-let put_alias buf a =
-  put_list buf put_varint a.alias_classes;
-  put_opt buf put_varint a.alias_prob
+let put_alias buf a = put_list buf put_varint a.alias_classes
 
 let put_lcdd buf l =
   put_varint buf l.lcdd_src;
   put_varint buf l.lcdd_dst;
   Buffer.add_char buf (match l.lcdd_dep with Dep_definite -> '\000' | Dep_maybe -> '\001');
-  put_opt buf put_varint l.lcdd_distance;
-  put_opt buf put_varint l.lcdd_prob
+  put_opt buf put_varint l.lcdd_distance
 
 let put_callrefmod buf e =
   (match e.call_key with
@@ -261,7 +258,7 @@ let put_entry buf e =
    magic; a varint per integer and per string or list length; the
    string bytes; one byte per tag or bool; and for an optional field the
    varint of its value, or of 0 when it is absent.  No entry lengths,
-   CRCs, option tags or probabilities count.  These are the lengths of
+   CRCs or option tags count.  These are the lengths of
    the first (HLI1) payload encoding, which the column has always been
    measured with; the test suite keeps that encoder as the oracle. *)
 
@@ -443,10 +440,7 @@ let get_class cur =
   let desc = get_string cur in
   { class_id; kind; desc; members = get_list cur get_member }
 
-let get_alias cur =
-  let alias_classes = get_list cur get_varint in
-  let alias_prob = get_opt cur get_varint in
-  { alias_classes; alias_prob }
+let get_alias cur = { alias_classes = get_list cur get_varint }
 
 let get_dep cur =
   match byte cur with
@@ -459,8 +453,7 @@ let get_lcdd cur =
   let lcdd_dst = get_varint cur in
   let lcdd_dep = get_dep cur in
   let lcdd_distance = get_opt cur get_varint in
-  let lcdd_prob = get_opt cur get_varint in
-  { lcdd_src; lcdd_dst; lcdd_dep; lcdd_distance; lcdd_prob }
+  { lcdd_src; lcdd_dst; lcdd_dep; lcdd_distance }
 
 let get_call_key cur =
   match byte cur with
@@ -561,7 +554,9 @@ let container_of_payloads (payloads : string list) : string =
     order, CRC-checked but not decoded. *)
 let payloads_of_container (s : string) : string list =
   if not (String.starts_with ~prefix:magic s) then
-    corrupt ~at:0 ~code:"E0610" "bad magic (want %s)" magic;
+    corrupt ~at:0 ~code:"E0610" "bad magic %S (want %s)"
+      (String.sub s 0 (min (String.length s) (String.length magic)))
+      magic;
   let cur = { data = s; pos = String.length magic } in
   let n_entries = get_varint cur in
   if n_entries > remaining cur then

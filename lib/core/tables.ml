@@ -64,12 +64,6 @@ type eq_class = {
 type alias_entry = {
   alias_classes : int list;
       (** ids of classes of this region that may overlap at run time *)
-  alias_prob : int option;
-      (** HLI3 probability section: likelihood the classes really do
-          overlap at run time, in per-mille (0..1000), derived from
-          points-to set cardinalities.  [None] = no estimate (no
-          evidence was available); consumers treat absence as
-          "assume the alias" *)
 }
 
 type lcdd_entry = {
@@ -78,10 +72,6 @@ type lcdd_entry = {
   lcdd_dep : dep_type;
   lcdd_distance : int option;
       (** iteration distance, normalized forward ('>'); [None] = unknown *)
-  lcdd_prob : int option;
-      (** HLI3 probability section: likelihood the dependence is real,
-          in per-mille (0..1000), derived from affine-test slack
-          (GCD/Banerjee margins).  [None] = no estimate *)
 }
 
 (** Key of a call REF/MOD entry: a call item immediately enclosed by the
@@ -156,23 +146,10 @@ let pp_class ppf c =
     Fmt.(list ~sep:comma pp_member)
     c.members
 
-(** Render a per-mille probability as a compact decimal, e.g. 850 ->
-    ["0.85"]; integer arithmetic only, so output is deterministic. *)
-let prob_to_string p =
-  if p mod 10 = 0 then
-    if p mod 100 = 0 then Printf.sprintf "%d.%d" (p / 1000) (p mod 1000 / 100)
-    else Printf.sprintf "%d.%02d" (p / 1000) (p mod 1000 / 10)
-  else Printf.sprintf "%d.%03d" (p / 1000) (p mod 1000)
-
-let pp_prob ppf = function
-  | None -> ()
-  | Some p -> Fmt.pf ppf ", p=%s" (prob_to_string p)
-
 let pp_lcdd ppf l =
-  Fmt.pf ppf "c%d -> c%d (%s, d=%s%a)" l.lcdd_src l.lcdd_dst
+  Fmt.pf ppf "c%d -> c%d (%s, d=%s)" l.lcdd_src l.lcdd_dst
     (match l.lcdd_dep with Dep_definite -> "definite" | Dep_maybe -> "maybe")
     (match l.lcdd_distance with Some d -> string_of_int d | None -> "?")
-    pp_prob l.lcdd_prob
 
 let pp_region ppf r =
   Fmt.pf ppf "@[<v 2>region %d (%s, lines %d-%d%s):@,classes: @[<v>%a@]@,aliases: @[<h>%a@]@,lcdd: @[<v>%a@]@,calls: %d entries@]"
@@ -183,9 +160,7 @@ let pp_region ppf r =
     Fmt.(list ~sep:cut pp_class)
     r.eq_classes
     Fmt.(
-      list ~sep:semi (fun ppf a ->
-          pf ppf "{%a%a}" (list ~sep:comma int) a.alias_classes pp_prob
-            a.alias_prob))
+      list ~sep:semi (fun ppf a -> pf ppf "{%a}" (list ~sep:comma int) a.alias_classes))
     r.aliases
     Fmt.(list ~sep:cut pp_lcdd)
     r.lcdds

@@ -25,7 +25,6 @@
     - E0627 LCDD endpoint names an unknown class of its region
     - E0628 call REF/MOD entry names an unknown region or class
     - E0629 duplicate unit name in the file
-    - E0636 probability section value outside per-mille range 0..1000
     - E0637 item, region or class id or line number outside
       0..0xfffffffe, the range of the query image's u32 fields *)
 
@@ -186,14 +185,7 @@ let check_entry (e : hli_entry) : issue list =
               if not (class_exists cid) then
                 add "E0626" "region %d: alias entry names unknown class %d"
                   r.region_id cid)
-            a.alias_classes;
-          match a.alias_prob with
-          | Some p when p < 0 || p > 1000 ->
-              add "E0636"
-                "region %d: alias probability %d outside per-mille range \
-                 0..1000"
-                r.region_id p
-          | _ -> ())
+            a.alias_classes)
         r.aliases;
       List.iter
         (fun l ->
@@ -202,14 +194,7 @@ let check_entry (e : hli_entry) : issue list =
               r.region_id l.lcdd_src;
           if not (class_exists l.lcdd_dst) then
             add "E0627" "region %d: LCDD target names unknown class %d"
-              r.region_id l.lcdd_dst;
-          match l.lcdd_prob with
-          | Some p when p < 0 || p > 1000 ->
-              add "E0636"
-                "region %d: LCDD probability %d outside per-mille range \
-                 0..1000"
-                r.region_id p
-          | _ -> ())
+              r.region_id l.lcdd_dst)
         r.lcdds;
       List.iter
         (fun cm ->

@@ -28,7 +28,7 @@
     - [E0616] trailing / undecoded bytes
     - [E0621]..[E0629] structural validation (line-table order, region
       tree, class/alias/LCDD/REF-MOD id resolution, duplicate units)
-    - [E0636] probability section value outside per-mille range 0..1000
+    - [E0636] retired with HLI3's probability sections; not reused
 
     The simulation block [E09xx]:
     - [E0901] a schedule changed program output, or broke an order of

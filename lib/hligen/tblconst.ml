@@ -200,35 +200,16 @@ let spaces_may_overlap (ctx : context) s1 s2 =
   | _, (Atom.Space_abi_out _ | Atom.Space_abi_in _) ->
       false
 
-(* Points-to evidence for a cross-space pair, per-mille; [None] when
-   the pair is not pointer-based (no cardinality evidence exists). *)
-let space_overlap_prob (ctx : context) (a : Atom.t) (b : Atom.t) : int option =
-  match (a.Atom.space, b.Atom.space) with
-  | Atom.Space_ptr p, Atom.Space_sym s | Atom.Space_sym s, Atom.Space_ptr p ->
-      Some (Pointsto.may_point_at_prob ctx.pointsto p s)
-  | Atom.Space_ptr p, Atom.Space_ptr q when not (Symbol.equal p q) ->
-      Some (Pointsto.ptrs_alias_prob ctx.pointsto p q)
-  | Atom.Space_any, _ | _, Atom.Space_any -> Some Pointsto.universe_prob
-  | _ -> None
-
 (* The alias-table entry of two classes, [None] when they cannot touch
-   a common location within one iteration.  Its per-mille likelihood
-   (the HLI3 probability section) is points-to cardinality evidence for
-   cross-space pairs (whose sections are not comparable); same-space
-   pairs that are provably the same location get certainty, other
-   same-space pairs carry no estimate (subscript overlap is not a
-   cardinality question). *)
+   a common location within one iteration. *)
 let alias_entry ~invariant ctx (ida, (a : Atom.t)) (idb, (b : Atom.t)) :
     T.alias_entry option =
-  let entry alias_prob = Some { T.alias_classes = [ ida; idb ]; alias_prob } in
   if not (spaces_may_overlap ctx a.Atom.space b.Atom.space) then None
-  else if Atom.space_equal a.Atom.space b.Atom.space then begin
-    match Atom.same_location ~invariant a b with
-    | Deptest.Different -> None
-    | Deptest.Same -> entry (Some 1000)
-    | Deptest.Maybe_same -> entry None
-  end
-  else entry (space_overlap_prob ctx a b)
+  else if
+    Atom.space_equal a.Atom.space b.Atom.space
+    && Atom.same_location ~invariant a b = Deptest.Different
+  then None
+  else Some { T.alias_classes = [ ida; idb ] }
 
 (* ------------------------------------------------------------------ *)
 (* Loop-carried dependences between classes                            *)
@@ -297,21 +278,11 @@ let section_carried ~lctx (a : Atom.t) (b : Atom.t) : bool =
    pointer space and a symbol space would require offset knowledge the
    points-to analysis does not track (a mid-array pointer shifts every
    subscript).  Cross-space pairs therefore get a conservative
-   maybe-dependence.
-
-   Each outcome is paired with its per-mille likelihood (the HLI3
-   probability section): affine-test slack for exact pairs, points-to
-   evidence for cross-space pairs, the uninformative midpoint where the
-   deciding test left nothing measurable. *)
-let class_lcdd ~ctx ~lctx ~invariant (a : Atom.t) (b : Atom.t) :
-    (Deptest.outcome * int) list =
+   maybe-dependence. *)
+let class_lcdd ~lctx ~invariant (a : Atom.t) (b : Atom.t) : Deptest.outcome list =
   if not (Atom.space_equal a.Atom.space b.Atom.space) then begin
     if a.Atom.has_store || b.Atom.has_store then
-      let p =
-        Option.value ~default:Deptest.default_dep_prob
-          (space_overlap_prob ctx a b)
-      in
-      [ (Deptest.Dependent { distance = None; definite = false }, p) ]
+      [ Deptest.Dependent { distance = None; definite = false } ]
     else []
   end
   else
@@ -328,19 +299,15 @@ let class_lcdd ~ctx ~lctx ~invariant (a : Atom.t) (b : Atom.t) :
         List.iter
           (fun rb ->
             if ra.Frontir.Access.is_store || rb.Frontir.Access.is_store then
-              outcomes :=
-                Deptest.carried_with_prob ~ctx:lctx ~invariant ra rb
-                :: !outcomes)
+              outcomes := Deptest.carried ~ctx:lctx ~invariant ra rb :: !outcomes)
           b.Atom.reprs)
       a.Atom.reprs;
     !outcomes
   end
   else if a.Atom.has_store || b.Atom.has_store then
     if section_carried ~lctx a b then
-      [ ( Deptest.Dependent { distance = None; definite = false },
-          Deptest.default_dep_prob )
-      ]
-    else [ (Deptest.Independent, 0) ]
+      [ Deptest.Dependent { distance = None; definite = false } ]
+    else [ Deptest.Independent ]
   else []
 
 (* ------------------------------------------------------------------ *)
@@ -415,32 +382,21 @@ let atom_for_parent ~parent_invariant (sub : Frontir.Region.t) (cid, (atom : Ato
     desc_section = desc_section widened;
   }
 
-let dep_outcomes_to_lcdds ~src ~dst (outcomes : (Deptest.outcome * int) list) :
+let dep_outcomes_to_lcdds ~src ~dst (outcomes : Deptest.outcome list) :
     T.lcdd_entry list =
   let exact = ref [] and maybe = ref false and maybe_definite = ref false in
-  (* the one maybe entry summarizes all non-exact pair outcomes, so it
-     carries the largest likelihood any of them produced *)
-  let maybe_prob = ref 0 in
   List.iter
-    (fun (o, p) ->
-      match o with
+    (function
       | Deptest.Independent -> ()
       | Deptest.Dependent { distance = Some d; definite } ->
           if definite then begin
             if not (List.mem d !exact) then exact := d :: !exact
           end
-          else begin
-            maybe := true;
-            maybe_prob := max !maybe_prob p;
-            ignore d
-          end
+          else maybe := true
       | Deptest.Dependent { distance = None; definite } ->
           maybe := true;
-          maybe_prob := max !maybe_prob p;
           if definite then maybe_definite := true
-      | Deptest.Unknown ->
-          maybe := true;
-          maybe_prob := max !maybe_prob p)
+      | Deptest.Unknown -> maybe := true)
     outcomes;
   let exact_entries =
     List.map
@@ -450,7 +406,6 @@ let dep_outcomes_to_lcdds ~src ~dst (outcomes : (Deptest.outcome * int) list) :
           lcdd_dst = dst;
           lcdd_dep = T.Dep_definite;
           lcdd_distance = Some d;
-          lcdd_prob = Some 1000;
         })
       (List.sort compare !exact)
   in
@@ -462,8 +417,6 @@ let dep_outcomes_to_lcdds ~src ~dst (outcomes : (Deptest.outcome * int) list) :
           lcdd_dst = dst;
           lcdd_dep = (if !maybe_definite then T.Dep_definite else T.Dep_maybe);
           lcdd_distance = None;
-          lcdd_prob =
-            (if !maybe_definite then Some 1000 else Some !maybe_prob);
         };
       ]
   else exact_entries
@@ -561,7 +514,7 @@ let rec build_region (ctx : context) (u : Frontir.Itemgen.unit_items)
                   (fun (idb, b) ->
                     if spaces_may_overlap ctx a.Atom.space b.Atom.space then
                       dep_outcomes_to_lcdds ~src:ida ~dst:idb
-                        (class_lcdd ~ctx ~lctx ~invariant a b)
+                        (class_lcdd ~lctx ~invariant a b)
                     else [])
                   class_atoms)
               class_atoms
@@ -582,8 +535,6 @@ let rec build_region (ctx : context) (u : Frontir.Itemgen.unit_items)
                           lcdd_dst = idb;
                           lcdd_dep = T.Dep_maybe;
                           lcdd_distance = None;
-                          (* unrecognized loop: nothing to estimate from *)
-                          lcdd_prob = None;
                         }
                     else None)
                   class_atoms)

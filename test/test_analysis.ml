@@ -316,9 +316,8 @@ let printer_props =
         Section.to_string s = Old_print.section s);
   ]
 
-(* The [carried] and [carried_prob] that [carried_with_prob] replaced:
-   [carried_prob] re-ran the whole test and re-derived each maybe
-   dimension's coefficients. *)
+(* [Deptest.carried] as it was before per-mille grades were threaded
+   through it: the oracle for its outcome now that they are gone. *)
 module Old_deptest = struct
   open Deptest
 
@@ -459,89 +458,6 @@ module Old_deptest = struct
       end
     end
 
-  let dim_dep_prob ~ctx ~invariant (fa : Affine.t) (fb : Affine.t) : int =
-    let is_inner v = List.exists (Symbol.equal v) ctx.inner_ivars in
-    let ca, ra = Affine.split fa ctx.ivar in
-    let cb, rb = Affine.split fb ctx.ivar in
-    let strip_inner t =
-      let rest =
-        { t with
-          Affine.terms = List.filter (fun (v, _) -> not (is_inner v)) t.Affine.terms
-        }
-      in
-      (List.filter_map (fun (v, c) -> if is_inner v then Some c else None) t.Affine.terms, rest)
-    in
-    let inner_a, ra = strip_inner ra in
-    let inner_b, rb = strip_inner rb in
-    let has_wild =
-      List.exists (fun v -> not (invariant v)) (Affine.symbols ra)
-      || List.exists (fun v -> not (invariant v)) (Affine.symbols rb)
-    in
-    let rest = Affine.sub ra rb in
-    if has_wild || not (Affine.is_const rest) then default_dep_prob
-    else begin
-      let r = rest.Affine.const in
-      let inner_coeffs = inner_a @ List.map (fun c -> -c) inner_b in
-      let coeffs =
-        List.filter (fun c -> c <> 0) ((ca - cb) :: cb :: inner_coeffs)
-      in
-      let g = gcd_list coeffs in
-      let evidence = ref [] in
-      if g > 1 then evidence := max 1 (1000 / g) :: !evidence;
-      (let lo_const =
-         match ctx.lower with Some lo -> Affine.const_value lo | None -> None
-       in
-       match (ctx.trip, lo_const, ctx.step) with
-       | Some trip, Some lo, Some 1 when inner_coeffs = [] ->
-           let dmax = max 0 (trip - 1) in
-           if dmax > 0 then begin
-             let c1 = ca - cb and c2 = -cb in
-             let candidates = ref [] in
-             List.iter
-               (fun d ->
-                 let i_lo = lo and i_hi = lo + dmax - d in
-                 if i_hi >= i_lo then begin
-                   candidates := ((c1 * i_lo) + (c2 * d) + r) :: !candidates;
-                   candidates := ((c1 * i_hi) + (c2 * d) + r) :: !candidates
-                 end)
-               [ 1; dmax ];
-             match !candidates with
-             | [] -> ()
-             | cs ->
-                 let mn = List.fold_left min max_int cs
-                 and mx = List.fold_left max min_int cs in
-                 if mn <= 0 && mx >= 0 then
-                   evidence := max 1 (1000 / (mx - mn + 1)) :: !evidence
-           end
-       | _ -> ());
-      match !evidence with
-      | [] -> default_dep_prob
-      | ps -> max 1 (List.fold_left (fun acc p -> acc * p / 1000) 1000 ps)
-    end
-
-  let carried_prob ~ctx ~invariant (a : Frontir.Access.t) (b : Frontir.Access.t) : int =
-    match carried ~ctx ~invariant a b with
-    | Independent -> 0
-    | Dependent { definite = true; _ } -> 1000
-    | Unknown -> default_dep_prob
-    | Dependent { definite = false; _ } ->
-        let subs_a = affine_subscripts a and subs_b = affine_subscripts b in
-        if List.length subs_a <> List.length subs_b || subs_a = [] then
-          default_dep_prob
-        else
-          let probs =
-            List.map2
-              (fun fa fb ->
-                match (fa, fb) with
-                | Some fa, Some fb -> (
-                    match analyze_dim ~ctx ~invariant fa fb with
-                    | Dim_maybe -> dim_dep_prob ~ctx ~invariant fa fb
-                    | Dim_independent -> 0
-                    | Dim_distance _ | Dim_any_distance -> 1000)
-                | _ -> default_dep_prob)
-              subs_a subs_b
-          in
-          max 1 (List.fold_left (fun acc p -> acc * p / 1000) 1000 probs)
 end
 
 (* Random accesses over one tested ivar [ri], an inner ivar [rj] and two
@@ -635,9 +551,7 @@ let invariant_of = function
   | `Not_m -> fun s -> not (Symbol.equal s rm)
 
 let same_as_old ~ctx ~invariant a b =
-  Deptest.carried_with_prob ~ctx ~invariant a b
-  = ( Old_deptest.carried ~ctx ~invariant a b,
-      Old_deptest.carried_prob ~ctx ~invariant a b )
+  Deptest.carried ~ctx ~invariant a b = Old_deptest.carried ~ctx ~invariant a b
 
 (* Every pair of accesses in every loop of the 14 workloads, under the
    loop context TBLCONST builds and three invariance predicates: the
@@ -682,13 +596,13 @@ let workload_pairs_same () =
 let deptest_oracle_tests =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:5000
-       ~name:"carried_with_prob = old (carried, carried_prob) on random pairs"
+       ~name:"carried = old carried on random pairs"
        (QCheck.make
           ~print:(fun (_, _, a, b) -> pp_access a ^ " vs " ^ pp_access b)
           gen_pair_case)
        (fun (ctx, inv, a, b) -> same_as_old ~ctx ~invariant:(invariant_of inv) a b))
   :: [
-       Alcotest.test_case "carried_with_prob = old on every workload loop pair" `Quick
+       Alcotest.test_case "carried = old carried on every workload loop pair" `Quick
          workload_pairs_same;
      ]
 

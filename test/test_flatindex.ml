@@ -4,7 +4,8 @@
       answered off the flat segment equal the reference oracle
       ([Query_ref], the list-walking engine) — equiv_acc and call_acc
       over all sampled item pairs (absent ids included).
-      A segment of any other HLIX version is rejected with E0631.
+      A segment of any other HLIX version (the previous one, 4,
+      included) is rejected with E0631.
    2. All-prefix truncation: every strict prefix of a segment must be
       rejected by [Flatindex.validate] with a precise E063x code
       (truncations land on E0632 — the stored total_len can never fit).
@@ -334,15 +335,17 @@ let () =
               if c.S.c_code <> "E0634" then
                 fail "%s/%s: wrong hash rejected as %s, want E0634" name
                   e.T.unit_name c.S.c_code);
-          (* the version gate: a version-3 image is refused *)
-          let v3 = F.seg_of_bytes (bytes_of_seg seg) in
-          v3.{4} <- 3;
-          (match F.validate ~expect_hash:hash v3 with
-          | () -> fail "%s/%s: version-3 segment accepted" name e.T.unit_name
+          (* the version gate: a version-4 image (per-mille alias
+             cells) is refused, by its version *)
+          let v4 = F.seg_of_bytes (bytes_of_seg seg) in
+          v4.{4} <- 4;
+          (match F.validate ~expect_hash:hash v4 with
+          | () -> fail "%s/%s: version-4 segment accepted" name e.T.unit_name
           | exception S.Corrupt c ->
-              if c.S.c_code <> "E0631" then
-                fail "%s/%s: version-3 segment rejected as %s, want E0631" name
-                  e.T.unit_name c.S.c_code);
+              if c.S.c_code <> "E0631" || c.S.c_msg <> "unknown HLIX version 4 (expected 5)"
+              then
+                fail "%s/%s: version-4 segment rejected as %s (%s), want E0631" name
+                  e.T.unit_name c.S.c_code c.S.c_msg);
           differential name e (R.build e) seg)
         entries;
       (* sweeps on the first (largest-coverage) entry per workload *)

@@ -111,7 +111,7 @@ let serialize_props =
       (QCheck.make (Testgen.gen_file ~allow_zero:true ())) (fun f ->
         Hli_core.Serialize.of_bytes (Hli_core.Serialize.to_bytes f) = f);
     (* Table 1's size is the old HLI1 encoder's length, on files with
-       Some 0 fields and probabilities (which HLI1 does not encode) *)
+       Some 0 fields *)
     QCheck.Test.make ~count:500 ~name:"size_bytes = Old_hli1 length"
       (QCheck.make (Testgen.gen_file ~allow_zero:true ())) (fun f ->
         Hli_core.Serialize.size_bytes f
@@ -124,7 +124,7 @@ let serialize_props =
 let serialize_tests =
   [
     Alcotest.test_case "bad magic rejected" `Quick (fun () ->
-        (* garbage, a short input, and the retired HLI1/HLI2 magics
+        (* garbage, a short input, and the retired HLI1/HLI2/HLI3 magics
            (an empty container under each) *)
         List.iter
           (fun b ->
@@ -133,7 +133,14 @@ let serialize_tests =
                 Alcotest.(check string) (String.escaped b) "E0610"
                   c.Hli_core.Serialize.c_code
             | _ -> Alcotest.failf "accepted %S" b)
-          [ "NOPE"; ""; "HLI"; "HLI1\000"; "HLI2\000" ]);
+          [ "NOPE"; ""; "HLI"; "HLI1\000"; "HLI2\000"; "HLI3\000" ];
+        (* HLI3, whose alias and LCDD entries carried probabilities, is
+           named in the rejection *)
+        match Hli_core.Serialize.of_bytes "HLI3\000" with
+        | exception Hli_core.Serialize.Corrupt c ->
+            Alcotest.(check string) "message" "bad magic \"HLI3\" (want HLI4)"
+              c.Hli_core.Serialize.c_msg
+        | _ -> Alcotest.fail "accepted HLI3");
     Alcotest.test_case "truncation rejected" `Quick (fun () ->
         let f = { T.entries = [ fig2_entry () ] } in
         let b = Hli_core.Serialize.to_bytes f in
@@ -169,29 +176,9 @@ let serialize_tests =
 
 let dump_tests =
   [
-    Alcotest.test_case "per-mille probabilities render compactly" `Quick
+    Alcotest.test_case "golden text dump" `Quick
       (fun () ->
-        List.iter
-          (fun (p, s) ->
-            Alcotest.(check string)
-              (Printf.sprintf "p=%d" p)
-              s
-              (Hli_core.Tables.prob_to_string p))
-          [
-            (0, "0.0");
-            (1000, "1.0");
-            (500, "0.5");
-            (850, "0.85");
-            (730, "0.73");
-            (125, "0.125");
-            (30, "0.03");
-            (7, "0.007");
-          ]);
-    Alcotest.test_case "golden text dump with probability sections" `Quick
-      (fun () ->
-        (* exactly what [hli_dump --entry u] prints: alias sets and
-           maybe-LCDDs carry p=..., sections without a probability
-           carry no suffix *)
+        (* exactly what [hli_dump --entry u] prints *)
         let e =
           {
             T.unit_name = "u";
@@ -216,8 +203,8 @@ let dump_tests =
                     ];
                   aliases =
                     [
-                      { T.alias_classes = [ 1; 2 ]; alias_prob = Some 850 };
-                      { T.alias_classes = [ 2; 3 ]; alias_prob = None };
+                      { T.alias_classes = [ 1; 2 ] };
+                      { T.alias_classes = [ 2; 3 ] };
                     ];
                   lcdds =
                     [
@@ -226,14 +213,12 @@ let dump_tests =
                         lcdd_dst = 1;
                         lcdd_dep = T.Dep_maybe;
                         lcdd_distance = Some 4;
-                        lcdd_prob = Some 500;
                       };
                       {
                         T.lcdd_src = 1;
                         lcdd_dst = 2;
                         lcdd_dep = T.Dep_definite;
                         lcdd_distance = None;
-                        lcdd_prob = None;
                       };
                     ];
                   callrefmods = [];
@@ -248,8 +233,8 @@ let dump_tests =
               "  1 lines, 1 items, 1 regions";
               "  region 1 (loop, lines 1-9):";
               "    classes: c1? \"a\" = {i1}";
-              "    aliases: {1, 2, p=0.85}; {2, 3}";
-              "    lcdd: c1 -> c1 (maybe, d=4, p=0.5)";
+              "    aliases: {1, 2}; {2, 3}";
+              "    lcdd: c1 -> c1 (maybe, d=4)";
               "          c1 -> c2 (definite, d=?)";
               "    calls: 0 entries";
               "";
@@ -324,7 +309,7 @@ let boundary_tests =
         in
         Alcotest.(check string) "entry count" "E0613"
           (corrupt_code (fun () ->
-               Hli_core.Serialize.of_bytes ("HLI3" ^ huge)));
+               Hli_core.Serialize.of_bytes ("HLI4" ^ huge)));
         (* a unit name, then a line-table length past the payload *)
         Alcotest.(check string) "list length" "E0613"
           (corrupt_code (fun () ->
@@ -347,6 +332,8 @@ let boundary_tests =
         Alcotest.(check string) "flip" "E0615"
           (corrupt_code (fun () ->
                Hli_core.Serialize.of_bytes (Bytes.to_string b))));
+    (* the name predates the HLI4 magic; the option tags it exercises
+       are unchanged *)
     Alcotest.test_case "Some zero survives HLI3" `Quick
       (fun () ->
         let lcdd =
@@ -355,7 +342,6 @@ let boundary_tests =
             lcdd_dst = 1;
             lcdd_dep = T.Dep_definite;
             lcdd_distance = Some 0;
-            lcdd_prob = None;
           }
         in
         let f =
@@ -442,7 +428,6 @@ let boundary_tests =
                               lcdd_dst = 2;
                               lcdd_dep = T.Dep_maybe;
                               lcdd_distance = None;
-                              lcdd_prob = None;
                             };
                           ];
                         callrefmods =
@@ -475,14 +460,8 @@ let boundary_tests =
           | exception Diagnostics.Diagnostic d -> d.Diagnostics.code
           | _ -> "no-error"
         in
-        let lcdd ?prob d =
-          {
-            T.lcdd_src = 1;
-            lcdd_dst = 1;
-            lcdd_dep = T.Dep_maybe;
-            lcdd_distance = d;
-            lcdd_prob = prob;
-          }
+        let lcdd d =
+          { T.lcdd_src = 1; lcdd_dst = 1; lcdd_dep = T.Dep_maybe; lcdd_distance = d }
         in
         let file ?(parent = None) lcdds =
           {
@@ -504,7 +483,6 @@ let boundary_tests =
           [
             ("negative distance", file [ lcdd (Some (-1)) ]);
             ("negative parent", file ~parent:(Some (-3)) []);
-            ("negative probability", file [ lcdd ~prob:(-5) None ]);
           ];
         Alcotest.(check string) "encoder raises E0601" "E0601"
           (diag_code (fun () ->

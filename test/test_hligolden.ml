@@ -1,7 +1,7 @@
 (* HLI golden (golden_hli.txt).
 
    One line per TBLCONST option set x workload pins the md5 of the
-   HLI3 container ([Serialize.to_bytes]) and Table 1's size, the HLI1
+   HLI4 container ([Serialize.to_bytes]) and Table 1's size, the HLI1
    length ([Serialize.size_bytes]).  The container holds every
    equivalence-class description, so a description that changes text
    but not length still fails here, where Table 1's sizes alone would
@@ -15,7 +15,7 @@
 module Tc = Hligen.Tblconst
 
 let golden_file = "golden_hli.txt"
-let header = "# options program hli3_md5 size_bytes"
+let header = "# options program hli4_md5 size_bytes"
 
 let all_programs = List.map (fun w -> w.Workloads.Workload.name) Workloads.Registry.all
 

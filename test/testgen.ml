@@ -37,17 +37,12 @@ let gen_file ?(allow_zero = false) () : T.hli_file QCheck.Gen.t =
       list_size (int_range 0 4) gen_member >>= fun members ->
       return { T.class_id; kind; desc; members }
     in
-    (* probability sections: full per-mille range including the 0
-       boundary — the container tags the option explicitly, so
-       [Some 0] must round-trip *)
-    let gen_prob = opt (int_range 0 1000) in
     let gen_lcdd =
       int_range 1 500 >>= fun lcdd_src ->
       int_range 1 500 >>= fun lcdd_dst ->
       oneofl [ T.Dep_definite; T.Dep_maybe ] >>= fun lcdd_dep ->
       opt (int_range opt_floor 64) >>= fun lcdd_distance ->
-      gen_prob >>= fun lcdd_prob ->
-      return { T.lcdd_src; lcdd_dst; lcdd_dep; lcdd_distance; lcdd_prob }
+      return { T.lcdd_src; lcdd_dst; lcdd_dep; lcdd_distance }
     in
     let gen_callrefmod =
       oneof
@@ -70,8 +65,7 @@ let gen_file ?(allow_zero = false) () : T.hli_file QCheck.Gen.t =
       list_size (int_range 0 4) gen_class >>= fun eq_classes ->
       list_size (int_range 0 2)
         (list_size (int_range 2 4) (int_range 1 500)
-        >>= fun alias_classes ->
-         gen_prob >>= fun alias_prob -> return { T.alias_classes; alias_prob })
+        >|= fun alias_classes -> { T.alias_classes })
       >>= fun aliases ->
       list_size (int_range 0 4) gen_lcdd >>= fun lcdds ->
       list_size (int_range 0 2) gen_callrefmod >>= fun callrefmods ->
