@@ -437,30 +437,25 @@ let find_ablation name =
 let ablated_config name =
   { Harness.Pipeline.default_config with ablation = find_ablation name }
 
-let ablation_compile_section cfg name workloads =
+(* compiles only, a few milliseconds each: no pool *)
+let ablation_compile_section name workloads =
   let ab = find_ablation name in
   Printf.printf "\n== Ablation: %s — %s ==\n" ab.Driver.Variant.ab_name
     ab.Driver.Variant.ab_doc;
   Printf.printf "%-14s %12s %12s %10s %10s\n" "Benchmark" "HLI(B) base"
     "HLI(B) abl" "red% base" "red% abl";
   let red s = 100.0 *. Harness.Tables.reduction s in
-  let compiled =
-    with_pool cfg (List.length workloads) (fun pool ->
-        Pool.map_opt pool
-          (fun wname ->
-            let w = Option.get (Workloads.Registry.find wname) in
-            let src = w.Workloads.Workload.source in
-            ( Harness.Pipeline.compile src,
-              Harness.Pipeline.compile ~config:(ablated_config name) src ))
-          workloads)
-  in
-  List.iter2
-    (fun wname (c1, c2) ->
+  List.iter
+    (fun wname ->
+      let w = Option.get (Workloads.Registry.find wname) in
+      let src = w.Workloads.Workload.source in
+      let c1 = Harness.Pipeline.compile src in
+      let c2 = Harness.Pipeline.compile ~config:(ablated_config name) src in
       Printf.printf "%-14s %12d %12d %9.0f%% %9.0f%%\n" wname
         c1.Harness.Pipeline.hli_bytes c2.Harness.Pipeline.hli_bytes
         (red c1.Harness.Pipeline.stats)
         (red c2.Harness.Pipeline.stats))
-    workloads compiled
+    workloads
 
 let ablation_sim_section cfg name workloads =
   let ab = find_ablation name in
@@ -1453,9 +1448,9 @@ let () =
          was narrowed with --workloads (e.g. the smoke alias) or is
          itself an ablated run *)
       if cfg.workloads = None && cfg.ablation = "baseline" then begin
-        ablation_compile_section cfg "merge-off"
+        ablation_compile_section "merge-off"
           [ "101.tomcatv"; "102.swim"; "034.mdljdp2"; "129.compress" ];
-        ablation_compile_section cfg "routine-regions"
+        ablation_compile_section "routine-regions"
           [ "101.tomcatv"; "102.swim"; "129.compress" ];
         ablation_sim_section cfg "hli-only" [ "101.tomcatv"; "034.mdljdp2" ];
         ablation_sim_section cfg "lsq-off" [ "034.mdljdp2"; "077.mdljsp2"; "102.swim" ];

@@ -1,9 +1,7 @@
 (** Binary (de)serialization of HLI files: the HLI4 container.
 
     The paper defines the logical layout (its Figure 1) but not a byte
-    format; HLI4 is the one container this repository reads and writes
-    (HLI3, its predecessor, also carried a per-mille probability on
-    every alias and LCDD entry; it is rejected by name).
+    format; HLI4 is the one container this repository reads and writes.
     Integers are LEB128 varints and strings are length-prefixed.  The
     file is a front-end/back-end {e interface} that must not trust its
     producer, so:

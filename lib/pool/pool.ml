@@ -12,12 +12,12 @@
       [List.map] — the deterministic reference path the tests compare
       against.
     - {!map} is re-entrant: a task may itself call {!map} on the same
-      pool (the pipeline parallelizes its two alias modes' back ends,
-      and its simulations — one task per group of schedules timed in
-      one interpretation, one per lone variant — while the table
-      driver parallelizes workloads).  While waiting for its own
-      batch, a submitter {e helps}: it drains whatever task is queued,
-      so nested batches can never deadlock the fixed-size pool.
+      pool.  While waiting for its own batch, a submitter {e helps}: it
+      drains whatever task is queued, so nested batches can never
+      deadlock the fixed-size pool.  The harness maps one level only,
+      whole workloads ([Harness.Tables.run_all]): a helping submitter
+      runs whatever was queued first, so a nested sub-batch could wait
+      behind a whole other workload.
     - Every task runs to completion even when a sibling raises; the
       first exception (in submission order) is re-raised to the
       submitter once the batch is done, matching what a sequential run

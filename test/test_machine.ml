@@ -650,6 +650,46 @@ int main()
               (on_pool probe)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Group membership: a schedule must be a permutation of its prefix    *)
+(* ------------------------------------------------------------------ *)
+
+(* [prog] with the first instruction of [main]'s entry block under a
+   fresh uid: the same program, but no longer a reordering of [prog]'s
+   blocks *)
+let renumbered (prog : Backend.Rtl.program) =
+  let open Backend in
+  let renumber (f : Rtl.fn) =
+    if f.Rtl.fname <> "main" then f
+    else
+      let blocks = Array.copy f.Rtl.blocks in
+      let b = blocks.(f.Rtl.entry) in
+      (match b.Rtl.insns with
+      | i :: rest -> blocks.(f.Rtl.entry) <- { b with Rtl.insns = { i with Rtl.uid = i.Rtl.uid + 1000 } :: rest }
+      | [] -> Alcotest.fail "main's entry block is empty");
+      { f with Rtl.blocks }
+  in
+  { prog with Rtl.fns = List.map renumber prog.Rtl.fns }
+
+let permutation_tests =
+  let src = "int g;\nint main() {\n  g = 5;\n  print_int(g);\n  return 0;\n}\n" in
+  [
+    Alcotest.test_case "member admits the prefix and refuses a non-permutation" `Quick
+      (fun () ->
+        let prefix = lower src in
+        let m = Machine.Simulate.member ~prefix Machine.Simulate.R4600 prefix in
+        Alcotest.(check bool) "prefix joins" true (m.Machine.Simulate.m_rtl == prefix);
+        match Machine.Simulate.member ~prefix Machine.Simulate.R4600 (renumbered prefix) with
+        | _ -> Alcotest.fail "a renumbered schedule joined the group"
+        | exception Invalid_argument _ -> ());
+    Alcotest.test_case "check_order refuses a non-permutation" `Quick (fun () ->
+        let prefix = lower src in
+        Machine.Simulate.check_order ~prefix prefix;
+        match Machine.Simulate.check_order ~prefix (renumbered prefix) with
+        | () -> Alcotest.fail "a renumbered schedule passed the order check"
+        | exception Invalid_argument _ -> ());
+  ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -658,4 +698,5 @@ let () =
       ("timing", timing_tests);
       ("fuel", fuel_tests);
       ("decoder", decoder_tests);
+      ("permutation", permutation_tests);
     ]
