@@ -263,6 +263,30 @@ let canonical ~user (pa : Rtl.insn array) (sched : int array list) =
   List.iteri (fun c j -> cpos.(j) <- c) order;
   (cpos, cnts)
 
+(* [later.(j)]: for each memory instruction [j] of a block (a prefix
+   index), the later memory instructions that the schedule [perm] (see
+   [perms]) puts before it, ascending.  An insertion sort of the memory
+   instructions, taken in the schedule's order, passes exactly those
+   when it inserts [j], so the cost is the block's length plus its
+   inversions. *)
+let inverted ~mem (perm : int array) =
+  let n = Array.length perm in
+  let later = Array.make n [] and sorted = Array.make n 0 and len = ref 0 in
+  Array.iter
+    (fun j ->
+      if mem j then begin
+        let i = ref !len in
+        while !i > 0 && sorted.(!i - 1) > j do
+          later.(j) <- sorted.(!i - 1) :: later.(j);
+          sorted.(!i) <- sorted.(!i - 1);
+          decr i
+        done;
+        sorted.(!i) <- j;
+        incr len
+      end)
+    perm;
+  later
+
 (* The canonical program of a group and the oracle's work: per block,
    the canonical order; per member, the canonical pc of each of its
    pcs; the memory pairs a member inverts and the memory instructions it
@@ -287,23 +311,23 @@ let layout ~(prefix : Rtl.program) (members : member list) =
     let cpos, cnts = canonical ~user pa (Array.init n Fun.id :: Array.to_list poss) in
     let cp j = b + cpos.(j) in
     let cnt_p = List.hd cnts in
+    (* the user calls in prefix order: [cnt_p] numbers them *)
+    let calls = Array.of_list (List.filter (fun j -> user pa.(j)) (List.init n Fun.id)) in
+    let mem j = mem_op pa.(j) in
     List.iteri
       (fun k cnt ->
-        let pos = poss.(k) in
-        to_canon.(k) := (b, Array.map cp perms.(k).(fi).(bi)) :: !(to_canon.(k));
+        let perm = perms.(k).(fi).(bi) in
+        to_canon.(k) := (b, Array.map cp perm) :: !(to_canon.(k));
+        let later = inverted ~mem perm in
         for j = 0 to n - 1 do
-          if mem_op pa.(j) then begin
-            for l = j + 1 to n - 1 do
-              if mem_op pa.(l) && (Rtl.is_store pa.(j) || Rtl.is_store pa.(l)) && pos.(j) > pos.(l)
-              then pairs := (k, cp j, cp l) :: !pairs
-            done;
+          if mem j then begin
+            List.iter
+              (fun l -> if Rtl.is_store pa.(j) || Rtl.is_store pa.(l) then pairs := (k, cp j, cp l) :: !pairs)
+              later.(j);
             (* the user calls between its sides in the prefix and the member *)
-            let lo = min cnt_p.(j) cnt.(j) and hi = max cnt_p.(j) cnt.(j) in
-            if lo < hi then
-              Array.iteri
-                (fun c x ->
-                  if user x && cnt_p.(c) >= lo && cnt_p.(c) < hi then moved := (k, cp j, cp c) :: !moved)
-                pa
+            for c = min cnt_p.(j) cnt.(j) to max cnt_p.(j) cnt.(j) - 1 do
+              moved := (k, cp j, cp calls.(c)) :: !moved
+            done
           end
         done)
       (List.tl cnts);

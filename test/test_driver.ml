@@ -372,9 +372,10 @@ let group_tests =
 
 (* A group's walks on a helper domain.  Each loop iteration ends a
    block instance, and so appends at least one trace event:
-   [long_kernel]'s 25,000 iterations fill the trace's chunk at least
-   ten times ([trace_fills] counts them), [sum_kernel]'s 10,000 fill it
-   before its last block, which the oracle case inverts. *)
+   [long_kernel]'s 25,000 iterations fill a trace chunk often enough for
+   the ring to wrap three times ([trace_fills] counts the fills),
+   [sum_kernel]'s 10,000 fill one before its last block, which the
+   oracle case inverts. *)
 let long_kernel =
   "int a[1000];\nint b[1000];\nint main() {\n  int i;\n  int j;\n  int s;\n  s = 0;\n\
   \  for (j = 0; j < 25; j = j + 1)\n    for (i = 0; i < 1000; i = i + 1) {\n\
@@ -454,6 +455,15 @@ let stops_cleanly run expected =
   | _ -> Alcotest.fail "ran to the end");
   Alcotest.(check (option int)) "Threads: as before the run" before (settled_threads ())
 
+(* [measure c] reports what each variant simulated alone does *)
+let measure_equals_alone (c : Harness.Pipeline.compiled) =
+  let measured = (Harness.Pipeline.measure c).Harness.Pipeline.reports in
+  List.iter
+    (fun (v, s) ->
+      let alone = Driver.Pass_manager.simulate (Driver.Pass.ctx ~variant:v ()) s in
+      check_reports (Driver.Variant.name v) alone (List.assoc v measured))
+    c.Harness.Pipeline.variants
+
 let helper_tests =
   [
     Alcotest.test_case "measure equals per-variant simulation over ten trace fills" `Quick
@@ -462,12 +472,10 @@ let helper_tests =
         let c = Harness.Pipeline.compile ~config:uncached long_kernel in
         let fills = trace_fills c in
         if fills < 10 then Alcotest.failf "the trace fills %d times, not ten" fills;
-        let measured = (Harness.Pipeline.measure c).Harness.Pipeline.reports in
-        List.iter
-          (fun (v, s) ->
-            let alone = Driver.Pass_manager.simulate (Driver.Pass.ctx ~variant:v ()) s in
-            check_reports (Driver.Variant.name v) alone (List.assoc v measured))
-          c.Harness.Pipeline.variants);
+        if fills < 3 * Machine.Exec.trace_chunks then
+          Alcotest.failf "the trace ring of %d chunks wraps %d times, not three"
+            Machine.Exec.trace_chunks (fills / Machine.Exec.trace_chunks);
+        measure_equals_alone c);
     Alcotest.test_case "out of fuel mid-run: raised, and the helper joined" `Quick (fun () ->
         helper_note ();
         let c = Harness.Pipeline.compile ~config:uncached long_kernel in
@@ -503,6 +511,17 @@ let helper_tests =
               check_reports (Printf.sprintf "measure %d, %s" k (Driver.Variant.name v)) a b)
             first (Harness.Pipeline.measure c).Harness.Pipeline.reports
         done);
+    Alcotest.test_case "with no core spare, measure equals per-variant simulation" `Quick
+      (fun () ->
+        (* the run's domain walks every member, on any machine *)
+        let rec take n = if Pool.take_core () then take (n + 1) else n in
+        let taken = take 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            for _ = 1 to taken do
+              Pool.give_core ()
+            done)
+          (fun () -> measure_equals_alone (Harness.Pipeline.compile ~config:uncached long_kernel)));
   ]
 
 (* The front end's spans and HLI-cache counters over one compile of a

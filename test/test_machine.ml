@@ -690,6 +690,61 @@ let permutation_tests =
         | exception Invalid_argument _ -> ());
   ]
 
+(* ------------------------------------------------------------------ *)
+(* A group's trace ring                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* 6,000 straight-line statements [a[k] = a[k+1] + c] over 60 elements:
+   one block of 18,000 instructions, more than a trace chunk's slots, so
+   its exit event grows the snapshot array of the chunk it lands in. *)
+let long_block_src =
+  let b = Buffer.create 150_000 in
+  Buffer.add_string b "int a[60];\nint main() {\n";
+  for k = 0 to 5999 do
+    Printf.bprintf b "  a[%d] = a[%d] + %d;\n" (k mod 60) ((k + 1) mod 60) (k mod 7)
+  done;
+  Buffer.add_string b "  print_int(a[0] + a[29] + a[59]);\n  return 0;\n}\n";
+  Buffer.contents b
+
+let ring_tests =
+  [
+    Alcotest.test_case "a block longer than a chunk's slots" `Quick (fun () ->
+        let open Backend in
+        let prefix = lower long_block_src in
+        let main = List.find (fun (f : Rtl.fn) -> f.Rtl.fname = "main") prefix.Rtl.fns in
+        let insns = Array.of_list main.Rtl.blocks.(main.Rtl.entry).Rtl.insns in
+        if Array.length insns <= Machine.Exec.trace_slots then
+          Alcotest.failf "the block holds %d instructions" (Array.length insns);
+        (* the first statement's store of a[0] and the second's load of
+           a[2], swapped: a load above an earlier store to another element *)
+        if not (Rtl.is_store insns.(2) && Rtl.is_load insns.(3)) then
+          Alcotest.fail "the first statement is not load, add, store";
+        let t = insns.(2) in
+        insns.(2) <- insns.(3);
+        insns.(3) <- t;
+        let hoisted =
+          let blocks = Array.copy main.Rtl.blocks in
+          blocks.(main.Rtl.entry) <- { (blocks.(main.Rtl.entry)) with Rtl.insns = Array.to_list insns };
+          { prefix with Rtl.fns = List.map (fun f -> if f == main then { f with Rtl.blocks } else f) prefix.Rtl.fns }
+        in
+        let schedules =
+          [
+            (Machine.Simulate.R4600, prefix); (Machine.Simulate.R10000, prefix); (Machine.Simulate.R10000, hoisted);
+          ]
+        in
+        let members = List.map (fun (m, rtl) -> Machine.Simulate.member ~prefix m rtl) schedules in
+        let _, _, pairs, moved = Machine.Simulate.layout ~prefix members in
+        Alcotest.(check (pair int int)) "inverted pairs, moved accesses" (1, 0) (List.length pairs, List.length moved);
+        List.iter2
+          (fun (m, rtl) (grouped : Machine.Simulate.report) ->
+            let alone = Machine.Simulate.run m rtl in
+            if grouped <> alone then
+              Alcotest.failf "%s: grouped %d cycles, %d L1 misses; alone %d, %d"
+                (Machine.Simulate.machine_name m) grouped.cycles grouped.l1_misses alone.cycles alone.l1_misses)
+          schedules
+          (Machine.Simulate.run_group ~prefix members));
+  ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -699,4 +754,5 @@ let () =
       ("fuel", fuel_tests);
       ("decoder", decoder_tests);
       ("permutation", permutation_tests);
+      ("ring", ring_tests);
     ]
